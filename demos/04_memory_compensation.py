@@ -14,7 +14,7 @@ from kvgate.episodes import episode_loss, plain_mse, prefill_episodes, \
     train_memory
 from kvgate.memory import MemorySlowWeights
 from kvgate.numerics import Rng
-from kvgate.policies import aggregate_heads, score_knorm
+from kvgate.policies import aggregate_heads, score_knorm, select
 from kvgate.teacher import TeacherConfig, TeacherModel
 
 cfg = TeacherConfig(n_layers=2, d_model=32, n_heads=4, n_kv_heads=2,
@@ -29,9 +29,10 @@ for i in range(8):
     tokens = Rng(200).split(i).integers(0, cfg.vocab_size, length)
     x0 = teacher.embed(tokens)
     trace = teacher.forward(x0=x0)
-    scores = [aggregate_heads(score_knorm(lt.k[:, :eval_start, :]))
-              for lt in trace.layers]
-    episodes.append(prefill_episodes(teacher, x0, plan, scores, eval_start,
+    keeps = [select(plan, aggregate_heads(score_knorm(lt.k[:, :eval_start, :])),
+                    np.arange(eval_start))
+             for lt in trace.layers]
+    episodes.append(prefill_episodes(teacher, x0, keeps, eval_start,
                                      trace=trace)[layer])
 
 slow = MemorySlowWeights.init(cfg.d_model, Rng(7), d_mem=8)

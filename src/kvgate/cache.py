@@ -8,22 +8,22 @@ were applied when the row was created, so nothing needs recomputing.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import topk_indices
-
-AGG_MODES = ("none", "layer_mean", "ent_skip_high", "ent_skip_low")
+from .policies import select
 
 
 @dataclass(frozen=True)
 class CompressionPlan:
-    """Knobs shared by one compression run.
+    """Knobs of the keep rule, :func:`kvgate.policies.select`, for one run.
 
-    ``budget`` is the total retained length including sinks and the local
-    window; ``None`` disables the budget (prefill-ratio-only runs).
+    ``ratio`` is the evicted share of the non-forced rows; ``sink_count``
+    and ``local_window`` name the forced rows. ``budget`` is the total
+    retained length including sinks and the local window; ``None`` disables
+    the budget (prefill-ratio-only runs). ``decode_interval`` spaces the
+    decode-time compressions of :class:`DecodeSchedule`.
     """
 
     ratio: float = 0.5
@@ -31,8 +31,6 @@ class CompressionPlan:
     budget: int | None = None
     sink_count: int = 4
     local_window: int = 32
-    policy: str = "snapkv"
-    agg_mode: str = "none"
 
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
@@ -43,8 +41,6 @@ class CompressionPlan:
             raise ValueError("sink_count and local_window must be nonnegative")
         if self.budget is not None and self.budget < self.sink_count + self.local_window:
             raise ValueError("budget must cover sinks plus the local window")
-        if self.agg_mode not in AGG_MODES:
-            raise ValueError(f"unknown aggregation mode: {self.agg_mode!r}")
 
 
 class KvCache:
@@ -99,12 +95,6 @@ class KvCache:
         """Row indices whose original position is below sink_count."""
         return np.flatnonzero(self._positions[layer] < self.sink_count)
 
-    def forced_row_indices(self, layer: int, local_window: int) -> np.ndarray:
-        """Sink rows plus the trailing local window, as row indices."""
-        n = self.length(layer)
-        window = np.arange(max(0, n - local_window), n)
-        return np.union1d(self.sink_row_indices(layer), window)
-
     def compact(self, layer: int, keep_indices, local_window: int = 0):
         """Drop every row not listed in ``keep_indices``.
 
@@ -134,63 +124,16 @@ class KvCache:
         return evicted
 
 
-def keep_indices_for_ratio(scores: np.ndarray, forced: np.ndarray, ratio: float,
-                           cap: int | None = None) -> np.ndarray:
-    """Keep set for a ratio-based compression of one layer.
-
-    The ratio applies to the evictable rows: of the ``n - len(forced)``
-    candidates, the top ``ceil((1 - ratio) * candidates)`` by score survive,
-    and the forced rows (sinks, local window) ride along on top. ``cap``
-    optionally bounds the total keep count (budgeted prefill).
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.size
-    forced = np.asarray(forced, dtype=np.int64)
-    n_candidates = n - forced.size
-    n_keep = math.ceil((1.0 - ratio) * n_candidates)
-    if cap is not None:
-        n_keep = min(n_keep, max(0, cap - forced.size))
-    masked = scores.copy()
-    masked[forced] = -np.inf
-    chosen = topk_indices(masked, min(n_keep, n_candidates))
-    return np.union1d(chosen, forced)
-
-
-def prefill_compress(cache: KvCache, layer: int, plan: CompressionPlan,
-                     scores: np.ndarray):
-    """One-shot compression of a freshly prefetched layer cache.
-
-    ``scores`` must cover every cached row. Returns the evicted triple from
-    :meth:`KvCache.compact`.
-    """
-    n = cache.length(layer)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (n,):
-        raise ValueError("scores must match the cache length")
-    forced = cache.forced_row_indices(layer, plan.local_window)
-    keep = keep_indices_for_ratio(scores, forced, plan.ratio, cap=plan.budget)
-    return cache.compact(layer, keep, plan.local_window)
-
-
 def budget_compress(cache: KvCache, layer: int, plan: CompressionPlan,
                     scores: np.ndarray):
-    """Compress one layer down to exactly the plan budget (if above it)."""
+    """Compress one layer down to the plan budget (if above it).
+
+    This is the keep rule at ratio 0 with the budget as its cap. Returns the
+    evicted triple from :meth:`KvCache.compact`.
+    """
     if plan.budget is None:
         raise ValueError("plan has no budget")
-    n = cache.length(layer)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (n,):
-        raise ValueError("scores must match the cache length")
-    if n <= plan.budget:
-        return (np.zeros((cache.n_kv_heads, 0, cache.d_head)),
-                np.zeros((cache.n_kv_heads, 0, cache.d_head)),
-                np.zeros(0, dtype=np.int64))
-    forced = cache.forced_row_indices(layer, plan.local_window)
-    masked = scores.copy()
-    masked[forced] = -np.inf
-    n_extra = plan.budget - forced.size
-    chosen = topk_indices(masked, max(0, n_extra))
-    keep = np.union1d(chosen, forced)
+    keep = select(replace(plan, ratio=0.0), scores, cache.positions(layer))
     return cache.compact(layer, keep, plan.local_window)
 
 

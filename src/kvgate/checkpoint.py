@@ -39,7 +39,12 @@ def save_weights(path, tensors: dict) -> None:
     Path(path).write_bytes(blob)
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def load_weights(path) -> dict:
+    """Read a weights file; every malformed one raises ``ValueError``."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise ValueError("not a weights file: bad magic")
@@ -50,22 +55,33 @@ def load_weights(path) -> dict:
     if len(blob) < manifest_end:
         raise ValueError("truncated weights file")
     manifest = json.loads(blob[8:manifest_end].decode("utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError("weights manifest must be a JSON object")
     if manifest.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported weights format: {manifest.get('version')!r}")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, dict):
+        raise ValueError("weights manifest lacks a tensors table")
     payload = blob[manifest_end:]
-    entries = manifest["tensors"]
     spans = []
     out = {}
     for name, meta in entries.items():
-        if meta["dtype"] != "float64":
+        if not isinstance(meta, dict):
+            raise ValueError(f"tensor {name!r} entry must be an object")
+        if meta.get("dtype") != "float64":
             raise ValueError(f"unsupported dtype for {name!r}")
-        start, nbytes = meta["offset"], meta["nbytes"]
+        start, nbytes, shape = (meta.get("offset"), meta.get("nbytes"),
+                                meta.get("shape"))
+        if not (_is_count(start) and _is_count(nbytes) and isinstance(shape, list)
+                and all(_is_count(d) for d in shape)):
+            raise ValueError(f"tensor {name!r} needs nonnegative integer "
+                             "offset, nbytes and shape")
         end = start + nbytes
-        if start < 0 or end > len(payload):
+        if end > len(payload):
             raise ValueError(f"tensor {name!r} lies outside the payload")
         spans.append((start, end))
         arr = np.frombuffer(payload[start:end], dtype="<f8")
-        out[name] = arr.reshape(meta["shape"]).astype(np.float64)
+        out[name] = arr.reshape(shape).astype(np.float64)
     spans.sort()
     for (_, prev_end), (nxt_start, _) in zip(spans, spans[1:]):
         if nxt_start < prev_end:

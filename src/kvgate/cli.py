@@ -23,7 +23,7 @@ from .checkpoint import (
     unpack_indexer,
     unpack_memory,
 )
-from .config import ConfigError, parse_config
+from .config import ConfigError, load_config
 from .episodes import episode_loss
 from .harness import (
     build_episode_sets,
@@ -47,16 +47,7 @@ log = logging.getLogger("kvgate")
 
 
 def _load_config(args):
-    text = Path(args.config).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as bad:
-        raise ConfigError(f"config is not valid JSON: {bad}") from None
-    if getattr(args, "seed", None) is not None:
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        raw["seed"] = args.seed
-    return parse_config(raw)
+    return load_config(args.config, seed=args.seed)
 
 
 def _out_dir(args, cfg) -> Path:

@@ -96,6 +96,12 @@ def _as_int(tree: dict, section: str, key: str, minimum=None, optional=False):
     return value
 
 
+def _as_bool(tree: dict, section: str, key: str) -> bool:
+    value = tree[section][key]
+    _require(isinstance(value, bool), f"{section}.{key} must be true or false")
+    return value
+
+
 def _as_number(tree: dict, section: str, key: str) -> float:
     value = tree[section][key]
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
@@ -239,8 +245,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         mem_lr=mem_lr,
         lam=lam,
         eta=eta,
-        head_sum=bool(tree["train"]["head_sum"]),
-        stop_write_grad=bool(tree["train"]["stop_write_grad"]),
+        head_sum=_as_bool(tree, "train", "head_sum"),
+        stop_write_grad=_as_bool(tree, "train", "stop_write_grad"),
         decode_steps=_as_int(tree, "decode", "steps", 1),
         decode_interval=_as_int(tree, "decode", "interval", 1),
         decode_budgets=tuple(budgets),
@@ -248,13 +254,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise err
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
+    """Parse a config file; ``seed``, when given, replaces the file's seed."""
+    text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as bad:
         raise ConfigError(f"config is not valid JSON: {bad}") from None
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
     return parse_config(raw)

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .cache import CompressionPlan
 from .indexer import DivergenceError
 from .memory import MEM_EPS, MemorySlowWeights, MemoryState, tokens_from_evicted
-from .policies import select
 from .teacher import TeacherModel, attend_rows, flatten_heads
 
 
@@ -72,34 +70,33 @@ def plain_mse(episode: LayerEpisode) -> float:
     return float(np.mean(episode.targets ** 2))
 
 
-def prefill_episodes(teacher: TeacherModel, x0: np.ndarray,
-                     plan: CompressionPlan, scores_by_layer,
+def prefill_episodes(teacher: TeacherModel, x0: np.ndarray, keeps_by_layer,
                      eval_start: int, head_sum: bool = False,
                      trace=None) -> list:
     """One episode per layer for a compress-then-continue run.
 
-    The first ``eval_start`` tokens are compressed under ``plan`` using the
-    given per-layer scores; every later token reads the surviving prefix
-    plus the uncompressed tail it arrived with. Targets compare against the
-    same token's attention over the full cache, so an all-keep plan yields
-    exactly zero targets. ``trace`` short-circuits the forward pass when the
-    caller already traced this exact ``x0``.
+    The first ``eval_start`` tokens are compressed to each layer's keep set
+    (row indices into that prefix, from :func:`kvgate.policies.select`);
+    every later token reads the surviving prefix plus the uncompressed tail
+    it arrived with. Targets compare against the same token's attention
+    over the full cache, so an all-keep set yields exactly zero targets.
+    ``trace`` short-circuits the forward pass when the caller already traced
+    this exact ``x0``.
     """
     if trace is None:
         trace = teacher.forward(x0=np.asarray(x0, dtype=np.float64))
     length = x0.shape[0]
     if not 0 < eval_start < length:
         raise ValueError("eval start must split the sequence")
-    if len(scores_by_layer) != teacher.config.n_layers:
-        raise ValueError("need one score vector per layer")
+    if len(keeps_by_layer) != teacher.config.n_layers:
+        raise ValueError("need one keep set per layer")
     n_eval = length - eval_start
     episodes = []
     prefix = np.arange(eval_start)
     for li, lt in enumerate(trace.layers):
-        scores = np.asarray(scores_by_layer[li], dtype=np.float64)
-        if scores.shape != (eval_start,):
-            raise ValueError("scores must cover the compressed prefix")
-        keep = select(plan, scores, prefix)
+        keep = np.asarray(keeps_by_layer[li], dtype=np.int64)
+        if keep.size and (keep.min() < 0 or keep.max() >= eval_start):
+            raise ValueError("keep sets must index the compressed prefix")
         evicted = np.setdiff1d(prefix, keep)
         q_rows = lt.q[:, eval_start:, :]
         full = np.zeros((n_eval, length), dtype=bool)

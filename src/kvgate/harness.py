@@ -22,25 +22,14 @@ from .indexer import (
     IndexerKeyCache,
     IndexerParams,
     WsdSchedule,
-    _score_from_features,
-    head_gates,
-    indexer_importance,
     key_features,
-    query_features,
     streaming_distill_loss,
     train_indexer,
 )
 from .memory import MemorySlowWeights, default_d_mem
 from .metrics import make_record
 from .numerics import Rng, kl_divergence, rmsnorm
-from .policies import (
-    PolicyId,
-    aggregate_heads,
-    score_knorm,
-    score_random,
-    score_snapkv,
-    select,
-)
+from .policies import PolicyId, QueryRows, score_layer, select
 from .synth import planted_sequence, retention_recall
 from .teacher import TeacherModel, pooled_teacher_importance
 
@@ -139,24 +128,21 @@ def layer_scores(cfg: ExperimentConfig, policy: PolicyId, trace, upto: int,
     """
     n_layers = len(trace.layers)
     d_model = trace.layers[0].x_in.shape[1]
+    if policy.name == "indexer" and params_by_layer is None:
+        raise ConfigError("indexer policy needs a trained checkpoint")
+    positions = np.arange(upto)
 
     def compute(layer: int) -> np.ndarray:
         lt = trace.layers[layer]
-        if policy.name == "indexer":
-            if params_by_layer is None:
-                raise ConfigError("indexer policy needs a trained checkpoint")
-            return indexer_importance(params_by_layer[layer],
-                                      lt.x_in[:upto], lt.q_pre[:, :upto, :])
-        if policy.name == "knorm":
-            return aggregate_heads(score_knorm(lt.k[:, :upto, :]))
-        if policy.name == "random":
-            if rng_parent is None:
-                raise ValueError("random policy needs an rng")
-            return score_random(upto, rng_parent.split(50 + layer))
-        w = 1 if policy.name == "tova" else min(policy.window, upto)
-        per_head = score_snapkv(lt.q[:, upto - w:upto, :], lt.k[:, :upto, :],
-                                d_model, head_pool=policy.head_pool)
-        return aggregate_heads(per_head)
+        x = lt.x_in[:upto]
+        params = params_by_layer[layer] if policy.name == "indexer" else None
+        return score_layer(
+            policy, lt.k[:, :upto, :], positions,
+            QueryRows(x, lt.q_pre[:, :upto, :], lt.q[:, :upto, :], positions),
+            d_model,
+            rng=None if rng_parent is None else rng_parent.split(50 + layer),
+            params=params,
+            key_feats=None if params is None else key_features(params, x))
 
     scores = scores_with_reuse(n_layers, cfg.reuse_group_size, compute)
     if cfg.agg_mode != "none":
@@ -200,7 +186,8 @@ def build_episode_sets(cfg: ExperimentConfig, teacher: TeacherModel,
         scores = layer_scores(cfg, policy, trace, cfg.eval_start,
                               params_by_layer=params_by_layer,
                               rng_parent=Rng(cfg.policy_seed).split(POLICY_STREAM + s))
-        eps = prefill_episodes(teacher, x0, plan, scores, cfg.eval_start,
+        keeps = [select(plan, sc, np.arange(cfg.eval_start)) for sc in scores]
+        eps = prefill_episodes(teacher, x0, keeps, cfg.eval_start,
                                head_sum=cfg.head_sum, trace=trace)
         for li in range(cfg.teacher.n_layers):
             per_layer[li].append(eps[li])
@@ -284,21 +271,18 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
         policy = make_policy(cfg, name)
         plan = plan_at_ratio(cfg, ratio)
         prefix = np.arange(upto)
+        # The rule at ratio 1 keeps exactly the forced rows.
+        forced = select(replace(plan, ratio=1.0), np.zeros(upto), prefix).size
+        candidates = upto - forced
         mse_attn, mse_fused, recalls, kls = [], [], [], []
-        keep_counts = None
-        kept_fraction = None
         for s, (x0, planted) in enumerate(sequences):
             scores = layer_scores(cfg, policy, traces[s], upto,
                                   params_by_layer=params_by_layer,
                                   rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
-            eps = prefill_episodes(teacher, x0, plan, scores, upto,
+            keeps = [select(plan, sc, prefix) for sc in scores]
+            eps = prefill_episodes(teacher, x0, keeps, upto,
                                    head_sum=cfg.head_sum, trace=traces[s])
-            keeps = [select(plan, scores[li], prefix)
-                     for li in range(cfg.teacher.n_layers)]
             keep_counts = [k.size for k in keeps]
-            forced = sum(1 for p in prefix
-                         if p < plan.sink_count or p >= upto - plan.local_window)
-            candidates = upto - forced
             kept_fraction = ((keeps[0].size - forced) / candidates
                              if candidates else 1.0)
             for li in range(cfg.teacher.n_layers):
@@ -330,47 +314,15 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     return [eval_point(p) for p in points]
 
 
-def _indexer_decode_scorer(cfg: ExperimentConfig, params_by_layer,
-                           feature_caches):
-    def scorer(layer: int, cache: KvCache, buffered) -> np.ndarray:
-        params = params_by_layer[layer]
-        positions = cache.positions(layer)
-        k_feat = feature_caches[layer].rows_for(positions)
-        if not buffered:
-            return np.zeros(positions.size)
-        x_rows = np.stack([b["x"] for b in buffered])
-        q_pre = np.stack([b["q_pre"] for b in buffered], axis=1)
-        q_pos = np.array([b["pos"] for b in buffered], dtype=np.int64)
-        block = _score_from_features(query_features(params, q_pre),
-                                     head_gates(params, x_rows),
-                                     k_feat, q_pos, positions)
-        return block.max(axis=0)
-    return scorer
-
-
-def _heuristic_decode_scorer(cfg: ExperimentConfig, policy: PolicyId):
-    counter = {"calls": 0}
-
-    def scorer(layer: int, cache: KvCache, buffered) -> np.ndarray:
-        positions = cache.positions(layer)
-        keys = cache.keys(layer)
-        if policy.name == "knorm":
-            return aggregate_heads(score_knorm(keys))
-        if policy.name == "random":
-            counter["calls"] += 1
-            return score_random(positions.size,
-                                Rng(policy.seed).split(4000 + counter["calls"]))
-        if not buffered:
-            return aggregate_heads(score_knorm(keys))
-        w = 1 if policy.name == "tova" else min(policy.window, len(buffered))
-        tail = buffered[len(buffered) - w:]
-        q_window = np.stack([b["q"] for b in tail], axis=1)
-        q_pos = np.array([b["pos"] for b in tail], dtype=np.int64)
-        per_head = score_snapkv(q_window, keys, cfg.teacher.d_model,
-                                q_positions=q_pos, key_positions=positions,
-                                head_pool=policy.head_pool)
-        return aggregate_heads(per_head)
-    return scorer
+def _stack_queries(buffered) -> QueryRows | None:
+    """Query rows from the per-step dicts a DecodeSchedule buffered."""
+    if not buffered:
+        return None
+    return QueryRows(x=np.stack([b["x"] for b in buffered]),
+                     q_pre=np.stack([b["q_pre"] for b in buffered], axis=1),
+                     q=np.stack([b["q"] for b in buffered], axis=1),
+                     positions=np.array([b["pos"] for b in buffered],
+                                        dtype=np.int64))
 
 
 def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
@@ -391,21 +343,40 @@ def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
         cache.append(li, lt.k, lt.v, positions)
 
     policy = make_policy(cfg)
-    if policy.name == "indexer" and params_by_layer is None:
-        raise ConfigError("the indexer policy needs a trained checkpoint")
     use_indexer = policy.name == "indexer"
-    feature_caches = None
+    if use_indexer and params_by_layer is None:
+        raise ConfigError("the indexer policy needs a trained checkpoint")
+    feature_caches = []
     if use_indexer:
-        feature_caches = []
         for li, lt in enumerate(trace.layers):
             fc = IndexerKeyCache(params_by_layer[li].d_index)
             fc.append(key_features(params_by_layer[li], lt.x_in), positions)
             feature_caches.append(fc)
-        scorer = _indexer_decode_scorer(cfg, params_by_layer, feature_caches)
-    else:
-        scorer = _heuristic_decode_scorer(cfg, policy)
-
+    calls = 0
     evicted_total = 0
+
+    def score(layer: int, queries: QueryRows | None) -> np.ndarray:
+        nonlocal calls
+        calls += 1
+        kept = cache.positions(layer)
+        if not use_indexer:
+            return score_layer(policy, cache.keys(layer), kept, queries,
+                               cfg_t.d_model, rng=Rng(policy.seed).split(4000 + calls))
+        return score_layer(policy, cache.keys(layer), kept, queries,
+                           cfg_t.d_model, params=params_by_layer[layer],
+                           key_feats=feature_caches[layer].rows_for(kept))
+
+    def scorer(layer: int, _cache, buffered) -> np.ndarray:
+        return score(layer, _stack_queries(buffered))
+
+    def on_evict(layer, keys, values, dropped_positions):
+        nonlocal evicted_total
+        evicted_total += dropped_positions.size
+
+    def retain_features():
+        for li, fc in enumerate(feature_caches):
+            fc.retain(cache.positions(li))
+
     schedule = None
     if budget is not None:
         if budget < cfg.plan.sink_count + cfg.plan.local_window:
@@ -413,21 +384,14 @@ def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
                               "local window")
         plan = replace(cfg.plan, budget=budget,
                        decode_interval=cfg.decode_interval)
-        for li in range(cfg_t.n_layers):
-            if use_indexer:
-                lt = trace.layers[li]
-                scores = indexer_importance(params_by_layer[li], lt.x_in,
-                                            lt.q_pre)
-            else:
-                scores = scorer(li, cache, [])
-            dropped = budget_compress(cache, li, plan, scores)
-            evicted_total += int(dropped[2].size)
-        if use_indexer:
-            for li in range(cfg_t.n_layers):
-                kept_pos = cache.positions(li)
-                fc = IndexerKeyCache(params_by_layer[li].d_index)
-                fc.append(feature_caches[li].rows_for(kept_pos), kept_pos)
-                feature_caches[li] = fc
+        for li, lt in enumerate(trace.layers):
+            # The indexer scores this first compaction against the whole
+            # prompt; snapkv and tova get no query rows here, so they fall
+            # back to key norm.
+            prompt = (QueryRows(lt.x_in, lt.q_pre, lt.q, positions)
+                      if use_indexer else None)
+            on_evict(li, *budget_compress(cache, li, plan, score(li, prompt)))
+        retain_features()
         schedule = DecodeSchedule(cache, plan)
 
     x_row = rmsnorm(trace.layers[-1].x_out[-1])
@@ -437,28 +401,16 @@ def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
     for t in range(cfg.decode_steps):
         pos = length + t
         step = teacher.forward_step(x_row, cache, pos)
-        if use_indexer:
-            for li in range(cfg_t.n_layers):
-                feature_caches[li].append(
-                    key_features(params_by_layer[li], step.x_in[li][None, :]),
-                    np.array([pos]))
+        for li, fc in enumerate(feature_caches):
+            fc.append(key_features(params_by_layer[li], step.x_in[li][None, :]),
+                      np.array([pos]))
         if schedule is not None:
             for li in range(cfg_t.n_layers):
                 schedule.buffer_query(li, x=step.x_in[li],
                                       q_pre=step.q_pre[li], q=step.q[li],
                                       pos=pos)
-            dropped = {"n": 0}
-
-            def on_evict(layer, keys, values, dropped_positions):
-                dropped["n"] += dropped_positions.size
-
-            if schedule.step(scorer, on_evict=on_evict) and use_indexer:
-                for li in range(cfg_t.n_layers):
-                    kept_pos = cache.positions(li)
-                    fc = IndexerKeyCache(params_by_layer[li].d_index)
-                    fc.append(feature_caches[li].rows_for(kept_pos), kept_pos)
-                    feature_caches[li] = fc
-            evicted_total += dropped["n"]
+            if schedule.step(scorer, on_evict=on_evict):
+                retain_features()
         outputs[t] = step.output
         kept_sizes[t] = max(cache.length(li) for li in range(cfg_t.n_layers))
         evictions[t] = evicted_total

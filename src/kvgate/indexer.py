@@ -113,11 +113,11 @@ def head_gates(params: IndexerParams, x: np.ndarray) -> np.ndarray:
 
 
 class IndexerKeyCache:
-    """Append-only store of normalized key features, one row per token.
+    """Store of normalized key features, one row per cached token.
 
-    Unlike the KV cache this is never compacted; its whole point is that
-    scoring stays possible for rows the KV cache has already dropped. The
-    footprint is d_index floats per token.
+    Decode appends one row per step and :meth:`retain` drops the rows the
+    KV cache evicted, so features stay aligned with the cached positions.
+    The footprint is d_index floats per token.
     """
 
     def __init__(self, d_index: int):
@@ -162,6 +162,12 @@ class IndexerKeyCache:
             raise ValueError("missing cached keys")
         return self._rows[idx]
 
+    def retain(self, positions) -> None:
+        """Keep only the rows at ``positions``, e.g. after a KV compaction."""
+        keep = np.array(positions, dtype=np.int64)
+        self._rows = self.rows_for(keep)
+        self._positions = keep
+
 
 def _score_from_features(q_feat: np.ndarray, gates: np.ndarray,
                          k_feat: np.ndarray, q_ids: np.ndarray,
@@ -178,24 +184,6 @@ def _score_from_features(q_feat: np.ndarray, gates: np.ndarray,
     return np.where(invalid, -np.inf, block)
 
 
-def score_block(params: IndexerParams, x: np.ndarray, q_pre: np.ndarray,
-                q_ids, k_ids, key_cache: IndexerKeyCache | None = None) -> np.ndarray:
-    """Score block A[q_ids, k_ids] with causal entries above the diagonal -inf.
-
-    Keys come from ``key_cache`` when given (decode) and are otherwise
-    computed from ``x`` (prefill); ids are absolute positions either way.
-    """
-    q_ids = np.asarray(q_ids, dtype=np.int64)
-    k_ids = np.asarray(k_ids, dtype=np.int64)
-    q_feat = query_features(params, q_pre[:, q_ids, :])
-    if key_cache is not None:
-        k_feat = key_cache.rows_for(k_ids)
-    else:
-        k_feat = key_features(params, np.asarray(x)[k_ids])
-    gates = head_gates(params, np.asarray(x)[q_ids])
-    return _score_from_features(q_feat, gates, k_feat, q_ids, k_ids)
-
-
 def dense_scores(params: IndexerParams, x: np.ndarray,
                  q_pre: np.ndarray) -> np.ndarray:
     """Full L x L score matrix; test-scale reference for the blocked paths."""
@@ -206,57 +194,43 @@ def dense_scores(params: IndexerParams, x: np.ndarray,
                                 key_features(params, x), ids, ids)
 
 
-def indexer_importance(params: IndexerParams, x: np.ndarray, q_pre: np.ndarray,
-                       q_set=None, q_blk: int = 128, k_blk: int = 4096,
-                       key_cache: IndexerKeyCache | None = None) -> np.ndarray:
-    """Per-key importance: max score over the query set, streamed in blocks.
+def importance_from_features(q_feat: np.ndarray, gates: np.ndarray,
+                             k_feat: np.ndarray, q_ids: np.ndarray,
+                             k_ids: np.ndarray, q_blk: int = 128,
+                             k_blk: int = 4096) -> np.ndarray:
+    """Per-key max score over the query rows, streamed in blocks.
 
-    Per-row features are computed once up front (that is the cache-friendly
-    shape of the computation anyway), so only score blocks are ever
-    materialized and the result is bit-identical for every block size.
-    Keys outside every query's causal support come back -inf.
+    ``q_feat``/``gates`` hold one row per query at positions ``q_ids``;
+    ``k_feat`` one row per key at positions ``k_ids``. Only score blocks
+    are ever materialized and, since block maxima commute with the global
+    max, the result is bit-identical for every block size. Keys outside
+    every query's causal support come back -inf.
     """
+    if q_blk < 1 or k_blk < 1:
+        raise ValueError("block sizes must be at least 1")
+    imp = np.full(k_ids.size, -np.inf)
+    for qb in range(0, q_ids.size, q_blk):
+        qs = slice(qb, qb + q_blk)
+        for kb in range(0, k_ids.size, k_blk):
+            ks = slice(kb, kb + k_blk)
+            block = _score_from_features(q_feat[qs], gates[qs], k_feat[ks],
+                                         q_ids[qs], k_ids[ks])
+            imp[ks] = np.maximum(imp[ks], block.max(axis=0))
+    return imp
+
+
+def indexer_importance(params: IndexerParams, x: np.ndarray, q_pre: np.ndarray,
+                       q_set=None, q_blk: int = 128, k_blk: int = 4096) -> np.ndarray:
+    """Importance of every row of one sequence over the query subset ``q_set``."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     q_set = np.arange(n) if q_set is None else np.asarray(q_set, dtype=np.int64)
     if q_set.size == 0:
         raise ValueError("empty query set")
-    if q_blk < 1 or k_blk < 1:
-        raise ValueError("block sizes must be at least 1")
-    q_feat = query_features(params, q_pre)
-    gates = head_gates(params, x)
-    if key_cache is not None:
-        k_feat = key_cache.rows_for(np.arange(n))
-    else:
-        k_feat = key_features(params, x)
-    imp = np.full(n, -np.inf)
-    for qb in range(0, q_set.size, q_blk):
-        q_ids = q_set[qb:qb + q_blk]
-        for kb in range(0, n, k_blk):
-            k_ids = np.arange(kb, min(kb + k_blk, n))
-            block = _score_from_features(q_feat[q_ids], gates[q_ids],
-                                         k_feat[k_ids], q_ids, k_ids)
-            imp[k_ids] = np.maximum(imp[k_ids], block.max(axis=0))
-    return imp
-
-
-def pre_evict(params: IndexerParams, x_chunk: np.ndarray, q_pre_chunk: np.ndarray,
-              plan) -> tuple[np.ndarray, np.ndarray]:
-    """Keep/evict split decided before any KV row is materialized.
-
-    Scores come from the indexer alone (hidden states and pre-rotation
-    queries); the attention engine can then build the KV cache for the keep
-    set only. Returns (keep, evicted) position arrays, both ascending.
-    """
-    from .cache import keep_indices_for_ratio
-
-    n = np.asarray(x_chunk).shape[0]
-    imp = indexer_importance(params, x_chunk, q_pre_chunk)
-    forced = np.union1d(np.arange(min(plan.sink_count, n)),
-                        np.arange(max(0, n - plan.local_window), n))
-    keep = keep_indices_for_ratio(imp, forced, plan.ratio, cap=plan.budget)
-    evicted = np.setdiff1d(np.arange(n), keep)
-    return keep, evicted
+    return importance_from_features(query_features(params, q_pre)[q_set],
+                                    head_gates(params, x)[q_set],
+                                    key_features(params, x), q_set,
+                                    np.arange(n), q_blk, k_blk)
 
 
 @dataclass

@@ -1,21 +1,29 @@
-"""Heuristic eviction scoring policies and the shared selection rule.
+"""Eviction scoring and the keep-set rule, shared by prefill and decode.
 
-Every policy reduces the cached rows of one layer to a score vector; the
-selection step is identical for all of them (top-k plus forced sinks and
-local window), so two policies that emit the same scores keep the same rows.
-Scores are computed per kv head and summed across heads for per-layer
-eviction.
+Every eviction decision has two steps. :func:`score_layer` reduces one
+layer's cached rows to a score vector; it is the only place that dispatches
+on a policy name (snapkv, tova, knorm, random, or the learned indexer), for
+prefill and decode alike. :func:`select` then turns the scores into a keep
+set: the top rows by score plus the forced sinks and trailing local window.
+It is the only keep rule, so two policies that emit the same scores keep the
+same rows. Heuristic scores are computed per kv head and summed across heads
+for per-layer eviction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cache import CompressionPlan, keep_indices_for_ratio
-from .numerics import Rng, masked_softmax_rows
+from .indexer import head_gates, importance_from_features, query_features
+from .numerics import Rng, masked_softmax_rows, topk_indices
 from .teacher import kv_head_of
+
+if TYPE_CHECKING:
+    from .cache import CompressionPlan
 
 POLICY_NAMES = ("snapkv", "knorm", "tova", "random", "indexer")
 HEAD_POOLS = ("mean", "max")
@@ -93,16 +101,6 @@ def score_knorm(keys: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(keys, dtype=np.float64), axis=2)
 
 
-def score_tova(q_last: np.ndarray, keys: np.ndarray, scale_dim: int,
-               key_positions=None, head_pool: str = "mean") -> np.ndarray:
-    """Attention row of the single newest query; snapkv with a width-1 window."""
-    q_last = np.asarray(q_last, dtype=np.float64)
-    if q_last.ndim == 2:
-        q_last = q_last[:, None, :]
-    return score_snapkv(q_last, keys, scale_dim, key_positions=key_positions,
-                        head_pool=head_pool)
-
-
 def score_random(n_rows: int, rng: Rng) -> np.ndarray:
     """Seeded uniform scores: the statistical floor policy, (L,) directly."""
     return rng.uniform((n_rows,))
@@ -120,8 +118,11 @@ def select(plan: CompressionPlan, scores: np.ndarray,
            positions: np.ndarray) -> np.ndarray:
     """Row indices to keep for one layer, ascending.
 
-    The score order picks the survivors; sinks (by original position) and
-    the trailing local window ride along regardless of score.
+    Sinks (rows whose original position is below ``plan.sink_count``) and
+    the trailing ``plan.local_window`` rows are forced and ride along
+    regardless of score. Of the ``n - len(forced)`` other rows, the top
+    ``ceil((1 - ratio) * candidates)`` by score survive; ``plan.budget``,
+    when set, caps the total keep count. Ties go to the lower index.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.int64)
@@ -133,30 +134,61 @@ def select(plan: CompressionPlan, scores: np.ndarray,
     sinks = np.flatnonzero(positions < plan.sink_count)
     window = np.arange(max(0, n - plan.local_window), n)
     forced = np.union1d(sinks, window)
-    return keep_indices_for_ratio(scores, forced, plan.ratio, cap=plan.budget)
+    n_candidates = n - forced.size
+    n_keep = math.ceil((1.0 - plan.ratio) * n_candidates)
+    if plan.budget is not None:
+        n_keep = min(n_keep, max(0, plan.budget - forced.size))
+    masked = scores.copy()
+    masked[forced] = -np.inf
+    chosen = topk_indices(masked, min(n_keep, n_candidates))
+    return np.union1d(chosen, forced)
 
 
-def heuristic_layer_scores(policy: PolicyId, keys: np.ndarray, scale_dim: int,
-                           q_window: np.ndarray | None = None,
-                           key_positions=None, rng: Rng | None = None) -> np.ndarray:
-    """Dispatch a heuristic policy to one layer's cached rows: (L,) scores.
+@dataclass(frozen=True)
+class QueryRows:
+    """The query tokens a layer is scored against, one row per token."""
 
-    The learned-indexer policy is not heuristic (it needs trained
-    parameters) and is dispatched by the harness instead.
+    x: np.ndarray          # (n, d_model) layer-input hidden states
+    q_pre: np.ndarray      # (n_heads, n, d_head) queries before rotation
+    q: np.ndarray          # (n_heads, n, d_head) rotated queries
+    positions: np.ndarray  # (n,) absolute positions
+
+
+def score_layer(policy: PolicyId, keys: np.ndarray, key_positions: np.ndarray,
+                queries: QueryRows | None, scale_dim: int, rng: Rng | None = None,
+                params=None, key_feats: np.ndarray | None = None) -> np.ndarray:
+    """One layer's (L,) scores under ``policy``, in prefill or decode.
+
+    Args:
+        keys: (n_kv_heads, L, d_head) cached rotated keys at ``key_positions``.
+        queries: the scoring query rows; ``None`` when there are none, in
+            which case the query-based policies fall back to key norm.
+        scale_dim: dimension under the sqrt in the attention logit scale.
+        rng: the random policy's draws; the caller owns the stream.
+        params / key_feats: the layer's indexer weights and the (L, d_index)
+            indexer features of the cached keys.
+
+    snapkv averages attention from the trailing ``policy.window`` queries,
+    tova uses the newest query alone, and the indexer takes each key's max
+    score over every query row.
     """
-    n_rows = keys.shape[1]
-    if policy.name == "knorm":
-        return aggregate_heads(score_knorm(keys))
     if policy.name == "random":
         if rng is None:
             raise ValueError("random policy needs an rng")
-        return score_random(n_rows, rng)
-    if policy.name in ("snapkv", "tova"):
-        if q_window is None:
-            raise ValueError(f"{policy.name} needs query rows")
-        w = 1 if policy.name == "tova" else min(policy.window, q_window.shape[1])
-        per_head = score_snapkv(q_window[:, q_window.shape[1] - w:, :], keys,
-                                scale_dim, key_positions=key_positions,
-                                head_pool=policy.head_pool)
-        return aggregate_heads(per_head)
-    raise ValueError(f"policy {policy.name!r} has no heuristic scorer")
+        return score_random(keys.shape[1], rng)
+    if policy.name == "knorm" or queries is None:
+        return aggregate_heads(score_knorm(keys))
+    if policy.name == "indexer":
+        if params is None or key_feats is None:
+            raise ValueError("indexer policy needs its weights and key features")
+        return importance_from_features(query_features(params, queries.q_pre),
+                                        head_gates(params, queries.x),
+                                        key_feats, queries.positions,
+                                        key_positions)
+    n = queries.positions.size
+    w = 1 if policy.name == "tova" else min(policy.window, n)
+    per_head = score_snapkv(queries.q[:, n - w:, :], keys, scale_dim,
+                            q_positions=queries.positions[n - w:],
+                            key_positions=key_positions,
+                            head_pool=policy.head_pool)
+    return aggregate_heads(per_head)

@@ -11,13 +11,7 @@ import math
 
 import numpy as np
 
-from kvgate.cache import (
-    CompressionPlan,
-    KvCache,
-    budget_compress,
-    keep_indices_for_ratio,
-    prefill_compress,
-)
+from kvgate.cache import CompressionPlan, KvCache, budget_compress
 from kvgate.cli import main
 from kvgate.crosslayer import (
     LayerScoreBundle,
@@ -221,7 +215,8 @@ def test_compaction_semantics_and_sink_protection():
         if i % 2 == 0:
             step_plan = CompressionPlan(ratio=0.75, sink_count=sink_count,
                                         local_window=window)
-            prefill_compress(cache, 0, step_plan, scores)
+            cache.compact(0, select(step_plan, scores, cache.positions(0)),
+                          window)
         else:
             budget = sink_count + window + int(rng.integers(0, 6, 1)[0])
             step_plan = CompressionPlan(ratio=0.75, sink_count=sink_count,
@@ -241,7 +236,7 @@ def test_compaction_semantics_and_sink_protection():
     pre.append(0, keys[:, keep, :], values[:, keep, :], keep)
     post = KvCache(1, 2, 4, sink_count=plan.sink_count)
     post.append(0, keys, values, np.arange(length))
-    prefill_compress(post, 0, plan, scores)
+    post.compact(0, select(plan, scores, post.positions(0)), plan.local_window)
     assert np.array_equal(pre.keys(0), post.keys(0))
     assert np.array_equal(pre.values(0), post.values(0))
     assert np.array_equal(pre.positions(0), post.positions(0))
@@ -310,9 +305,10 @@ def test_trained_memory_beats_attention_only_reconstruction():
     def episodes_for(rng):
         x0 = teacher.embed(rng.integers(0, 12, length))
         trace = teacher.forward(x0=x0)
-        scores = [aggregate_heads(score_knorm(lt.k[:, :eval_start, :]))
-                  for lt in trace.layers]
-        return prefill_episodes(teacher, x0, plan, scores,
+        keeps = [select(plan, aggregate_heads(score_knorm(lt.k[:, :eval_start, :])),
+                        np.arange(eval_start))
+                 for lt in trace.layers]
+        return prefill_episodes(teacher, x0, keeps,
                                 eval_start=eval_start, trace=trace)
 
     by_layer = [[] for _ in range(cfg.n_layers)]
@@ -368,7 +364,8 @@ def test_trained_indexer_beats_untrained_and_heuristic_retention():
 
     kl_wins = 0
     recall = {"indexer": [], "knorm": [], "random": []}
-    forced = np.union1d(np.arange(sinks), np.arange(length - tail, length))
+    plan = CompressionPlan(ratio=0.5, sink_count=sinks, local_window=tail)
+    positions = np.arange(length)
     for s in range(50):
         rng = Rng(9000).split(s)
         needle = int(rng.split(99).integers(sinks, length - tail, 1)[0])
@@ -383,13 +380,13 @@ def test_trained_indexer_beats_untrained_and_heuristic_retention():
             importance = indexer_importance(trained[layer], batch.x,
                                             batch.q_pre)
             recall["indexer"].append(retention_recall(
-                keep_indices_for_ratio(importance, forced, 0.5), seq.planted))
+                select(plan, importance, positions), seq.planted))
             knorm = np.linalg.norm(trace.layers[layer].k, axis=2).sum(axis=0)
             recall["knorm"].append(retention_recall(
-                keep_indices_for_ratio(knorm, forced, 0.5), seq.planted))
+                select(plan, knorm, positions), seq.planted))
             recall["random"].append(retention_recall(
-                keep_indices_for_ratio(rng.split(50 + layer).uniform((length,)),
-                                       forced, 0.5), seq.planted))
+                select(plan, rng.split(50 + layer).uniform((length,)),
+                       positions), seq.planted))
         kl_wins += kl_trained < kl_untrained
     assert kl_wins / 50 >= 0.95
     mean_indexer = float(np.mean(recall["indexer"]))

@@ -6,10 +6,9 @@ from kvgate.cache import (
     DecodeSchedule,
     KvCache,
     budget_compress,
-    keep_indices_for_ratio,
-    prefill_compress,
 )
 from kvgate.numerics import Rng
+from kvgate.policies import select
 from kvgate.teacher import attend_rows
 
 
@@ -36,7 +35,7 @@ class TestPlan:
         dict(sink_count=-1),
         dict(local_window=-2),
         dict(budget=5, sink_count=4, local_window=2),
-        dict(agg_mode="sum"),
+        dict(ratio=float("nan")),
     ])
     def test_rejects_bad_knobs(self, kw):
         with pytest.raises(ValueError):
@@ -70,7 +69,9 @@ class TestKvCache:
     def test_sink_and_forced_rows(self):
         cache = filled_cache(length=10, sink_count=3)
         assert cache.sink_row_indices(0).tolist() == [0, 1, 2]
-        forced = cache.forced_row_indices(0, local_window=2)
+        # at ratio 1 the keep rule keeps exactly the forced rows
+        plan = CompressionPlan(ratio=1.0, sink_count=3, local_window=2)
+        forced = select(plan, np.zeros(10), cache.positions(0))
         assert forced.tolist() == [0, 1, 2, 8, 9]
 
     def test_compact_gathers_bitwise(self):
@@ -114,24 +115,35 @@ class TestKeepForRatio:
         # 8 rows, first row is a sink and last is the local window; of the six
         # evictable rows the top ceil(0.5 * 6) = 3 by score survive.
         scores = np.array([0.0, 9.0, 1.0, 8.0, 2.0, 7.0, 3.0, 0.0])
-        keep = keep_indices_for_ratio(scores, np.array([0, 7]), ratio=0.5)
+        plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
+        keep = select(plan, scores, np.arange(8))
         assert keep.tolist() == [0, 1, 3, 5, 7]
 
     def test_ratio_zero_keeps_everything(self):
         scores = Rng(20).normal((10,))
-        keep = keep_indices_for_ratio(scores, np.array([0, 9]), ratio=0.0)
+        plan = CompressionPlan(ratio=0.0, sink_count=1, local_window=1)
+        keep = select(plan, scores, np.arange(10))
         assert keep.tolist() == list(range(10))
 
     def test_ratio_one_keeps_only_forced(self):
         scores = Rng(21).normal((10,))
-        keep = keep_indices_for_ratio(scores, np.array([0, 1, 9]), ratio=1.0)
+        plan = CompressionPlan(ratio=1.0, sink_count=2, local_window=1)
+        keep = select(plan, scores, np.arange(10))
         assert keep.tolist() == [0, 1, 9]
 
     def test_cap_bounds_total(self):
         scores = np.arange(10, dtype=np.float64)
-        keep = keep_indices_for_ratio(scores, np.array([0, 9]), ratio=0.0, cap=4)
+        plan = CompressionPlan(ratio=0.0, sink_count=1, local_window=1,
+                               budget=4)
+        keep = select(plan, scores, np.arange(10))
         assert keep.size == 4
         assert keep.tolist() == [0, 7, 8, 9]
+
+
+def prefill_compress(cache, plan, scores):
+    """One-shot compression of layer 0: the keep rule, then compaction."""
+    keep = select(plan, scores, cache.positions(0))
+    return cache.compact(0, keep, plan.local_window)
 
 
 class TestPrefillCompress:
@@ -139,7 +151,7 @@ class TestPrefillCompress:
         cache = filled_cache(length=16, sink_count=2, seed=5)
         plan = CompressionPlan(ratio=0.5, sink_count=2, local_window=2)
         scores = Rng(22).uniform((16,))
-        _, _, evicted_pos = prefill_compress(cache, 0, plan, scores)
+        _, _, evicted_pos = prefill_compress(cache, plan, scores)
         # 12 evictable rows -> 6 survive, plus 4 forced.
         assert cache.length(0) == 10
         assert evicted_pos.size == 6
@@ -148,8 +160,8 @@ class TestPrefillCompress:
     def test_scores_must_cover_cache(self):
         cache = filled_cache(length=8)
         plan = CompressionPlan(sink_count=2, local_window=2)
-        with pytest.raises(ValueError, match="match the cache length"):
-            prefill_compress(cache, 0, plan, np.zeros(5))
+        with pytest.raises(ValueError, match="align"):
+            prefill_compress(cache, plan, np.zeros(5))
 
     def test_attention_on_compacted_cache_is_bitwise_stable(self):
         # Evicting rows must not perturb attention over the survivors: the
@@ -173,7 +185,7 @@ class TestPrefillCompress:
             plan = CompressionPlan(ratio=0.75, sink_count=sink_count,
                                    local_window=2)
             scores = rng.uniform((length,))
-            prefill_compress(cache, 0, plan, scores)
+            prefill_compress(cache, plan, scores)
             kept = cache.positions(0)
             assert np.all(kept[:sink_count] == np.arange(sink_count))
 
@@ -195,6 +207,28 @@ class TestBudgetCompress:
         kept = cache.positions(0)
         assert np.all(kept[:2] == [0, 1])
         assert np.all(kept[-3:] == [17, 18, 19])
+
+    def test_matches_explicit_budget_rule(self):
+        # forced rows plus the top (budget - forced) others, ties to the
+        # lower index; integer scores make ties common
+        rng = Rng(28)
+        for trial in range(300):
+            length = 6 + int(rng.integers(0, 30, 1)[0])
+            sinks = int(rng.integers(0, 4, 1)[0])
+            window = int(rng.integers(0, 4, 1)[0])
+            budget = sinks + window + int(rng.integers(0, 8, 1)[0])
+            cache = filled_cache(length=length, sink_count=sinks,
+                                 seed=2000 + trial)
+            plan = CompressionPlan(budget=budget, sink_count=sinks,
+                                   local_window=window)
+            scores = rng.integers(0, 4, length).astype(np.float64)
+            budget_compress(cache, 0, plan, scores)
+            forced = set(range(min(sinks, length)))
+            forced |= set(range(max(0, length - window), length))
+            others = sorted(set(range(length)) - forced,
+                            key=lambda i: (-scores[i], i))
+            want = forced | set(others[:max(0, budget - len(forced))])
+            assert cache.positions(0).tolist() == sorted(want)
 
     def test_requires_budget(self):
         cache = filled_cache(length=6)

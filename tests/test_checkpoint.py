@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kvgate.checkpoint import (
     FORMAT_VERSION,
@@ -130,6 +132,78 @@ class TestSaveLoad:
                                      "tensors": entries}, bytes(8)))
         with pytest.raises(ValueError, match="dtype"):
             load_weights(path)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 64) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+# Entries near the valid form, each field possibly replaced or dropped.
+ENTRY = st.fixed_dictionaries(
+    {},
+    optional={"dtype": st.sampled_from(["float64", "float32"]) | JSON,
+              "shape": st.lists(st.integers(-1, 3), max_size=3) | JSON,
+              "offset": st.integers(-8, 40) | JSON,
+              "nbytes": st.integers(-8, 40) | JSON})
+MANIFEST = st.fixed_dictionaries(
+    {},
+    optional={"version": st.just(FORMAT_VERSION) | JSON,
+              "tensors": st.dictionaries(st.text(max_size=3), ENTRY | JSON,
+                                         max_size=3) | JSON})
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def loads_or_rejects(path, blob) -> None:
+    path.write_bytes(blob)
+    try:
+        load_weights(path)
+    except ValueError:
+        pass
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("manifest", [
+        {"version": FORMAT_VERSION},
+        [FORMAT_VERSION],
+        {"version": FORMAT_VERSION, "tensors": {"a": {"shape": [1],
+                                                       "offset": 0,
+                                                       "nbytes": 8}}},
+        {"version": FORMAT_VERSION, "tensors": {"a": {
+            "dtype": "float64", "shape": "1", "offset": 0, "nbytes": 8}}},
+        {"version": FORMAT_VERSION, "tensors": {"a": {
+            "dtype": "float64", "shape": [1], "offset": "0", "nbytes": 8}}},
+        {"version": FORMAT_VERSION, "tensors": {"a": [0, 8]}},
+    ])
+    def test_bad_manifest_is_value_error(self, tmp_path, manifest):
+        path = tmp_path / "w.kvgt"
+        body = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(MAGIC + np.uint32(len(body)).tobytes() + body
+                         + bytes(8))
+        with pytest.raises(ValueError):
+            load_weights(path)
+
+    @FUZZ
+    @given(manifest=MANIFEST | JSON, payload=st.binary(max_size=48))
+    def test_any_json_manifest_loads_or_raises_value_error(
+            self, tmp_path, manifest, payload):
+        body = json.dumps(manifest).encode("utf-8")
+        loads_or_rejects(tmp_path / "w.kvgt",
+                         MAGIC + np.uint32(len(body)).tobytes() + body + payload)
+
+    @FUZZ
+    @given(tail=st.binary(max_size=96)
+           | (st.binary(max_size=48) | JSON.map(lambda v: json.dumps(v).encode()))
+           .map(lambda body: np.uint32(len(body)).tobytes() + body))
+    def test_any_bytes_after_magic_load_or_raise_value_error(self, tmp_path,
+                                                             tail):
+        # half the draws carry a length prefix that matches the bytes after
+        # it, and some of those bytes are JSON text
+        loads_or_rejects(tmp_path / "w.kvgt", MAGIC + tail)
 
 
 class TestPacking:

@@ -6,7 +6,13 @@ import logging
 import numpy as np
 import pytest
 
-from kvgate.checkpoint import indexer_tensors, load_weights, save_weights
+from kvgate.checkpoint import (
+    FORMAT_VERSION,
+    MAGIC,
+    indexer_tensors,
+    load_weights,
+    save_weights,
+)
 from kvgate.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from kvgate.config import parse_config
 from kvgate.harness import SWEEP_RATIOS, init_indexer
@@ -44,6 +50,12 @@ def run(*argv):
 def stderr_record(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     return json.loads(err)
+
+
+def only_stderr_record(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +338,26 @@ class TestErrorPaths:
                    "--out", tmp_path / "out")
         assert code == EXIT_IO
         assert stderr_record(capsys)["error"] == "FileNotFoundError"
+
+    def test_non_boolean_flag_in_config(self, tmp_path, capsys):
+        config = write_config(tmp_path, train={"head_sum": "false"})
+        code = run("train-indexer", "--config", config,
+                   "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "head_sum" in record["message"]
+
+    def test_checkpoint_manifest_without_tensors(self, tmp_path, capsys):
+        bogus = tmp_path / "bogus.kvgt"
+        body = json.dumps({"version": FORMAT_VERSION}).encode("utf-8")
+        bogus.write_bytes(MAGIC + np.uint32(len(body)).tobytes() + body)
+        code = run("sweep", "--config", write_config(tmp_path),
+                   "--checkpoint", bogus, "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["command"] == "sweep"
+        assert record["error"] == "ValueError"
 
     def test_no_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:

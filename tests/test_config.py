@@ -96,11 +96,20 @@ class TestParsing:
         ({"train": {"lam": 1.2}}, "lam"),
         ({"train": {"eta": -1}}, "eta"),
         ({"train": {"indexer_peak": 0}}, "indexer_peak"),
+        *[({"train": {key: value}}, f"{key} must be true or false")
+          for key in ("head_sum", "stop_write_grad")
+          for value in ("false", "no", 0, 1, None)],
     ])
     def test_bad_values_rejected(self, patch, needle):
         raw = {**minimal(), **patch}
         with pytest.raises(ConfigError, match=needle.split(".")[-1]):
             parse_config(raw)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_json_booleans_parse(self, value):
+        cfg = parse_config({"version": 1, "train": {"head_sum": value,
+                                                    "stop_write_grad": value}})
+        assert cfg.head_sum is value and cfg.stop_write_grad is value
 
     def test_eval_start_must_be_inside(self):
         with pytest.raises(ConfigError, match="eval_start"):
@@ -153,6 +162,14 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+    def test_seed_override_replaces_file_seed(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"version": 1, "seed": 3}))
+        cfg = load_config(path, seed=9)
+        assert cfg.seed == 9
+        assert cfg.config_hash == parse_config({"version": 1,
+                                                "seed": 9}).config_hash
 
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):

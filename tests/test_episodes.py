@@ -15,7 +15,7 @@ from kvgate.episodes import (
 from kvgate.indexer import DivergenceError
 from kvgate.memory import MEM_EPS, MemorySlowWeights, MemoryState, gate, mem_write
 from kvgate.numerics import Rng
-from kvgate.policies import aggregate_heads, score_knorm
+from kvgate.policies import aggregate_heads, score_knorm, select
 from kvgate.teacher import TeacherConfig, TeacherModel, attend_rows, flatten_heads
 
 D = 16
@@ -29,6 +29,10 @@ def toy_teacher():
 
 def knorm_scores(trace, upto):
     return [aggregate_heads(score_knorm(lt.k[:, :upto, :])) for lt in trace.layers]
+
+
+def knorm_keeps(trace, plan, upto):
+    return [select(plan, sc, np.arange(upto)) for sc in knorm_scores(trace, upto)]
 
 
 def multi_write_episode(seed=0, n_eval=9):
@@ -68,7 +72,7 @@ class TestPrefillEpisodes:
         x0 = Rng(200).normal((24, D))
         trace = teacher.forward(x0=x0)
         plan = CompressionPlan(ratio=0.0, sink_count=2, local_window=2)
-        eps = prefill_episodes(teacher, x0, plan, knorm_scores(trace, 16),
+        eps = prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 16),
                                eval_start=16)
         assert len(eps) == teacher.config.n_layers
         for ep in eps:
@@ -80,7 +84,7 @@ class TestPrefillEpisodes:
         x0 = Rng(201).normal((24, D))
         trace = teacher.forward(x0=x0)
         plan = CompressionPlan(ratio=0.5, sink_count=2, local_window=2)
-        eps = prefill_episodes(teacher, x0, plan, knorm_scores(trace, 16),
+        eps = prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 16),
                                eval_start=16)
         for li, ep in enumerate(eps):
             assert ep.n_eval == 8
@@ -95,10 +99,9 @@ class TestPrefillEpisodes:
         x0 = Rng(202).normal((20, D))
         trace = teacher.forward(x0=x0)
         plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
-        eps = prefill_episodes(teacher, x0, plan, knorm_scores(trace, 12),
+        eps = prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 12),
                                eval_start=12)
         lt = trace.layers[0]
-        from kvgate.policies import select
         keep = select(plan, knorm_scores(trace, 12)[0], np.arange(12))
         t = 15   # third eval row
         q_row = lt.q[:, t:t + 1, :]
@@ -117,7 +120,7 @@ class TestPrefillEpisodes:
         trace = teacher.forward(x0=x0)
         plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
         with pytest.raises(ValueError, match="split"):
-            prefill_episodes(teacher, x0, plan, knorm_scores(trace, 10), 10)
+            prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 10), 10)
 
     def test_rejects_wrong_score_count(self):
         teacher = toy_teacher()
@@ -125,7 +128,14 @@ class TestPrefillEpisodes:
         trace = teacher.forward(x0=x0)
         plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
         with pytest.raises(ValueError, match="per layer"):
-            prefill_episodes(teacher, x0, plan, knorm_scores(trace, 6)[:1], 6)
+            prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 6)[:1], 6)
+
+    def test_rejects_keep_outside_prefix(self):
+        teacher = toy_teacher()
+        x0 = Rng(205).normal((10, D))
+        keeps = [np.arange(6), np.array([0, 6])]
+        with pytest.raises(ValueError, match="prefix"):
+            prefill_episodes(teacher, x0, keeps, 6)
 
 
 class TestLossAndGrads:
@@ -238,7 +248,7 @@ class TestTrainMemory:
         x0 = Rng(309).normal((20, D))
         trace = teacher.forward(x0=x0)
         plan = CompressionPlan(ratio=0.0, sink_count=2, local_window=2)
-        eps = prefill_episodes(teacher, x0, plan, knorm_scores(trace, 12), 12)
+        eps = prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 12), 12)
         slow = MemorySlowWeights.init(D, Rng(310), d_mem=2)
         before = slow.copy()
         losses = train_memory(slow, eps, steps=10)
@@ -285,8 +295,7 @@ class TestTrainMemory:
         def eps_for(rng):
             x0 = teacher.embed(rng.integers(0, 16, 24))
             trace = teacher.forward(x0=x0)
-            return prefill_episodes(teacher, x0, plan,
-                                    knorm_scores(trace, 16), 16)
+            return prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 16), 16)
 
         train = [ep for i in range(12) for ep in eps_for(Rng(500).split(i))]
         slow = MemorySlowWeights.init(D, Rng(501), d_mem=2)

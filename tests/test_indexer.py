@@ -17,14 +17,15 @@ from kvgate.indexer import (
     distill_gradients,
     indexer_importance,
     key_features,
+    head_gates,
+    importance_from_features,
     pooled_vectors,
-    pre_evict,
     query_features,
-    score_block,
     streaming_distill_loss,
     train_indexer,
 )
 from kvgate.numerics import Rng, rmsnorm
+from kvgate.policies import select
 from kvgate.teacher import TeacherConfig, TeacherModel
 
 
@@ -141,12 +142,25 @@ class TestKeyCache:
         with pytest.raises(ValueError, match="extend past"):
             cache.append(Rng(7).normal((1, 2)), [1])
 
+    def test_retain_follows_compaction(self):
+        cache = IndexerKeyCache(d_index=2)
+        rows = Rng(8).normal((6, 2))
+        cache.append(rows, np.arange(6))
+        cache.retain([0, 2, 5])
+        assert cache.positions.tolist() == [0, 2, 5]
+        assert np.array_equal(cache.rows_for([0, 2, 5]), rows[[0, 2, 5]])
+        with pytest.raises(ValueError, match="missing cached keys"):
+            cache.rows_for([1])
+        cache.append(Rng(9).normal((1, 2)), [6])
+        assert len(cache) == 4
+        with pytest.raises(ValueError, match="missing cached keys"):
+            cache.retain([3])
+
 
 class TestScoreBlock:
     def test_matches_scalar_reference(self):
         _, batch, params = small_setup()
-        ids = np.arange(20)
-        got = score_block(params, batch.x, batch.q_pre, ids, ids)
+        got = dense_scores(params, batch.x, batch.q_pre)
         want = reference_scores(params, batch.x, batch.q_pre)
         m = np.isfinite(want)
         assert np.max(np.abs(got[m] - want[m])) < 1e-10
@@ -160,8 +174,7 @@ class TestScoreBlock:
 
     def test_causal_mask(self):
         _, batch, params = small_setup()
-        a = score_block(params, batch.x, batch.q_pre, np.array([3]),
-                        np.array([2, 3, 4]))
+        a = dense_scores(params, batch.x, batch.q_pre)[3:4, 2:5]
         assert np.isfinite(a[0, 0]) and np.isfinite(a[0, 1])
         assert np.isneginf(a[0, 2])
 
@@ -170,9 +183,10 @@ class TestScoreBlock:
         cache = IndexerKeyCache(params.d_index)
         cache.append(key_features(params, batch.x), np.arange(20))
         ids = np.arange(20)
-        from_cache = score_block(params, batch.x, batch.q_pre, ids, ids,
-                                 key_cache=cache)
-        fresh = score_block(params, batch.x, batch.q_pre, ids, ids)
+        from_cache = importance_from_features(
+            query_features(params, batch.q_pre), head_gates(params, batch.x),
+            cache.rows_for(ids), ids, ids)
+        fresh = indexer_importance(params, batch.x, batch.q_pre)
         assert np.array_equal(from_cache, fresh)
 
 
@@ -230,17 +244,24 @@ class TestImportance:
 
 
 class TestPreEvict:
+    """Keep sets decided from indexer scores alone, before any KV row."""
+
+    def split(self, params, batch, plan):
+        imp = indexer_importance(params, batch.x, batch.q_pre)
+        keep = select(plan, imp, np.arange(batch.length))
+        return keep, np.setdiff1d(np.arange(batch.length), keep)
+
     def test_ratio_zero_keeps_all(self):
         _, batch, params = small_setup()
         plan = CompressionPlan(ratio=0.0, sink_count=3, local_window=2)
-        keep, evicted = pre_evict(params, batch.x, batch.q_pre, plan)
+        keep, evicted = self.split(params, batch, plan)
         assert keep.tolist() == list(range(20))
         assert evicted.size == 0
 
     def test_keep_and_evicted_partition(self):
         _, batch, params = small_setup()
         plan = CompressionPlan(ratio=0.5, sink_count=3, local_window=2)
-        keep, evicted = pre_evict(params, batch.x, batch.q_pre, plan)
+        keep, evicted = self.split(params, batch, plan)
         assert np.intersect1d(keep, evicted).size == 0
         assert np.union1d(keep, evicted).tolist() == list(range(20))
         assert np.all(np.isin([0, 1, 2, 18, 19], keep))

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from kvgate.cache import CompressionPlan
+from kvgate.indexer import IndexerParams, indexer_importance, key_features
 from kvgate.numerics import Rng
 from kvgate.policies import (
     PolicyId,
+    QueryRows,
     aggregate_heads,
-    heuristic_layer_scores,
     score_knorm,
+    score_layer,
     score_random,
     score_snapkv,
-    score_tova,
     select,
 )
+from kvgate.teacher import TeacherConfig
 
 
 def reference_snapkv(q_window, keys, scale_dim, L):
@@ -151,20 +153,27 @@ class TestKnorm:
         assert np.array_equal(np.argsort(-a), np.argsort(-b))
 
 
+def prefill_rows(q, x=None, q_pre=None):
+    """Query rows for a prefill whose queries are every cached row."""
+    n = q.shape[1]
+    return QueryRows(x=x, q_pre=q_pre, q=q, positions=np.arange(n))
+
+
 class TestTova:
     def test_equals_width_one_snapkv(self):
         rng = Rng(40)
         q = rng.normal((4, 7, 4))
         k = rng.normal((2, 7, 4))
-        tova = score_tova(q[:, -1, :], k, scale_dim=4)
+        tova = score_layer(PolicyId("tova"), k, np.arange(7), prefill_rows(q), 4)
         snap = score_snapkv(q[:, -1:, :], k, scale_dim=4)
-        assert np.array_equal(tova, snap)
+        assert np.array_equal(tova, aggregate_heads(snap))
 
     def test_single_row_cache(self):
-        q = Rng(41).normal((2, 4))
+        q = Rng(41).normal((2, 1, 4))
         k = Rng(42).normal((2, 1, 4))
-        s = score_tova(q, k, scale_dim=4)
-        assert np.allclose(s, 1.0)
+        s = score_layer(PolicyId("tova"), k, np.arange(1), prefill_rows(q), 4)
+        # one kv head per query head, each putting all its mass on the row
+        assert np.allclose(s, 2.0)
 
 
 class TestRandomPolicy:
@@ -236,30 +245,68 @@ class TestDispatch:
         rng = Rng(48)
         q = rng.normal((4, 10, 4))
         k = rng.normal((2, 10, 4))
-        snap = heuristic_layer_scores(PolicyId("snapkv", window=4), k, 4,
-                                      q_window=q)
+        pos = np.arange(10)
+        snap = score_layer(PolicyId("snapkv", window=4), k, pos,
+                           prefill_rows(q), 4)
         want = aggregate_heads(score_snapkv(q[:, -4:, :], k, 4))
         assert np.array_equal(snap, want)
-        tova = heuristic_layer_scores(PolicyId("tova"), k, 4, q_window=q)
-        assert np.array_equal(tova, aggregate_heads(score_tova(q[:, -1, :], k, 4)))
-        knorm = heuristic_layer_scores(PolicyId("knorm"), k, 4)
+        tova = score_layer(PolicyId("tova"), k, pos, prefill_rows(q), 4)
+        assert np.array_equal(tova, aggregate_heads(score_snapkv(q[:, -1:, :], k, 4)))
+        knorm = score_layer(PolicyId("knorm"), k, pos, None, 4)
         assert np.array_equal(knorm, aggregate_heads(score_knorm(k)))
 
     def test_window_clips_to_cache(self):
         rng = Rng(49)
         q = rng.normal((2, 3, 4))
         k = rng.normal((2, 3, 4))
-        s = heuristic_layer_scores(PolicyId("snapkv", window=64), k, 4, q_window=q)
+        s = score_layer(PolicyId("snapkv", window=64), k, np.arange(3),
+                        prefill_rows(q), 4)
         assert s.shape == (3,)
 
     def test_random_needs_rng(self):
         k = Rng(50).normal((2, 5, 4))
         with pytest.raises(ValueError, match="rng"):
-            heuristic_layer_scores(PolicyId("random"), k, 4)
-        s = heuristic_layer_scores(PolicyId("random"), k, 4, rng=Rng(51))
-        assert s.shape == (5,)
+            score_layer(PolicyId("random"), k, np.arange(5), None, 4)
+        s = score_layer(PolicyId("random"), k, np.arange(5), None, 4,
+                        rng=Rng(51))
+        assert np.array_equal(s, score_random(5, Rng(51)))
 
-    def test_indexer_is_not_heuristic(self):
+    def test_indexer_needs_weights(self):
         k = Rng(52).normal((2, 5, 4))
-        with pytest.raises(ValueError, match="heuristic"):
-            heuristic_layer_scores(PolicyId("indexer"), k, 4)
+        q = Rng(53).normal((2, 5, 4))
+        with pytest.raises(ValueError, match="indexer"):
+            score_layer(PolicyId("indexer"), k, np.arange(5), prefill_rows(q), 4)
+
+    def test_indexer_matches_prefill_importance(self):
+        cfg = TeacherConfig(n_layers=1, d_model=8, n_heads=2, n_kv_heads=1,
+                            d_ffn=16, vocab_size=8, seed=1)
+        params = IndexerParams.init(cfg, Rng(54), h_index=2, d_index=3)
+        rng = Rng(55)
+        x = rng.split(0).normal((12, 8))
+        q_pre = rng.split(1).normal((2, 12, 4))
+        k = rng.split(2).normal((1, 12, 4))
+        rows = prefill_rows(q_pre, x=x, q_pre=q_pre)
+        s = score_layer(PolicyId("indexer"), k, np.arange(12), rows, 8,
+                        params=params, key_feats=key_features(params, x))
+        assert np.array_equal(s, indexer_importance(params, x, q_pre))
+
+    def test_no_queries_fall_back_to_key_norm(self):
+        # decode-start compaction hands the query-based policies no rows
+        k = Rng(56).normal((2, 6, 4))
+        knorm = aggregate_heads(score_knorm(k))
+        for name in ("snapkv", "tova", "indexer"):
+            s = score_layer(PolicyId(name), k, np.arange(6), None, 4)
+            assert np.array_equal(s, knorm)
+
+    def test_decode_positions_mask_future_keys(self):
+        # sparse cached positions: the window query at position 8 must not
+        # see the key at position 9
+        rng = Rng(57)
+        q = rng.normal((2, 2, 4))
+        k = rng.normal((2, 5, 4))
+        key_pos = np.array([0, 1, 7, 8, 9])
+        rows = QueryRows(x=None, q_pre=None, q=q, positions=np.array([8, 9]))
+        s = score_layer(PolicyId("snapkv", window=2), k, key_pos, rows, 4)
+        want = score_snapkv(q, k, 4, q_positions=np.array([8, 9]),
+                            key_positions=key_pos)
+        assert np.array_equal(s, aggregate_heads(want))
