@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from .indexer import DivergenceError
 from .memory import MEM_EPS, MemorySlowWeights, MemoryState, tokens_from_evicted
-from .teacher import TeacherModel, attend_rows, flatten_heads
+from .teacher import ForwardTrace, TeacherModel, attend_rows, flatten_heads
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,38 @@ def plain_mse(episode: LayerEpisode) -> float:
     return float(np.mean(episode.targets ** 2))
 
 
+@dataclass(frozen=True)
+class FullRun:
+    """One sequence's uncompressed run: the part of an episode no keep set moves.
+
+    Holds the teacher trace, the causal mask of the rows from ``eval_start``
+    on over the full cache, and each layer's attention output for those rows
+    under that mask. Build it once per sequence with :meth:`of` and pass it
+    to every :func:`prefill_episodes` call on that sequence.
+    """
+
+    trace: ForwardTrace
+    eval_start: int
+    visible: np.ndarray   # (n_eval, L) bool, row i sees positions <= eval_start + i
+    o_full: list          # per layer, (n_eval, n_heads * d_head)
+
+    @classmethod
+    def of(cls, teacher: TeacherModel, x0: np.ndarray, eval_start: int) -> FullRun:
+        x0 = np.asarray(x0, dtype=np.float64)
+        length = x0.shape[0]
+        if not 0 < eval_start < length:
+            raise ValueError("eval start must split the sequence")
+        trace = teacher.forward(x0=x0)
+        visible = np.tri(length - eval_start, length, eval_start, dtype=bool)
+        o_full = [attend_rows(lt.q[:, eval_start:, :], lt.k, lt.v,
+                              teacher.config.d_model, visible=visible)
+                  for lt in trace.layers]
+        return cls(trace, eval_start, visible, o_full)
+
+
 def prefill_episodes(teacher: TeacherModel, x0: np.ndarray, keeps_by_layer,
                      eval_start: int, head_sum: bool = False,
-                     trace=None) -> list:
+                     full_run: FullRun | None = None) -> list:
     """One episode per layer for a compress-then-continue run.
 
     The first ``eval_start`` tokens are compressed to each layer's keep set
@@ -80,35 +109,34 @@ def prefill_episodes(teacher: TeacherModel, x0: np.ndarray, keeps_by_layer,
     every later token reads the surviving prefix plus the uncompressed tail
     it arrived with. Targets compare against the same token's attention
     over the full cache, so an all-keep set yields exactly zero targets.
-    ``trace`` short-circuits the forward pass when the caller already traced
-    this exact ``x0``.
+
+    ``full_run`` is ``FullRun.of(teacher, x0, eval_start)``, built here when
+    not given; a caller trying several keep sets on one sequence builds it
+    once. Per call, only the keep-set attention is computed, and not even
+    that when nothing is evicted.
     """
-    if trace is None:
-        trace = teacher.forward(x0=np.asarray(x0, dtype=np.float64))
-    length = x0.shape[0]
-    if not 0 < eval_start < length:
-        raise ValueError("eval start must split the sequence")
+    if full_run is None:
+        full_run = FullRun.of(teacher, x0, eval_start)
+    if full_run.eval_start != eval_start:
+        raise ValueError("full run was built for another eval start")
     if len(keeps_by_layer) != teacher.config.n_layers:
         raise ValueError("need one keep set per layer")
-    n_eval = length - eval_start
+    n_eval = full_run.visible.shape[0]
     episodes = []
     prefix = np.arange(eval_start)
-    for li, lt in enumerate(trace.layers):
+    for li, lt in enumerate(full_run.trace.layers):
         keep = np.asarray(keeps_by_layer[li], dtype=np.int64)
         if keep.size and (keep.min() < 0 or keep.max() >= eval_start):
             raise ValueError("keep sets must index the compressed prefix")
         evicted = np.setdiff1d(prefix, keep)
-        q_rows = lt.q[:, eval_start:, :]
-        full = np.zeros((n_eval, length), dtype=bool)
-        kept = np.zeros((n_eval, length), dtype=bool)
-        kept[:, keep] = True
-        for i in range(n_eval):
-            full[i, :eval_start + i + 1] = True
-            kept[i, eval_start:eval_start + i + 1] = True
-        o_full = attend_rows(q_rows, lt.k, lt.v, teacher.config.d_model,
-                             visible=full)
-        o_kept = attend_rows(q_rows, lt.k, lt.v, teacher.config.d_model,
-                             visible=kept)
+        o_full = full_run.o_full[li]
+        o_kept = o_full
+        if evicted.size:
+            kept = full_run.visible.copy()
+            kept[:, :eval_start] = False
+            kept[:, keep] = True
+            o_kept = attend_rows(lt.q[:, eval_start:, :], lt.k, lt.v,
+                                 teacher.config.d_model, visible=kept)
         k_tok, v_tok = tokens_from_evicted(lt.k[:, evicted, :],
                                            lt.v[:, evicted, :],
                                            teacher.config.n_heads,

@@ -16,14 +16,13 @@ import numpy as np
 from .cache import CompressionPlan, DecodeSchedule, KvCache, budget_compress
 from .config import ConfigError, ExperimentConfig
 from .crosslayer import LayerScoreBundle, aggregate_scores, scores_with_reuse
-from .episodes import episode_loss, plain_mse, prefill_episodes
+from .episodes import FullRun, episode_loss, plain_mse, prefill_episodes
 from .indexer import (
     DistillBatch,
     IndexerKeyCache,
     IndexerParams,
     WsdSchedule,
     key_features,
-    streaming_distill_loss,
     train_indexer,
 )
 from .memory import MemorySlowWeights, default_d_mem
@@ -167,14 +166,6 @@ def train_indexer_run(cfg: ExperimentConfig) -> dict:
             "batches": per_layer}
 
 
-def eval_indexer_kl(params_by_layer: list, per_layer_batches: list) -> float:
-    """Mean pooled-distribution KL across layers and sequences."""
-    vals = [streaming_distill_loss(params_by_layer[li], batch)
-            for li, batches in enumerate(per_layer_batches)
-            for batch in batches]
-    return float(np.mean(vals))
-
-
 def build_episode_sets(cfg: ExperimentConfig, teacher: TeacherModel,
                        sequences, params_by_layer=None) -> list:
     """Per-layer episode lists for the configured policy at the plan ratio."""
@@ -182,13 +173,13 @@ def build_episode_sets(cfg: ExperimentConfig, teacher: TeacherModel,
     plan = plan_at_ratio(cfg, cfg.plan.ratio)
     per_layer = [[] for _ in range(cfg.teacher.n_layers)]
     for s, (x0, _) in enumerate(sequences):
-        trace = teacher.forward(x0=x0)
-        scores = layer_scores(cfg, policy, trace, cfg.eval_start,
+        full_run = FullRun.of(teacher, x0, cfg.eval_start)
+        scores = layer_scores(cfg, policy, full_run.trace, cfg.eval_start,
                               params_by_layer=params_by_layer,
                               rng_parent=Rng(cfg.policy_seed).split(POLICY_STREAM + s))
         keeps = [select(plan, sc, np.arange(cfg.eval_start)) for sc in scores]
         eps = prefill_episodes(teacher, x0, keeps, cfg.eval_start,
-                               head_sum=cfg.head_sum, trace=trace)
+                               head_sum=cfg.head_sum, full_run=full_run)
         for li in range(cfg.teacher.n_layers):
             per_layer[li].append(eps[li])
     return per_layer
@@ -253,35 +244,61 @@ def sweep_policies(cfg: ExperimentConfig) -> list:
 
 def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
               threads: int = 1) -> list:
-    """Metrics records for every (policy, ratio) grid point."""
+    """Metrics records for every (policy, ratio) grid point.
+
+    Each piece of work runs once at the level it depends on:
+
+    - per eval sequence: the teacher trace, each layer's full-cache output
+      (a :class:`~kvgate.episodes.FullRun`) and the teacher's pooled
+      importance;
+    - per (policy, sequence): the layer scores and their KL against the
+      teacher's importance, so the random policy draws its stream once;
+    - per (policy, ratio) point: the keep sets, the episodes and the
+      metrics that read them.
+
+    With ``threads > 1`` the points are spread over a pool and collected in
+    submission order, so the records do not depend on the thread count.
+    """
     teacher = TeacherModel(cfg.teacher)
     sequences = eval_sequences(cfg, teacher)
-    traces = [teacher.forward(x0=x0) for x0, _ in sequences]
     upto = cfg.eval_start
+    prefix = np.arange(upto)
     support = np.arange(cfg.plan.sink_count, upto)
-    teacher_imp = [[pooled_teacher_importance(lt.q[:, :upto, :],
-                                              lt.k[:, :upto, :],
-                                              cfg.teacher.d_model)
-                    for lt in trace.layers] for trace in traces]
-    points = [(name, ratio) for name in sweep_policies(cfg)
-              for ratio in SWEEP_RATIOS]
+    names = sweep_policies(cfg)
+
+    # Built here, not on the pool: when pool threads made these arrays, which
+    # outlive the threads, a process that swept repeatedly grew its peak RSS
+    # with every call (85 -> 93 MB over 12 sweep-planted calls).
+    per_seq = []
+    for s, (x0, _) in enumerate(sequences):
+        full_run = FullRun.of(teacher, x0, upto)
+        teacher_imp = [pooled_teacher_importance(lt.q[:, :upto, :],
+                                                 lt.k[:, :upto, :],
+                                                 cfg.teacher.d_model)
+                       for lt in full_run.trace.layers]
+        scored = {}
+        for name in names:
+            policy = make_policy(cfg, name)
+            scores = layer_scores(cfg, policy, full_run.trace, upto,
+                                  params_by_layer=params_by_layer,
+                                  rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
+            scored[name] = (scores, [kl_divergence(imp[support], sc[support])
+                                     for imp, sc in zip(teacher_imp, scores)])
+        per_seq.append((full_run, scored))
 
     def eval_point(point):
         name, ratio = point
         policy = make_policy(cfg, name)
         plan = plan_at_ratio(cfg, ratio)
-        prefix = np.arange(upto)
         # The rule at ratio 1 keeps exactly the forced rows.
         forced = select(replace(plan, ratio=1.0), np.zeros(upto), prefix).size
         candidates = upto - forced
-        mse_attn, mse_fused, recalls, kls = [], [], [], []
+        mse_attn, mse_fused, recalls = [], [], []
         for s, (x0, planted) in enumerate(sequences):
-            scores = layer_scores(cfg, policy, traces[s], upto,
-                                  params_by_layer=params_by_layer,
-                                  rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
-            keeps = [select(plan, sc, prefix) for sc in scores]
+            full_run, scored = per_seq[s]
+            keeps = [select(plan, sc, prefix) for sc in scored[name][0]]
             eps = prefill_episodes(teacher, x0, keeps, upto,
-                                   head_sum=cfg.head_sum, trace=traces[s])
+                                   head_sum=cfg.head_sum, full_run=full_run)
             keep_counts = [k.size for k in keeps]
             kept_fraction = ((keeps[0].size - forced) / candidates
                              if candidates else 1.0)
@@ -291,8 +308,6 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
                     mse_fused.append(episode_loss(memories[li], eps[li],
                                                   lam=cfg.lam, eta=cfg.eta))
                 recalls.append(retention_recall(keeps[li], planted))
-                kls.append(kl_divergence(teacher_imp[s][li][support],
-                                         scores[li][support]))
         fields = {
             "policy": name,
             "ratio": ratio,
@@ -301,13 +316,15 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
                             else float(np.mean(mse_attn))),
             "recall": float(np.mean(recalls)),
             "kept_fraction": float(kept_fraction),
-            "pooled_kl": float(np.mean(kls)),
+            "pooled_kl": float(np.mean([kl for _, scored in per_seq
+                                        for kl in scored[name][1]])),
             "n_sequences": len(sequences),
         }
         fields.update(_accounting(cfg, keep_counts, policy,
                                   params_by_layer, memories))
         return make_record("sweep", cfg.config_hash, cfg.seed, fields)
 
+    points = [(name, ratio) for name in names for ratio in SWEEP_RATIOS]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(eval_point, points))
@@ -385,11 +402,10 @@ def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
         plan = replace(cfg.plan, budget=budget,
                        decode_interval=cfg.decode_interval)
         for li, lt in enumerate(trace.layers):
-            # The indexer scores this first compaction against the whole
-            # prompt; snapkv and tova get no query rows here, so they fall
-            # back to key norm.
-            prompt = (QueryRows(lt.x_in, lt.q_pre, lt.q, positions)
-                      if use_indexer else None)
+            # The first compaction is scored against the prompt: the indexer
+            # reads every prompt row, snapkv its trailing window, and tova
+            # its last row.
+            prompt = QueryRows(lt.x_in, lt.q_pre, lt.q, positions)
             on_evict(li, *budget_compress(cache, li, plan, score(li, prompt)))
         retain_features()
         schedule = DecodeSchedule(cache, plan)

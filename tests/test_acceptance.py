@@ -20,6 +20,7 @@ from kvgate.crosslayer import (
     scores_with_reuse,
 )
 from kvgate.episodes import (
+    FullRun,
     LayerEpisode,
     WriteEvent,
     episode_loss,
@@ -304,12 +305,12 @@ def test_trained_memory_beats_attention_only_reconstruction():
 
     def episodes_for(rng):
         x0 = teacher.embed(rng.integers(0, 12, length))
-        trace = teacher.forward(x0=x0)
+        full_run = FullRun.of(teacher, x0, eval_start)
         keeps = [select(plan, aggregate_heads(score_knorm(lt.k[:, :eval_start, :])),
                         np.arange(eval_start))
-                 for lt in trace.layers]
+                 for lt in full_run.trace.layers]
         return prefill_episodes(teacher, x0, keeps,
-                                eval_start=eval_start, trace=trace)
+                                eval_start=eval_start, full_run=full_run)
 
     by_layer = [[] for _ in range(cfg.n_layers)]
     for i in range(96):

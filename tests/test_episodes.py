@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import kvgate.episodes as episodes_module
 from kvgate.cache import CompressionPlan
 from kvgate.episodes import (
+    FullRun,
     LayerEpisode,
     WriteEvent,
     episode_loss,
@@ -113,6 +115,72 @@ class TestPrefillEpisodes:
         kept[0, 12:t + 1] = True
         o_kept = attend_rows(q_row, lt.k, lt.v, D, visible=kept)[0]
         assert np.allclose(eps[0].targets[3], o_full - o_kept, atol=1e-12)
+
+        # Every row at once, masks built row by row: bit-identical targets.
+        full_run = FullRun.of(teacher, x0, 12)
+        n_eval = 8
+        full = np.zeros((n_eval, 20), dtype=bool)
+        for i in range(n_eval):
+            full[i, :12 + i + 1] = True
+        assert np.array_equal(full_run.visible, full)
+        r = Rng(206)
+        for trial in range(6):
+            keeps = [r.split(10 * trial + li).choice(12, size)
+                     for li, size in enumerate((trial, 12 - trial))]
+            eps = prefill_episodes(teacher, x0, keeps, 12, full_run=full_run)
+            for li, lt in enumerate(trace.layers):
+                kept = np.zeros((n_eval, 20), dtype=bool)
+                kept[:, keeps[li]] = True
+                for i in range(n_eval):
+                    kept[i, 12:12 + i + 1] = True
+                q_rows = lt.q[:, 12:, :]
+                o_full = attend_rows(q_rows, lt.k, lt.v, D, visible=full)
+                o_kept = attend_rows(q_rows, lt.k, lt.v, D, visible=kept)
+                assert np.array_equal(full_run.o_full[li], o_full)
+                assert np.array_equal(eps[li].targets, o_full - o_kept)
+
+    def test_full_run_gives_the_episodes_built_without_it(self):
+        teacher = toy_teacher()
+        x0 = Rng(207).normal((20, D))
+        full_run = FullRun.of(teacher, x0, 12)
+        plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
+        keeps = knorm_keeps(full_run.trace, plan, 12)
+        given = prefill_episodes(teacher, x0, keeps, 12, full_run=full_run)
+        built = prefill_episodes(teacher, x0, keeps, 12)
+        for a, b in zip(given, built):
+            assert np.array_equal(a.queries, b.queries)
+            assert np.array_equal(a.targets, b.targets)
+            assert np.array_equal(a.writes[0].keys, b.writes[0].keys)
+            assert np.array_equal(a.writes[0].values, b.writes[0].values)
+            assert np.array_equal(a.reads_after, b.reads_after)
+
+    def test_full_keep_reuses_the_full_output(self, monkeypatch):
+        teacher = toy_teacher()
+        x0 = Rng(208).normal((20, D))
+        full_run = FullRun.of(teacher, x0, 12)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return attend_rows(*args, **kwargs)
+
+        monkeypatch.setattr(episodes_module, "attend_rows", counting)
+        keeps = [np.arange(12), np.arange(12)[::-1]]
+        eps = prefill_episodes(teacher, x0, keeps, 12, full_run=full_run)
+        assert calls == []
+        for ep in eps:
+            assert np.all(ep.targets == 0.0)
+            assert ep.writes[0].keys.shape[0] == 0
+        prefill_episodes(teacher, x0, [np.arange(11), np.arange(12)], 12,
+                         full_run=full_run)
+        assert len(calls) == 1
+
+    def test_rejects_full_run_of_another_split(self):
+        teacher = toy_teacher()
+        x0 = Rng(209).normal((20, D))
+        with pytest.raises(ValueError, match="another eval start"):
+            prefill_episodes(teacher, x0, [np.arange(10)] * 2, 10,
+                             full_run=FullRun.of(teacher, x0, 12))
 
     def test_rejects_bad_eval_start(self):
         teacher = toy_teacher()

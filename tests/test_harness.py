@@ -1,29 +1,43 @@
 """Experiment drivers: data generation, training runs, sweeps, decode."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import kvgate.harness as harness
 from kvgate.config import ConfigError, parse_config
+from kvgate.episodes import episode_loss, plain_mse, prefill_episodes
 from kvgate.harness import (
+    EVAL_STREAM,
+    POLICY_STREAM,
     SWEEP_RATIOS,
     batches_by_layer,
     build_episode_sets,
     decode_run,
-    eval_indexer_kl,
     eval_sequences,
     init_indexer,
     input_sequence,
     layer_scores,
     make_policy,
+    plan_at_ratio,
     selftest,
     sweep_run,
     train_indexer_run,
     train_memory_run,
     training_sequences,
 )
-from kvgate.numerics import Rng
-from kvgate.policies import aggregate_heads, score_knorm
-from kvgate.teacher import TeacherModel
+from kvgate.indexer import streaming_distill_loss
+from kvgate.numerics import Rng, kl_divergence
+from kvgate.policies import (
+    QueryRows,
+    aggregate_heads,
+    score_knorm,
+    score_layer,
+    select,
+)
+from kvgate.synth import retention_recall
+from kvgate.teacher import TeacherModel, pooled_teacher_importance
 
 
 def small_config(**overrides):
@@ -44,6 +58,13 @@ def small_config(**overrides):
         else:
             raw[key] = value
     return parse_config(raw)
+
+
+def eval_indexer_kl(params_by_layer, per_layer_batches):
+    """Mean pooled-distribution KL across layers and sequences."""
+    return float(np.mean([streaming_distill_loss(params_by_layer[li], batch)
+                          for li, batches in enumerate(per_layer_batches)
+                          for batch in batches]))
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +285,56 @@ class TestSweep:
         assert row["recon_fused"] != row["recon_attn"]
 
 
+class TestSweepFromScratch:
+    """Every record equals its point recomputed alone, nothing shared."""
+
+    def test_records_match_per_point_recomputation(self):
+        cfg = small_config(policy={"name": "snapkv"},
+                           data={"kind": "planted", "length": 48,
+                                 "eval_start": 28})
+        memories = train_memory_run(cfg, None)["memories"]
+        records = sweep_run(cfg, memories=memories, threads=2)
+        assert [(r["policy"], r["ratio"]) for r in records] == [
+            (name, ratio) for name in ("snapkv", "knorm", "random")
+            for ratio in SWEEP_RATIOS]
+        teacher = TeacherModel(cfg.teacher)
+        sequences = eval_sequences(cfg, teacher)
+        upto = cfg.eval_start
+        prefix = np.arange(upto)
+        support = np.arange(cfg.plan.sink_count, upto)
+        for record in records:
+            policy = make_policy(cfg, record["policy"])
+            plan = plan_at_ratio(cfg, record["ratio"])
+            attn, fused, recalls, kls = [], [], [], []
+            for s, (x0, planted) in enumerate(sequences):
+                trace = teacher.forward(x0=x0)
+                scores = layer_scores(
+                    cfg, policy, trace, upto,
+                    rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
+                keeps = [select(plan, sc, prefix) for sc in scores]
+                eps = prefill_episodes(teacher, x0, keeps, upto,
+                                       head_sum=cfg.head_sum)
+                for li, lt in enumerate(trace.layers):
+                    attn.append(plain_mse(eps[li]))
+                    fused.append(episode_loss(memories[li], eps[li],
+                                              lam=cfg.lam, eta=cfg.eta))
+                    recalls.append(retention_recall(keeps[li], planted))
+                    imp = pooled_teacher_importance(lt.q[:, :upto, :],
+                                                    lt.k[:, :upto, :],
+                                                    cfg.teacher.d_model)
+                    kls.append(kl_divergence(imp[support],
+                                             scores[li][support]))
+            assert record["recon_attn"] == float(np.mean(attn))
+            assert record["recon_fused"] == float(np.mean(fused))
+            assert record["recall"] == float(np.mean(recalls))
+            assert record["pooled_kl"] == float(np.mean(kls))
+            assert record["kv_bytes"] == sum(
+                int(k.size) * cfg.teacher.n_kv_heads * cfg.teacher.d_head * 16
+                for k in keeps)
+        assert any(r["recon_fused"] != r["recon_attn"] for r in records)
+        assert len({r["recall"] for r in records}) > 1
+
+
 class TestDecode:
     def test_budget_bound_every_step(self, cfg, decode_records):
         steps = [r for r in decode_records if r["kind"] == "decode"]
@@ -315,6 +386,43 @@ class TestDecode:
         summaries = {r["budget"]: r for r in decode_records
                      if r["kind"] == "decode_summary"}
         assert summaries[64]["matches_reference"]
+
+
+class TestDecodeStartScoring:
+    """The compaction at decode start scores against the prompt."""
+
+    def kept_at_start(self, cfg, monkeypatch):
+        kept = []
+
+        class Recording(harness.DecodeSchedule):
+            def __init__(self, cache, plan):
+                kept.append([cache.positions(li).copy()
+                             for li in range(cache.n_layers)])
+                super().__init__(cache, plan)
+
+        monkeypatch.setattr(harness, "DecodeSchedule", Recording)
+        decode_run(cfg)
+        assert len(kept) == 1
+        return kept[0]
+
+    def test_snapkv_keeps_its_prompt_scored_rows(self, monkeypatch):
+        overrides = dict(decode={"budgets": [12]},
+                         data={"kind": "gauss", "length": 40})
+        cfg = small_config(policy={"name": "snapkv"}, **overrides)
+        kept = self.kept_at_start(cfg, monkeypatch)
+        teacher = TeacherModel(cfg.teacher)
+        x0, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(EVAL_STREAM))
+        trace = teacher.forward(x0=x0)
+        positions = np.arange(cfg.data_length)
+        plan = replace(cfg.plan, ratio=0.0, budget=12)
+        for li, lt in enumerate(trace.layers):
+            scores = score_layer(make_policy(cfg), lt.k, positions,
+                                 QueryRows(lt.x_in, lt.q_pre, lt.q, positions),
+                                 cfg.teacher.d_model)
+            assert np.array_equal(kept[li], select(plan, scores, positions))
+        knorm = self.kept_at_start(
+            small_config(policy={"name": "knorm"}, **overrides), monkeypatch)
+        assert any(not np.array_equal(a, b) for a, b in zip(kept, knorm))
 
 
 class TestSelftest:
