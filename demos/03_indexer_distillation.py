@@ -2,7 +2,7 @@
 
 The indexer scores every cached key with a handful of small heads and a
 ReLU instead of running full attention. It is trained by KL-matching the
-teacher's pooled attention distribution. Because training streams over key
+teacher's pooled attention distribution. Because scoring streams over key
 blocks, we also check that blocked evaluation is bit-identical to the
 dense one, so block size can never change a result.
 """

@@ -142,10 +142,11 @@ class DecodeSchedule:
 
     Steps are 1-based. Every ``decode_interval`` steps each layer holding
     more than the budget is compressed back to it, scored by a caller
-    callback over the queries buffered since the previous compression.
-    Between boundaries at most ``decode_interval`` rows accumulate, so the
-    retained length never exceeds ``budget + decode_interval`` provided the
-    cache respected the budget when decoding started.
+    callback over the queries buffered during that interval; every layer's
+    query buffer is cleared at every boundary, compressed or not. Between
+    boundaries at most ``decode_interval`` rows accumulate, so the retained
+    length never exceeds ``budget + decode_interval`` provided the cache
+    respected the budget when decoding started.
     """
 
     def __init__(self, cache: KvCache, plan: CompressionPlan):
@@ -181,6 +182,5 @@ class DecodeSchedule:
             compressed = True
             if on_evict is not None and evicted[2].size:
                 on_evict(layer, *evicted)
-        if compressed:
-            self.interval_queries = [[] for _ in range(self.cache.n_layers)]
+        self.interval_queries = [[] for _ in range(self.cache.n_layers)]
         return compressed

@@ -6,8 +6,10 @@ tiny feature stream (MQA style), both are RMS-normalized, and a per-head gate
 computed from the hidden state mixes the ReLU similarities into one score.
 Importance of a key is the max score any query in the aggregation set gives
 it. Training distills the pooled importance distribution from the frozen
-attention logits with a streaming KL loss, so the full L x L matrix never
-needs to exist.
+attention logits with a KL loss. The teacher target depends only on the
+batch, so each :class:`DistillBatch` computes it once; the gradient step
+itself is dense (L x L, test scale), while :func:`importance_from_features`
+streams score blocks so scoring never materializes the full matrix.
 
 All gradients here are hand-derived; at max ties the lowest-index query
 carries the subgradient and ReLU contributes zero slope at its kink, which
@@ -18,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import Rng, kl_divergence, rmsnorm
+from .numerics import NORM_EPS, Rng, kl_divergence, rmsnorm
 from .teacher import TeacherConfig, TeacherModel, flatten_heads, kv_head_of
 
 
@@ -239,7 +242,9 @@ class DistillBatch:
 
     ``q_pre`` feeds the indexer (queries before rotation, as the scorer sees
     them); ``q_rot``/``k_rot`` are the states the attention actually used,
-    from which the teacher logits are rebuilt.
+    from which the teacher logits are rebuilt. Every query row is in the
+    aggregation set. :attr:`teacher_imp` is computed on first read and
+    cached, so the arrays must not change after it has been read.
     """
 
     x: np.ndarray        # (L, d_model) layer-input hidden states
@@ -248,33 +253,32 @@ class DistillBatch:
     k_rot: np.ndarray    # (n_kv_heads, L, d_head)
     scale_dim: int
     sink_count: int = 4
-    q_set: np.ndarray | None = None
 
     def __post_init__(self):
         if self.x.shape[0] != self.q_pre.shape[1]:
             raise ValueError("hidden states and queries must align")
         if self.sink_count < 0 or self.sink_count >= self.x.shape[0]:
             raise ValueError("sink count must leave at least one scored key")
-        if self.q_set is not None:
-            self.q_set = np.asarray(self.q_set, dtype=np.int64)
 
     @property
     def length(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def query_ids(self) -> np.ndarray:
-        return np.arange(self.length) if self.q_set is None else self.q_set
+    @cached_property
+    def teacher_imp(self) -> np.ndarray:
+        """Distillation target: per-key max teacher logit over all queries, (L,)."""
+        ids = np.arange(self.length)
+        return teacher_block(self, ids, ids).max(axis=0)
 
 
 def distill_batch(teacher: TeacherModel, x0: np.ndarray, layer: int,
-                  sink_count: int = 4, q_set=None) -> DistillBatch:
+                  sink_count: int = 4) -> DistillBatch:
     """Build a layer's distillation inputs by tracing the frozen teacher."""
     trace = teacher.forward(x0=x0)
     lt = trace.layers[layer]
     return DistillBatch(x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q, k_rot=lt.k,
                         scale_dim=teacher.config.d_model,
-                        sink_count=sink_count, q_set=q_set)
+                        sink_count=sink_count)
 
 
 def teacher_block(batch: DistillBatch, q_ids: np.ndarray,
@@ -295,32 +299,17 @@ def teacher_block(batch: DistillBatch, q_ids: np.ndarray,
 
 def pooled_vectors(params: IndexerParams, batch: DistillBatch,
                    q_blk: int = 128, k_blk: int = 4096):
-    """Streamed (teacher_imp, student_imp) over all keys, both (L,).
+    """(teacher_imp, student_imp) over all keys, both (L,).
 
-    Bit-identical for every (q_blk, k_blk): per-row features are computed
-    once and block maxima commute with the global max.
+    The teacher side is the batch's cached target; the student side is
+    streamed by :func:`importance_from_features`, so it is bit-identical
+    for every (q_blk, k_blk).
     """
-    if q_blk < 1 or k_blk < 1:
-        raise ValueError("block sizes must be at least 1")
-    n = batch.length
-    q_set = batch.query_ids
-    if q_set.size == 0:
-        raise ValueError("empty query set")
-    q_feat = query_features(params, batch.q_pre)
-    gates = head_gates(params, batch.x)
-    k_feat = key_features(params, batch.x)
-    teacher_imp = np.full(n, -np.inf)
-    student_imp = np.full(n, -np.inf)
-    for qb in range(0, q_set.size, q_blk):
-        q_ids = q_set[qb:qb + q_blk]
-        for kb in range(0, n, k_blk):
-            k_ids = np.arange(kb, min(kb + k_blk, n))
-            t_blk = teacher_block(batch, q_ids, k_ids)
-            a_blk = _score_from_features(q_feat[q_ids], gates[q_ids],
-                                         k_feat[k_ids], q_ids, k_ids)
-            teacher_imp[k_ids] = np.maximum(teacher_imp[k_ids], t_blk.max(axis=0))
-            student_imp[k_ids] = np.maximum(student_imp[k_ids], a_blk.max(axis=0))
-    return teacher_imp, student_imp
+    ids = np.arange(batch.length)
+    student_imp = importance_from_features(
+        query_features(params, batch.q_pre), head_gates(params, batch.x),
+        key_features(params, batch.x), ids, ids, q_blk, k_blk)
+    return batch.teacher_imp, student_imp
 
 
 def streaming_distill_loss(params: IndexerParams, batch: DistillBatch,
@@ -331,11 +320,9 @@ def streaming_distill_loss(params: IndexerParams, batch: DistillBatch,
     return kl_divergence(teacher_imp[keep], student_imp[keep])
 
 
-def _rmsnorm_backward(raw: np.ndarray, normed: np.ndarray,
-                      d_out: np.ndarray) -> np.ndarray:
+def _rmsnorm_backward(raw: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     """Gradient through y = x / sqrt(mean(x^2) + eps) along the last axis."""
     n = raw.shape[-1]
-    from .numerics import NORM_EPS
     ms = np.mean(raw * raw, axis=-1, keepdims=True) + NORM_EPS
     inv = 1.0 / np.sqrt(ms)
     dot = np.sum(raw * d_out, axis=-1, keepdims=True)
@@ -349,7 +336,6 @@ def distill_gradients(params: IndexerParams, batch: DistillBatch):
     streamed one exactly because block maxima equal global maxima.
     """
     n = batch.length
-    q_set = batch.query_ids
     ids = np.arange(n)
 
     flat_q = flatten_heads(batch.q_pre)            # (L, H*dh)
@@ -365,14 +351,11 @@ def distill_gradients(params: IndexerParams, batch: DistillBatch):
     invalid = ids[None, :] > ids[:, None]
     scores = np.where(invalid, -np.inf, scores)
 
-    sub = scores[q_set]
-    student_imp = sub.max(axis=0)
-    arg_rows = q_set[np.argmax(sub, axis=0)]       # lowest index wins ties
+    student_imp = scores.max(axis=0)
+    arg_rows = np.argmax(scores, axis=0)           # lowest index wins ties
 
-    teacher_imp, _ = pooled_vectors(params, batch,
-                                    q_blk=max(1, q_set.size), k_blk=max(1, n))
     keep = np.arange(batch.sink_count, n)
-    t_valid = teacher_imp[keep]
+    t_valid = batch.teacher_imp[keep]
     s_valid = student_imp[keep]
     loss = kl_divergence(t_valid, s_valid)
 
@@ -399,8 +382,8 @@ def distill_gradients(params: IndexerParams, batch: DistillBatch):
     d_qfeat = np.einsum("sth,td->shd", d_dots, k_feat)
     d_kfeat = np.einsum("sth,shd->td", d_dots, q_feat)
 
-    d_raw_q = _rmsnorm_backward(raw_q, q_feat, d_qfeat)
-    d_raw_k = _rmsnorm_backward(raw_k, k_feat, d_kfeat)
+    d_raw_q = _rmsnorm_backward(raw_q, d_qfeat)
+    d_raw_k = _rmsnorm_backward(raw_k, d_kfeat)
 
     grad_u_q = flat_q.T @ d_raw_q.reshape(n, -1)
     grad_u_k = batch.x.T @ d_raw_k

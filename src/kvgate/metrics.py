@@ -55,12 +55,6 @@ def write_records(path, records) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def append_records(path, records) -> None:
-    text = "".join(dump_record(r) + "\n" for r in records)
-    with open(path, "a", encoding="utf-8") as sink:
-        sink.write(text)
-
-
 def read_records(path) -> list:
     out = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Rng, rmsnorm
-from .teacher import TeacherModel, kv_head_of, pooled_teacher_importance, rope_apply
+from .teacher import TeacherModel, kv_head_of, rope_apply
 
 
 @dataclass
@@ -166,11 +166,3 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
         x0[t] = needle_scale * np.sqrt(cfg.d_model) * _unit(direction)
 
     return PlantedSequence(x0=x0, planted=needles, tail_start=tail_start)
-
-
-def teacher_importance_by_layer(teacher: TeacherModel, x0: np.ndarray,
-                                q_set: np.ndarray | None = None) -> list:
-    """Pooled teacher importance vector per layer for a raw input sequence."""
-    trace = teacher.forward(x0=x0)
-    return [pooled_teacher_importance(lt.q, lt.k, teacher.config.d_model, q_set=q_set)
-            for lt in trace.layers]

@@ -269,9 +269,11 @@ class TestDecodeSchedule:
         assert cache.length(0) == 11
 
     def test_big_budget_never_compresses(self):
-        cache, _, lengths = self._run(interval=4, budget=500, total_steps=40)
+        cache, sched, lengths = self._run(interval=4, budget=500, total_steps=40)
         assert lengths == list(range(11, 51))
         assert cache.positions(0).tolist() == list(range(50))
+        # each boundary starts a fresh interval even when nothing compresses
+        assert all(len(buf) <= 4 for buf in sched.interval_queries)
 
     def test_scorer_required_when_due(self):
         cache = filled_cache(length=10, sink_count=1)

@@ -22,6 +22,7 @@ from kvgate.indexer import (
     pooled_vectors,
     query_features,
     streaming_distill_loss,
+    teacher_block,
     train_indexer,
 )
 from kvgate.numerics import Rng, rmsnorm
@@ -281,6 +282,34 @@ class TestDistillBatch:
         with pytest.raises(ValueError, match="sink count"):
             distill_batch(teacher, x0, 0, sink_count=6)
 
+    def test_teacher_target_matches_streamed_oracle(self):
+        _, batch, _ = small_setup()
+        n = batch.length
+        for q_blk, k_blk in ((1, 1), (3, 8), (20, 20)):
+            want = np.full(n, -np.inf)
+            for qb in range(0, n, q_blk):
+                q_ids = np.arange(qb, min(qb + q_blk, n))
+                for kb in range(0, n, k_blk):
+                    k_ids = np.arange(kb, min(kb + k_blk, n))
+                    blk = teacher_block(batch, q_ids, k_ids).max(axis=0)
+                    want[k_ids] = np.maximum(want[k_ids], blk)
+            assert np.array_equal(batch.teacher_imp, want)
+
+    def test_teacher_target_built_once_per_batch(self, monkeypatch):
+        teacher = small_teacher()
+        batches = [distill_batch(teacher, Rng(80 + i).normal((12, 16)), 0,
+                                 sink_count=2) for i in range(3)]
+        params = IndexerParams.init(teacher.config, Rng(83), h_index=1, d_index=2)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return teacher_block(*args)
+
+        monkeypatch.setattr("kvgate.indexer.teacher_block", counting)
+        train_indexer(params, batches, WsdSchedule().scaled(10))
+        assert len(calls) == 3
+
 
 class TestStreamingLoss:
     def test_block_size_invariance(self):
@@ -306,6 +335,7 @@ class TestStreamingLoss:
                              sink_count=batch.sink_count)
         noisy.k_rot[:, :4, :] += 100.0
         assert streaming_distill_loss(params, noisy) == base
+        assert not np.array_equal(noisy.teacher_imp[:4], batch.teacher_imp[:4])
 
     def test_zero_when_student_equals_teacher(self):
         # force the student pooled vector to coincide with the teacher's by

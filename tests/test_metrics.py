@@ -7,7 +7,6 @@ import pytest
 
 from kvgate.metrics import (
     SCHEMA_VERSION,
-    append_records,
     dump_record,
     make_record,
     read_records,
@@ -62,12 +61,6 @@ class TestRecords:
         records = [sweep_like("knorm", r, r / 2) for r in (0.0, 0.5)]
         write_records(path, records)
         assert read_records(path) == records
-
-    def test_append_extends(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        write_records(path, [sweep_like("knorm", 0.0, 1.0)])
-        append_records(path, [sweep_like("knorm", 0.5, 0.8)])
-        assert len(read_records(path)) == 2
 
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -7,7 +7,6 @@ from kvgate.synth import (
     planted_sequence,
     random_sequence,
     retention_recall,
-    teacher_importance_by_layer,
 )
 from kvgate.teacher import TeacherConfig, TeacherModel, pooled_teacher_importance
 
@@ -124,23 +123,14 @@ class TestRecallMetric:
 
 
 class TestTeacherSignal:
-    def test_importance_wrapper_matches_pooled(self):
-        teacher = retrieval_teacher(2)
-        seq, _ = one_needle(teacher, 48, 0)
-        trace = teacher.forward(x0=seq.x0)
-        imps = teacher_importance_by_layer(teacher, seq.x0)
-        assert len(imps) == 2
-        for lt, imp in zip(trace.layers, imps):
-            direct = pooled_teacher_importance(lt.q, lt.k, teacher.config.d_model)
-            assert np.array_equal(imp, direct)
-
     def test_needle_is_argmax_in_shallow_teacher(self):
         # With two layers the alignment solve has slack to spare, so the
         # needle should dominate every non-forced row outright.
         teacher = retrieval_teacher(2)
         for stream in range(6):
             seq, needle = one_needle(teacher, 64, stream)
-            for imp in teacher_importance_by_layer(teacher, seq.x0):
+            for lt in teacher.forward(x0=seq.x0).layers:
+                imp = pooled_teacher_importance(lt.q, lt.k, teacher.config.d_model)
                 middle = np.r_[imp[SINKS:needle], imp[needle + 1:64 - TAIL]]
                 assert imp[needle] > middle.max()
 
@@ -150,7 +140,8 @@ class TestTeacherSignal:
             rng = Rng(555).split(stream)
             needle = int(rng.split(99).integers(SINKS, 96 - TAIL, 1)[0])
             seq = planted_sequence(teacher, 96, [needle], rng, tail_width=TAIL)
-            for imp in teacher_importance_by_layer(teacher, seq.x0):
+            for lt in teacher.forward(x0=seq.x0).layers:
+                imp = pooled_teacher_importance(lt.q, lt.k, teacher.config.d_model)
                 middle = np.r_[imp[SINKS:needle], imp[needle + 1:96 - TAIL]]
                 assert imp[needle] > np.median(middle)
 
