@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .numerics import with_capacity
 from .policies import select
 
 
@@ -44,7 +45,12 @@ class CompressionPlan:
 
 
 class KvCache:
-    """Append-only-until-compacted storage of rotated keys and values."""
+    """Append-only-until-compacted storage of rotated keys and values.
+
+    Each layer keeps capacity-doubling buffers (see
+    :func:`kvgate.numerics.with_capacity`) whose leading ``length(layer)``
+    rows are live, so a decode step's append copies one row, not the cache.
+    """
 
     def __init__(self, n_layers: int, n_kv_heads: int, d_head: int, sink_count: int = 4):
         if n_layers < 1:
@@ -53,24 +59,35 @@ class KvCache:
         self.n_kv_heads = n_kv_heads
         self.d_head = d_head
         self.sink_count = sink_count
-        self._keys = [np.zeros((n_kv_heads, 0, d_head)) for _ in range(n_layers)]
-        self._values = [np.zeros((n_kv_heads, 0, d_head)) for _ in range(n_layers)]
-        self._positions = [np.zeros(0, dtype=np.int64) for _ in range(n_layers)]
+        self._keys = [np.empty((n_kv_heads, 0, d_head)) for _ in range(n_layers)]
+        self._values = [np.empty((n_kv_heads, 0, d_head)) for _ in range(n_layers)]
+        self._positions = [np.empty(0, dtype=np.int64) for _ in range(n_layers)]
+        self._lengths = [0] * n_layers
 
     def length(self, layer: int) -> int:
-        return self._positions[layer].size
+        return self._lengths[layer]
 
     def positions(self, layer: int) -> np.ndarray:
-        return self._positions[layer]
+        """(length,) original positions, ascending.
+
+        A view of the live rows, valid until the next append or compact on
+        this layer; copy it to keep it longer. The same holds for
+        :meth:`keys` and :meth:`values`.
+        """
+        return self._positions[layer][:self._lengths[layer]]
 
     def keys(self, layer: int) -> np.ndarray:
-        return self._keys[layer]
+        """(n_kv_heads, length, d_head) rotated keys; a view like :meth:`positions`."""
+        return self._keys[layer][:, :self._lengths[layer], :]
 
     def values(self, layer: int) -> np.ndarray:
-        return self._values[layer]
+        """(n_kv_heads, length, d_head) values; a view like :meth:`positions`."""
+        return self._values[layer][:, :self._lengths[layer], :]
 
     def nbytes(self) -> int:
-        return int(sum(k.nbytes + v.nbytes for k, v in zip(self._keys, self._values)))
+        """Bytes of the live key and value rows, excluding spare capacity."""
+        return int(sum(self.keys(layer).nbytes + self.values(layer).nbytes
+                       for layer in range(self.n_layers)))
 
     def append(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray, positions) -> None:
         """Append rows for strictly increasing, never-before-seen positions."""
@@ -84,25 +101,31 @@ class KvCache:
             return
         if np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
-        existing = self._positions[layer]
-        if existing.size and pos[0] <= existing[-1]:
+        n = self._lengths[layer]
+        if n and pos[0] <= self._positions[layer][n - 1]:
             raise ValueError("positions must extend past the cached range")
-        self._keys[layer] = np.concatenate([self._keys[layer], k_rows], axis=1)
-        self._values[layer] = np.concatenate([self._values[layer], v_rows], axis=1)
-        self._positions[layer] = np.concatenate([existing, pos])
+        end = n + pos.size
+        self._keys[layer] = with_capacity(self._keys[layer], n, end, axis=1)
+        self._values[layer] = with_capacity(self._values[layer], n, end, axis=1)
+        self._positions[layer] = with_capacity(self._positions[layer], n, end)
+        self._keys[layer][:, n:end, :] = k_rows
+        self._values[layer][:, n:end, :] = v_rows
+        self._positions[layer][n:end] = pos
+        self._lengths[layer] = end
 
     def sink_row_indices(self, layer: int) -> np.ndarray:
         """Row indices whose original position is below sink_count."""
-        return np.flatnonzero(self._positions[layer] < self.sink_count)
+        return np.flatnonzero(self.positions(layer) < self.sink_count)
 
     def compact(self, layer: int, keep_indices, local_window: int = 0):
         """Drop every row not listed in ``keep_indices``.
 
         The keep set must contain all sink rows and, when ``local_window`` is
         given, the trailing window rows; violations raise rather than being
-        silently repaired. Returns the evicted rows in original order as a
-        ``(keys, values, positions)`` triple with keys/values shaped
-        (n_kv_heads, n_evicted, d_head).
+        silently repaired. The kept rows are gathered, in order, into the
+        front of the layer's buffers. Returns the evicted rows in original
+        order as a ``(keys, values, positions)`` triple of copies, with
+        keys/values shaped (n_kv_heads, n_evicted, d_head).
         """
         n = self.length(layer)
         keep = np.unique(np.asarray(keep_indices, dtype=np.int64))
@@ -115,12 +138,14 @@ class KvCache:
         if local_window and not mask[max(0, n - local_window):].all():
             raise ValueError("local window eviction forbidden")
         drop = np.flatnonzero(~mask)
-        evicted = (self._keys[layer][:, drop, :].copy(),
-                   self._values[layer][:, drop, :].copy(),
-                   self._positions[layer][drop].copy())
-        self._keys[layer] = self._keys[layer][:, keep, :]
-        self._values[layer] = self._values[layer][:, keep, :]
-        self._positions[layer] = self._positions[layer][keep]
+        keys, values, positions = self.keys(layer), self.values(layer), self.positions(layer)
+        # Integer-array indexing copies, so the evicted rows and the gathered
+        # kept rows never alias the buffers they are written back into.
+        evicted = (keys[:, drop, :], values[:, drop, :], positions[drop])
+        keys[:, :keep.size, :] = keys[:, keep, :]
+        values[:, :keep.size, :] = values[:, keep, :]
+        positions[:keep.size] = positions[keep]
+        self._lengths[layer] = keep.size
         return evicted
 
 

@@ -19,6 +19,7 @@ from .crosslayer import LayerScoreBundle, aggregate_scores, scores_with_reuse
 from .episodes import FullRun, episode_loss, plain_mse, prefill_episodes
 from .indexer import (
     DistillBatch,
+    DivergenceError,
     IndexerKeyCache,
     IndexerParams,
     WsdSchedule,
@@ -342,18 +343,27 @@ def _stack_queries(buffered) -> QueryRows | None:
                                         dtype=np.int64))
 
 
+def _finite_row(row: np.ndarray, where: str) -> np.ndarray:
+    if not np.isfinite(row).all():
+        raise DivergenceError(f"decode output non-finite at {where}")
+    return row
+
+
 def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
                      x0: np.ndarray, budget: int | None,
                      params_by_layer=None) -> dict:
     """Prefill, then feed the teacher its own (normalized) outputs.
 
     Returns per-step kept sizes, cumulative evictions, and the full output
-    matrix so callers can compare trajectories bit for bit.
+    matrix so callers can compare trajectories bit for bit. Raises
+    :class:`DivergenceError` when the prompt's last output row or a step's
+    output is non-finite, before it reaches attention or the records.
     """
     cfg_t = cfg.teacher
     cache = KvCache(cfg_t.n_layers, cfg_t.n_kv_heads, cfg_t.d_head,
                     sink_count=cfg.plan.sink_count)
     trace = teacher.forward(x0=x0)
+    _finite_row(trace.output[-1], "the prompt")
     length = x0.shape[0]
     positions = np.arange(length)
     for li, lt in enumerate(trace.layers):
@@ -417,6 +427,7 @@ def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
     for t in range(cfg.decode_steps):
         pos = length + t
         step = teacher.forward_step(x_row, cache, pos)
+        outputs[t] = _finite_row(step.output, f"step {t + 1}")
         for li, fc in enumerate(feature_caches):
             fc.append(key_features(params_by_layer[li], step.x_in[li][None, :]),
                       np.array([pos]))
@@ -427,7 +438,6 @@ def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
                                       pos=pos)
             if schedule.step(scorer, on_evict=on_evict):
                 retain_features()
-        outputs[t] = step.output
         kept_sizes[t] = max(cache.length(li) for li in range(cfg_t.n_layers))
         evictions[t] = evicted_total
         x_row = rmsnorm(step.output)

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import NORM_EPS, Rng, kl_divergence, rmsnorm
+from .numerics import NORM_EPS, Rng, kl_divergence, rmsnorm, with_capacity
 from .teacher import TeacherConfig, TeacherModel, flatten_heads, kv_head_of
 
 
@@ -120,23 +120,29 @@ class IndexerKeyCache:
 
     Decode appends one row per step and :meth:`retain` drops the rows the
     KV cache evicted, so features stay aligned with the cached positions.
-    The footprint is d_index floats per token.
+    The footprint is d_index floats per token. Rows live in the leading part
+    of capacity-doubling buffers, the growth rule of
+    :func:`kvgate.numerics.with_capacity`, like :class:`kvgate.cache.KvCache`.
     """
 
     def __init__(self, d_index: int):
         self.d_index = d_index
-        self._rows = np.zeros((0, d_index))
-        self._positions = np.zeros(0, dtype=np.int64)
+        self._rows = np.empty((0, d_index))
+        self._positions = np.empty(0, dtype=np.int64)
+        self._length = 0
 
     def __len__(self) -> int:
-        return self._positions.size
+        return self._length
 
     @property
     def positions(self) -> np.ndarray:
-        return self._positions
+        """Cached positions, ascending: a view valid until the next
+        :meth:`append` or :meth:`retain`; copy it to keep it longer."""
+        return self._positions[:self._length]
 
     def nbytes(self) -> int:
-        return int(self._rows.nbytes)
+        """Bytes of the live feature rows, excluding spare capacity."""
+        return int(self._rows[:self._length].nbytes)
 
     def append(self, rows: np.ndarray, positions) -> None:
         rows = np.asarray(rows, dtype=np.float64)
@@ -147,29 +153,43 @@ class IndexerKeyCache:
             return
         if np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
-        if self._positions.size and pos[0] <= self._positions[-1]:
+        n = self._length
+        if n and pos[0] <= self._positions[n - 1]:
             raise ValueError("positions must extend past the cached range")
-        self._rows = np.concatenate([self._rows, rows], axis=0)
-        self._positions = np.concatenate([self._positions, pos])
+        end = n + pos.size
+        self._rows = with_capacity(self._rows, n, end)
+        self._positions = with_capacity(self._positions, n, end)
+        self._rows[n:end] = rows
+        self._positions[n:end] = pos
+        self._length = end
 
     def rows_for(self, positions) -> np.ndarray:
-        """Gather cached feature rows by original position."""
+        """Gather cached feature rows by original position (a copy)."""
         want = np.asarray(positions, dtype=np.int64)
         if want.size == 0:
             return np.zeros((0, self.d_index))
-        idx = np.searchsorted(self._positions, want)
-        missing = idx >= self._positions.size
+        cached = self.positions
+        idx = np.searchsorted(cached, want)
+        missing = idx >= cached.size
         idx = np.where(missing, 0, idx)
-        missing |= self._positions[idx] != want
+        missing |= cached[idx] != want
         if missing.any():
             raise ValueError("missing cached keys")
         return self._rows[idx]
 
     def retain(self, positions) -> None:
-        """Keep only the rows at ``positions``, e.g. after a KV compaction."""
+        """Keep only the rows at ``positions``, e.g. after a KV compaction.
+
+        ``positions`` must be strictly increasing; the kept rows are gathered
+        into the front of the buffers.
+        """
         keep = np.array(positions, dtype=np.int64)
-        self._rows = self.rows_for(keep)
-        self._positions = keep
+        if np.any(np.diff(keep) <= 0):
+            raise ValueError("positions must be strictly increasing")
+        rows = self.rows_for(keep)
+        self._rows[:keep.size] = rows
+        self._positions[:keep.size] = keep
+        self._length = keep.size
 
 
 def _score_from_features(q_feat: np.ndarray, gates: np.ndarray,

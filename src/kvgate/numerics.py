@@ -97,6 +97,26 @@ class Rng:
         return Rng(seed=child)
 
 
+def with_capacity(buf: np.ndarray, used: int, need: int, axis: int = 0) -> np.ndarray:
+    """Growth rule of the append-only row buffers.
+
+    Returns ``buf`` when it holds ``need`` entries along ``axis``; otherwise
+    a new buffer of twice the capacity (at least ``need``) whose first
+    ``used`` entries are copied from ``buf``. Doubling makes n single-row
+    appends copy O(n) rows in total, not O(n^2). Entries past ``used`` are
+    uninitialized.
+    """
+    cap = buf.shape[axis]
+    if need <= cap:
+        return buf
+    shape = list(buf.shape)
+    shape[axis] = max(need, 2 * cap)
+    out = np.empty(shape, dtype=buf.dtype)
+    live = (slice(None),) * axis + (slice(0, used),)
+    out[live] = buf[live]
+    return out
+
+
 def softmax_stable(logits) -> np.ndarray:
     """Softmax of a vector whose entries are finite or -inf (masked out).
 

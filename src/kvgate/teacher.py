@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .numerics import Rng, masked_softmax_rows, rmsnorm, softmax_stable
+from .numerics import Rng, masked_softmax_rows, rmsnorm
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,10 @@ class TeacherConfig:
     @property
     def group_size(self) -> int:
         return self.n_heads // self.n_kv_heads
+
+
+# Logit floats per stacked block of query heads in attention (128 KB).
+BLOCK_LOGITS = 16384
 
 
 def kv_head_of(query_head: int, n_heads: int, n_kv_heads: int) -> int:
@@ -90,20 +94,14 @@ def attention_full(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int) 
 
     Returns:
         (L, n_heads * d_head) concatenated per-head outputs (head-major),
-        i.e. the attention output before any output projection.
+        i.e. the attention output before any output projection. This is
+        :func:`attend_rows` under a causal mask.
     """
     n_heads, L, dh = q.shape
     n_kv = k.shape[0]
     if k.shape != (n_kv, L, dh) or v.shape != (n_kv, L, dh):
         raise ValueError("inconsistent attention shapes")
-    scale = 1.0 / np.sqrt(float(scale_dim))
-    mask = np.triu(np.full((L, L), -np.inf), k=1)
-    out = np.empty((L, n_heads * dh))
-    for h in range(n_heads):
-        g = kv_head_of(h, n_heads, n_kv)
-        logits = (q[h] @ k[g].T) * scale + mask
-        out[:, h * dh:(h + 1) * dh] = masked_softmax_rows(logits) @ v[g]
-    return out
+    return _attend(q, k, v, scale_dim, np.tri(L, dtype=bool))
 
 
 def attend_rows(q_rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
@@ -114,20 +112,39 @@ def attend_rows(q_rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
         q_rows: (n_heads, nq, d_head) rotated queries.
         keys, values: (n_kv_heads, n_rows, d_head) cached rows.
         visible: optional (nq, n_rows) bool mask; masked-off logits -> -inf.
+            Every row needs a visible key, else "empty support" is raised.
 
     Returns (nq, n_heads * d_head).
+
+    The query heads sharing a kv head are computed together as one stacked
+    matmul when their logits fit in ``BLOCK_LOGITS`` floats, so a decode
+    step (``nq == 1``) costs one iteration per kv head. Larger inputs run
+    one head at a time with 2-D ops. NumPy runs the same BLAS call for each
+    head of a stack, so the result is bitwise that of a per-head loop.
     """
+    return _attend(q_rows, keys, values, scale_dim, visible)
+
+
+def _attend(q_rows, keys, values, scale_dim, visible):
+    # The kernel behind attend_rows and attention_full; they stay separate
+    # names so a per-function profile attributes prefill and row attention
+    # apart.
     n_heads, nq, dh = q_rows.shape
-    n_kv = keys.shape[0]
+    n_kv, n_rows, _ = keys.shape
+    group = n_heads // n_kv
+    per_block = min(max(BLOCK_LOGITS // max(nq * n_rows, 1), 1), group)
     scale = 1.0 / np.sqrt(float(scale_dim))
-    out = np.empty((nq, n_heads * dh))
-    for h in range(n_heads):
-        g = kv_head_of(h, n_heads, n_kv)
-        logits = (q_rows[h] @ keys[g].T) * scale
-        if visible is not None:
-            logits = np.where(visible, logits, -np.inf)
-        out[:, h * dh:(h + 1) * dh] = masked_softmax_rows(logits) @ values[g]
-    return out
+    out = np.empty((nq, n_heads, dh))
+    for g in range(n_kv):
+        for h0 in range(g * group, (g + 1) * group, per_block):
+            h1 = min(h0 + per_block, (g + 1) * group)
+            q = q_rows[h0] if h1 - h0 == 1 else q_rows[h0:h1]
+            logits = (q @ keys[g].T) * scale
+            if visible is not None:
+                logits = np.where(visible, logits, -np.inf)
+            o = masked_softmax_rows(logits) @ values[g]
+            out[:, h0:h1, :] = o[:, None, :] if o.ndim == 2 else o.transpose(1, 0, 2)
+    return out.reshape(nq, n_heads * dh)
 
 
 @dataclass

@@ -7,6 +7,7 @@ from kvgate.cache import (
     KvCache,
     budget_compress,
 )
+from kvgate.indexer import IndexerKeyCache
 from kvgate.numerics import Rng
 from kvgate.policies import select
 from kvgate.teacher import attend_rows
@@ -108,6 +109,113 @@ class TestKvCache:
         cache.compact(0, [0, 3, 5, 8])
         cache.append(0, np.ones((2, 1, 4)), np.ones((2, 1, 4)), [9])
         assert cache.positions(0).tolist() == [0, 3, 5, 8, 9]
+
+
+class ConcatOracle:
+    """The storage rule the capacity buffers replace: rebuild every array
+    with np.concatenate on append, and gather into fresh arrays on drop."""
+
+    def __init__(self, width_shape, axis):
+        self.axis = axis
+        self.arrays = [np.zeros(shape) for shape in width_shape]
+        self.positions = np.zeros(0, dtype=np.int64)
+
+    def append(self, rows, pos):
+        self.arrays = [np.concatenate([a, r], axis=self.axis)
+                       for a, r in zip(self.arrays, rows)]
+        self.positions = np.concatenate([self.positions, pos])
+
+    def keep(self, idx):
+        self.arrays = [np.take(a, idx, axis=self.axis) for a in self.arrays]
+        self.positions = self.positions[idx]
+
+
+class TestCapacityGrowth:
+    """Randomized appends and drops across capacity boundaries, bit for bit
+    against a concatenate oracle after every operation."""
+
+    def test_kv_cache_matches_concatenate_oracle(self):
+        rng = Rng(40)
+        n_kv, dh, sinks, window = 2, 3, 2, 2
+        cache = KvCache(2, n_kv, dh, sink_count=sinks)
+        oracles = [ConcatOracle([(n_kv, 0, dh)] * 2, axis=1) for _ in range(2)]
+        next_pos = [0, 0]
+        evicted = []
+        peak = 0
+        for op in range(300):
+            layer = op % 2
+            oracle = oracles[layer]
+            n = cache.length(layer)
+            if n > sinks + window + 2 and rng.uniform() < 0.2:
+                idx = rng.choice(n, n - int(rng.integers(1, n // 4 + 1, 1)[0]))
+                keep = np.union1d(idx, np.concatenate(
+                    [np.arange(sinks), np.arange(n - window, n)]))
+                got = cache.compact(layer, keep, local_window=window)
+                drop = np.setdiff1d(np.arange(n), keep)
+                want = (oracle.arrays[0][:, drop, :], oracle.arrays[1][:, drop, :],
+                        oracle.positions[drop])
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+                evicted.append((got, tuple(a.copy() for a in got)))
+                oracle.keep(keep)
+            else:
+                count = int(rng.integers(1, 40 if op < 6 else 4, 1)[0])
+                pos = next_pos[layer] + np.cumsum(rng.integers(1, 3, count))
+                next_pos[layer] = int(pos[-1])
+                k, v = rng.normal((n_kv, count, dh)), rng.normal((n_kv, count, dh))
+                cache.append(layer, k, v, pos)
+                oracle.append([k, v], pos)
+            for li in range(2):
+                assert np.array_equal(cache.keys(li), oracles[li].arrays[0])
+                assert np.array_equal(cache.values(li), oracles[li].arrays[1])
+                assert np.array_equal(cache.positions(li), oracles[li].positions)
+                assert cache.length(li) == oracles[li].positions.size
+            assert cache.nbytes() == sum(o.arrays[0].nbytes + o.arrays[1].nbytes
+                                         for o in oracles)
+            peak = max(peak, cache.length(layer))
+        assert peak > 64
+        assert len(evicted) > 10
+        for got, snapshot in evicted:
+            for a, b in zip(got, snapshot):
+                assert np.array_equal(a, b)
+
+    def test_feature_cache_matches_concatenate_oracle(self):
+        rng = Rng(41)
+        d = 3
+        cache = IndexerKeyCache(d)
+        oracle = ConcatOracle([(0, d)], axis=0)
+        next_pos = 0
+        peak = 0
+        for op in range(300):
+            n = len(cache)
+            if n > 4 and rng.uniform() < 0.2:
+                keep = rng.choice(n, n - int(rng.integers(1, n // 4 + 1, 1)[0]))
+                dropped = np.setdiff1d(oracle.positions, oracle.positions[keep])
+                cache.retain(oracle.positions[keep])
+                oracle.keep(keep)
+                if dropped.size:
+                    with pytest.raises(ValueError, match="missing cached keys"):
+                        cache.rows_for(dropped[:1])
+            else:
+                count = int(rng.integers(1, 40 if op < 6 else 4, 1)[0])
+                pos = next_pos + np.cumsum(rng.integers(1, 3, count))
+                next_pos = int(pos[-1])
+                rows = rng.normal((count, d))
+                cache.append(rows, pos)
+                oracle.append([rows], pos)
+            assert np.array_equal(cache.positions, oracle.positions)
+            assert np.array_equal(cache.rows_for(oracle.positions), oracle.arrays[0])
+            assert len(cache) == oracle.positions.size
+            assert cache.nbytes() == oracle.arrays[0].nbytes
+            peak = max(peak, len(cache))
+        assert peak > 64
+
+    def test_retain_rejects_unordered_positions(self):
+        cache = IndexerKeyCache(2)
+        cache.append(Rng(42).normal((4, 2)), np.arange(4))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cache.retain([2, 1])
+        assert cache.positions.tolist() == [0, 1, 2, 3]
 
 
 class TestKeepForRatio:

@@ -13,7 +13,8 @@ from kvgate.checkpoint import (
     load_weights,
     save_weights,
 )
-from kvgate.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+import kvgate.harness as harness
+from kvgate.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 from kvgate.config import parse_config
 from kvgate.harness import SWEEP_RATIOS, init_indexer
 from kvgate.metrics import read_records
@@ -266,6 +267,23 @@ class TestDecodeSim:
         code = run("decode-sim", "--config", config, "--out", tmp_path / "out")
         assert code == EXIT_CONFIG
         assert "checkpoint" in stderr_record(capsys)["message"]
+
+    def test_non_finite_teacher_weight_exits_divergence(self, tmp_path, capsys,
+                                                        monkeypatch):
+        class Poisoned(harness.TeacherModel):
+            def __init__(self, config):
+                super().__init__(config)
+                self.layers[-1].w_out[0, 0] = np.inf
+
+        monkeypatch.setattr(harness, "TeacherModel", Poisoned)
+        config = write_config(tmp_path, policy={"name": "knorm"})
+        out = tmp_path / "out"
+        assert run("decode-sim", "--config", config, "--out", out) == EXIT_DIVERGENCE
+        record = only_stderr_record(capsys)
+        assert record["error"] == "DivergenceError"
+        assert record["command"] == "decode-sim"
+        assert "non-finite" in record["message"]
+        assert not (out / "decode.jsonl").exists()
 
     def test_indexer_scored_decode(self, stage_one, tmp_path):
         out = tmp_path / "out"

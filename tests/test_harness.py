@@ -27,7 +27,7 @@ from kvgate.harness import (
     train_memory_run,
     training_sequences,
 )
-from kvgate.indexer import streaming_distill_loss
+from kvgate.indexer import DivergenceError, streaming_distill_loss
 from kvgate.numerics import Rng, kl_divergence
 from kvgate.policies import (
     QueryRows,
@@ -386,6 +386,22 @@ class TestDecode:
         summaries = {r["budget"]: r for r in decode_records
                      if r["kind"] == "decode_summary"}
         assert summaries[64]["matches_reference"]
+
+
+class TestDecodeDivergence:
+    def test_non_finite_step_output_raises(self, monkeypatch):
+        knorm = small_config(policy={"name": "knorm"})
+
+        class Poisoned(TeacherModel):
+            def forward_step(self, x_row, cache, position):
+                step = super().forward_step(x_row, cache, position)
+                if position == knorm.data_length + 2:
+                    step.output[0] = np.nan
+                return step
+
+        monkeypatch.setattr(harness, "TeacherModel", Poisoned)
+        with pytest.raises(DivergenceError, match="step 3"):
+            decode_run(knorm)
 
 
 class TestDecodeStartScoring:

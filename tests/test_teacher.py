@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from kvgate.cache import KvCache
-from kvgate.numerics import Rng
+from kvgate.numerics import Rng, masked_softmax_rows
 from kvgate.teacher import (
     TeacherConfig,
     TeacherModel,
+    attend_rows,
     attention_full,
     flatten_heads,
     kv_head_of,
@@ -32,6 +33,22 @@ def reference_attention(q, k, v, scale_dim):
             for t in range(s + 1):
                 acc += w[t] * v[g, t]
             out[s, h * dh:(h + 1) * dh] = acc
+    return out
+
+
+def per_head_attention(q_rows, keys, values, scale_dim, visible=None):
+    """One query head at a time with 2-D ops: the arithmetic the grouped
+    kernel must reproduce bit for bit."""
+    n_heads, nq, dh = q_rows.shape
+    n_kv = keys.shape[0]
+    scale = 1.0 / np.sqrt(float(scale_dim))
+    out = np.empty((nq, n_heads * dh))
+    for h in range(n_heads):
+        g = kv_head_of(h, n_heads, n_kv)
+        logits = (q_rows[h] @ keys[g].T) * scale
+        if visible is not None:
+            logits = np.where(visible, logits, -np.inf)
+        out[:, h * dh:(h + 1) * dh] = masked_softmax_rows(logits) @ values[g]
     return out
 
 
@@ -128,6 +145,54 @@ class TestAttention:
         out = attention_full(q, k, v, scale_dim=16)
         for s in range(L):
             assert np.allclose(out[s], v[0, :s + 1].mean(axis=0), atol=1e-12)
+
+
+class TestAttentionKernel:
+    """attend_rows and attention_full against the per-head oracle, on both
+    sides of the head-block boundary (nq * n_rows around BLOCK_LOGITS)."""
+
+    KEY_COUNTS = (12, 64, 700, 1280, 2100)
+
+    @staticmethod
+    def masks(nq, n_rows, rng):
+        causal = np.tri(nq, n_rows, k=max(n_rows - nq, 0), dtype=bool)
+        random = rng.uniform((nq, n_rows)) < 0.3
+        random[np.arange(nq), rng.integers(0, n_rows, nq)] = True
+        return {"none": None, "causal": causal, "random": random}
+
+    @pytest.mark.parametrize("n_heads,n_kv", [(8, 2), (8, 8), (4, 1)])
+    @pytest.mark.parametrize("nq", [1, 3, 43, 86])
+    def test_matches_per_head_oracle(self, n_heads, n_kv, nq):
+        rng = Rng(100 + 10 * n_heads + n_kv + nq)
+        dh = 8
+        q = rng.normal((n_heads, nq, dh))
+        for n_rows in self.KEY_COUNTS:
+            # cache-style views: the live prefix of a larger buffer
+            keys = rng.normal((n_kv, 2 * n_rows, dh))[:, :n_rows, :]
+            values = rng.normal((n_kv, 2 * n_rows, dh))[:, :n_rows, :]
+            for name, visible in self.masks(nq, n_rows, rng).items():
+                got = attend_rows(q, keys, values, 64, visible=visible)
+                want = per_head_attention(q, keys, values, 64, visible)
+                assert np.array_equal(got, want), (n_rows, name)
+
+    @pytest.mark.parametrize("length", [1, 16, 128, 200])
+    def test_full_attention_is_causal_attend_rows(self, length):
+        rng = Rng(200 + length)
+        q = rng.normal((8, length, 8))
+        k = rng.normal((2, length, 8))
+        v = rng.normal((2, length, 8))
+        causal = np.tri(length, dtype=bool)
+        assert np.array_equal(attention_full(q, k, v, 64),
+                              per_head_attention(q, k, v, 64, causal))
+
+    @pytest.mark.parametrize("nq,n_rows", [(1, 12), (3, 700), (86, 2100)])
+    def test_fully_masked_row_raises(self, nq, n_rows):
+        rng = Rng(300 + nq)
+        visible = np.ones((nq, n_rows), dtype=bool)
+        visible[nq - 1] = False
+        with pytest.raises(ValueError, match="empty support"):
+            attend_rows(rng.normal((8, nq, 8)), rng.normal((2, n_rows, 8)),
+                        rng.normal((2, n_rows, 8)), 64, visible=visible)
 
 
 class TestForward:
