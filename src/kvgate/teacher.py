@@ -53,10 +53,6 @@ class TeacherConfig:
         return self.n_heads // self.n_kv_heads
 
 
-# Logit floats per stacked block of query heads in attention (128 KB).
-BLOCK_LOGITS = 16384
-
-
 def kv_head_of(query_head: int, n_heads: int, n_kv_heads: int) -> int:
     """KV head serving a given query head: floor(h * n_kv / n_heads)."""
     return query_head * n_kv_heads // n_heads
@@ -116,11 +112,11 @@ def attend_rows(q_rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
 
     Returns (nq, n_heads * d_head).
 
-    The query heads sharing a kv head are computed together as one stacked
-    matmul when their logits fit in ``BLOCK_LOGITS`` floats, so a decode
-    step (``nq == 1``) costs one iteration per kv head. Larger inputs run
-    one head at a time with 2-D ops. NumPy runs the same BLAS call for each
-    head of a stack, so the result is bitwise that of a per-head loop.
+    A single query row (``nq == 1``, a decode step) computes the query heads
+    sharing a kv head as one stacked matmul, one iteration per kv head.
+    Every other input (prefill, episodes, sweep) runs one head at a time
+    with 2-D ops. NumPy runs the same BLAS call for each head of a stack,
+    so the result is bitwise that of a per-head loop.
     """
     return _attend(q_rows, keys, values, scale_dim, visible)
 
@@ -132,13 +128,13 @@ def _attend(q_rows, keys, values, scale_dim, visible):
     n_heads, nq, dh = q_rows.shape
     n_kv, n_rows, _ = keys.shape
     group = n_heads // n_kv
-    per_block = min(max(BLOCK_LOGITS // max(nq * n_rows, 1), 1), group)
+    per_block = group if nq == 1 else 1
     scale = 1.0 / np.sqrt(float(scale_dim))
     out = np.empty((nq, n_heads, dh))
     for g in range(n_kv):
         for h0 in range(g * group, (g + 1) * group, per_block):
-            h1 = min(h0 + per_block, (g + 1) * group)
-            q = q_rows[h0] if h1 - h0 == 1 else q_rows[h0:h1]
+            h1 = h0 + per_block
+            q = q_rows[h0] if per_block == 1 else q_rows[h0:h1]
             logits = (q @ keys[g].T) * scale
             if visible is not None:
                 logits = np.where(visible, logits, -np.inf)

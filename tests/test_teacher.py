@@ -148,8 +148,9 @@ class TestAttention:
 
 
 class TestAttentionKernel:
-    """attend_rows and attention_full against the per-head oracle, on both
-    sides of the head-block boundary (nq * n_rows around BLOCK_LOGITS)."""
+    """attend_rows and attention_full against the per-head oracle: stacked
+    head blocks (nq == 1) and one head at a time (nq > 1), from a few keys
+    to more than a decode cache holds."""
 
     KEY_COUNTS = (12, 64, 700, 1280, 2100)
 
