@@ -35,8 +35,8 @@ from .harness import (
     train_indexer_run,
     train_memory_run,
 )
-from .indexer import DivergenceError
 from .metrics import make_record, read_records, write_records, write_report
+from .numerics import DivergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

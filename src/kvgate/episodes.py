@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .indexer import DivergenceError
-from .memory import MEM_EPS, MemorySlowWeights, MemoryState, tokens_from_evicted
+from .memory import MEM_EPS, MemorySlowWeights, tokens_from_evicted
+from .numerics import DivergenceError
 from .teacher import ForwardTrace, TeacherModel, attend_rows, flatten_heads
 
 
@@ -149,119 +149,247 @@ def prefill_episodes(teacher: TeacherModel, x0: np.ndarray, keeps_by_layer,
     return episodes
 
 
-def _replay_states(slow: MemorySlowWeights, episode: LayerEpisode,
+def _shape_key(episode: LayerEpisode) -> tuple:
+    """What episodes must share to be stacked: rows, write sizes, read order."""
+    return (episode.n_eval, tuple(ev.keys.shape[0] for ev in episode.writes),
+            episode.reads_after.tobytes())
+
+
+@dataclass(frozen=True)
+class EpisodeStack:
+    """Episodes of one shape, stacked along a leading episode axis ``E``.
+
+    ``queries`` and ``targets`` are (E, n_eval, d_model); the j-th write
+    event of every episode is ``write_keys[j]`` / ``write_values[j]``, each
+    (E, w_j, d_model). All episodes share ``reads_after`` (n_eval,).
+    """
+
+    queries: np.ndarray
+    targets: np.ndarray
+    write_keys: tuple
+    write_values: tuple
+    reads_after: np.ndarray
+
+    @classmethod
+    def of(cls, episodes) -> EpisodeStack:
+        if not episodes:
+            raise ValueError("no episodes")
+        key = _shape_key(episodes[0])
+        if any(_shape_key(ep) != key for ep in episodes):
+            raise ValueError("stacked episodes must share rows, write sizes "
+                             "and reads_after")
+        n_writes = len(episodes[0].writes)
+        return cls(
+            queries=np.stack([ep.queries for ep in episodes]),
+            targets=np.stack([ep.targets for ep in episodes]),
+            write_keys=tuple(np.stack([ep.writes[j].keys for ep in episodes])
+                             for j in range(n_writes)),
+            write_values=tuple(np.stack([ep.writes[j].values for ep in episodes])
+                               for j in range(n_writes)),
+            reads_after=episodes[0].reads_after)
+
+
+@dataclass(frozen=True)
+class EpisodeBatch:
+    """A batch of episodes as one :class:`EpisodeStack` per shape.
+
+    ``order[s]`` holds the batch positions of ``stacks[s]``'s episodes, so
+    per-episode results can be put back in the order the batch was given.
+    """
+
+    stacks: tuple
+    order: tuple
+    size: int
+
+    @classmethod
+    def of(cls, episodes) -> EpisodeBatch:
+        if not episodes:
+            raise ValueError("no episodes")
+        groups = {}
+        for i, ep in enumerate(episodes):
+            groups.setdefault(_shape_key(ep), []).append(i)
+        return cls(stacks=tuple(EpisodeStack.of([episodes[i] for i in idx])
+                                for idx in groups.values()),
+                   order=tuple(np.array(idx) for idx in groups.values()),
+                   size=len(episodes))
+
+
+def _replay_states(w_phi: np.ndarray, keys, values, lead: tuple,
                    lam: float, eta: float):
-    """Forward pass of the write sequence: per-event features and states."""
-    d_mem, d_model = slow.d_mem, slow.d_model
-    feats = [ev.keys @ slow.w_phi for ev in episode.writes]
-    states = [MemoryState.zeros(d_mem, d_model)]
-    for ev, f in zip(episode.writes, feats):
-        prev = states[-1]
-        states.append(MemoryState(m=lam * prev.m + eta * (f.T @ ev.values),
-                                  b=lam * prev.b + eta * (f ** 2).sum(axis=0)))
-    return feats, states
+    """Forward pass of the write sequence: per-event features and states.
+
+    Works on one episode (rows (w, d_model), ``lead`` ``()``) or on a stack
+    (rows (E, w, d_model), ``lead`` ``(E,)``); state ``m[j]``/``b[j]`` is
+    what a read sees after ``j`` writes.
+    """
+    d_model, d_mem = w_phi.shape
+    feats = [k @ w_phi for k in keys]
+    ms = [np.zeros(lead + (d_mem, d_model))]
+    bs = [np.zeros(lead + (d_mem,))]
+    for v, f in zip(values, feats):
+        ms.append(lam * ms[-1] + eta * (np.swapaxes(f, -1, -2) @ v))
+        bs.append(lam * bs[-1] + eta * (f ** 2).sum(axis=-2))
+    return feats, ms, bs
 
 
 def episode_loss(slow: MemorySlowWeights, episode: LayerEpisode,
                  lam: float = 0.95, eta: float = 1.0) -> float:
     """Mean squared residual after the gated readout is subtracted."""
-    _, states = _replay_states(slow, episode, lam, eta)
+    _, ms, bs = _replay_states(slow.w_phi,
+                               [ev.keys for ev in episode.writes],
+                               [ev.values for ev in episode.writes],
+                               (), lam, eta)
     g = expit(episode.queries @ slow.w_gate + slow.gate_bias)
     feat = episode.queries @ slow.w_phi
     total = 0.0
     for j in np.unique(episode.reads_after):
         rows = episode.reads_after == j
-        st = states[j]
-        denom = (feat[rows] ** 2) @ st.b + MEM_EPS
-        m = (feat[rows] @ st.m) / denom[:, None]
+        denom = (feat[rows] ** 2) @ bs[j] + MEM_EPS
+        m = (feat[rows] @ ms[j]) / denom[:, None]
         resid = episode.targets[rows] - g[rows, None] * m
         total += float(np.sum(resid ** 2))
     return total / episode.targets.size
 
 
-def episode_loss_and_grads(slow: MemorySlowWeights, episode: LayerEpisode,
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of every episode in ``a`` (E, n, ...), C-contiguous.
+
+    ``a[:, idx]`` would lay the copy out row-major over (idx, E), which
+    slows every later elementwise op; a read that sees every row gets
+    ``a`` itself.
+    """
+    return a if idx.size == a.shape[1] else a.take(idx, axis=1)
+
+
+def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
                            lam: float = 0.95, eta: float = 1.0,
                            stop_write_grad: bool = False):
-    """Loss plus analytic gradients for the slow weights.
+    """Per-episode losses plus analytic slow-weight gradients over a stack.
+
+    Every array carries the stack's leading episode axis E: queries and
+    targets (E, n, d_model), write rows (E, w, d_model), states
+    (E, d_mem, d_model). Returns ``(losses, grads)``: a list of E losses,
+    and ``w_phi`` (E, d_model, d_mem), ``w_gate`` (E, d_model) and
+    ``gate_bias`` (a list of E floats), one gradient per episode.
+
+    Each episode's results are byte-identical to running it alone, which
+    holds because the kernel keeps three rules:
+
+    1. every elementwise expression has the single-episode form, with the
+       episode axis broadcast (``m = num / denom``, ``resid = t - g * m``,
+       ``d_pred = (-2 / size) * resid``);
+    2. transposed operands are ``np.swapaxes`` views, never contiguous
+       copies, so every per-episode BLAS call sees the same layout;
+    3. nothing reduces over the episode axis here; scalars are summed per
+       episode in Python (see :func:`memory_loss_and_grads` for the mean).
 
     The write path is differentiated by running the state recursion
     backwards; ``stop_write_grad`` cuts it and treats the replayed states
     as constants, trading fidelity for speed.
     """
-    feats_k, states = _replay_states(slow, episode, lam, eta)
-    n_writes = len(episode.writes)
-    queries, targets = episode.queries, episode.targets
+    queries, targets = stack.queries, stack.targets
+    n_ep = queries.shape[0]
+    feats_k, ms, bs = _replay_states(slow.w_phi, stack.write_keys,
+                                     stack.write_values, (n_ep,), lam, eta)
+    n_writes = len(stack.write_keys)
     feat_q = queries @ slow.w_phi
     z = queries @ slow.w_gate + slow.gate_bias
     g = expit(z)
 
-    grad_phi = np.zeros_like(slow.w_phi)
-    grad_gate = np.zeros_like(slow.w_gate)
-    grad_bias = 0.0
-    ds_acc = [np.zeros_like(states[0].m) for _ in range(n_writes + 1)]
-    db_acc = [np.zeros_like(states[0].b) for _ in range(n_writes + 1)]
+    grad_phi = np.zeros((n_ep,) + slow.w_phi.shape)
+    grad_gate = np.zeros((n_ep,) + slow.w_gate.shape)
+    grad_bias = [0.0] * n_ep
+    ds_acc = [np.zeros_like(ms[0]) for _ in range(n_writes + 1)]
+    db_acc = [np.zeros_like(bs[0]) for _ in range(n_writes + 1)]
 
-    total = 0.0
-    inv_size = 1.0 / targets.size
-    for j in np.unique(episode.reads_after):
-        rows = episode.reads_after == j
-        st = states[j]
-        fq = feat_q[rows]
-        denom = (fq ** 2) @ st.b + MEM_EPS
-        num = fq @ st.m
-        m = num / denom[:, None]
-        resid = targets[rows] - g[rows, None] * m
-        total += float(np.sum(resid ** 2))
+    totals = [0.0] * n_ep
+    size = targets[0].size
+    inv_size = 1.0 / size
+    for j in np.unique(stack.reads_after):
+        idx = np.flatnonzero(stack.reads_after == j)
+        st_m, st_b = ms[j], bs[j]
+        fq = _rows(feat_q, idx)
+        q_rows = np.swapaxes(_rows(queries, idx), 1, 2)
+        g_rows = _rows(g, idx)
+        denom = ((fq ** 2) @ st_b[:, :, None])[:, :, 0] + MEM_EPS
+        m = fq @ st_m
+        np.divide(m, denom[:, :, None], out=m)
+        resid = g_rows[:, :, None] * m
+        np.subtract(_rows(targets, idx), resid, out=resid)
+        work = np.square(resid)
+        for e in range(n_ep):
+            totals[e] += float(np.sum(work[e]))
 
-        d_pred = -2.0 * inv_size * resid
-        d_g = np.sum(d_pred * m, axis=1)
-        d_m = d_pred * g[rows, None]
-        d_z = d_g * g[rows] * (1.0 - g[rows])
-        grad_gate += queries[rows].T @ d_z
-        grad_bias += float(d_z.sum())
+        d_pred = np.multiply(-2.0 * inv_size, resid, out=resid)
+        d_g = np.sum(np.multiply(d_pred, m, out=work), axis=2)
+        d_m = np.multiply(d_pred, g_rows[:, :, None], out=d_pred)
+        d_z = d_g * g_rows * (1.0 - g_rows)
+        grad_gate += (q_rows @ d_z[:, :, None])[:, :, 0]
+        for e in range(n_ep):
+            grad_bias[e] += float(d_z[e].sum())
 
-        d_num = d_m / denom[:, None]
-        d_denom = -np.sum(d_m * m, axis=1) / denom
-        d_fq = d_num @ st.m.T + 2.0 * fq * st.b[None, :] * d_denom[:, None]
-        grad_phi += queries[rows].T @ d_fq
+        d_denom = -np.sum(np.multiply(d_m, m, out=work), axis=2) / denom
+        d_num = np.divide(d_m, denom[:, :, None], out=d_m)
+        d_fq = (d_num @ np.swapaxes(st_m, 1, 2)
+                + 2.0 * fq * st_b[:, None, :] * d_denom[:, :, None])
+        grad_phi += q_rows @ d_fq
         if not stop_write_grad and j > 0:
-            ds_acc[j] += fq.T @ d_num
-            db_acc[j] += (fq ** 2).T @ d_denom
+            ds_acc[j] += np.swapaxes(fq, 1, 2) @ d_num
+            db_acc[j] += (np.swapaxes(fq ** 2, 1, 2) @ d_denom[:, :, None])[:, :, 0]
 
     if not stop_write_grad:
-        ds = np.zeros_like(states[0].m)
-        db = np.zeros_like(states[0].b)
+        ds = np.zeros_like(ms[0])
+        db = np.zeros_like(bs[0])
         for j in range(n_writes, 0, -1):
             ds += ds_acc[j]
             db += db_acc[j]
-            ev, fk = episode.writes[j - 1], feats_k[j - 1]
-            d_fk = eta * (ev.values @ ds.T) + 2.0 * eta * fk * db[None, :]
-            grad_phi += ev.keys.T @ d_fk
+            fk = feats_k[j - 1]
+            d_fk = (eta * (stack.write_values[j - 1] @ np.swapaxes(ds, 1, 2))
+                    + 2.0 * eta * fk * db[:, None, :])
+            grad_phi += np.swapaxes(stack.write_keys[j - 1], 1, 2) @ d_fk
             ds = lam * ds
             db = lam * db
 
-    grads = {"w_phi": grad_phi, "w_gate": grad_gate,
-             "gate_bias": np.float64(grad_bias)}
-    return total / targets.size, grads
+    grads = {"w_phi": grad_phi, "w_gate": grad_gate, "gate_bias": grad_bias}
+    return [t / size for t in totals], grads
 
 
 def memory_loss_and_grads(slow: MemorySlowWeights, episodes,
                           lam: float = 0.95, eta: float = 1.0,
                           stop_write_grad: bool = False):
-    """Mean episode loss and averaged gradients over a batch of episodes."""
-    if not episodes:
-        raise ValueError("no episodes")
-    weight = 1.0 / len(episodes)
+    """Mean episode loss and averaged gradients over a batch of episodes.
+
+    ``episodes`` is an :class:`EpisodeBatch`, or a list of episodes that is
+    stacked here. One :func:`episode_loss_and_grads` call per stack gives
+    per-episode results, which are then averaged in batch order: scalars by
+    a Python loop, arrays by ``(w * G).sum(axis=0)`` over the episode axis,
+    which adds the episodes one after another. Both match averaging the
+    episodes one at a time, bit for bit.
+    """
+    batch = (episodes if isinstance(episodes, EpisodeBatch)
+             else EpisodeBatch.of(episodes))
+    losses = [0.0] * batch.size
+    biases = [0.0] * batch.size
+    d_model, d_mem = slow.w_phi.shape
+    grad_phi = np.empty((batch.size, d_model, d_mem))
+    grad_gate = np.empty((batch.size, d_model))
+    for stack, idx in zip(batch.stacks, batch.order):
+        ls, gs = episode_loss_and_grads(slow, stack, lam, eta, stop_write_grad)
+        grad_phi[idx] = gs["w_phi"]
+        grad_gate[idx] = gs["w_gate"]
+        for pos, i in enumerate(idx):
+            losses[i] = ls[pos]
+            biases[i] = gs["gate_bias"][pos]
+    weight = 1.0 / batch.size
     loss = 0.0
-    grads = None
-    for ep in episodes:
-        l, g = episode_loss_and_grads(slow, ep, lam, eta, stop_write_grad)
+    for l in losses:
         loss += weight * l
-        if grads is None:
-            grads = {k: weight * v for k, v in g.items()}
-        else:
-            for k in grads:
-                grads[k] = grads[k] + weight * g[k]
+    bias = weight * np.float64(biases[0])
+    for b in biases[1:]:
+        bias = bias + weight * b
+    grads = {"w_phi": (weight * grad_phi).sum(axis=0),
+             "w_gate": (weight * grad_gate).sum(axis=0),
+             "gate_bias": bias}
     return loss, grads
 
 
@@ -270,16 +398,22 @@ def train_memory(slow: MemorySlowWeights, episodes, steps: int = 300,
                  stop_write_grad: bool = False) -> list:
     """Adagrad descent on the reconstruction loss; updates ``slow`` in place.
 
-    Every step takes the full batch of episodes. Per-parameter step sizes
-    shrink as gradient energy accumulates, which this objective needs: the
-    readout is scale-coupled through both its numerator and denominator,
-    so raw-gradient steps stall on flat directions. Returns the per-step
-    loss curve; raises DivergenceError if anything stops being finite.
+    Every step takes the full batch of episodes. The batch is stacked once,
+    before the first step, into one :class:`EpisodeStack` per shape, so a
+    step makes one :func:`episode_loss_and_grads` call per shape (one in
+    the pipeline, where every episode of a layer has the same shape) and
+    the loss curve and weights are bit-identical to stepping the episodes
+    one by one. Per-parameter step sizes shrink as gradient energy
+    accumulates, which this objective needs: the readout is scale-coupled
+    through both its numerator and denominator, so raw-gradient steps stall
+    on flat directions. Returns the per-step loss curve; raises
+    DivergenceError if anything stops being finite.
     """
     if not episodes:
         raise ValueError("no episodes")
     if lr <= 0.0:
         raise ValueError("learning rate must be positive")
+    batch = EpisodeBatch.of(episodes)
     acc_phi = np.zeros_like(slow.w_phi)
     acc_gate = np.zeros_like(slow.w_gate)
     acc_bias = 0.0
@@ -289,7 +423,7 @@ def train_memory(slow: MemorySlowWeights, episodes, steps: int = 300,
                 and np.all(np.isfinite(slow.w_gate))
                 and np.isfinite(slow.gate_bias)):
             raise DivergenceError(f"weights diverged at step {step}")
-        loss, grads = memory_loss_and_grads(slow, episodes, lam, eta,
+        loss, grads = memory_loss_and_grads(slow, batch, lam, eta,
                                             stop_write_grad)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss diverged at step {step}")

@@ -16,10 +16,15 @@ import numpy as np
 from .cache import CompressionPlan, DecodeSchedule, KvCache, budget_compress
 from .config import ConfigError, ExperimentConfig
 from .crosslayer import LayerScoreBundle, aggregate_scores, scores_with_reuse
-from .episodes import FullRun, episode_loss, plain_mse, prefill_episodes
+from .episodes import (
+    FullRun,
+    episode_loss,
+    plain_mse,
+    prefill_episodes,
+    train_memory,
+)
 from .indexer import (
     DistillBatch,
-    DivergenceError,
     IndexerKeyCache,
     IndexerParams,
     WsdSchedule,
@@ -28,7 +33,7 @@ from .indexer import (
 )
 from .memory import MemorySlowWeights, default_d_mem
 from .metrics import make_record
-from .numerics import Rng, kl_divergence, rmsnorm
+from .numerics import DivergenceError, Rng, kl_divergence, rmsnorm
 from .policies import PolicyId, QueryRows, score_layer, select
 from .synth import planted_sequence, retention_recall
 from .teacher import TeacherModel, pooled_teacher_importance
@@ -84,11 +89,10 @@ def eval_sequences(cfg: ExperimentConfig, teacher: TeacherModel) -> list:
     return out
 
 
-def batches_by_layer(teacher: TeacherModel, sequences, sink_count: int) -> list:
-    """Distillation batches for every layer from one forward per sequence."""
+def batches_by_layer(teacher: TeacherModel, traces, sink_count: int) -> list:
+    """Distillation batches for every layer from one teacher trace per sequence."""
     per_layer = [[] for _ in range(teacher.config.n_layers)]
-    for x0, _ in sequences:
-        trace = teacher.forward(x0=x0)
+    for trace in traces:
         for li, lt in enumerate(trace.layers):
             per_layer[li].append(DistillBatch(
                 x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q, k_rot=lt.k,
@@ -156,8 +160,10 @@ def train_indexer_run(cfg: ExperimentConfig) -> dict:
     """Stage one: distill the teacher's pooled importance into the indexer."""
     teacher = TeacherModel(cfg.teacher)
     params = init_indexer(cfg)
-    per_layer = batches_by_layer(teacher, training_sequences(cfg, teacher),
-                                 cfg.plan.sink_count)
+    # A generator: the parts of a trace no batch holds are freed at once.
+    traces = (teacher.forward(x0=x0)
+              for x0, _ in training_sequences(cfg, teacher))
+    per_layer = batches_by_layer(teacher, traces, cfg.plan.sink_count)
     losses_by_layer = fit_indexer(cfg, params, per_layer)
     curve = [{"step": step,
               "loss": float(np.mean([losses_by_layer[li][step]
@@ -167,14 +173,29 @@ def train_indexer_run(cfg: ExperimentConfig) -> dict:
             "batches": per_layer}
 
 
+def _drain(items: list):
+    """Yield a list's items in order, removing each from the list first."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def build_episode_sets(cfg: ExperimentConfig, teacher: TeacherModel,
-                       sequences, params_by_layer=None) -> list:
-    """Per-layer episode lists for the configured policy at the plan ratio."""
+                       sequences, params_by_layer=None, runs=None) -> list:
+    """Per-layer episode lists for the configured policy at the plan ratio.
+
+    ``runs`` yields each sequence's :class:`~kvgate.episodes.FullRun` at
+    ``cfg.eval_start``, in order; by default each is built when its
+    sequence comes up. A caller that already holds the runs passes them
+    here rather than tracing the teacher again.
+    """
     policy = make_policy(cfg)
     plan = plan_at_ratio(cfg, cfg.plan.ratio)
+    if runs is None:
+        runs = (FullRun.of(teacher, x0, cfg.eval_start)
+                for x0, _ in sequences)
     per_layer = [[] for _ in range(cfg.teacher.n_layers)]
-    for s, (x0, _) in enumerate(sequences):
-        full_run = FullRun.of(teacher, x0, cfg.eval_start)
+    for s, ((x0, _), full_run) in enumerate(zip(sequences, runs)):
         scores = layer_scores(cfg, policy, full_run.trace, cfg.eval_start,
                               params_by_layer=params_by_layer,
                               rng_parent=Rng(cfg.policy_seed).split(POLICY_STREAM + s))
@@ -192,19 +213,23 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
 
     Unless frozen, the indexer keeps training on the same distillation
     batches before the eviction episodes are built, so the memories learn
-    against the keep sets the final indexer actually produces.
+    against the keep sets the final indexer actually produces. Both come
+    from one teacher forward per training sequence.
     """
-    from .episodes import train_memory
-
     teacher = TeacherModel(cfg.teacher)
     params = ([p.copy() for p in indexer_params]
               if indexer_params is not None else None)
     sequences = training_sequences(cfg, teacher)
+    runs = [FullRun.of(teacher, x0, cfg.eval_start) for x0, _ in sequences]
     if params is not None and not freeze_indexer and cfg.policy_name == "indexer":
-        fit_indexer(cfg, params, batches_by_layer(teacher, sequences,
-                                                  cfg.plan.sink_count))
+        fit_indexer(cfg, params,
+                    batches_by_layer(teacher, [run.trace for run in runs],
+                                     cfg.plan.sink_count))
+    # Each run is freed once its episodes are built, so all the runs and
+    # all the episodes are never alive together.
     per_layer_eps = build_episode_sets(cfg, teacher, sequences,
-                                       params_by_layer=params)
+                                       params_by_layer=params,
+                                       runs=_drain(runs))
     memories = init_memory(cfg)
     losses_by_layer = [train_memory(memories[li], per_layer_eps[li],
                                     steps=cfg.mem_steps, lr=cfg.mem_lr,

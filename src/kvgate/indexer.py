@@ -24,12 +24,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import NORM_EPS, Rng, kl_divergence, rmsnorm, with_capacity
+from .numerics import (
+    NORM_EPS,
+    DivergenceError,
+    Rng,
+    kl_divergence,
+    rmsnorm,
+    with_capacity,
+)
 from .teacher import TeacherConfig, TeacherModel, flatten_heads, kv_head_of
-
-
-class DivergenceError(RuntimeError):
-    """Raised when a training loss stops being finite."""
 
 
 def default_h_index(n_heads: int) -> int:

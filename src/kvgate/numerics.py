@@ -22,6 +22,10 @@ _MIX_B = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
 
+class DivergenceError(RuntimeError):
+    """Raised when a loss, a weight or an activation stops being finite."""
+
+
 def _finalize_u64(z: int) -> int:
     """SplitMix64 output mix on a python int."""
     z &= _U64
@@ -139,10 +143,14 @@ def masked_softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax for a 2-D (or higher) array of logits.
 
     Rows may contain -inf entries but each row needs at least one finite
-    entry; a fully masked row raises "empty support".
+    entry; a fully masked row raises "empty support". A NaN or +inf logit
+    makes its row maximum NaN or +inf, which raises DivergenceError: the
+    values feeding the softmax have stopped being finite.
     """
     m = np.max(logits, axis=-1, keepdims=True)
     if not np.isfinite(m).all():
+        if (np.isnan(m) | np.isposinf(m)).any():
+            raise DivergenceError("non-finite attention logits")
         raise ValueError("empty support")
     e = np.exp(logits - m)
     return e / e.sum(axis=-1, keepdims=True)

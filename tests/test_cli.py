@@ -285,6 +285,26 @@ class TestDecodeSim:
         assert "non-finite" in record["message"]
         assert not (out / "decode.jsonl").exists()
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_early_layer_exits_divergence(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # The first layer's inf reaches the next layer's attention logits
+        # inside the prompt's forward pass, before any output row is checked.
+        class Poisoned(harness.TeacherModel):
+            def __init__(self, config):
+                super().__init__(config)
+                self.layers[0].w_out[0, 0] = np.inf
+
+        monkeypatch.setattr(harness, "TeacherModel", Poisoned)
+        config = write_config(tmp_path, policy={"name": "knorm"})
+        out = tmp_path / "out"
+        assert run("decode-sim", "--config", config, "--out", out) == EXIT_DIVERGENCE
+        record = only_stderr_record(capsys)
+        assert record["error"] == "DivergenceError"
+        assert record["command"] == "decode-sim"
+        assert "non-finite" in record["message"]
+        assert not (out / "decode.jsonl").exists()
+
     def test_indexer_scored_decode(self, stage_one, tmp_path):
         out = tmp_path / "out"
         assert run("decode-sim", "--config", stage_one["config"],

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import kvgate.episodes as episodes_module
 from kvgate.cache import CompressionPlan
 from kvgate.episodes import (
+    EpisodeBatch,
+    EpisodeStack,
     FullRun,
     LayerEpisode,
     WriteEvent,
@@ -206,9 +209,197 @@ class TestPrefillEpisodes:
             prefill_episodes(teacher, x0, keeps, 6)
 
 
+def oracle_episode_loss_and_grads(slow, episode, lam=0.95, eta=1.0,
+                                  stop_write_grad=False):
+    """The single-episode kernel the stacked one replaced, kept as its oracle."""
+    feats_k = [ev.keys @ slow.w_phi for ev in episode.writes]
+    states = [MemoryState.zeros(slow.d_mem, slow.d_model)]
+    for ev, f in zip(episode.writes, feats_k):
+        prev = states[-1]
+        states.append(MemoryState(m=lam * prev.m + eta * (f.T @ ev.values),
+                                  b=lam * prev.b + eta * (f ** 2).sum(axis=0)))
+    n_writes = len(episode.writes)
+    queries, targets = episode.queries, episode.targets
+    feat_q = queries @ slow.w_phi
+    z = queries @ slow.w_gate + slow.gate_bias
+    g = expit(z)
+
+    grad_phi = np.zeros_like(slow.w_phi)
+    grad_gate = np.zeros_like(slow.w_gate)
+    grad_bias = 0.0
+    ds_acc = [np.zeros_like(states[0].m) for _ in range(n_writes + 1)]
+    db_acc = [np.zeros_like(states[0].b) for _ in range(n_writes + 1)]
+
+    total = 0.0
+    inv_size = 1.0 / targets.size
+    for j in np.unique(episode.reads_after):
+        rows = episode.reads_after == j
+        st = states[j]
+        fq = feat_q[rows]
+        denom = (fq ** 2) @ st.b + MEM_EPS
+        num = fq @ st.m
+        m = num / denom[:, None]
+        resid = targets[rows] - g[rows, None] * m
+        total += float(np.sum(resid ** 2))
+
+        d_pred = -2.0 * inv_size * resid
+        d_g = np.sum(d_pred * m, axis=1)
+        d_m = d_pred * g[rows, None]
+        d_z = d_g * g[rows] * (1.0 - g[rows])
+        grad_gate += queries[rows].T @ d_z
+        grad_bias += float(d_z.sum())
+
+        d_num = d_m / denom[:, None]
+        d_denom = -np.sum(d_m * m, axis=1) / denom
+        d_fq = d_num @ st.m.T + 2.0 * fq * st.b[None, :] * d_denom[:, None]
+        grad_phi += queries[rows].T @ d_fq
+        if not stop_write_grad and j > 0:
+            ds_acc[j] += fq.T @ d_num
+            db_acc[j] += (fq ** 2).T @ d_denom
+
+    if not stop_write_grad:
+        ds = np.zeros_like(states[0].m)
+        db = np.zeros_like(states[0].b)
+        for j in range(n_writes, 0, -1):
+            ds += ds_acc[j]
+            db += db_acc[j]
+            ev, fk = episode.writes[j - 1], feats_k[j - 1]
+            d_fk = eta * (ev.values @ ds.T) + 2.0 * eta * fk * db[None, :]
+            grad_phi += ev.keys.T @ d_fk
+            ds = lam * ds
+            db = lam * db
+
+    grads = {"w_phi": grad_phi, "w_gate": grad_gate,
+             "gate_bias": np.float64(grad_bias)}
+    return total / targets.size, grads
+
+
+def oracle_memory_loss_and_grads(slow, episodes, lam=0.95, eta=1.0,
+                                 stop_write_grad=False):
+    """Batch mean over the oracle, one episode at a time."""
+    weight = 1.0 / len(episodes)
+    loss = 0.0
+    grads = None
+    for ep in episodes:
+        l, g = oracle_episode_loss_and_grads(slow, ep, lam, eta, stop_write_grad)
+        loss += weight * l
+        if grads is None:
+            grads = {k: weight * v for k, v in g.items()}
+        else:
+            for k in grads:
+                grads[k] = grads[k] + weight * g[k]
+    return loss, grads
+
+
+def oracle_train_memory(slow, episodes, steps, lr=0.05, stop_write_grad=False):
+    """train_memory's Adagrad loop over the oracle batch mean."""
+    acc_phi = np.zeros_like(slow.w_phi)
+    acc_gate = np.zeros_like(slow.w_gate)
+    acc_bias = 0.0
+    losses = []
+    for _ in range(steps):
+        loss, grads = oracle_memory_loss_and_grads(
+            slow, episodes, stop_write_grad=stop_write_grad)
+        acc_phi += grads["w_phi"] ** 2
+        acc_gate += grads["w_gate"] ** 2
+        acc_bias += float(grads["gate_bias"]) ** 2
+        slow.w_phi -= lr * grads["w_phi"] / np.sqrt(acc_phi + 1e-12)
+        slow.w_gate -= lr * grads["w_gate"] / np.sqrt(acc_gate + 1e-12)
+        slow.gate_bias -= lr * float(grads["gate_bias"]) / np.sqrt(acc_bias + 1e-12)
+        losses.append(loss)
+    return losses
+
+
+def pipeline_episodes():
+    """One layer's episodes at the benchmark pipeline's shapes.
+
+    README teacher width (d_model 64, 8/2 heads, d_mem 8), 8 sequences of
+    128 tokens split at 85, knorm keeps at ratio 0.5: 43 eval
+    rows and one 36-row write per episode.
+    """
+    cfg = TeacherConfig(n_layers=1, d_model=64, n_heads=8, n_kv_heads=2,
+                        d_ffn=128, vocab_size=64, seed=7)
+    teacher = TeacherModel(cfg)
+    plan = CompressionPlan(ratio=0.5, sink_count=4, local_window=8)
+    eps = []
+    for s in range(8):
+        x0 = teacher.embed(Rng(600).split(s).integers(0, 64, 128))
+        full_run = FullRun.of(teacher, x0, 85)
+        keeps = knorm_keeps(full_run.trace, plan, 85)
+        eps += prefill_episodes(teacher, x0, keeps, 85, full_run=full_run)
+    return eps
+
+
+def single_write_episode(seed, n_eval, n_write, reads_after):
+    r = Rng(700 + seed)
+    return LayerEpisode(queries=r.split(0).normal((n_eval, D)),
+                        targets=r.split(1).normal((n_eval, D)) * 0.3,
+                        writes=[WriteEvent(r.split(2).normal((n_write, D)),
+                                           r.split(3).normal((n_write, D)))],
+                        reads_after=np.asarray(reads_after, dtype=np.int64))
+
+
+def mixed_episodes():
+    """Interleaved shapes: row counts, write counts and read orders differ."""
+    return [
+        multi_write_episode(0),
+        single_write_episode(0, 6, 4, [1] * 6),
+        multi_write_episode(1),
+        single_write_episode(1, 6, 4, [1] * 6),
+        single_write_episode(2, 5, 4, [0, 1, 0, 1, 1]),
+        multi_write_episode(2),
+        single_write_episode(3, 6, 2, [1] * 6),
+        LayerEpisode(queries=Rng(710).normal((4, D)),
+                     targets=Rng(711).normal((4, D)), writes=[]),
+        single_write_episode(4, 5, 4, [0, 1, 0, 1, 1]),
+        multi_write_episode(3),
+    ]
+
+
+def assert_same_loss_and_grads(got, want):
+    assert got[0] == want[0]
+    assert set(got[1]) == set(want[1])
+    for name, value in want[1].items():
+        assert np.array_equal(got[1][name], value), name
+        assert np.shape(got[1][name]) == np.shape(value)
+
+
+def check_against_finite_differences(eps):
+    """Batch gradients against central differences of the mean episode loss."""
+    slow = MemorySlowWeights.init(D, Rng(302), d_mem=3)
+    _, grads = memory_loss_and_grads(slow, eps, lam=0.9, eta=0.8)
+    h = 1e-6
+
+    def loss_now():
+        return np.mean([episode_loss(slow, ep, lam=0.9, eta=0.8)
+                        for ep in eps])
+
+    for name in ("w_phi", "w_gate"):
+        flat = getattr(slow, name).reshape(-1)
+        for c in Rng(303).integers(0, flat.size, 20):
+            old = flat[c]
+            flat[c] = old + h
+            lp = loss_now()
+            flat[c] = old - h
+            lm = loss_now()
+            flat[c] = old
+            fd = (lp - lm) / (2 * h)
+            an = grads[name].reshape(-1)[c]
+            if max(abs(fd), abs(an)) > 1e-12:
+                assert abs(fd - an) / max(abs(fd), abs(an)) < 1e-4
+    old = slow.gate_bias
+    slow.gate_bias = old + h
+    lp = loss_now()
+    slow.gate_bias = old - h
+    lm = loss_now()
+    slow.gate_bias = old
+    fd = (lp - lm) / (2 * h)
+    an = float(grads["gate_bias"])
+    assert abs(fd - an) / max(abs(fd), abs(an)) < 1e-4
+
+
 class TestLossAndGrads:
     def test_loss_matches_manual_replay(self):
-        from scipy.special import expit
         ep = multi_write_episode()
         slow = MemorySlowWeights.init(D, Rng(300), d_mem=3)
         states = [MemoryState.zeros(3, D)]
@@ -227,49 +418,26 @@ class TestLossAndGrads:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_grad_loss_equals_plain_loss(self):
-        ep = multi_write_episode()
+        eps = mixed_episodes()
         slow = MemorySlowWeights.init(D, Rng(301), d_mem=3)
-        loss, _ = episode_loss_and_grads(slow, ep, lam=0.9, eta=0.8)
-        assert loss == episode_loss(slow, ep, lam=0.9, eta=0.8)
+        batch = EpisodeBatch.of(eps)
+        for stack, idx in zip(batch.stacks, batch.order):
+            losses, _ = episode_loss_and_grads(slow, stack, lam=0.9, eta=0.8)
+            for loss, i in zip(losses, idx):
+                assert loss == episode_loss(slow, eps[i], lam=0.9, eta=0.8)
 
     def test_finite_difference_check(self):
-        ep = multi_write_episode()
-        slow = MemorySlowWeights.init(D, Rng(302), d_mem=3)
-        _, grads = episode_loss_and_grads(slow, ep, lam=0.9, eta=0.8)
-        h = 1e-6
+        check_against_finite_differences([multi_write_episode()])
 
-        def loss_now():
-            return episode_loss(slow, ep, lam=0.9, eta=0.8)
-
-        for name in ("w_phi", "w_gate"):
-            flat = getattr(slow, name).reshape(-1)
-            for c in Rng(303).integers(0, flat.size, 20):
-                old = flat[c]
-                flat[c] = old + h
-                lp = loss_now()
-                flat[c] = old - h
-                lm = loss_now()
-                flat[c] = old
-                fd = (lp - lm) / (2 * h)
-                an = grads[name].reshape(-1)[c]
-                if max(abs(fd), abs(an)) > 1e-12:
-                    assert abs(fd - an) / max(abs(fd), abs(an)) < 1e-4
-        old = slow.gate_bias
-        slow.gate_bias = old + h
-        lp = loss_now()
-        slow.gate_bias = old - h
-        lm = loss_now()
-        slow.gate_bias = old
-        fd = (lp - lm) / (2 * h)
-        an = float(grads["gate_bias"])
-        assert abs(fd - an) / max(abs(fd), abs(an)) < 1e-4
+    def test_finite_difference_check_mixed_batch(self):
+        check_against_finite_differences(mixed_episodes())
 
     def test_stop_write_grad_changes_feature_grads_only(self):
         ep = multi_write_episode()
         slow = MemorySlowWeights.init(D, Rng(304), d_mem=3)
-        loss_full, g_full = episode_loss_and_grads(slow, ep)
-        loss_stop, g_stop = episode_loss_and_grads(slow, ep,
-                                                   stop_write_grad=True)
+        loss_full, g_full = memory_loss_and_grads(slow, [ep])
+        loss_stop, g_stop = memory_loss_and_grads(slow, [ep],
+                                                  stop_write_grad=True)
         assert loss_stop == loss_full
         assert not np.allclose(g_stop["w_phi"], g_full["w_phi"])
         assert np.array_equal(g_stop["w_gate"], g_full["w_gate"])
@@ -278,17 +446,103 @@ class TestLossAndGrads:
     def test_batch_is_mean_of_episodes(self):
         eps = [multi_write_episode(0), multi_write_episode(1)]
         slow = MemorySlowWeights.init(D, Rng(305), d_mem=3)
-        l0, g0 = episode_loss_and_grads(slow, eps[0])
-        l1, g1 = episode_loss_and_grads(slow, eps[1])
+        (l0, l1), g = episode_loss_and_grads(slow, EpisodeStack.of(eps))
         lb, gb = memory_loss_and_grads(slow, eps)
         assert lb == pytest.approx(0.5 * (l0 + l1), rel=1e-12)
-        assert np.allclose(gb["w_phi"], 0.5 * (g0["w_phi"] + g1["w_phi"]),
+        assert np.allclose(gb["w_phi"], 0.5 * (g["w_phi"][0] + g["w_phi"][1]),
                            atol=1e-15)
 
     def test_empty_batch_rejected(self):
         slow = MemorySlowWeights.init(D, Rng(306), d_mem=2)
         with pytest.raises(ValueError, match="episodes"):
             memory_loss_and_grads(slow, [])
+
+
+class TestStackedKernel:
+    """The stacked kernel against the single-episode oracle, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def pipeline_eps(self):
+        return pipeline_episodes()
+
+    def test_pipeline_shapes(self, pipeline_eps):
+        eps = pipeline_eps
+        assert len(eps) == 8
+        assert {(ep.n_eval, ep.writes[0].keys.shape) for ep in eps} == {(43, (36, 64))}
+        assert len(EpisodeBatch.of(eps).stacks) == 1
+
+    @pytest.mark.parametrize("stop_write_grad", [False, True])
+    @pytest.mark.parametrize("batch", ["pipeline", "one", "mixed"])
+    def test_batch_matches_oracle(self, pipeline_eps, batch, stop_write_grad):
+        if batch == "mixed":
+            eps, d_model, d_mem = mixed_episodes(), D, 3
+        else:
+            eps, d_model, d_mem = pipeline_eps, 64, 8
+            if batch == "one":
+                eps = eps[3:4]
+        slow = MemorySlowWeights.init(d_model, Rng(800), d_mem=d_mem)
+        for lam, eta in ((0.95, 1.0), (0.9, 0.8)):
+            got = memory_loss_and_grads(slow, eps, lam, eta, stop_write_grad)
+            want = oracle_memory_loss_and_grads(slow, eps, lam, eta,
+                                                stop_write_grad)
+            assert_same_loss_and_grads(got, want)
+
+    @pytest.mark.parametrize("stop_write_grad", [False, True])
+    def test_each_stacked_episode_matches_oracle(self, stop_write_grad):
+        eps = mixed_episodes()
+        slow = MemorySlowWeights.init(D, Rng(801), d_mem=3)
+        batch = EpisodeBatch.of(eps)
+        assert len(batch.stacks) == 5
+        assert sorted(i for idx in batch.order for i in idx) == list(range(len(eps)))
+        for stack, idx in zip(batch.stacks, batch.order):
+            losses, grads = episode_loss_and_grads(
+                slow, stack, stop_write_grad=stop_write_grad)
+            for pos, i in enumerate(idx):
+                want_loss, want = oracle_episode_loss_and_grads(
+                    slow, eps[i], stop_write_grad=stop_write_grad)
+                assert losses[pos] == want_loss
+                assert np.array_equal(grads["w_phi"][pos], want["w_phi"])
+                assert np.array_equal(grads["w_gate"][pos], want["w_gate"])
+                assert grads["gate_bias"][pos] == want["gate_bias"]
+
+    @pytest.mark.parametrize("batch", ["pipeline", "mixed"])
+    def test_training_run_matches_oracle(self, pipeline_eps, batch):
+        if batch == "mixed":
+            eps, d_model, d_mem = mixed_episodes(), D, 3
+        else:
+            eps, d_model, d_mem = pipeline_eps, 64, 8
+        slow = MemorySlowWeights.init(d_model, Rng(802), d_mem=d_mem)
+        oracle = slow.copy()
+        losses = train_memory(slow, eps, steps=150)
+        assert losses == oracle_train_memory(oracle, eps, steps=150)
+        assert np.array_equal(slow.w_phi, oracle.w_phi)
+        assert np.array_equal(slow.w_gate, oracle.w_gate)
+        assert slow.gate_bias == oracle.gate_bias
+
+    @pytest.mark.parametrize("shapes", [1, 2])
+    def test_one_kernel_call_per_shape_and_step(self, monkeypatch, shapes):
+        eps = [multi_write_episode(i) for i in range(4)]
+        if shapes == 2:
+            eps[1::2] = [single_write_episode(i, 6, 4, [1] * 6)
+                         for i in range(2)]
+        calls = []
+        kernel = episodes_module.episode_loss_and_grads
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(episodes_module, "episode_loss_and_grads", counting)
+        slow = MemorySlowWeights.init(D, Rng(803), d_mem=3)
+        train_memory(slow, eps, steps=10)
+        assert len(calls) == 10 * shapes
+
+    def test_stack_rejects_mixed_shapes(self):
+        eps = [multi_write_episode(0), single_write_episode(0, 6, 4, [1] * 6)]
+        with pytest.raises(ValueError, match="share"):
+            EpisodeStack.of(eps)
+        with pytest.raises(ValueError, match="no episodes"):
+            EpisodeStack.of([])
 
 
 class TestTrainMemory:

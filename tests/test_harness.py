@@ -226,6 +226,20 @@ class TestTrainMemoryRun:
         assert len(result["curve"]) == cfg.mem_steps
         assert result["curve"][-1]["loss"] < result["curve"][0]["loss"]
 
+    def test_one_teacher_forward_per_training_sequence(self, cfg, stage_one,
+                                                       monkeypatch):
+        # the indexer re-fit and the episodes share each sequence's trace
+        calls = []
+        forward = TeacherModel.forward
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(TeacherModel, "forward", counting)
+        train_memory_run(cfg, stage_one, freeze_indexer=False)
+        assert len(calls) == cfg.n_train
+
     def test_episode_sets_shape(self, cfg, teacher, stage_one):
         sets = build_episode_sets(cfg, teacher,
                                   training_sequences(cfg, teacher),

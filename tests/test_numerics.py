@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kvgate.numerics import (
+    DivergenceError,
     Rng,
     kl_divergence,
     log_softmax,
@@ -68,6 +69,18 @@ class TestSoftmax:
         rows = masked_softmax_rows(mat)
         for i in range(5):
             assert np.allclose(rows[i], softmax_stable(mat[i]), atol=1e-15)
+
+    def test_row_softmax_tells_non_finite_from_empty(self):
+        masked = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+        with pytest.raises(ValueError, match="empty support"):
+            masked_softmax_rows(masked)
+        for bad in (np.nan, np.inf):
+            mat = np.array([[0.0, 1.0], [bad, -np.inf]])
+            with pytest.raises(DivergenceError, match="non-finite"):
+                masked_softmax_rows(mat)
+            # a non-finite row outranks a fully masked one
+            with pytest.raises(DivergenceError):
+                masked_softmax_rows(np.vstack([masked, mat]))
 
 
 class TestRmsnorm:
