@@ -15,6 +15,7 @@ import numpy as np
 
 from .indexer import IndexerParams
 from .memory import MemorySlowWeights
+from .teacher import TeacherConfig
 
 MAGIC = b"KVGT"
 FORMAT_VERSION = 1
@@ -91,6 +92,33 @@ def load_weights(path) -> dict:
     return out
 
 
+def _layers(tensors: dict, family: str, shapes: dict,
+            teacher: TeacherConfig) -> list:
+    """Each layer's ``{field: tensor}`` of one family, checked against a teacher.
+
+    ``shapes`` maps each field to its shape, ``None`` for a free width. A
+    missing or misshapen tensor, or one the teacher's layers do not name,
+    raises naming it.
+    """
+    wanted = {f"{family}.{layer}.{field}": shape
+              for layer in range(teacher.n_layers)
+              for field, shape in shapes.items()}
+    for name in sorted(tensors):
+        if name.startswith(family + ".") and name not in wanted:
+            raise ValueError(f"checkpoint tensor {name!r} does not belong to "
+                             f"a {teacher.n_layers}-layer teacher")
+    for name, shape in wanted.items():
+        if name not in tensors:
+            raise ValueError(f"checkpoint lacks tensor {name!r}")
+        got = tensors[name].shape
+        if len(got) != len(shape) or any(w not in (None, g)
+                                         for w, g in zip(shape, got)):
+            raise ValueError(f"checkpoint tensor {name!r} has shape "
+                             f"{list(got)}, the teacher needs {list(shape)}")
+    return [{field: tensors[f"{family}.{layer}.{field}"] for field in shapes}
+            for layer in range(teacher.n_layers)]
+
+
 def indexer_tensors(params_by_layer) -> dict:
     out = {}
     for layer, p in enumerate(params_by_layer):
@@ -100,16 +128,10 @@ def indexer_tensors(params_by_layer) -> dict:
     return out
 
 
-def unpack_indexer(tensors: dict, n_layers: int) -> list:
-    out = []
-    for layer in range(n_layers):
-        try:
-            out.append(IndexerParams(u_q=tensors[f"idx.{layer}.u_q"],
-                                     u_k=tensors[f"idx.{layer}.u_k"],
-                                     g=tensors[f"idx.{layer}.g"]))
-        except KeyError as missing:
-            raise ValueError(f"checkpoint lacks indexer tensor {missing}") from None
-    return out
+def unpack_indexer(tensors: dict, teacher: TeacherConfig) -> list:
+    d = teacher.d_model
+    shapes = {"u_q": (d, None), "u_k": (d, None), "g": (d, None)}
+    return [IndexerParams(**t) for t in _layers(tensors, "idx", shapes, teacher)]
 
 
 def memory_tensors(slow_by_layer) -> dict:
@@ -121,14 +143,8 @@ def memory_tensors(slow_by_layer) -> dict:
     return out
 
 
-def unpack_memory(tensors: dict, n_layers: int) -> list:
-    out = []
-    for layer in range(n_layers):
-        try:
-            out.append(MemorySlowWeights(
-                w_phi=tensors[f"mem.{layer}.w_phi"],
-                w_gate=tensors[f"mem.{layer}.w_g"],
-                gate_bias=float(tensors[f"mem.{layer}.bias"])))
-        except KeyError as missing:
-            raise ValueError(f"checkpoint lacks memory tensor {missing}") from None
-    return out
+def unpack_memory(tensors: dict, teacher: TeacherConfig) -> list:
+    d = teacher.d_model
+    shapes = {"w_phi": (d, None), "w_g": (d,), "bias": ()}
+    return [MemorySlowWeights(t["w_phi"], t["w_g"], float(t["bias"]))
+            for t in _layers(tensors, "mem", shapes, teacher)]

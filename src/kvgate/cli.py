@@ -57,28 +57,24 @@ def _out_dir(args, cfg) -> Path:
 
 
 def _attach_sidecar(out: Path) -> None:
-    """Route log lines (the only place timestamps appear) to out/run.log."""
-    logger = logging.getLogger("kvgate")
-    for old in [h for h in logger.handlers
-                if isinstance(h, logging.FileHandler)]:
-        logger.removeHandler(old)
-        old.close()
+    """Route log lines and warnings to out/run.log, the one timestamped file."""
     handler = logging.FileHandler(out / "run.log")
     handler.setFormatter(logging.Formatter(
         "%(asctime)s %(levelname)s %(name)s: %(message)s"))
-    logger.addHandler(handler)
+    for logger in map(logging.getLogger, ("kvgate", "py.warnings")):
+        for old in [h for h in logger.handlers
+                    if isinstance(h, logging.FileHandler)]:
+            logger.removeHandler(old)
+            old.close()
+        logger.addHandler(handler)
 
 
-def _load_checkpoint(path, n_layers: int):
+def _load_checkpoint(path, teacher):
     """(indexer params or None, memories or None) from a weights file."""
     tensors = load_weights(path)
-    params = None
-    memories = None
-    if any(name.startswith("idx.") for name in tensors):
-        params = unpack_indexer(tensors, n_layers)
-    if any(name.startswith("mem.") for name in tensors):
-        memories = unpack_memory(tensors, n_layers)
-    return params, memories
+    families = {name.split(".")[0] for name in tensors}
+    return (unpack_indexer(tensors, teacher) if "idx" in families else None,
+            unpack_memory(tensors, teacher) if "mem" in families else None)
 
 
 def cmd_train_indexer(args) -> int:
@@ -100,7 +96,7 @@ def cmd_train_memory(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     _attach_sidecar(out)
-    stage_one, _ = _load_checkpoint(args.checkpoint, cfg.teacher.n_layers)
+    stage_one, _ = _load_checkpoint(args.checkpoint, cfg.teacher)
     if stage_one is None:
         raise ConfigError("checkpoint carries no indexer tensors")
     result = train_memory_run(cfg, stage_one,
@@ -144,8 +140,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--threads must be at least 1")
     params = memories = None
     if args.checkpoint:
-        params, memories = _load_checkpoint(args.checkpoint,
-                                            cfg.teacher.n_layers)
+        params, memories = _load_checkpoint(args.checkpoint, cfg.teacher)
     records = sweep_run(cfg, params_by_layer=params, memories=memories,
                         threads=args.threads)
     write_records(out / "sweep.jsonl", records)
@@ -159,7 +154,7 @@ def cmd_decode_sim(args) -> int:
     _attach_sidecar(out)
     params = None
     if args.checkpoint:
-        params, _ = _load_checkpoint(args.checkpoint, cfg.teacher.n_layers)
+        params, _ = _load_checkpoint(args.checkpoint, cfg.teacher)
     records = decode_run(cfg, params_by_layer=params)
     write_records(out / "decode.jsonl", records)
     log.info("wrote %d decode records to %s", len(records), out / "decode.jsonl")
@@ -248,6 +243,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    # Warnings go to run.log (see _attach_sidecar), never to stderr.
+    logging.getLogger("py.warnings").propagate = False
+    logging.captureWarnings(True)
     try:
         return args.func(args)
     except DivergenceError as err:
@@ -259,6 +257,8 @@ def main(argv=None) -> int:
     except OSError as err:
         print(_error_record(args.command, err), file=sys.stderr)
         return EXIT_IO
+    finally:
+        logging.captureWarnings(False)
 
 
 if __name__ == "__main__":

@@ -143,7 +143,6 @@ class ExperimentConfig:
     head_sum: bool
     stop_write_grad: bool
     decode_steps: int
-    decode_interval: int
     decode_budgets: tuple
     canonical: dict
 
@@ -178,7 +177,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             ratio=_as_number(tree, "plan", "ratio"),
             sink_count=_as_int(tree, "plan", "sink_count", 0),
             local_window=_as_int(tree, "plan", "local_window", 0),
-            budget=_as_int(tree, "plan", "budget", 1, optional=True))
+            budget=_as_int(tree, "plan", "budget", 1, optional=True),
+            decode_interval=_as_int(tree, "decode", "interval", 1))
     except ValueError as bad:
         raise ConfigError(str(bad)) from None
 
@@ -203,7 +203,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     budgets = tree["decode"]["budgets"]
     _require(isinstance(budgets, (list, tuple)) and len(budgets) > 0
-             and all(isinstance(b, int) and b >= 1 for b in budgets),
+             and all(type(b) is int and b >= 1 for b in budgets),
              "decode.budgets must be a non-empty list of positive integers")
 
     mem_lr = _as_number(tree, "train", "mem_lr")
@@ -248,7 +248,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         head_sum=_as_bool(tree, "train", "head_sum"),
         stop_write_grad=_as_bool(tree, "train", "stop_write_grad"),
         decode_steps=_as_int(tree, "decode", "steps", 1),
-        decode_interval=_as_int(tree, "decode", "interval", 1),
         decode_budgets=tuple(budgets),
         canonical=tree,
     )

@@ -13,9 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .memory import MEM_EPS, MemorySlowWeights, tokens_from_evicted
+from .memory import (
+    MEM_EPS,
+    MemorySlowWeights,
+    MemoryState,
+    gate,
+    mem_read,
+    mem_write,
+    phi,
+    tokens_from_evicted,
+)
 from .numerics import DivergenceError
 from .teacher import ForwardTrace, TeacherModel, attend_rows, flatten_heads
 
@@ -214,18 +222,13 @@ class EpisodeBatch:
                    size=len(episodes))
 
 
-def _replay_states(w_phi: np.ndarray, keys, values, lead: tuple,
+def _replay_states(slow: MemorySlowWeights, keys, values, n_ep: int,
                    lam: float, eta: float):
-    """Forward pass of the write sequence: per-event features and states.
-
-    Works on one episode (rows (w, d_model), ``lead`` ``()``) or on a stack
-    (rows (E, w, d_model), ``lead`` ``(E,)``); state ``m[j]``/``b[j]`` is
-    what a read sees after ``j`` writes.
-    """
-    d_model, d_mem = w_phi.shape
-    feats = [k @ w_phi for k in keys]
-    ms = [np.zeros(lead + (d_mem, d_model))]
-    bs = [np.zeros(lead + (d_mem,))]
+    """A stack's writes replayed as :func:`mem_write` does them: per-event
+    features and the state ``m[j]``/``b[j]`` a read sees after ``j`` writes."""
+    feats = [phi(slow, k) for k in keys]
+    ms = [np.zeros((n_ep, slow.d_mem, slow.d_model))]
+    bs = [np.zeros((n_ep, slow.d_mem))]
     for v, f in zip(values, feats):
         ms.append(lam * ms[-1] + eta * (np.swapaxes(f, -1, -2) @ v))
         bs.append(lam * bs[-1] + eta * (f ** 2).sum(axis=-2))
@@ -234,19 +237,19 @@ def _replay_states(w_phi: np.ndarray, keys, values, lead: tuple,
 
 def episode_loss(slow: MemorySlowWeights, episode: LayerEpisode,
                  lam: float = 0.95, eta: float = 1.0) -> float:
-    """Mean squared residual after the gated readout is subtracted."""
-    _, ms, bs = _replay_states(slow.w_phi,
-                               [ev.keys for ev in episode.writes],
-                               [ev.values for ev in episode.writes],
-                               (), lam, eta)
-    g = expit(episode.queries @ slow.w_gate + slow.gate_bias)
-    feat = episode.queries @ slow.w_phi
+    """Mean squared residual after the gated readout is subtracted, by the
+    memory's own forward: :func:`mem_write` per write event, then
+    :func:`mem_read` and :func:`gate` per ``reads_after`` group."""
+    states = [MemoryState.zeros(slow.d_mem, slow.d_model)]
+    for ev in episode.writes:
+        states.append(mem_write(slow, states[-1], ev.keys, ev.values,
+                                lam=lam, eta=eta))
     total = 0.0
     for j in np.unique(episode.reads_after):
         rows = episode.reads_after == j
-        denom = (feat[rows] ** 2) @ bs[j] + MEM_EPS
-        m = (feat[rows] @ ms[j]) / denom[:, None]
-        resid = episode.targets[rows] - g[rows, None] * m
+        q = episode.queries[rows]
+        resid = (episode.targets[rows]
+                 - gate(slow, q)[:, None] * mem_read(slow, states[j], q))
         total += float(np.sum(resid ** 2))
     return total / episode.targets.size
 
@@ -272,8 +275,9 @@ def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
     and ``w_phi`` (E, d_model, d_mem), ``w_gate`` (E, d_model) and
     ``gate_bias`` (a list of E floats), one gradient per episode.
 
-    Each episode's results are byte-identical to running it alone, which
-    holds because the kernel keeps three rules:
+    Each episode's results are byte-identical to running it alone, and its
+    loss to :func:`episode_loss` (the memory's own forward, which this one
+    fuses with what the backward needs), because the kernel keeps three rules:
 
     1. every elementwise expression has the single-episode form, with the
        episode axis broadcast (``m = num / denom``, ``resid = t - g * m``,
@@ -289,12 +293,11 @@ def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
     """
     queries, targets = stack.queries, stack.targets
     n_ep = queries.shape[0]
-    feats_k, ms, bs = _replay_states(slow.w_phi, stack.write_keys,
-                                     stack.write_values, (n_ep,), lam, eta)
+    feats_k, ms, bs = _replay_states(slow, stack.write_keys,
+                                     stack.write_values, n_ep, lam, eta)
     n_writes = len(stack.write_keys)
-    feat_q = queries @ slow.w_phi
-    z = queries @ slow.w_gate + slow.gate_bias
-    g = expit(z)
+    feat_q = phi(slow, queries)
+    g = gate(slow, queries)
 
     grad_phi = np.zeros((n_ep,) + slow.w_phi.shape)
     grad_gate = np.zeros((n_ep,) + slow.w_gate.shape)

@@ -31,7 +31,7 @@ from .indexer import (
     key_features,
     train_indexer,
 )
-from .memory import MemorySlowWeights, default_d_mem
+from .memory import MemorySlowWeights, MemoryState
 from .metrics import make_record
 from .numerics import DivergenceError, Rng, kl_divergence, rmsnorm
 from .policies import PolicyId, QueryRows, score_layer, select
@@ -48,10 +48,6 @@ POLICY_STREAM = 3000
 def make_policy(cfg: ExperimentConfig, name: str | None = None) -> PolicyId:
     return PolicyId(name=name or cfg.policy_name, window=cfg.policy_window,
                     seed=cfg.policy_seed, head_pool=cfg.policy_head_pool)
-
-
-def plan_at_ratio(cfg: ExperimentConfig, ratio: float) -> CompressionPlan:
-    return replace(cfg.plan, ratio=ratio, decode_interval=cfg.decode_interval)
 
 
 def input_sequence(cfg: ExperimentConfig, teacher: TeacherModel, rng: Rng,
@@ -190,7 +186,6 @@ def build_episode_sets(cfg: ExperimentConfig, teacher: TeacherModel,
     here rather than tracing the teacher again.
     """
     policy = make_policy(cfg)
-    plan = plan_at_ratio(cfg, cfg.plan.ratio)
     if runs is None:
         runs = (FullRun.of(teacher, x0, cfg.eval_start)
                 for x0, _ in sequences)
@@ -199,7 +194,8 @@ def build_episode_sets(cfg: ExperimentConfig, teacher: TeacherModel,
         scores = layer_scores(cfg, policy, full_run.trace, cfg.eval_start,
                               params_by_layer=params_by_layer,
                               rng_parent=Rng(cfg.policy_seed).split(POLICY_STREAM + s))
-        keeps = [select(plan, sc, np.arange(cfg.eval_start)) for sc in scores]
+        keeps = [select(cfg.plan, sc, np.arange(cfg.eval_start))
+                 for sc in scores]
         eps = prefill_episodes(teacher, x0, keeps, cfg.eval_start,
                                head_sum=cfg.head_sum, full_run=full_run)
         for li in range(cfg.teacher.n_layers):
@@ -253,9 +249,8 @@ def _accounting(cfg: ExperimentConfig, keep_counts, policy: PolicyId,
     if policy.name == "indexer" and params_by_layer is not None:
         idx = sum(int(c) * params_by_layer[li].d_index * 8
                   for li, c in enumerate(keep_counts))
-    mem = 0
-    if memories is not None:
-        mem = sum(m.d_mem * (m.d_model + 1) * 8 for m in memories)
+    mem = sum(MemoryState.zeros(m.d_mem, m.d_model).nbytes()
+              for m in memories or ())
     return {"kv_bytes": kv, "indexer_bytes": idx, "memory_bytes": mem,
             "total_bytes": kv + idx + mem}
 
@@ -315,7 +310,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     def eval_point(point):
         name, ratio = point
         policy = make_policy(cfg, name)
-        plan = plan_at_ratio(cfg, ratio)
+        plan = replace(cfg.plan, ratio=ratio)
         # The rule at ratio 1 keeps exactly the forced rows.
         forced = select(replace(plan, ratio=1.0), np.zeros(upto), prefix).size
         candidates = upto - forced
@@ -434,8 +429,7 @@ def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
         if budget < cfg.plan.sink_count + cfg.plan.local_window:
             raise ConfigError("decode budget must cover the sinks plus the "
                               "local window")
-        plan = replace(cfg.plan, budget=budget,
-                       decode_interval=cfg.decode_interval)
+        plan = replace(cfg.plan, budget=budget)
         for li, lt in enumerate(trace.layers):
             # The first compaction is scored against the prompt: the indexer
             # reads every prompt row, snapkv its trailing window, and tova
@@ -478,7 +472,7 @@ def decode_run(cfg: ExperimentConfig, params_by_layer=None) -> list:
     records = []
     for budget in cfg.decode_budgets:
         sim = _simulate_decode(cfg, teacher, x0, budget, params_by_layer)
-        bound = budget + cfg.decode_interval
+        bound = budget + cfg.plan.decode_interval
         for t in range(cfg.decode_steps):
             err = float(np.mean((sim["outputs"][t] - reference["outputs"][t]) ** 2))
             records.append(make_record("decode", cfg.config_hash, cfg.seed, {
@@ -511,7 +505,7 @@ def selftest() -> list:
     from .checkpoint import load_weights, save_weights
     from .crosslayer import entropy_gated_mean, running_mean
     from .indexer import pooled_vectors
-    from .memory import MEM_EPS, MemoryState, mem_read, mem_write
+    from .memory import MEM_EPS, mem_read, mem_write
     from .numerics import masked_softmax_rows, normalized_entropy
     from .teacher import TeacherConfig, attend_rows
 

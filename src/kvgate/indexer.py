@@ -29,6 +29,7 @@ from .numerics import (
     DivergenceError,
     Rng,
     kl_divergence,
+    masked_softmax_rows,
     rmsnorm,
     with_capacity,
 )
@@ -210,16 +211,6 @@ def _score_from_features(q_feat: np.ndarray, gates: np.ndarray,
     return np.where(invalid, -np.inf, block)
 
 
-def dense_scores(params: IndexerParams, x: np.ndarray,
-                 q_pre: np.ndarray) -> np.ndarray:
-    """Full L x L score matrix; test-scale reference for the blocked paths."""
-    n = np.asarray(x).shape[0]
-    ids = np.arange(n)
-    return _score_from_features(query_features(params, q_pre),
-                                head_gates(params, x),
-                                key_features(params, x), ids, ids)
-
-
 def importance_from_features(q_feat: np.ndarray, gates: np.ndarray,
                              k_feat: np.ndarray, q_ids: np.ndarray,
                              k_ids: np.ndarray, q_blk: int = 128,
@@ -389,8 +380,8 @@ def distill_gradients(params: IndexerParams, batch: DistillBatch):
     q = np.zeros_like(s_valid)
     tf = t_valid[finite]
     sf = s_valid[finite]
-    p[finite] = np.exp(tf - tf.max()) / np.exp(tf - tf.max()).sum()
-    q[finite] = np.exp(sf - sf.max()) / np.exp(sf - sf.max()).sum()
+    p[finite] = masked_softmax_rows(tf)
+    q[finite] = masked_softmax_rows(sf)
     d_imp = np.zeros(n)
     d_imp[keep] = q - p
 

@@ -97,13 +97,6 @@ class MemoryState:
     def zeros(cls, d_mem: int, d_model: int) -> "MemoryState":
         return cls(np.zeros((d_mem, d_model)), np.zeros(d_mem))
 
-    def reset(self) -> None:
-        self.m[:] = 0.0
-        self.b[:] = 0.0
-
-    def copy(self) -> "MemoryState":
-        return MemoryState(self.m.copy(), self.b.copy())
-
     def nbytes(self) -> int:
         return self.m.nbytes + self.b.nbytes
 
@@ -160,11 +153,8 @@ def fuse(slow: MemorySlowWeights, state: MemoryState, o_attn: np.ndarray,
          q: np.ndarray) -> np.ndarray:
     """Attention output plus the gated memory readout."""
     o_attn = np.asarray(o_attn, dtype=np.float64)
-    g = gate(slow, q)
-    m = mem_read(slow, state, q)
-    if o_attn.ndim == 1:
-        return o_attn + g * m
-    return o_attn + np.asarray(g)[:, None] * m
+    g = np.asarray(gate(slow, q))[..., None]
+    return o_attn + g * mem_read(slow, state, q)
 
 
 def tokens_from_evicted(keys: np.ndarray, values: np.ndarray, n_heads: int,

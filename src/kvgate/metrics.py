@@ -9,6 +9,7 @@ to the sidecar log, not to metrics.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +56,32 @@ def write_records(path, records) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _finite_number(text: str):
+    """JSON number hook: NaN, Infinity and what overflows a float64 are errors."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"number {text[:32]} is not a finite float64")
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
 def read_records(path) -> list:
+    """Records of a JSONL metrics file; a malformed line raises naming path:line."""
     out = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        if record.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}:{line_no}: metrics schema {record.get('schema')!r} "
-                f"is not {SCHEMA_VERSION}")
+        try:
+            record = json.loads(line, parse_int=_finite_number,
+                                parse_float=_finite_number,
+                                parse_constant=_finite_number)
+            if not (isinstance(record, dict)
+                    and isinstance(record.get("kind"), str)):
+                raise ValueError("a metrics record is a JSON object with a "
+                                 "string kind")
+            schema = record.get("schema")
+            if type(schema) is not int or schema != SCHEMA_VERSION:
+                raise ValueError(f"metrics schema {schema!r} is not {SCHEMA_VERSION}")
+        except ValueError as bad:
+            raise ValueError(f"{path}:{line_no}: {bad}") from None
         out.append(record)
     return out
 
@@ -87,7 +104,8 @@ def _x_key(records: list) -> str:
 def report_tables(records: list) -> tuple[dict, dict]:
     """CSV text per (kind, policy, metric) plus a summary tree.
 
-    Raises on empty input: an empty sweep is a mistake, not a report.
+    Raises on empty input (an empty sweep is a mistake, not a report), on
+    non-numeric x values, and on names that cannot make a file name.
     """
     records = list(records)
     if not records:
@@ -107,6 +125,8 @@ def report_tables(records: list) -> tuple[dict, dict]:
     for (kind, policy, folded) in sorted(groups):
         rows = groups[(kind, policy, folded)]
         x_key = _x_key(rows)
+        if any(type(r.get(x_key, 0)) not in (int, float) for r in rows):
+            raise ValueError(f"{kind}/{policy}: {x_key} values must be numbers")
         order = sorted(range(len(rows)),
                        key=lambda i: (rows[i].get(x_key, i), i))
         skip = set(ENVELOPE_KEYS) | {"policy", x_key}
@@ -126,7 +146,10 @@ def report_tables(records: list) -> tuple[dict, dict]:
                 value = rows[i][metric]
                 values.append(float(value))
                 lines.append(f"{_csv_cell(x)},{_csv_cell(value)}")
-            tables[f"{kind}.{policy}.{metric}.csv"] = "\n".join(lines) + "\n"
+            name = f"{kind}.{policy}.{metric}.csv"
+            if "/" in name or "\0" in name or len(name.encode("utf-8")) > 255:
+                raise ValueError(f"no report file can be named {name[:64]!r}")
+            tables[name] = "\n".join(lines) + "\n"
             group_summary[metric] = {
                 "n": len(values),
                 "mean": float(np.mean(values)),

@@ -121,26 +121,8 @@ def with_capacity(buf: np.ndarray, used: int, need: int, axis: int = 0) -> np.nd
     return out
 
 
-def softmax_stable(logits) -> np.ndarray:
-    """Softmax of a vector whose entries are finite or -inf (masked out).
-
-    The maximum is subtracted before exponentiation, masked entries map to
-    exact zeros, and an all-masked input raises instead of returning NaN.
-    """
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("softmax_stable expects a 1-D array")
-    if np.isnan(x).any() or np.isposinf(x).any():
-        raise ValueError("logits must be finite or -inf")
-    m = np.max(x) if x.size else -np.inf
-    if not np.isfinite(m):
-        raise ValueError("empty support")
-    e = np.exp(x - m)
-    return e / e.sum()
-
-
 def masked_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax for a 2-D (or higher) array of logits.
+    """Stable softmax along the last axis; a vector is a single row.
 
     Rows may contain -inf entries but each row needs at least one finite
     entry; a fully masked row raises "empty support". A NaN or +inf logit
@@ -244,7 +226,7 @@ def score_to_prob(scores, mode: str = "softmax", temperature: float = 1.0) -> np
     if mode == "softmax":
         if temperature <= 0:
             raise ValueError("temperature must be positive")
-        return softmax_stable(s / temperature)
+        return masked_softmax_rows(s / temperature)
     if mode == "negonly":
         lo = s.min()
         shifted = s - lo if lo < 0 else s

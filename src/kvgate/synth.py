@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, rmsnorm
+from .numerics import Rng
 from .teacher import TeacherModel, kv_head_of, rope_apply
 
 

@@ -206,10 +206,14 @@ class TestMalformedFiles:
         loads_or_rejects(tmp_path / "w.kvgt", MAGIC + tail)
 
 
+def teacher(n_layers=2, d_model=16):
+    return TeacherConfig(n_layers=n_layers, d_model=d_model, n_heads=4,
+                         n_kv_heads=2, d_ffn=32, vocab_size=16, seed=3)
+
+
 class TestPacking:
-    def make_indexer(self, n_layers=2):
-        cfg = TeacherConfig(n_layers=n_layers, d_model=16, n_heads=4,
-                            n_kv_heads=2, d_ffn=32, vocab_size=16, seed=3)
+    def make_indexer(self, n_layers=2, d_model=16):
+        cfg = teacher(n_layers, d_model)
         return [IndexerParams.init(cfg, Rng(40).split(layer), h_index=2,
                                    d_index=3) for layer in range(n_layers)]
 
@@ -217,7 +221,7 @@ class TestPacking:
         path = tmp_path / "idx.kvgt"
         params = self.make_indexer()
         save_weights(path, indexer_tensors(params))
-        back = unpack_indexer(load_weights(path), n_layers=2)
+        back = unpack_indexer(load_weights(path), teacher(2))
         for orig, got in zip(params, back):
             assert np.array_equal(orig.u_q, got.u_q)
             assert np.array_equal(orig.u_k, got.u_k)
@@ -227,7 +231,7 @@ class TestPacking:
         path = tmp_path / "idx.kvgt"
         save_weights(path, indexer_tensors(self.make_indexer(n_layers=1)))
         with pytest.raises(ValueError, match="lacks"):
-            unpack_indexer(load_weights(path), n_layers=2)
+            unpack_indexer(load_weights(path), teacher(2))
 
     def test_memory_round_trip(self, tmp_path):
         path = tmp_path / "mem.kvgt"
@@ -236,7 +240,7 @@ class TestPacking:
         mods[1] = MemorySlowWeights(w_phi=mods[1].w_phi,
                                     w_gate=mods[1].w_gate, gate_bias=-1.75)
         save_weights(path, memory_tensors(mods))
-        back = unpack_memory(load_weights(path), n_layers=3)
+        back = unpack_memory(load_weights(path), teacher(3))
         for orig, got in zip(mods, back):
             assert np.array_equal(orig.w_phi, got.w_phi)
             assert np.array_equal(orig.w_gate, got.w_gate)
@@ -249,7 +253,7 @@ class TestPacking:
         save_weights(path, memory_tensors(
             [MemorySlowWeights.init(16, Rng(50))]))
         with pytest.raises(ValueError, match="lacks"):
-            unpack_memory(load_weights(path), n_layers=2)
+            unpack_memory(load_weights(path), teacher(2))
 
     def test_joint_file_keeps_both_families(self, tmp_path):
         path = tmp_path / "joint.kvgt"
@@ -259,5 +263,40 @@ class TestPacking:
         tensors = {**indexer_tensors(params), **memory_tensors(mods)}
         save_weights(path, tensors)
         loaded = load_weights(path)
-        assert len(unpack_indexer(loaded, 2)) == 2
-        assert len(unpack_memory(loaded, 2)) == 2
+        assert len(unpack_indexer(loaded, teacher(2))) == 2
+        assert len(unpack_memory(loaded, teacher(2))) == 2
+
+    def test_indexer_width_must_match_teacher(self):
+        tensors = indexer_tensors(self.make_indexer(d_model=8))
+        with pytest.raises(ValueError, match=r"'idx\.0\.u_q' has shape \[8, 6\]"):
+            unpack_indexer(tensors, teacher(2, d_model=16))
+
+    def test_memory_width_must_match_teacher(self):
+        mods = [MemorySlowWeights.init(16, Rng(52).split(layer))
+                for layer in range(2)]
+        with pytest.raises(ValueError, match=r"'mem\.0\.w_phi'"):
+            unpack_memory(memory_tensors(mods), teacher(2, d_model=32))
+
+    def test_memory_bias_must_be_scalar(self):
+        mods = [MemorySlowWeights.init(16, Rng(53).split(layer))
+                for layer in range(2)]
+        tensors = memory_tensors(mods)
+        tensors["mem.1.bias"] = np.zeros(1)
+        with pytest.raises(ValueError, match=r"'mem\.1\.bias' has shape \[1\]"):
+            unpack_memory(tensors, teacher(2))
+
+    @pytest.mark.parametrize("extra", ["idx.2.u_q", "idx.0.w"])
+    def test_indexer_tensor_outside_teacher_rejected(self, extra):
+        tensors = indexer_tensors(self.make_indexer(n_layers=3))
+        tensors = {name: value for name, value in tensors.items()
+                   if not name.startswith("idx.2.")}
+        tensors[extra] = tensors["idx.0.u_q"]
+        with pytest.raises(ValueError, match=f"{extra!r} does not belong "
+                                             "to a 2-layer teacher"):
+            unpack_indexer(tensors, teacher(2))
+
+    def test_memory_layer_past_teacher_rejected(self):
+        mods = [MemorySlowWeights.init(16, Rng(54).split(layer))
+                for layer in range(2)]
+        with pytest.raises(ValueError, match="'mem.1.bias' does not belong"):
+            unpack_memory(memory_tensors(mods), teacher(1))

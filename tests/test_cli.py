@@ -1,10 +1,19 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
+import io
 import json
 import logging
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvgate.checkpoint import (
     FORMAT_VERSION,
@@ -42,6 +51,14 @@ def write_config(directory, name="config.json", **overrides):
     path = directory / name
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
 
 
 def run(*argv):
@@ -305,6 +322,35 @@ class TestDecodeSim:
         assert "non-finite" in record["message"]
         assert not (out / "decode.jsonl").exists()
 
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path):
+        # pytest's own warning capture would hide a leak, so the poisoned
+        # run goes through a plain interpreter.
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import kvgate.harness as harness",
+            "from kvgate.cli import main",
+            "class Poisoned(harness.TeacherModel):",
+            "    def __init__(self, config):",
+            "        super().__init__(config)",
+            "        self.layers[0].w_out[0, 0] = np.inf",
+            "harness.TeacherModel = Poisoned",
+            "sys.exit(main(sys.argv[1:]))",
+        ])
+        config = write_config(tmp_path, policy={"name": "knorm"})
+        out = tmp_path / "out"
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "decode-sim", "--config",
+             str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_DIVERGENCE
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] == "DivergenceError"
+        assert "RuntimeWarning" in (out / "run.log").read_text(encoding="utf-8")
+
     def test_indexer_scored_decode(self, stage_one, tmp_path):
         out = tmp_path / "out"
         assert run("decode-sim", "--config", stage_one["config"],
@@ -352,6 +398,51 @@ class TestReport:
         assert code == EXIT_CONFIG
         assert stderr_record(capsys)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("lines, message, per_line", [
+        (['[1,2]'], "JSON object", True),
+        (['{"schema":1}'], "string kind", True),
+        (['{"schema":1,"kind":3}'], "string kind", True),
+        (['{"schema":1,"kind":"sweep","ratio":NaN}'], "finite", True),
+        (['{"schema":1,"kind":"sweep","ratio":"0.5","recall":1.0}',
+          '{"schema":1,"kind":"sweep","ratio":0.25,"recall":0.5}'],
+         "ratio values must be numbers", False),
+        (['{"schema":1,"kind":"a/b","ratio":0.5,"recall":1.0}'], "named",
+         False),
+    ])
+    def test_malformed_line_is_one_error_record(self, tmp_path, capsys,
+                                                lines, message, per_line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run("report", bad, "--out", tmp_path / "report")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert message in record["message"]
+        assert (f"{bad}:1:" in record["message"]) == per_line
+
+    @settings(max_examples=150, deadline=None)
+    @given(line=st.text(st.characters(blacklist_categories=("Cs",)))
+           | st.fixed_dictionaries(
+               {"schema": st.sampled_from([1, 1, 2, "1"]),
+                "kind": st.text(max_size=8) | st.integers()},
+               optional={key: JSON_VALUES for key in
+                         ("ratio", "step", "budget", "policy", "recall")}
+           ).map(json.dumps))
+    def test_any_metrics_line_exits_zero_or_one_record(self, line):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.jsonl"
+            path.write_text(line + "\n", encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run("report", path, "--out", Path(tmp) / "report")
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        lines = err.getvalue().splitlines()
+        if code == EXIT_OK:
+            assert lines == []
+        else:
+            assert len(lines) == 1
+            json.loads(lines[0])
+
 
 class TestErrorPaths:
     def test_invalid_json_config(self, tmp_path, capsys):
@@ -396,6 +487,20 @@ class TestErrorPaths:
         record = only_stderr_record(capsys)
         assert record["command"] == "sweep"
         assert record["error"] == "ValueError"
+
+    @pytest.mark.parametrize("teacher, tensor", [
+        ({"d_model": 32}, "'idx.0.u_q' has shape [16, 6]"),
+        ({"n_layers": 1}, "'idx.1.g' does not belong to a 1-layer teacher"),
+    ])
+    def test_checkpoint_from_another_teacher(self, stage_one, tmp_path,
+                                             capsys, teacher, tensor):
+        config = write_config(tmp_path, teacher=teacher)
+        code = run("sweep", "--config", config, "--checkpoint",
+                   stage_one["checkpoint"], "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert tensor in record["message"]
 
     def test_no_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -1,10 +1,13 @@
 """Strict config parsing, defaults, and the canonical hash."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kvgate.config import ConfigError, load_config, parse_config
+from kvgate.config import _SCHEMA, ConfigError, load_config, parse_config
 
 
 def minimal():
@@ -105,11 +108,26 @@ class TestParsing:
         with pytest.raises(ConfigError, match=needle.split(".")[-1]):
             parse_config(raw)
 
+    @pytest.mark.parametrize("patch,needle", [
+        ({"budgets": [True]}, "budgets"),
+        ({"budgets": [48, False]}, "budgets"),
+        ({"interval": True}, "interval"),
+    ])
+    def test_decode_booleans_rejected(self, patch, needle):
+        with pytest.raises(ConfigError, match=needle):
+            parse_config({"version": 1, "decode": patch})
+
     @pytest.mark.parametrize("value", [True, False])
     def test_json_booleans_parse(self, value):
         cfg = parse_config({"version": 1, "train": {"head_sum": value,
                                                     "stop_write_grad": value}})
         assert cfg.head_sum is value and cfg.stop_write_grad is value
+
+    def test_plan_carries_decode_interval(self):
+        assert parse_config(minimal()).plan.decode_interval == 128
+        cfg = parse_config({"version": 1, "decode": {"interval": 16}})
+        assert cfg.plan.decode_interval == 16
+        assert cfg.canonical["decode"]["interval"] == 16
 
     def test_eval_start_must_be_inside(self):
         with pytest.raises(ConfigError, match="eval_start"):
@@ -123,6 +141,45 @@ class TestParsing:
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 300)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(max_size=6))
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+
+
+def schema_section(defaults: dict):
+    """Any subset of a section's keys, each at its default or any value."""
+    return st.fixed_dictionaries({}, optional={
+        key: (schema_section(value) if isinstance(value, dict)
+              else st.just(value) | JSON_VALUES)
+        for key, value in defaults.items()})
+
+
+def unflagged_fields(cfg):
+    """Every field of a parsed config but the two flags, budgets included."""
+    for part in (cfg, cfg.teacher, cfg.plan):
+        for f in dataclasses.fields(part):
+            value = getattr(part, f.name)
+            if f.name not in ("head_sum", "stop_write_grad", "canonical"):
+                yield f.name, value
+    for budget in cfg.decode_budgets:
+        yield "budget", budget
+
+
+class TestAnyJsonObject:
+    @settings(max_examples=300, deadline=None)
+    @example(raw={"version": 1, "decode": {"budgets": [True]}})
+    @given(raw=schema_section(_SCHEMA).map(lambda raw: {"version": 1, **raw})
+           | st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4))
+    def test_parses_or_raises_config_error(self, raw):
+        try:
+            cfg = parse_config(raw)
+        except ConfigError:
+            return
+        for name, value in unflagged_fields(cfg):
+            assert not isinstance(value, bool), name
 
 
 class TestHash:

@@ -418,13 +418,34 @@ class TestLossAndGrads:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_grad_loss_equals_plain_loss(self):
-        eps = mixed_episodes()
-        slow = MemorySlowWeights.init(D, Rng(301), d_mem=3)
-        batch = EpisodeBatch.of(eps)
-        for stack, idx in zip(batch.stacks, batch.order):
-            losses, _ = episode_loss_and_grads(slow, stack, lam=0.9, eta=0.8)
-            for loss, i in zip(losses, idx):
-                assert loss == episode_loss(slow, eps[i], lam=0.9, eta=0.8)
+        # episode_loss is memory.py's forward, so this ties the stacked
+        # kernel's fused forward to mem_write, mem_read and gate bit for bit.
+        for eps, d_model, d_mem in ((mixed_episodes(), D, 3),
+                                    (pipeline_episodes(), 64, 8)):
+            slow = MemorySlowWeights.init(d_model, Rng(301), d_mem=d_mem)
+            batch = EpisodeBatch.of(eps)
+            for stack, idx in zip(batch.stacks, batch.order):
+                losses, _ = episode_loss_and_grads(slow, stack, lam=0.9,
+                                                   eta=0.8)
+                for loss, i in zip(losses, idx):
+                    assert loss == episode_loss(slow, eps[i], lam=0.9,
+                                                eta=0.8)
+
+    def test_plain_loss_reads_and_writes_through_memory(self, monkeypatch):
+        calls = {"mem_write": 0, "mem_read": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(episodes_module, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(episodes_module, name, counted)
+        slow = MemorySlowWeights.init(D, Rng(305), d_mem=3)
+        for ep in mixed_episodes():
+            before = dict(calls)
+            episode_loss(slow, ep)
+            assert calls["mem_write"] - before["mem_write"] == len(ep.writes)
+            assert (calls["mem_read"] - before["mem_read"]
+                    == np.unique(ep.reads_after).size)
 
     def test_finite_difference_check(self):
         check_against_finite_differences([multi_write_episode()])

@@ -20,7 +20,6 @@ from kvgate.harness import (
     input_sequence,
     layer_scores,
     make_policy,
-    plan_at_ratio,
     selftest,
     sweep_run,
     train_indexer_run,
@@ -318,7 +317,7 @@ class TestSweepFromScratch:
         support = np.arange(cfg.plan.sink_count, upto)
         for record in records:
             policy = make_policy(cfg, record["policy"])
-            plan = plan_at_ratio(cfg, record["ratio"])
+            plan = replace(cfg.plan, ratio=record["ratio"])
             attn, fused, recalls, kls = [], [], [], []
             for s, (x0, planted) in enumerate(sequences):
                 trace = teacher.forward(x0=x0)

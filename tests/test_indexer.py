@@ -10,9 +10,9 @@ from kvgate.indexer import (
     IndexerKeyCache,
     IndexerParams,
     WsdSchedule,
+    _score_from_features,
     default_d_index,
     default_h_index,
-    dense_scores,
     distill_batch,
     distill_gradients,
     indexer_importance,
@@ -28,6 +28,14 @@ from kvgate.indexer import (
 from kvgate.numerics import Rng, rmsnorm
 from kvgate.policies import select
 from kvgate.teacher import TeacherConfig, TeacherModel
+
+
+def dense_scores(params, x, q_pre):
+    """Full L x L score matrix; the reference for the blocked paths."""
+    ids = np.arange(np.asarray(x).shape[0])
+    return _score_from_features(query_features(params, q_pre),
+                                head_gates(params, x),
+                                key_features(params, x), ids, ids)
 
 
 def small_teacher(n_layers=2, seed=5):

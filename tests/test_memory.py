@@ -48,11 +48,9 @@ class TestSlowWeights:
 
 
 class TestState:
-    def test_zeros_and_reset(self):
+    def test_zeros(self):
         st = MemoryState.zeros(3, 12)
         assert st.m.shape == (3, 12) and st.b.shape == (3,)
-        st.m[0, 0] = 5.0
-        st.reset()
         assert np.all(st.m == 0.0) and np.all(st.b == 0.0)
 
     def test_footprint_constant_in_tokens(self):
