@@ -99,7 +99,8 @@ class KvCache:
             raise ValueError(f"appended rows must have shape {expected}")
         if pos.size == 0:
             return
-        if np.any(np.diff(pos) <= 0):
+        # One position (a decode step) is trivially strictly increasing.
+        if pos.size > 1 and np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
         n = self._lengths[layer]
         if n and pos[0] <= self._positions[layer][n - 1]:

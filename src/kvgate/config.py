@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,7 +107,13 @@ def _as_number(tree: dict, section: str, key: str) -> float:
     value = tree[section][key]
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{section}.{key} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    # JSON's Infinity and NaN parse as floats; no knob accepts them.
+    _require(math.isfinite(number), f"{section}.{key} must be finite")
+    return number
 
 
 @dataclass
@@ -157,7 +164,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     tree = _merge("", _SCHEMA, raw)
-    _require(tree["version"] == CONFIG_VERSION,
+    # ``True == 1``, so the type check keeps ``"version": true`` out.
+    _require(type(tree["version"]) is int and tree["version"] == CONFIG_VERSION,
              f"config version must be {CONFIG_VERSION}")
     _require(isinstance(tree["seed"], int) and not isinstance(tree["seed"], bool)
              and tree["seed"] >= 0, "seed must be a non-negative integer")

@@ -155,7 +155,8 @@ class IndexerKeyCache:
             raise ValueError(f"expected rows of width {self.d_index}")
         if pos.size == 0:
             return
-        if np.any(np.diff(pos) <= 0):
+        # One position (a decode step) is trivially strictly increasing.
+        if pos.size > 1 and np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
         n = self._length
         if n and pos[0] <= self._positions[n - 1]:

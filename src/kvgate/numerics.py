@@ -128,8 +128,12 @@ def masked_softmax_rows(logits: np.ndarray) -> np.ndarray:
     entry; a fully masked row raises "empty support". A NaN or +inf logit
     makes its row maximum NaN or +inf, which raises DivergenceError: the
     values feeding the softmax have stopped being finite.
+
+    The row maximum calls the ``np.maximum`` reduction directly: the
+    arithmetic of ``np.max`` without its Python-level argument handling,
+    which dominates a one-row call.
     """
-    m = np.max(logits, axis=-1, keepdims=True)
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     if not np.isfinite(m).all():
         if (np.isnan(m) | np.isposinf(m)).any():
             raise DivergenceError("non-finite attention logits")
@@ -148,11 +152,15 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def rmsnorm(x, axis: int = -1) -> np.ndarray:
-    """x / sqrt(mean(x^2) + 1e-6) along ``axis``; no learnable scale."""
+    """x / sqrt(mean(x^2) + 1e-6) along ``axis``; no learnable scale.
+
+    The mean is the sum-then-divide that ``np.mean`` performs, written out
+    so that a one-row call does not pay for ``np.mean``'s Python wrapper.
+    """
     a = np.asarray(x, dtype=np.float64)
     if a.shape[axis] == 0:
         raise ValueError("rmsnorm of an empty vector")
-    ms = np.mean(a * a, axis=axis, keepdims=True)
+    ms = np.add.reduce(a * a, axis=axis, keepdims=True) / a.shape[axis]
     return a / np.sqrt(ms + NORM_EPS)
 
 

@@ -58,26 +58,39 @@ def kv_head_of(query_head: int, n_heads: int, n_kv_heads: int) -> int:
     return query_head * n_kv_heads // n_heads
 
 
-def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
-    """Rotate feature pairs (2i, 2i+1) by angle pos * base**(-2i/d).
+def rope_tables(positions, d: int, base: float = 10000.0):
+    """Rotary ``(cos, sin)`` tables, each (..., L, d // 2), for ``positions``.
 
-    ``x`` has shape (..., L, d) with even d; ``positions`` has length L.
-    Negative positions invert the rotation, which some callers use to undo it.
+    Pair i of a row at position p is rotated by angle p * base**(-2i/d).
+    One pair of tables serves every tensor rotated at the same positions.
     """
-    d = x.shape[-1]
     if d % 2 != 0:
         raise ValueError("rotary embedding needs an even feature dimension")
     pos = np.asarray(positions, dtype=np.float64)
     inv_freq = base ** (-np.arange(0, d, 2, dtype=np.float64) / d)
     theta = pos[..., :, None] * inv_freq
-    c = np.cos(theta)
-    s = np.sin(theta)
+    return np.cos(theta), np.sin(theta)
+
+
+def rope_rotate(x: np.ndarray, tables) -> np.ndarray:
+    """Rotate feature pairs (2i, 2i+1) of ``x`` (..., L, d) by
+    :func:`rope_tables` built for the same L positions and d."""
+    c, s = tables
     even = x[..., 0::2]
     odd = x[..., 1::2]
     out = np.empty_like(np.asarray(x, dtype=np.float64))
     out[..., 0::2] = even * c - odd * s
     out[..., 1::2] = even * s + odd * c
     return out
+
+
+def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
+    """Rotate feature pairs (2i, 2i+1) by angle pos * base**(-2i/d).
+
+    ``x`` has shape (..., L, d) with even d; ``positions`` has length L.
+    Negative positions invert the rotation, which some callers use to undo it.
+    """
+    return rope_rotate(x, rope_tables(positions, x.shape[-1], base))
 
 
 def attention_full(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int) -> np.ndarray:
@@ -112,11 +125,13 @@ def attend_rows(q_rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
 
     Returns (nq, n_heads * d_head).
 
-    A single query row (``nq == 1``, a decode step) computes the query heads
-    sharing a kv head as one stacked matmul, one iteration per kv head.
-    Every other input (prefill, episodes, sweep) runs one head at a time
-    with 2-D ops. NumPy runs the same BLAS call for each head of a stack,
-    so the result is bitwise that of a per-head loop.
+    A single query row (``nq == 1``, a decode step) runs every head at once:
+    the queries are viewed as (n_kv_heads, group, 1, d_head) and meet
+    their kv head's keys and values through one 4-D stacked matmul each,
+    with one softmax over all heads. Every other input (prefill, episodes,
+    sweep) runs one head at a time with 2-D ops. NumPy runs the same BLAS
+    call for each matrix of a stack, so the result is bitwise that of a
+    per-head loop.
     """
     return _attend(q_rows, keys, values, scale_dim, visible)
 
@@ -126,20 +141,23 @@ def _attend(q_rows, keys, values, scale_dim, visible):
     # names so a per-function profile attributes prefill and row attention
     # apart.
     n_heads, nq, dh = q_rows.shape
-    n_kv, n_rows, _ = keys.shape
+    n_kv = keys.shape[0]
     group = n_heads // n_kv
-    per_block = group if nq == 1 else 1
     scale = 1.0 / np.sqrt(float(scale_dim))
+    if nq == 1:
+        q = q_rows.reshape(n_kv, group, 1, dh)
+        logits = (q @ keys.transpose(0, 2, 1)[:, None]) * scale
+        if visible is not None:
+            logits = np.where(visible, logits, -np.inf)
+        o = masked_softmax_rows(logits) @ values[:, None]
+        return o.reshape(1, n_heads * dh)
     out = np.empty((nq, n_heads, dh))
-    for g in range(n_kv):
-        for h0 in range(g * group, (g + 1) * group, per_block):
-            h1 = h0 + per_block
-            q = q_rows[h0] if per_block == 1 else q_rows[h0:h1]
-            logits = (q @ keys[g].T) * scale
-            if visible is not None:
-                logits = np.where(visible, logits, -np.inf)
-            o = masked_softmax_rows(logits) @ values[g]
-            out[:, h0:h1, :] = o[:, None, :] if o.ndim == 2 else o.transpose(1, 0, 2)
+    for h in range(n_heads):
+        g = h // group
+        logits = (q_rows[h] @ keys[g].T) * scale
+        if visible is not None:
+            logits = np.where(visible, logits, -np.inf)
+        out[:, h, :] = masked_softmax_rows(logits) @ values[g]
     return out.reshape(nq, n_heads * dh)
 
 
@@ -216,16 +234,17 @@ class TeacherModel:
             raise ValueError("token id out of range")
         return self.embedding[ids].copy()
 
-    def _project_qkv(self, layer: TeacherLayer, x: np.ndarray, positions):
-        """Shared projection path for prefill and decode; x is (n, d_model)."""
+    def _project_qkv(self, layer: TeacherLayer, x: np.ndarray, rope):
+        """Shared projection path for prefill and decode; x is (n, d_model)
+        and ``rope`` the :func:`rope_tables` of its n positions."""
         cfg = self.config
         a_in = rmsnorm(x) * layer.attn_norm_gain
         n = x.shape[0]
         q_pre = (a_in @ layer.w_q).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
         k_pre = (a_in @ layer.w_k).reshape(n, cfg.n_kv_heads, cfg.d_head).transpose(1, 0, 2)
         v = (a_in @ layer.w_v).reshape(n, cfg.n_kv_heads, cfg.d_head).transpose(1, 0, 2)
-        q = rope_apply(q_pre, positions, cfg.rope_base)
-        k = rope_apply(k_pre, positions, cfg.rope_base)
+        q = rope_rotate(q_pre, rope)
+        k = rope_rotate(k_pre, rope)
         return q_pre, q, k, v
 
     def _finish_layer(self, layer: TeacherLayer, x: np.ndarray, o_concat: np.ndarray) -> np.ndarray:
@@ -250,10 +269,11 @@ class TeacherModel:
                 raise ValueError("x0 must have shape (L, d_model)")
             if x.shape[0] == 0:
                 raise ValueError("empty sequence")
-        positions = np.arange(x.shape[0])
+        rope = rope_tables(np.arange(x.shape[0]), self.config.d_head,
+                           self.config.rope_base)
         traces = []
         for layer in self.layers:
-            q_pre, q, k, v = self._project_qkv(layer, x, positions)
+            q_pre, q, k, v = self._project_qkv(layer, x, rope)
             o_concat = attention_full(q, k, v, self.config.d_model)
             x_out = self._finish_layer(layer, x, o_concat)
             traces.append(LayerTrace(x_in=x, q_pre=q_pre, q=q, k=k, v=v,
@@ -269,10 +289,12 @@ class TeacherModel:
         """
         cfg = self.config
         x = np.asarray(x_row, dtype=np.float64).reshape(1, cfg.d_model)
+        positions = np.array([position])
+        rope = rope_tables(positions, cfg.d_head, cfg.rope_base)
         xs, qps, qs, os_ = [], [], [], []
         for idx, layer in enumerate(self.layers):
-            q_pre, q, k, v = self._project_qkv(layer, x, np.array([position]))
-            cache.append(idx, k, v, np.array([position]))
+            q_pre, q, k, v = self._project_qkv(layer, x, rope)
+            cache.append(idx, k, v, positions)
             o = attend_rows(q, cache.keys(idx), cache.values(idx), cfg.d_model)
             xs.append(x[0])
             qps.append(q_pre[:, 0, :])

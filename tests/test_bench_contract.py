@@ -39,3 +39,31 @@ def test_traced_name_resolves(mod_name, attr):
 def test_harness_exposes_thread_pool():
     harness = importlib.import_module("kvgate.harness")
     assert "ThreadPoolExecutor" in vars(harness)
+
+
+def test_decode_step_attention_goes_through_traced_names(monkeypatch):
+    # The tracer counts teacher.attend_rows and cache.KvCache.append; a
+    # decode step that reached the kernel or the buffers around them would
+    # drop out of teacher.attend_rows.calls (12,288 per decode-long round).
+    teacher = importlib.import_module("kvgate.teacher")
+    cache_mod = importlib.import_module("kvgate.cache")
+    calls = {"attend_rows": 0, "append": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(teacher, "attend_rows",
+                        counted("attend_rows", teacher.attend_rows))
+    monkeypatch.setattr(cache_mod.KvCache, "append",
+                        counted("append", cache_mod.KvCache.append))
+    cfg = teacher.TeacherConfig(n_layers=3, d_model=16, n_heads=4,
+                                n_kv_heads=2, d_ffn=32, vocab_size=16)
+    model = teacher.TeacherModel(cfg)
+    cache = cache_mod.KvCache(cfg.n_layers, cfg.n_kv_heads, cfg.d_head)
+    for position in range(2):
+        model.forward_step(model.embed([position])[0], cache, position)
+    assert calls == {"attend_rows": 2 * cfg.n_layers,
+                     "append": 2 * cfg.n_layers}

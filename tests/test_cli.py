@@ -477,6 +477,27 @@ class TestErrorPaths:
         assert record["error"] == "ConfigError"
         assert "head_sum" in record["message"]
 
+    def test_boolean_version_in_config(self, tmp_path, capsys):
+        config = write_config(tmp_path, version=True)
+        code = run("train-indexer", "--config", config,
+                   "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "version" in record["message"]
+
+    def test_infinite_number_in_config(self, tmp_path, capsys):
+        # json.dumps writes float("inf") as JSON's Infinity, which
+        # json.loads accepts.
+        config = write_config(tmp_path, train={"mem_lr": float("inf")})
+        assert "Infinity" in config.read_text(encoding="utf-8")
+        code = run("train-indexer", "--config", config,
+                   "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "mem_lr must be finite" in record["message"]
+
     def test_checkpoint_manifest_without_tensors(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.kvgt"
         body = json.dumps({"version": FORMAT_VERSION}).encode("utf-8")

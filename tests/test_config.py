@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,6 +55,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="version"):
             parse_config({"version": 2})
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_the_integer_one(self, version):
+        # True == 1 and 1.0 == 1, but neither is the documented version,
+        # and each would hash differently from "version": 1.
+        with pytest.raises(ConfigError, match="version"):
+            parse_config({"version": version})
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config({"version": 1, "plam": {}})
@@ -102,6 +110,11 @@ class TestParsing:
         *[({"train": {key: value}}, f"{key} must be true or false")
           for key in ("head_sum", "stop_write_grad")
           for value in ("false", "no", 0, 1, None)],
+        *[({"train": {key: value}}, f"{key} must be finite")
+          for key in ("mem_lr", "eta", "indexer_peak", "lam")
+          for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
+        ({"agg": {"gamma": math.nan}}, "gamma must be finite"),
+        ({"plan": {"ratio": math.inf}}, "ratio must be finite"),
     ])
     def test_bad_values_rejected(self, patch, needle):
         raw = {**minimal(), **patch}
@@ -171,6 +184,9 @@ def unflagged_fields(cfg):
 class TestAnyJsonObject:
     @settings(max_examples=300, deadline=None)
     @example(raw={"version": 1, "decode": {"budgets": [True]}})
+    @example(raw={"version": 1, "train": {"mem_lr": math.inf, "eta": math.inf,
+                                          "indexer_peak": math.inf}})
+    @example(raw={"version": True})
     @given(raw=schema_section(_SCHEMA).map(lambda raw: {"version": 1, **raw})
            | st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4))
     def test_parses_or_raises_config_error(self, raw):
@@ -178,8 +194,11 @@ class TestAnyJsonObject:
             cfg = parse_config(raw)
         except ConfigError:
             return
+        assert type(cfg.canonical["version"]) is int
         for name, value in unflagged_fields(cfg):
             assert not isinstance(value, bool), name
+            if isinstance(value, float):
+                assert math.isfinite(value), name
 
 
 class TestHash:

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kvgate.numerics import (
+    NORM_EPS,
     DivergenceError,
     Rng,
     kl_divergence,
@@ -112,6 +116,54 @@ class TestRmsnorm:
         out = rmsnorm(mat)
         for i in range(6):
             assert np.allclose(out[i], rmsnorm(mat[i]), atol=1e-15)
+
+
+def mean_rmsnorm(x, axis):
+    """rmsnorm through np.mean, the formula rmsnorm must match bit for bit."""
+    a = np.asarray(x, dtype=np.float64)
+    return a / np.sqrt(np.mean(a * a, axis=axis, keepdims=True) + NORM_EPS)
+
+
+def max_softmax_rows(logits):
+    """masked_softmax_rows through np.max, bit for bit the kernel's formula."""
+    m = np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=40)
+FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def masked_logits(draw):
+    """Finite logits with some entries -inf, each row keeping a finite one."""
+    shape = draw(SHAPES)
+    logits = draw(hnp.arrays(np.float64, shape, elements=FINITE))
+    masked = draw(hnp.arrays(np.bool_, shape))
+    keep = draw(hnp.arrays(np.int64, shape[:-1],
+                           elements=st.integers(0, shape[-1] - 1)))
+    np.put_along_axis(masked, keep[..., None], False, axis=-1)
+    logits[masked] = -np.inf
+    return logits
+
+
+class TestReductionsKeepTheirBytes:
+    """The wrapper-free reductions run the same arithmetic as np.mean and
+    np.max, so every output bit must match."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rmsnorm_is_the_mean_formula(self, data):
+        x = data.draw(hnp.arrays(np.float64, SHAPES, elements=FINITE))
+        axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
+        assert np.array_equal(rmsnorm(x, axis=axis), mean_rmsnorm(x, axis))
+
+    @settings(max_examples=200, deadline=None)
+    @given(logits=masked_logits())
+    def test_softmax_rows_is_the_max_formula(self, logits):
+        assert np.array_equal(masked_softmax_rows(logits),
+                              max_softmax_rows(logits))
 
 
 class TestTopK:

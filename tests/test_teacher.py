@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from kvgate.cache import KvCache
-from kvgate.numerics import Rng, masked_softmax_rows
+from kvgate.numerics import NORM_EPS, Rng, masked_softmax_rows, rmsnorm
 from kvgate.teacher import (
     TeacherConfig,
     TeacherModel,
@@ -50,6 +51,38 @@ def per_head_attention(q_rows, keys, values, scale_dim, visible=None):
             logits = np.where(visible, logits, -np.inf)
         out[:, h * dh:(h + 1) * dh] = masked_softmax_rows(logits) @ values[g]
     return out
+
+
+def oracle_step(model, x_row, cache, position):
+    """A decode step the plain way, the arithmetic forward_step must keep:
+    three projections, rope_apply on q and on k in each layer, per-head
+    attention and an np.mean rmsnorm. Returns the StepTrace fields."""
+    cfg = model.config
+    n, dh = 1, cfg.d_head
+
+    def norm(a):
+        return a / np.sqrt(np.mean(a * a, axis=-1, keepdims=True) + NORM_EPS)
+
+    x = np.asarray(x_row, dtype=np.float64).reshape(1, cfg.d_model)
+    fields = {"x_in": [], "q_pre": [], "q": [], "o_concat": []}
+    for idx, layer in enumerate(model.layers):
+        a_in = norm(x) * layer.attn_norm_gain
+        q_pre = (a_in @ layer.w_q).reshape(n, cfg.n_heads, dh).transpose(1, 0, 2)
+        k_pre = (a_in @ layer.w_k).reshape(n, cfg.n_kv_heads, dh).transpose(1, 0, 2)
+        v = (a_in @ layer.w_v).reshape(n, cfg.n_kv_heads, dh).transpose(1, 0, 2)
+        q = rope_apply(q_pre, [position], cfg.rope_base)
+        k = rope_apply(k_pre, [position], cfg.rope_base)
+        cache.append(idx, k, v, [position])
+        o = per_head_attention(q, cache.keys(idx), cache.values(idx), cfg.d_model)
+        fields["x_in"].append(x[0])
+        fields["q_pre"].append(q_pre[:, 0, :])
+        fields["q"].append(q[:, 0, :])
+        fields["o_concat"].append(o[0])
+        h = x + o @ layer.w_o
+        pre = (norm(h) * layer.ffn_norm_gain) @ layer.w_in
+        x = h + (pre * expit(pre)) @ layer.w_out
+    fields["output"] = x[0]
+    return fields
 
 
 def small_config(**kw):
@@ -295,6 +328,42 @@ class TestDecode:
             assert np.abs(cache.keys(li) - lt.k).max() < 1e-9
             assert np.abs(cache.values(li) - lt.v).max() < 1e-9
         assert np.abs(step.o_concat[0] - full.layers[0].o_concat[7]).max() < 1e-9
+
+
+    @pytest.mark.parametrize("n_heads,n_kv", [(8, 2), (4, 4), (4, 1)])
+    def test_step_is_bitwise_the_oracle_step(self, n_heads, n_kv):
+        # 340 steps grow the caches past capacities 64, 128 and 256; a
+        # compaction at step 100 keeps the sinks, every third row and the
+        # trailing window, so later steps attend over gathered rows.
+        cfg = small_config(d_model=32, n_heads=n_heads, n_kv_heads=n_kv)
+        model = TeacherModel(cfg)
+        caches = [KvCache(cfg.n_layers, n_kv, cfg.d_head, sink_count=4)
+                  for _ in range(2)]
+        x_row = Rng(14).normal((cfg.d_model,))
+        for t in range(340):
+            if t == 100:
+                for cache in caches:
+                    for li in range(cfg.n_layers):
+                        n = cache.length(li)
+                        keep = np.union1d(np.arange(0, n, 3),
+                                          np.arange(n - 8, n))
+                        keep = np.union1d(keep, cache.sink_row_indices(li))
+                        cache.compact(li, keep, local_window=8)
+            step = model.forward_step(x_row, caches[0], position=t)
+            want = oracle_step(model, x_row, caches[1], position=t)
+            for name in ("x_in", "q_pre", "q", "o_concat"):
+                got = getattr(step, name)
+                assert len(got) == cfg.n_layers
+                for li in range(cfg.n_layers):
+                    assert np.array_equal(got[li], want[name][li]), (t, name, li)
+            assert np.array_equal(step.output, want["output"]), t
+            for li in range(cfg.n_layers):
+                assert np.array_equal(caches[0].keys(li), caches[1].keys(li))
+                assert np.array_equal(caches[0].values(li), caches[1].values(li))
+                assert np.array_equal(caches[0].positions(li),
+                                      caches[1].positions(li))
+            x_row = rmsnorm(step.output)
+        assert caches[0].length(0) > 256
 
 
 class TestPooledImportance:
