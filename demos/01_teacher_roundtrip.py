@@ -40,8 +40,8 @@ for li, lt in enumerate(trace.layers):
 x0 = teacher.embed(tokens)
 worst = 0.0
 for pos in range(split, tokens.size):
-    step = teacher.forward_step(x0[pos], cache, pos)
-    worst = max(worst, float(np.max(np.abs(step.output - last.x_out[pos]))))
+    step = teacher.forward_step(x0[pos][None, :], [cache], pos)
+    worst = max(worst, float(np.max(np.abs(step.output[0] - last.x_out[pos]))))
 print(f"\nincremental decode of the last {tokens.size - split} positions:")
 print(f"  max |step output - full forward| = {worst:.3e}")
 assert worst < 1e-10

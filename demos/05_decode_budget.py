@@ -44,11 +44,11 @@ schedule = DecodeSchedule(cache, plan)
 x_row = rmsnorm(trace.layers[-1].x_out[-1])
 peak, compressions = 0, 0
 for t in range(steps):
-    step = teacher.forward_step(x_row, cache, prefill + t)
+    step = teacher.forward_step(x_row[None, :], [cache], prefill + t)
     if schedule.step(knorm_scores):
         compressions += 1
     peak = max(peak, *(cache.length(li) for li in range(cfg.n_layers)))
-    x_row = rmsnorm(step.output)
+    x_row = rmsnorm(step.output[0])
 
 bound = plan.budget + plan.decode_interval
 print(f"decoded {steps} steps, compressing every {plan.decode_interval}: "

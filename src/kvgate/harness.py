@@ -369,130 +369,170 @@ def _finite_row(row: np.ndarray, where: str) -> np.ndarray:
     return row
 
 
-def _simulate_decode(cfg: ExperimentConfig, teacher: TeacherModel,
-                     x0: np.ndarray, budget: int | None,
-                     params_by_layer=None) -> dict:
-    """Prefill, then feed the teacher its own (normalized) outputs.
+class _Simulation:
+    """One decode simulation's own state: the reference (no budget) or one
+    budget's run with its schedule, indexer feature caches and scorer
+    stream counter.
 
-    Returns per-step kept sizes, cumulative evictions, and the full output
-    matrix so callers can compare trajectories bit for bit. Raises
-    :class:`DivergenceError` when the prompt's last output row or a step's
-    output is non-finite, before it reaches attention or the records.
+    State lives in plain attributes, never in closures or stored bound
+    methods, so nothing forms a reference cycle: a finished simulation's
+    caches are freed as soon as :func:`decode_run` drops it, without
+    waiting for the cyclic garbage collector.
     """
-    cfg_t = cfg.teacher
-    cache = KvCache(cfg_t.n_layers, cfg_t.n_kv_heads, cfg_t.d_head,
-                    sink_count=cfg.plan.sink_count)
-    trace = teacher.forward(x0=x0)
-    _finite_row(trace.output[-1], "the prompt")
-    length = x0.shape[0]
-    positions = np.arange(length)
-    for li, lt in enumerate(trace.layers):
-        cache.append(li, lt.k, lt.v, positions)
 
-    policy = make_policy(cfg)
-    use_indexer = policy.name == "indexer"
-    if use_indexer and params_by_layer is None:
-        raise ConfigError("the indexer policy needs a trained checkpoint")
-    feature_caches = []
-    if use_indexer:
+    def __init__(self, cfg: ExperimentConfig, budget: int | None, trace,
+                 params_by_layer, prompt_features):
+        cfg_t = cfg.teacher
+        self.budget = budget
+        self.name = "reference" if budget is None else f"budget {budget}"
+        self.policy = make_policy(cfg)
+        self.params = params_by_layer if self.policy.name == "indexer" else None
+        self.d_model = cfg_t.d_model
+        self.calls = 0
+        self.evicted = 0
+        self.outputs = np.zeros((cfg.decode_steps, cfg_t.d_model))
+        self.kept = np.zeros(cfg.decode_steps, dtype=np.int64)
+        self.evictions = np.zeros(cfg.decode_steps, dtype=np.int64)
+        self.cache = KvCache(cfg_t.n_layers, cfg_t.n_kv_heads, cfg_t.d_head,
+                             sink_count=cfg.plan.sink_count)
+        positions = np.arange(trace.output.shape[0])
         for li, lt in enumerate(trace.layers):
-            fc = IndexerKeyCache(params_by_layer[li].d_index)
-            fc.append(key_features(params_by_layer[li], lt.x_in), positions)
-            feature_caches.append(fc)
-    calls = 0
-    evicted_total = 0
-
-    def score(layer: int, queries: QueryRows | None) -> np.ndarray:
-        nonlocal calls
-        calls += 1
-        kept = cache.positions(layer)
-        if not use_indexer:
-            return score_layer(policy, cache.keys(layer), kept, queries,
-                               cfg_t.d_model, rng=Rng(policy.seed).split(4000 + calls))
-        return score_layer(policy, cache.keys(layer), kept, queries,
-                           cfg_t.d_model, params=params_by_layer[layer],
-                           key_feats=feature_caches[layer].rows_for(kept))
-
-    def scorer(layer: int, _cache, buffered) -> np.ndarray:
-        return score(layer, _stack_queries(buffered))
-
-    def on_evict(layer, keys, values, dropped_positions):
-        nonlocal evicted_total
-        evicted_total += dropped_positions.size
-
-    def retain_features():
-        for li, fc in enumerate(feature_caches):
-            fc.retain(cache.positions(li))
-
-    schedule = None
-    if budget is not None:
-        if budget < cfg.plan.sink_count + cfg.plan.local_window:
-            raise ConfigError("decode budget must cover the sinks plus the "
-                              "local window")
+            self.cache.append(li, lt.k, lt.v, positions)
+        self.feature_caches = []
+        self.schedule = None
+        if budget is None:
+            return
+        if self.params is not None:
+            for li, feats in enumerate(prompt_features):
+                fc = IndexerKeyCache(self.params[li].d_index)
+                fc.append(feats, positions)
+                self.feature_caches.append(fc)
         plan = replace(cfg.plan, budget=budget)
         for li, lt in enumerate(trace.layers):
             # The first compaction is scored against the prompt: the indexer
             # reads every prompt row, snapkv its trailing window, and tova
             # its last row.
             prompt = QueryRows(lt.x_in, lt.q_pre, lt.q, positions)
-            on_evict(li, *budget_compress(cache, li, plan, score(li, prompt)))
-        retain_features()
-        schedule = DecodeSchedule(cache, plan)
+            self.on_evict(li, *budget_compress(self.cache, li, plan,
+                                               self.score(li, prompt)))
+        self.retain_features()
+        self.schedule = DecodeSchedule(self.cache, plan)
 
-    x_row = rmsnorm(trace.layers[-1].x_out[-1])
-    outputs = np.zeros((cfg.decode_steps, cfg_t.d_model))
-    kept_sizes = np.zeros(cfg.decode_steps, dtype=np.int64)
-    evictions = np.zeros(cfg.decode_steps, dtype=np.int64)
+    def score(self, layer: int, queries: QueryRows | None) -> np.ndarray:
+        self.calls += 1
+        kept = self.cache.positions(layer)
+        if self.params is None:
+            return score_layer(self.policy, self.cache.keys(layer), kept,
+                               queries, self.d_model,
+                               rng=Rng(self.policy.seed).split(4000 + self.calls))
+        return score_layer(self.policy, self.cache.keys(layer), kept, queries,
+                           self.d_model, params=self.params[layer],
+                           key_feats=self.feature_caches[layer].rows_for(kept))
+
+    def scorer(self, layer: int, _cache, buffered) -> np.ndarray:
+        return self.score(layer, _stack_queries(buffered))
+
+    def on_evict(self, layer, keys, values, dropped_positions) -> None:
+        self.evicted += dropped_positions.size
+
+    def retain_features(self) -> None:
+        for li, fc in enumerate(self.feature_caches):
+            fc.retain(self.cache.positions(li))
+
+    def advance(self, t: int, pos: int, step, s: int) -> None:
+        """Buffer row ``s`` of a lockstep step's queries, run the schedule
+        and record step ``t``'s kept size and evictions."""
+        if self.schedule is not None:
+            for li in range(self.cache.n_layers):
+                self.schedule.buffer_query(li, x=step.x_in[li][s],
+                                           q_pre=step.q_pre[li][s],
+                                           q=step.q[li][s], pos=pos)
+            if self.schedule.step(self.scorer, on_evict=self.on_evict):
+                self.retain_features()
+        self.kept[t] = max(self.cache.length(li)
+                           for li in range(self.cache.n_layers))
+        self.evictions[t] = self.evicted
+
+
+def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
+                  x0: np.ndarray, params_by_layer) -> list:
+    """Prefill once, then decode the reference and every budget in lockstep,
+    feeding each simulation its own (normalized) outputs.
+
+    Returns the simulations, reference first, then one per budget in
+    config order. Raises :class:`DivergenceError`, naming the step and the
+    simulation, when the prompt's last output row or a step's output row
+    is non-finite, before it reaches attention or the records.
+    """
+    trace = teacher.forward(x0=x0)
+    _finite_row(trace.output[-1], "the prompt")
+    prompt_features = []
+    if make_policy(cfg).name == "indexer":
+        prompt_features = [key_features(params_by_layer[li], lt.x_in)
+                           for li, lt in enumerate(trace.layers)]
+    sims = [_Simulation(cfg, budget, trace, params_by_layer, prompt_features)
+            for budget in (None, *cfg.decode_budgets)]
+    # Only budget runs score, so the indexer's feature caches belong to the
+    # trailing rows of each step.
+    scored = [sim for sim in sims if sim.feature_caches]
+    first = len(sims) - len(scored)
+    caches = [sim.cache for sim in sims]
+    x_rows = np.repeat(rmsnorm(trace.layers[-1].x_out[-1])[None, :],
+                       len(sims), axis=0)
+    length = x0.shape[0]
+    # The prompt's trace is not read past the start-of-decode compactions.
+    del trace, prompt_features
     for t in range(cfg.decode_steps):
         pos = length + t
-        step = teacher.forward_step(x_row, cache, pos)
-        outputs[t] = _finite_row(step.output, f"step {t + 1}")
-        for li, fc in enumerate(feature_caches):
-            fc.append(key_features(params_by_layer[li], step.x_in[li][None, :]),
-                      np.array([pos]))
-        if schedule is not None:
-            for li in range(cfg_t.n_layers):
-                schedule.buffer_query(li, x=step.x_in[li],
-                                      q_pre=step.q_pre[li], q=step.q[li],
-                                      pos=pos)
-            if schedule.step(scorer, on_evict=on_evict):
-                retain_features()
-        kept_sizes[t] = max(cache.length(li) for li in range(cfg_t.n_layers))
-        evictions[t] = evicted_total
-        x_row = rmsnorm(step.output)
-    return {"outputs": outputs, "kept": kept_sizes, "evictions": evictions}
+        step = teacher.forward_step(x_rows, caches, pos)
+        for sim, row in zip(sims, step.output):
+            sim.outputs[t] = _finite_row(row, f"step {t + 1} ({sim.name})")
+        if scored:
+            for li, params in enumerate(params_by_layer):
+                feats = key_features(params, step.x_in[li][first:, None, :])
+                for sim, row in zip(scored, feats):
+                    sim.feature_caches[li].append(row, np.array([pos]))
+        for s, sim in enumerate(sims):
+            sim.advance(t, pos, step, s)
+        x_rows = rmsnorm(step.output)
+    return sims
 
 
 def decode_run(cfg: ExperimentConfig, params_by_layer=None) -> list:
     """Budget-sweep decode simulation records, reference included."""
+    if make_policy(cfg).name == "indexer" and params_by_layer is None:
+        raise ConfigError("the indexer policy needs a trained checkpoint")
+    if min(cfg.decode_budgets) < cfg.plan.sink_count + cfg.plan.local_window:
+        raise ConfigError("decode budget must cover the sinks plus the "
+                          "local window")
     teacher = TeacherModel(cfg.teacher)
     x0, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(EVAL_STREAM))
-    reference = _simulate_decode(cfg, teacher, x0, None, params_by_layer)
+    reference, *sims = _run_lockstep(cfg, teacher, x0, params_by_layer)
     total = cfg.data_length + cfg.decode_steps
     records = []
-    for budget in cfg.decode_budgets:
-        sim = _simulate_decode(cfg, teacher, x0, budget, params_by_layer)
+    for sim in sims:
+        budget = sim.budget
         bound = budget + cfg.plan.decode_interval
+        recon = np.mean((sim.outputs - reference.outputs) ** 2, axis=1)
         for t in range(cfg.decode_steps):
-            err = float(np.mean((sim["outputs"][t] - reference["outputs"][t]) ** 2))
             records.append(make_record("decode", cfg.config_hash, cfg.seed, {
                 "policy": cfg.policy_name,
                 "budget": budget,
                 "step": t + 1,
-                "kept": int(sim["kept"][t]),
+                "kept": int(sim.kept[t]),
                 "bound": bound,
-                "within": bool(sim["kept"][t] <= bound),
-                "evicted": int(sim["evictions"][t]),
-                "recon": err,
+                "within": bool(sim.kept[t] <= bound),
+                "evicted": int(sim.evictions[t]),
+                "recon": float(recon[t]),
             }))
         records.append(make_record("decode_summary", cfg.config_hash, cfg.seed, {
             "policy": cfg.policy_name,
             "budget": budget,
-            "bound_ok": bool(np.all(sim["kept"] <= bound)),
-            "matches_reference": bool(np.array_equal(sim["outputs"],
-                                                     reference["outputs"])),
+            "bound_ok": bool(np.all(sim.kept <= bound)),
+            "matches_reference": bool(np.array_equal(sim.outputs,
+                                                     reference.outputs)),
             "covers_total": bool(budget >= total),
-            "evicted_total": int(sim["evictions"][-1]),
+            "evicted_total": int(sim.evictions[-1]),
         }))
     return records
 

@@ -11,7 +11,7 @@ scaling is used everywhere downstream that reconstructs attention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -169,8 +169,6 @@ class TeacherLayer:
     w_o: np.ndarray       # (n_heads * d_head, d_model)
     w_in: np.ndarray      # (d_model, d_ffn)
     w_out: np.ndarray     # (d_ffn, d_model)
-    attn_norm_gain: np.ndarray = field(repr=False, default=None)
-    ffn_norm_gain: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass
@@ -194,13 +192,14 @@ class ForwardTrace:
 
 @dataclass
 class StepTrace:
-    """Per-layer rows produced by a single decode step."""
+    """Per-layer rows produced by one decode step of S simulations; row s
+    of every array belongs to the simulation of ``caches[s]``."""
 
-    x_in: list            # (d_model,) per layer
-    q_pre: list           # (n_heads, d_head) per layer
-    q: list               # (n_heads, d_head) per layer
-    o_concat: list        # (d_model,) per layer
-    output: np.ndarray    # final hidden row
+    x_in: list            # (S, d_model) per layer
+    q_pre: list           # (S, n_heads, d_head) per layer
+    q: list               # (S, n_heads, d_head) per layer
+    o_concat: list        # (S, d_model) per layer
+    output: np.ndarray    # (S, d_model) final hidden rows
 
 
 class TeacherModel:
@@ -222,8 +221,6 @@ class TeacherModel:
                 w_o=lr.split(3).normal((config.n_heads * dh, d)) * std,
                 w_in=lr.split(4).normal((d, config.d_ffn)) * std,
                 w_out=lr.split(5).normal((config.d_ffn, d)) * std,
-                attn_norm_gain=np.ones(d),
-                ffn_norm_gain=np.ones(d),
             ))
 
     def embed(self, tokens) -> np.ndarray:
@@ -235,22 +232,24 @@ class TeacherModel:
         return self.embedding[ids].copy()
 
     def _project_qkv(self, layer: TeacherLayer, x: np.ndarray, rope):
-        """Shared projection path for prefill and decode; x is (n, d_model)
-        and ``rope`` the :func:`rope_tables` of its n positions."""
+        """Shared projection path for prefill and decode.
+
+        ``x`` is (..., n, d_model) and ``rope`` the :func:`rope_tables` of
+        its n positions; q/k/v come back as (..., heads, n, d_head).
+        """
         cfg = self.config
-        a_in = rmsnorm(x) * layer.attn_norm_gain
-        n = x.shape[0]
-        q_pre = (a_in @ layer.w_q).reshape(n, cfg.n_heads, cfg.d_head).transpose(1, 0, 2)
-        k_pre = (a_in @ layer.w_k).reshape(n, cfg.n_kv_heads, cfg.d_head).transpose(1, 0, 2)
-        v = (a_in @ layer.w_v).reshape(n, cfg.n_kv_heads, cfg.d_head).transpose(1, 0, 2)
+        a_in = rmsnorm(x)
+        lead = x.shape[:-1]
+        q_pre = (a_in @ layer.w_q).reshape(*lead, cfg.n_heads, cfg.d_head).swapaxes(-3, -2)
+        k_pre = (a_in @ layer.w_k).reshape(*lead, cfg.n_kv_heads, cfg.d_head).swapaxes(-3, -2)
+        v = (a_in @ layer.w_v).reshape(*lead, cfg.n_kv_heads, cfg.d_head).swapaxes(-3, -2)
         q = rope_rotate(q_pre, rope)
         k = rope_rotate(k_pre, rope)
         return q_pre, q, k, v
 
     def _finish_layer(self, layer: TeacherLayer, x: np.ndarray, o_concat: np.ndarray) -> np.ndarray:
         h = x + o_concat @ layer.w_o
-        f_in = rmsnorm(h) * layer.ffn_norm_gain
-        pre = f_in @ layer.w_in
+        pre = rmsnorm(h) @ layer.w_in
         return h + (pre * expit(pre)) @ layer.w_out
 
     def forward(self, tokens=None, x0=None) -> ForwardTrace:
@@ -281,27 +280,39 @@ class TeacherModel:
             x = x_out
         return ForwardTrace(layers=traces, output=x)
 
-    def forward_step(self, x_row: np.ndarray, cache, position: int) -> StepTrace:
-        """One decode step: append this position's kv rows to ``cache`` and
-        attend over everything cached so far (per layer).
+    def forward_step(self, x_rows: np.ndarray, caches, position: int) -> StepTrace:
+        """One decode step of S simulations in lockstep, all at ``position``.
 
-        ``cache`` is a :class:`kvgate.cache.KvCache` with one slot per layer.
+        Row s of ``x_rows`` (S, d_model) is the input of the simulation whose
+        :class:`kvgate.cache.KvCache` is ``caches[s]``. Per layer, every
+        simulation's kv rows are appended to its own cache and attend over
+        everything cached there so far.
+
+        The per-row work (rmsnorm, the projections, rotary, the FFN) runs
+        once for all S rows on (S, 1, d) stacks: NumPy runs each stacked
+        matrix's own 1-row product, so every row keeps the bits of a
+        single-row step. A flat (S, d) @ W takes another BLAS path and does
+        not.
         """
         cfg = self.config
-        x = np.asarray(x_row, dtype=np.float64).reshape(1, cfg.d_model)
+        n_sim = len(caches)
+        x = np.asarray(x_rows, dtype=np.float64).reshape(n_sim, 1, cfg.d_model)
         positions = np.array([position])
         rope = rope_tables(positions, cfg.d_head, cfg.rope_base)
         xs, qps, qs, os_ = [], [], [], []
         for idx, layer in enumerate(self.layers):
             q_pre, q, k, v = self._project_qkv(layer, x, rope)
-            cache.append(idx, k, v, positions)
-            o = attend_rows(q, cache.keys(idx), cache.values(idx), cfg.d_model)
-            xs.append(x[0])
-            qps.append(q_pre[:, 0, :])
-            qs.append(q[:, 0, :])
-            os_.append(o[0])
+            o = np.empty((n_sim, 1, cfg.d_model))
+            for s, cache in enumerate(caches):
+                cache.append(idx, k[s], v[s], positions)
+                o[s] = attend_rows(q[s], cache.keys(idx), cache.values(idx),
+                                   cfg.d_model)
+            xs.append(x[:, 0])
+            qps.append(q_pre[:, :, 0])
+            qs.append(q[:, :, 0])
+            os_.append(o[:, 0])
             x = self._finish_layer(layer, x, o)
-        return StepTrace(x_in=xs, q_pre=qps, q=qs, o_concat=os_, output=x[0])
+        return StepTrace(x_in=xs, q_pre=qps, q=qs, o_concat=os_, output=x[:, 0])
 
 
 def flatten_heads(per_head: np.ndarray) -> np.ndarray:

@@ -95,9 +95,9 @@ def test_attention_matches_quadratic_reference_and_decode_accumulation():
                      np.arange(split))
     worst = 0.0
     for pos in range(split, tokens.size):
-        step = teacher.forward_step(x0[pos], cache, pos)
+        step = teacher.forward_step(x0[pos][None, :], [cache], pos)
         worst = max(worst, float(np.max(np.abs(
-            step.output - trace.layers[-1].x_out[pos]))))
+            step.output[0] - trace.layers[-1].x_out[pos]))))
     assert worst < 1e-9
 
 

@@ -42,9 +42,10 @@ def test_harness_exposes_thread_pool():
 
 
 def test_decode_step_attention_goes_through_traced_names(monkeypatch):
-    # The tracer counts teacher.attend_rows and cache.KvCache.append; a
-    # decode step that reached the kernel or the buffers around them would
-    # drop out of teacher.attend_rows.calls (12,288 per decode-long round).
+    # The tracer counts teacher.attend_rows and cache.KvCache.append, once
+    # per simulation, layer and step; a decode step that reached the kernel
+    # or the buffers around them would drop out of teacher.attend_rows.calls
+    # (12,288 per decode-long round: 3 simulations, 4 layers, 1,024 steps).
     teacher = importlib.import_module("kvgate.teacher")
     cache_mod = importlib.import_module("kvgate.cache")
     calls = {"attend_rows": 0, "append": 0}
@@ -62,8 +63,10 @@ def test_decode_step_attention_goes_through_traced_names(monkeypatch):
     cfg = teacher.TeacherConfig(n_layers=3, d_model=16, n_heads=4,
                                 n_kv_heads=2, d_ffn=32, vocab_size=16)
     model = teacher.TeacherModel(cfg)
-    cache = cache_mod.KvCache(cfg.n_layers, cfg.n_kv_heads, cfg.d_head)
+    n_sim = 3
+    caches = [cache_mod.KvCache(cfg.n_layers, cfg.n_kv_heads, cfg.d_head)
+              for _ in range(n_sim)]
     for position in range(2):
-        model.forward_step(model.embed([position])[0], cache, position)
-    assert calls == {"attend_rows": 2 * cfg.n_layers,
-                     "append": 2 * cfg.n_layers}
+        model.forward_step(model.embed([position] * n_sim), caches, position)
+    assert calls == {"attend_rows": 2 * n_sim * cfg.n_layers,
+                     "append": 2 * n_sim * cfg.n_layers}

@@ -1,11 +1,16 @@
 """Experiment drivers: data generation, training runs, sweeps, decode."""
 
+import gc
+import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import kvgate.harness as harness
+from kvgate.cache import DecodeSchedule, KvCache, budget_compress
+from kvgate.cli import EXIT_DIVERGENCE, main
 from kvgate.config import ConfigError, parse_config
 from kvgate.episodes import episode_loss, plain_mse, prefill_episodes
 from kvgate.harness import (
@@ -26,8 +31,14 @@ from kvgate.harness import (
     train_memory_run,
     training_sequences,
 )
-from kvgate.indexer import DivergenceError, streaming_distill_loss
-from kvgate.numerics import Rng, kl_divergence
+from kvgate.indexer import (
+    DivergenceError,
+    IndexerKeyCache,
+    key_features,
+    streaming_distill_loss,
+)
+from kvgate.metrics import dump_record, make_record
+from kvgate.numerics import Rng, kl_divergence, rmsnorm
 from kvgate.policies import (
     QueryRows,
     aggregate_heads,
@@ -39,7 +50,7 @@ from kvgate.synth import retention_recall
 from kvgate.teacher import TeacherModel, pooled_teacher_importance
 
 
-def small_config(**overrides):
+def raw_config(**overrides):
     raw = {
         "version": 1,
         "seed": 5,
@@ -56,7 +67,128 @@ def small_config(**overrides):
             raw.setdefault(key, {}).update(value)
         else:
             raw[key] = value
-    return parse_config(raw)
+    return raw
+
+
+def small_config(**overrides):
+    return parse_config(raw_config(**overrides))
+
+
+def oracle_simulation(cfg, teacher, x0, budget, params_by_layer=None):
+    """One decode simulation on its own, prompt traced again: the
+    sequential loop that decode_run's lockstep must reproduce bit for bit.
+
+    Returns per-step outputs, max kept sizes and cumulative evictions.
+    """
+    cfg_t = cfg.teacher
+    cache = KvCache(cfg_t.n_layers, cfg_t.n_kv_heads, cfg_t.d_head,
+                    sink_count=cfg.plan.sink_count)
+    trace = teacher.forward(x0=x0)
+    length = x0.shape[0]
+    positions = np.arange(length)
+    for li, lt in enumerate(trace.layers):
+        cache.append(li, lt.k, lt.v, positions)
+    policy = make_policy(cfg)
+    use_indexer = policy.name == "indexer"
+    feature_caches = []
+    if use_indexer:
+        for li, lt in enumerate(trace.layers):
+            fc = IndexerKeyCache(params_by_layer[li].d_index)
+            fc.append(key_features(params_by_layer[li], lt.x_in), positions)
+            feature_caches.append(fc)
+    calls = 0
+    evicted_total = 0
+
+    def score(layer, queries):
+        nonlocal calls
+        calls += 1
+        kept = cache.positions(layer)
+        if not use_indexer:
+            return score_layer(policy, cache.keys(layer), kept, queries,
+                               cfg_t.d_model,
+                               rng=Rng(policy.seed).split(4000 + calls))
+        return score_layer(policy, cache.keys(layer), kept, queries,
+                           cfg_t.d_model, params=params_by_layer[layer],
+                           key_feats=feature_caches[layer].rows_for(kept))
+
+    def scorer(layer, _cache, buffered):
+        if not buffered:
+            return score(layer, None)
+        return score(layer, QueryRows(
+            x=np.stack([b["x"] for b in buffered]),
+            q_pre=np.stack([b["q_pre"] for b in buffered], axis=1),
+            q=np.stack([b["q"] for b in buffered], axis=1),
+            positions=np.array([b["pos"] for b in buffered], dtype=np.int64)))
+
+    def on_evict(layer, keys, values, dropped_positions):
+        nonlocal evicted_total
+        evicted_total += dropped_positions.size
+
+    def retain_features():
+        for li, fc in enumerate(feature_caches):
+            fc.retain(cache.positions(li))
+
+    schedule = None
+    if budget is not None:
+        plan = replace(cfg.plan, budget=budget)
+        for li, lt in enumerate(trace.layers):
+            prompt = QueryRows(lt.x_in, lt.q_pre, lt.q, positions)
+            on_evict(li, *budget_compress(cache, li, plan, score(li, prompt)))
+        retain_features()
+        schedule = DecodeSchedule(cache, plan)
+
+    x_row = rmsnorm(trace.layers[-1].x_out[-1])
+    outputs = np.zeros((cfg.decode_steps, cfg_t.d_model))
+    kept_sizes = np.zeros(cfg.decode_steps, dtype=np.int64)
+    evictions = np.zeros(cfg.decode_steps, dtype=np.int64)
+    for t in range(cfg.decode_steps):
+        pos = length + t
+        step = teacher.forward_step(x_row[None, :], [cache], pos)
+        outputs[t] = step.output[0]
+        for li, fc in enumerate(feature_caches):
+            fc.append(key_features(params_by_layer[li], step.x_in[li]),
+                      np.array([pos]))
+        if schedule is not None:
+            for li in range(cfg_t.n_layers):
+                schedule.buffer_query(li, x=step.x_in[li][0],
+                                      q_pre=step.q_pre[li][0],
+                                      q=step.q[li][0], pos=pos)
+            if schedule.step(scorer, on_evict=on_evict):
+                retain_features()
+        kept_sizes[t] = max(cache.length(li) for li in range(cfg_t.n_layers))
+        evictions[t] = evicted_total
+        x_row = rmsnorm(step.output[0])
+    return {"outputs": outputs, "kept": kept_sizes, "evictions": evictions}
+
+
+def oracle_decode_records(cfg, params_by_layer=None):
+    """decode_run's records from one sequential run per simulation."""
+    teacher = TeacherModel(cfg.teacher)
+    x0, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(EVAL_STREAM))
+    reference = oracle_simulation(cfg, teacher, x0, None, params_by_layer)
+    total = cfg.data_length + cfg.decode_steps
+    records = []
+    for budget in cfg.decode_budgets:
+        sim = oracle_simulation(cfg, teacher, x0, budget, params_by_layer)
+        bound = budget + cfg.plan.decode_interval
+        for t in range(cfg.decode_steps):
+            err = float(np.mean((sim["outputs"][t]
+                                 - reference["outputs"][t]) ** 2))
+            records.append(make_record("decode", cfg.config_hash, cfg.seed, {
+                "policy": cfg.policy_name, "budget": budget, "step": t + 1,
+                "kept": int(sim["kept"][t]), "bound": bound,
+                "within": bool(sim["kept"][t] <= bound),
+                "evicted": int(sim["evictions"][t]), "recon": err,
+            }))
+        records.append(make_record("decode_summary", cfg.config_hash, cfg.seed, {
+            "policy": cfg.policy_name, "budget": budget,
+            "bound_ok": bool(np.all(sim["kept"] <= bound)),
+            "matches_reference": bool(np.array_equal(sim["outputs"],
+                                                     reference["outputs"])),
+            "covers_total": bool(budget >= total),
+            "evicted_total": int(sim["evictions"][-1]),
+        }))
+    return records
 
 
 def eval_indexer_kl(params_by_layer, per_layer_batches):
@@ -402,19 +534,81 @@ class TestDecode:
 
 
 class TestDecodeDivergence:
-    def test_non_finite_step_output_raises(self, monkeypatch):
-        knorm = small_config(policy={"name": "knorm"})
+    def test_non_finite_step_output_raises(self, monkeypatch, tmp_path, capsys):
+        # Only one simulation's row goes bad; the error names it, and the
+        # CLI still exits 3.
+        raw = raw_config(policy={"name": "knorm"})
+        knorm = parse_config(raw)
+        poisoned_row = {}
 
         class Poisoned(TeacherModel):
-            def forward_step(self, x_row, cache, position):
-                step = super().forward_step(x_row, cache, position)
+            def forward_step(self, x_rows, caches, position):
+                step = super().forward_step(x_rows, caches, position)
                 if position == knorm.data_length + 2:
-                    step.output[0] = np.nan
+                    step.output[poisoned_row["s"], 0] = np.nan
                 return step
 
         monkeypatch.setattr(harness, "TeacherModel", Poisoned)
-        with pytest.raises(DivergenceError, match="step 3"):
+        poisoned_row["s"] = 2
+        with pytest.raises(DivergenceError, match=r"step 3 \(budget 64\)"):
             decode_run(knorm)
+        poisoned_row["s"] = 0
+        with pytest.raises(DivergenceError, match=r"step 3 \(reference\)"):
+            decode_run(knorm)
+
+        poisoned_row["s"] = 1
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["decode-sim", "--config", str(config),
+                     "--out", str(out)]) == EXIT_DIVERGENCE
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DivergenceError"
+        assert "step 3 (budget 10)" in record["message"]
+        assert not (out / "decode.jsonl").exists()
+
+
+class TestLockstepDecode:
+    """decode_run steps the reference and every budget together; each must
+    keep the bits of its own sequential run."""
+
+    OVERRIDES = dict(decode={"steps": 40, "interval": 4,
+                             "budgets": [10, 14, 17, 96]})
+
+    @pytest.mark.parametrize("policy", ["indexer", "snapkv", "tova",
+                                        "knorm", "random"])
+    def test_records_match_sequential_oracle(self, policy):
+        cfg = small_config(policy={"name": policy}, **self.OVERRIDES)
+        params = (train_indexer_run(cfg)["params"] if policy == "indexer"
+                  else None)
+        got = decode_run(cfg, params_by_layer=params)
+        want = oracle_decode_records(cfg, params_by_layer=params)
+        assert [dump_record(r) for r in got] == [dump_record(r) for r in want]
+        evicted = {r["budget"]: r["evicted_total"] for r in got
+                   if r["kind"] == "decode_summary"}
+        assert evicted[10] > evicted[14] > evicted[17] > 0
+        assert evicted[96] == 0
+
+    def test_state_is_freed_without_the_cyclic_gc(self, monkeypatch):
+        cfg = small_config(policy={"name": "indexer"}, **self.OVERRIDES)
+        params = train_indexer_run(cfg)["params"]
+        made = []
+
+        class Tracked(KvCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(harness, "KvCache", Tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            decode_run(cfg, params_by_layer=params)
+            alive = [ref() is not None for ref in made]
+        finally:
+            gc.enable()
+        assert len(made) == 1 + len(cfg.decode_budgets)
+        assert not any(alive)
 
 
 class TestDecodeStartScoring:

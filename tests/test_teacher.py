@@ -66,7 +66,7 @@ def oracle_step(model, x_row, cache, position):
     x = np.asarray(x_row, dtype=np.float64).reshape(1, cfg.d_model)
     fields = {"x_in": [], "q_pre": [], "q": [], "o_concat": []}
     for idx, layer in enumerate(model.layers):
-        a_in = norm(x) * layer.attn_norm_gain
+        a_in = norm(x)
         q_pre = (a_in @ layer.w_q).reshape(n, cfg.n_heads, dh).transpose(1, 0, 2)
         k_pre = (a_in @ layer.w_k).reshape(n, cfg.n_kv_heads, dh).transpose(1, 0, 2)
         v = (a_in @ layer.w_v).reshape(n, cfg.n_kv_heads, dh).transpose(1, 0, 2)
@@ -79,7 +79,7 @@ def oracle_step(model, x_row, cache, position):
         fields["q"].append(q[:, 0, :])
         fields["o_concat"].append(o[0])
         h = x + o @ layer.w_o
-        pre = (norm(h) * layer.ffn_norm_gain) @ layer.w_in
+        pre = norm(h) @ layer.w_in
         x = h + (pre * expit(pre)) @ layer.w_out
     fields["output"] = x[0]
     return fields
@@ -183,9 +183,14 @@ class TestAttention:
 class TestAttentionKernel:
     """attend_rows and attention_full against the per-head oracle: stacked
     head blocks (nq == 1) and one head at a time (nq > 1), from a few keys
-    to more than a decode cache holds."""
+    to more than a decode cache holds.
+
+    1/sqrt(64) is exact in binary, so at scale_dim 64 multiplying by the
+    scale and dividing by sqrt(scale_dim) agree; 32 and 48 have inexact
+    scales, and there only the oracle's multiply matches."""
 
     KEY_COUNTS = (12, 64, 700, 1280, 2100)
+    SCALE_DIMS = (32, 48, 64)
 
     @staticmethod
     def masks(nq, n_rows, rng):
@@ -205,9 +210,12 @@ class TestAttentionKernel:
             keys = rng.normal((n_kv, 2 * n_rows, dh))[:, :n_rows, :]
             values = rng.normal((n_kv, 2 * n_rows, dh))[:, :n_rows, :]
             for name, visible in self.masks(nq, n_rows, rng).items():
-                got = attend_rows(q, keys, values, 64, visible=visible)
-                want = per_head_attention(q, keys, values, 64, visible)
-                assert np.array_equal(got, want), (n_rows, name)
+                for scale_dim in self.SCALE_DIMS:
+                    got = attend_rows(q, keys, values, scale_dim,
+                                      visible=visible)
+                    want = per_head_attention(q, keys, values, scale_dim,
+                                              visible)
+                    assert np.array_equal(got, want), (n_rows, name, scale_dim)
 
     @pytest.mark.parametrize("length", [1, 16, 128, 200])
     def test_full_attention_is_causal_attend_rows(self, length):
@@ -216,8 +224,10 @@ class TestAttentionKernel:
         k = rng.normal((2, length, 8))
         v = rng.normal((2, length, 8))
         causal = np.tri(length, dtype=bool)
-        assert np.array_equal(attention_full(q, k, v, 64),
-                              per_head_attention(q, k, v, 64, causal))
+        for scale_dim in self.SCALE_DIMS:
+            assert np.array_equal(attention_full(q, k, v, scale_dim),
+                                  per_head_attention(q, k, v, scale_dim,
+                                                     causal)), scale_dim
 
     @pytest.mark.parametrize("nq,n_rows", [(1, 12), (3, 700), (86, 2100)])
     def test_fully_masked_row_raises(self, nq, n_rows):
@@ -310,8 +320,8 @@ class TestDecode:
         cache = KvCache(cfg.n_layers, cfg.n_kv_heads, cfg.d_head, sink_count=0)
         outputs = []
         for t in range(20):
-            step = model.forward_step(x0[t], cache, position=t)
-            outputs.append(step.output)
+            step = model.forward_step(x0[t][None, :], [cache], position=t)
+            outputs.append(step.output[0])
         got = np.stack(outputs)
         assert np.abs(got - full.output).max() < 1e-9
 
@@ -322,7 +332,7 @@ class TestDecode:
         full = model.forward(x0=x0)
         cache = KvCache(cfg.n_layers, cfg.n_kv_heads, cfg.d_head, sink_count=0)
         for t in range(8):
-            step = model.forward_step(x0[t], cache, position=t)
+            step = model.forward_step(x0[t][None, :], [cache], position=t)
         # after the loop the cache holds exactly the full-trace keys
         for li, lt in enumerate(full.layers):
             assert np.abs(cache.keys(li) - lt.k).max() < 1e-9
@@ -332,38 +342,57 @@ class TestDecode:
 
     @pytest.mark.parametrize("n_heads,n_kv", [(8, 2), (4, 4), (4, 1)])
     def test_step_is_bitwise_the_oracle_step(self, n_heads, n_kv):
-        # 340 steps grow the caches past capacities 64, 128 and 256; a
-        # compaction at step 100 keeps the sinks, every third row and the
-        # trailing window, so later steps attend over gathered rows.
+        # Three simulations decode in lockstep, each fed its own output, and
+        # each must match its own oracle run bit for bit (tobytes, so signed
+        # zeros count). 340 steps grow the caches past capacities 64, 128
+        # and 256. At step 100 simulation 1 keeps the sinks, every third row
+        # and the trailing window, simulation 2 every fifth row at step 60
+        # and every second row at step 200, and simulation 0 never compacts,
+        # so the caches the stacked step serves differ in length and rows.
         cfg = small_config(d_model=32, n_heads=n_heads, n_kv_heads=n_kv)
         model = TeacherModel(cfg)
-        caches = [KvCache(cfg.n_layers, n_kv, cfg.d_head, sink_count=4)
-                  for _ in range(2)]
-        x_row = Rng(14).normal((cfg.d_model,))
+        n_sim = 3
+        compactions = {(1, 100): 3, (2, 60): 5, (2, 200): 2}
+
+        def new_caches():
+            return [KvCache(cfg.n_layers, n_kv, cfg.d_head, sink_count=4)
+                    for _ in range(n_sim)]
+
+        caches, oracle_caches = new_caches(), new_caches()
+        x_rows = Rng(14).normal((n_sim, cfg.d_model))
         for t in range(340):
-            if t == 100:
-                for cache in caches:
+            for s in range(n_sim):
+                stride = compactions.get((s, t))
+                if stride is None:
+                    continue
+                for cache in (caches[s], oracle_caches[s]):
                     for li in range(cfg.n_layers):
                         n = cache.length(li)
-                        keep = np.union1d(np.arange(0, n, 3),
+                        keep = np.union1d(np.arange(0, n, stride),
                                           np.arange(n - 8, n))
                         keep = np.union1d(keep, cache.sink_row_indices(li))
                         cache.compact(li, keep, local_window=8)
-            step = model.forward_step(x_row, caches[0], position=t)
-            want = oracle_step(model, x_row, caches[1], position=t)
-            for name in ("x_in", "q_pre", "q", "o_concat"):
-                got = getattr(step, name)
-                assert len(got) == cfg.n_layers
+            step = model.forward_step(x_rows, caches, position=t)
+            for s in range(n_sim):
+                want = oracle_step(model, x_rows[s], oracle_caches[s],
+                                   position=t)
+                for name in ("x_in", "q_pre", "q", "o_concat"):
+                    got = getattr(step, name)
+                    assert len(got) == cfg.n_layers
+                    for li in range(cfg.n_layers):
+                        assert got[li].shape[0] == n_sim
+                        assert got[li][s].shape == want[name][li].shape
+                        assert (got[li][s].tobytes()
+                                == want[name][li].tobytes()), (t, s, name, li)
+                assert step.output[s].tobytes() == want["output"].tobytes(), \
+                    (t, s)
                 for li in range(cfg.n_layers):
-                    assert np.array_equal(got[li], want[name][li]), (t, name, li)
-            assert np.array_equal(step.output, want["output"]), t
-            for li in range(cfg.n_layers):
-                assert np.array_equal(caches[0].keys(li), caches[1].keys(li))
-                assert np.array_equal(caches[0].values(li), caches[1].values(li))
-                assert np.array_equal(caches[0].positions(li),
-                                      caches[1].positions(li))
-            x_row = rmsnorm(step.output)
+                    for part in ("keys", "values", "positions"):
+                        assert (getattr(caches[s], part)(li).tobytes()
+                                == getattr(oracle_caches[s], part)(li).tobytes())
+            x_rows = rmsnorm(step.output)
         assert caches[0].length(0) > 256
+        assert len({cache.length(0) for cache in caches}) == n_sim
 
 
 class TestPooledImportance:
