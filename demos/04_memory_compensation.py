@@ -32,8 +32,7 @@ for i in range(8):
     keeps = [select(plan, aggregate_heads(score_knorm(lt.k[:, :eval_start, :])),
                     np.arange(eval_start))
              for lt in full_run.trace.layers]
-    episodes.append(prefill_episodes(teacher, x0, keeps, eval_start,
-                                     full_run=full_run)[layer])
+    episodes.append(prefill_episodes(full_run, keeps)[layer])
 
 slow = MemorySlowWeights.init(cfg.d_model, Rng(7), d_mem=8)
 print(f"memory: d_mem={slow.d_mem}, footprint "

@@ -24,7 +24,7 @@ from .checkpoint import (
     unpack_memory,
 )
 from .config import ConfigError, load_config
-from .episodes import episode_loss
+from .episodes import FullRun, episode_loss
 from .harness import (
     build_episode_sets,
     decode_run,
@@ -109,8 +109,9 @@ def cmd_train_memory(args) -> int:
                    for row in result["curve"]])
 
     teacher = result["teacher"]
-    eval_eps = build_episode_sets(cfg, teacher, eval_sequences(cfg, teacher),
-                                  params_by_layer=result["params"])
+    runs = (FullRun.of(teacher, x0, cfg.eval_start)
+            for x0, _ in eval_sequences(cfg, teacher))
+    eval_eps = build_episode_sets(cfg, runs, params_by_layer=result["params"])
     fresh = init_memory(cfg)
 
     def split_loss(memories):

@@ -102,37 +102,34 @@ class FullRun:
         trace = teacher.forward(x0=x0)
         visible = np.tri(length - eval_start, length, eval_start, dtype=bool)
         o_full = [attend_rows(lt.q[:, eval_start:, :], lt.k, lt.v,
-                              teacher.config.d_model, visible=visible)
+                              visible=visible)
                   for lt in trace.layers]
         return cls(trace, eval_start, visible, o_full)
 
 
-def prefill_episodes(teacher: TeacherModel, x0: np.ndarray, keeps_by_layer,
-                     eval_start: int, head_sum: bool = False,
-                     full_run: FullRun | None = None) -> list:
+def prefill_episodes(full_run: FullRun, keeps_by_layer,
+                     head_sum: bool = False) -> list:
     """One episode per layer for a compress-then-continue run.
 
-    The first ``eval_start`` tokens are compressed to each layer's keep set
-    (row indices into that prefix, from :func:`kvgate.policies.select`);
-    every later token reads the surviving prefix plus the uncompressed tail
-    it arrived with. Targets compare against the same token's attention
-    over the full cache, so an all-keep set yields exactly zero targets.
+    The first ``full_run.eval_start`` tokens are compressed to each layer's
+    keep set (row indices into that prefix, from
+    :func:`kvgate.policies.select`); every later token reads the surviving
+    prefix plus the uncompressed tail it arrived with. Targets compare
+    against the same token's attention over the full cache, so an all-keep
+    set yields exactly zero targets.
 
-    ``full_run`` is ``FullRun.of(teacher, x0, eval_start)``, built here when
-    not given; a caller trying several keep sets on one sequence builds it
-    once. Per call, only the keep-set attention is computed, and not even
-    that when nothing is evicted.
+    A caller trying several keep sets on one sequence builds its
+    :class:`FullRun` once. Per call, only the keep-set attention is
+    computed, and not even that when nothing is evicted.
     """
-    if full_run is None:
-        full_run = FullRun.of(teacher, x0, eval_start)
-    if full_run.eval_start != eval_start:
-        raise ValueError("full run was built for another eval start")
-    if len(keeps_by_layer) != teacher.config.n_layers:
+    layers = full_run.trace.layers
+    if len(keeps_by_layer) != len(layers):
         raise ValueError("need one keep set per layer")
+    eval_start = full_run.eval_start
     n_eval = full_run.visible.shape[0]
     episodes = []
     prefix = np.arange(eval_start)
-    for li, lt in enumerate(full_run.trace.layers):
+    for li, lt in enumerate(layers):
         keep = np.asarray(keeps_by_layer[li], dtype=np.int64)
         if keep.size and (keep.min() < 0 or keep.max() >= eval_start):
             raise ValueError("keep sets must index the compressed prefix")
@@ -144,11 +141,10 @@ def prefill_episodes(teacher: TeacherModel, x0: np.ndarray, keeps_by_layer,
             kept[:, :eval_start] = False
             kept[:, keep] = True
             o_kept = attend_rows(lt.q[:, eval_start:, :], lt.k, lt.v,
-                                 teacher.config.d_model, visible=kept)
+                                 visible=kept)
         k_tok, v_tok = tokens_from_evicted(lt.k[:, evicted, :],
                                            lt.v[:, evicted, :],
-                                           teacher.config.n_heads,
-                                           head_sum=head_sum)
+                                           lt.q.shape[0], head_sum=head_sum)
         episodes.append(LayerEpisode(
             queries=flatten_heads(lt.q_pre)[eval_start:],
             targets=o_full - o_kept,

@@ -92,7 +92,7 @@ def batches_by_layer(teacher: TeacherModel, traces, sink_count: int) -> list:
         for li, lt in enumerate(trace.layers):
             per_layer[li].append(DistillBatch(
                 x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q, k_rot=lt.k,
-                scale_dim=teacher.config.d_model, sink_count=sink_count))
+                sink_count=sink_count))
     return per_layer
 
 
@@ -127,7 +127,6 @@ def layer_scores(cfg: ExperimentConfig, policy: PolicyId, trace, upto: int,
     modes then replace every layer's vector with the gated mean.
     """
     n_layers = len(trace.layers)
-    d_model = trace.layers[0].x_in.shape[1]
     if policy.name == "indexer" and params_by_layer is None:
         raise ConfigError("indexer policy needs a trained checkpoint")
     positions = np.arange(upto)
@@ -139,7 +138,6 @@ def layer_scores(cfg: ExperimentConfig, policy: PolicyId, trace, upto: int,
         return score_layer(
             policy, lt.k[:, :upto, :], positions,
             QueryRows(x, lt.q_pre[:, :upto, :], lt.q[:, :upto, :], positions),
-            d_model,
             rng=None if rng_parent is None else rng_parent.split(50 + layer),
             params=params,
             key_feats=None if params is None else key_features(params, x))
@@ -176,28 +174,23 @@ def _drain(items: list):
         yield items.pop()
 
 
-def build_episode_sets(cfg: ExperimentConfig, teacher: TeacherModel,
-                       sequences, params_by_layer=None, runs=None) -> list:
+def build_episode_sets(cfg: ExperimentConfig, runs,
+                       params_by_layer=None) -> list:
     """Per-layer episode lists for the configured policy at the plan ratio.
 
     ``runs`` yields each sequence's :class:`~kvgate.episodes.FullRun` at
-    ``cfg.eval_start``, in order; by default each is built when its
-    sequence comes up. A caller that already holds the runs passes them
-    here rather than tracing the teacher again.
+    ``cfg.eval_start``, in order; a generator lets each run be freed once
+    its episodes are built.
     """
     policy = make_policy(cfg)
-    if runs is None:
-        runs = (FullRun.of(teacher, x0, cfg.eval_start)
-                for x0, _ in sequences)
     per_layer = [[] for _ in range(cfg.teacher.n_layers)]
-    for s, ((x0, _), full_run) in enumerate(zip(sequences, runs)):
+    for s, full_run in enumerate(runs):
         scores = layer_scores(cfg, policy, full_run.trace, cfg.eval_start,
                               params_by_layer=params_by_layer,
                               rng_parent=Rng(cfg.policy_seed).split(POLICY_STREAM + s))
         keeps = [select(cfg.plan, sc, np.arange(cfg.eval_start))
                  for sc in scores]
-        eps = prefill_episodes(teacher, x0, keeps, cfg.eval_start,
-                               head_sum=cfg.head_sum, full_run=full_run)
+        eps = prefill_episodes(full_run, keeps, head_sum=cfg.head_sum)
         for li in range(cfg.teacher.n_layers):
             per_layer[li].append(eps[li])
     return per_layer
@@ -223,9 +216,8 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
                                      cfg.plan.sink_count))
     # Each run is freed once its episodes are built, so all the runs and
     # all the episodes are never alive together.
-    per_layer_eps = build_episode_sets(cfg, teacher, sequences,
-                                       params_by_layer=params,
-                                       runs=_drain(runs))
+    per_layer_eps = build_episode_sets(cfg, _drain(runs),
+                                       params_by_layer=params)
     memories = init_memory(cfg)
     losses_by_layer = [train_memory(memories[li], per_layer_eps[li],
                                     steps=cfg.mem_steps, lr=cfg.mem_lr,
@@ -237,7 +229,7 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
                                      for li in range(len(memories))]))}
              for step in range(cfg.mem_steps)]
     return {"params": params, "memories": memories, "curve": curve,
-            "teacher": teacher, "episodes": per_layer_eps}
+            "teacher": teacher}
 
 
 def _accounting(cfg: ExperimentConfig, keep_counts, policy: PolicyId,
@@ -294,8 +286,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     for s, (x0, _) in enumerate(sequences):
         full_run = FullRun.of(teacher, x0, upto)
         teacher_imp = [pooled_teacher_importance(lt.q[:, :upto, :],
-                                                 lt.k[:, :upto, :],
-                                                 cfg.teacher.d_model)
+                                                 lt.k[:, :upto, :])
                        for lt in full_run.trace.layers]
         scored = {}
         for name in names:
@@ -315,11 +306,10 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
         forced = select(replace(plan, ratio=1.0), np.zeros(upto), prefix).size
         candidates = upto - forced
         mse_attn, mse_fused, recalls = [], [], []
-        for s, (x0, planted) in enumerate(sequences):
+        for s, (_, planted) in enumerate(sequences):
             full_run, scored = per_seq[s]
             keeps = [select(plan, sc, prefix) for sc in scored[name][0]]
-            eps = prefill_episodes(teacher, x0, keeps, upto,
-                                   head_sum=cfg.head_sum, full_run=full_run)
+            eps = prefill_episodes(full_run, keeps, head_sum=cfg.head_sum)
             keep_counts = [k.size for k in keeps]
             kept_fraction = ((keeps[0].size - forced) / candidates
                              if candidates else 1.0)
@@ -387,7 +377,6 @@ class _Simulation:
         self.name = "reference" if budget is None else f"budget {budget}"
         self.policy = make_policy(cfg)
         self.params = params_by_layer if self.policy.name == "indexer" else None
-        self.d_model = cfg_t.d_model
         self.calls = 0
         self.evicted = 0
         self.outputs = np.zeros((cfg.decode_steps, cfg_t.d_model))
@@ -422,11 +411,11 @@ class _Simulation:
         self.calls += 1
         kept = self.cache.positions(layer)
         if self.params is None:
+            rng = Rng(self.policy.seed).split(4000 + self.calls)
             return score_layer(self.policy, self.cache.keys(layer), kept,
-                               queries, self.d_model,
-                               rng=Rng(self.policy.seed).split(4000 + self.calls))
+                               queries, rng=rng)
         return score_layer(self.policy, self.cache.keys(layer), kept, queries,
-                           self.d_model, params=self.params[layer],
+                           params=self.params[layer],
                            key_feats=self.feature_caches[layer].rows_for(kept))
 
     def scorer(self, layer: int, _cache, buffered) -> np.ndarray:
@@ -567,13 +556,13 @@ def selftest() -> list:
             w = np.exp(logits - logits.max())
             w /= w.sum()
             manual[t, h * cfg.d_head:(h + 1) * cfg.d_head] = w @ lt.v[g][: t + 1]
-    engine = attend_rows(lt.q, lt.k, lt.v, cfg.d_model, visible=visible)
+    engine = attend_rows(lt.q, lt.k, lt.v, visible=visible)
     checks.append(("attention matches quadratic reference",
                    float(np.max(np.abs(engine - manual))) < 1e-10))
 
     params = IndexerParams.init(cfg, Rng(2), h_index=2, d_index=3)
     batch = DistillBatch(x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q, k_rot=lt.k,
-                         scale_dim=cfg.d_model, sink_count=3)
+                         sink_count=3)
     t_a, s_a = pooled_vectors(params, batch, q_blk=3, k_blk=8)
     t_b, s_b = pooled_vectors(params, batch, q_blk=24, k_blk=24)
     checks.append(("streamed importance equals dense importance",

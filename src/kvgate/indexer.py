@@ -33,7 +33,7 @@ from .numerics import (
     rmsnorm,
     with_capacity,
 )
-from .teacher import TeacherConfig, TeacherModel, flatten_heads, kv_head_of
+from .teacher import TeacherConfig, TeacherModel, flatten_heads, kv_head_of, logit_scale
 
 
 def default_h_index(n_heads: int) -> int:
@@ -266,7 +266,6 @@ class DistillBatch:
     q_pre: np.ndarray    # (n_heads, L, d_head)
     q_rot: np.ndarray    # (n_heads, L, d_head)
     k_rot: np.ndarray    # (n_kv_heads, L, d_head)
-    scale_dim: int
     sink_count: int = 4
 
     def __post_init__(self):
@@ -292,7 +291,6 @@ def distill_batch(teacher: TeacherModel, x0: np.ndarray, layer: int,
     trace = teacher.forward(x0=x0)
     lt = trace.layers[layer]
     return DistillBatch(x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q, k_rot=lt.k,
-                        scale_dim=teacher.config.d_model,
                         sink_count=sink_count)
 
 
@@ -301,7 +299,7 @@ def teacher_block(batch: DistillBatch, q_ids: np.ndarray,
     """Teacher logits max-pooled over every query head, causally masked."""
     n_heads = batch.q_rot.shape[0]
     n_kv = batch.k_rot.shape[0]
-    scale = 1.0 / math.sqrt(float(batch.scale_dim))
+    scale = logit_scale(batch.q_rot)
     out = np.full((q_ids.size, k_ids.size), -np.inf)
     for h in range(n_heads):
         g = kv_head_of(h, n_heads, n_kv)

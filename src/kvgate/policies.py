@@ -20,7 +20,7 @@ import numpy as np
 
 from .indexer import head_gates, importance_from_features, query_features
 from .numerics import Rng, masked_softmax_rows, topk_indices
-from .teacher import kv_head_of
+from .teacher import head_logits
 
 if TYPE_CHECKING:
     from .cache import CompressionPlan
@@ -47,10 +47,10 @@ class PolicyId:
             raise ValueError(f"unknown head pool: {self.head_pool!r}")
 
 
-def score_snapkv(q_window: np.ndarray, keys: np.ndarray, scale_dim: int,
-                 q_positions=None, key_positions=None,
-                 head_pool: str = "mean") -> np.ndarray:
-    """Average attention mass from the trailing query window to each key.
+def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions=None,
+                 key_positions=None, head_pool: str = "mean") -> np.ndarray:
+    """Average attention mass from the trailing query window to each key,
+    under the teacher's logit scale.
 
     Args:
         q_window: (n_heads, w, d_head) rotated queries, the last w of the
@@ -81,12 +81,8 @@ def score_snapkv(q_window: np.ndarray, keys: np.ndarray, scale_dim: int,
     if head_pool not in HEAD_POOLS:
         raise ValueError(f"unknown head pool: {head_pool!r}")
 
-    scale = 1.0 / np.sqrt(float(scale_dim))
     per_query_head = np.empty((n_heads, n_rows))
-    for h in range(n_heads):
-        g = kv_head_of(h, n_heads, n_kv)
-        logits = (q_window[h] @ keys[g].T) * scale
-        logits = np.where(visible, logits, -np.inf)
+    for h, _, logits in head_logits(q_window, keys, visible):
         per_query_head[h] = masked_softmax_rows(logits).mean(axis=0)
     out = np.empty((n_kv, n_rows))
     group = n_heads // n_kv
@@ -155,7 +151,7 @@ class QueryRows:
 
 
 def score_layer(policy: PolicyId, keys: np.ndarray, key_positions: np.ndarray,
-                queries: QueryRows | None, scale_dim: int, rng: Rng | None = None,
+                queries: QueryRows | None, rng: Rng | None = None,
                 params=None, key_feats: np.ndarray | None = None) -> np.ndarray:
     """One layer's (L,) scores under ``policy``, in prefill or decode.
 
@@ -163,7 +159,6 @@ def score_layer(policy: PolicyId, keys: np.ndarray, key_positions: np.ndarray,
         keys: (n_kv_heads, L, d_head) cached rotated keys at ``key_positions``.
         queries: the scoring query rows; ``None`` when there are none, in
             which case the query-based policies fall back to key norm.
-        scale_dim: dimension under the sqrt in the attention logit scale.
         rng: the random policy's draws; the caller owns the stream.
         params / key_feats: the layer's indexer weights and the (L, d_index)
             indexer features of the cached keys.
@@ -187,7 +182,7 @@ def score_layer(policy: PolicyId, keys: np.ndarray, key_positions: np.ndarray,
                                         key_positions)
     n = queries.positions.size
     w = 1 if policy.name == "tova" else min(policy.window, n)
-    per_head = score_snapkv(queries.q[:, n - w:, :], keys, scale_dim,
+    per_head = score_snapkv(queries.q[:, n - w:, :], keys,
                             q_positions=queries.positions[n - w:],
                             key_positions=key_positions,
                             head_pool=policy.head_pool)

@@ -5,8 +5,9 @@ the forward pass exposes every intermediate an eviction policy or distillation
 loss could want (hidden states, pre- and post-rotary queries, keys, values,
 and the concatenated attention output before the output projection).
 
-All attention softmax logits are scaled by 1/sqrt(d_model), and that same
-scaling is used everywhere downstream that reconstructs attention.
+All attention softmax logits are scaled by 1/sqrt(d_model), and everything
+downstream that reconstructs attention takes that scale from its one owner,
+:func:`logit_scale`, which reads d_model off the queries.
 """
 
 from __future__ import annotations
@@ -93,13 +94,34 @@ def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
     return rope_rotate(x, rope_tables(positions, x.shape[-1], base))
 
 
-def attention_full(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int) -> np.ndarray:
+def logit_scale(q: np.ndarray) -> float:
+    """The teacher's one attention logit scale, 1/sqrt(n_heads * d_head),
+    which is 1/sqrt(d_model), for (n_heads, n, d_head) queries."""
+    return 1.0 / np.sqrt(float(q.shape[0] * q.shape[-1]))
+
+
+def head_logits(q: np.ndarray, keys: np.ndarray,
+                visible: np.ndarray | None = None):
+    """Yield ``(h, g, logits)`` per query head h of ``q`` (n_heads, nq, d_head):
+    g is its kv head in ``keys`` and ``logits`` the (nq, L) scaled
+    ``q[h] @ keys[g].T``, -inf where the optional ``visible`` mask is False."""
+    n_heads = q.shape[0]
+    n_kv = keys.shape[0]
+    scale = logit_scale(q)
+    for h in range(n_heads):
+        g = kv_head_of(h, n_heads, n_kv)
+        logits = (q[h] @ keys[g].T) * scale
+        if visible is not None:
+            logits = np.where(visible, logits, -np.inf)
+        yield h, g, logits
+
+
+def attention_full(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Causal softmax attention over aligned sequences, grouped kv heads.
 
     Args:
         q: (n_heads, L, d_head) queries, already rotated.
         k, v: (n_kv_heads, L, d_head) keys/values, keys already rotated.
-        scale_dim: dimension under the sqrt in the logit scale.
 
     Returns:
         (L, n_heads * d_head) concatenated per-head outputs (head-major),
@@ -110,11 +132,11 @@ def attention_full(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale_dim: int) 
     n_kv = k.shape[0]
     if k.shape != (n_kv, L, dh) or v.shape != (n_kv, L, dh):
         raise ValueError("inconsistent attention shapes")
-    return _attend(q, k, v, scale_dim, np.tri(L, dtype=bool))
+    return _attend(q, k, v, np.tri(L, dtype=bool))
 
 
 def attend_rows(q_rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                scale_dim: int, visible: np.ndarray | None = None) -> np.ndarray:
+                visible: np.ndarray | None = None) -> np.ndarray:
     """Attention of free-standing query rows against an arbitrary key set.
 
     Args:
@@ -129,34 +151,28 @@ def attend_rows(q_rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
     the queries are viewed as (n_kv_heads, group, 1, d_head) and meet
     their kv head's keys and values through one 4-D stacked matmul each,
     with one softmax over all heads. Every other input (prefill, episodes,
-    sweep) runs one head at a time with 2-D ops. NumPy runs the same BLAS
-    call for each matrix of a stack, so the result is bitwise that of a
-    per-head loop.
+    sweep) runs one head at a time through :func:`head_logits`. NumPy runs
+    the same BLAS call for each matrix of a stack, so the result is
+    bitwise that of a per-head loop.
     """
-    return _attend(q_rows, keys, values, scale_dim, visible)
+    return _attend(q_rows, keys, values, visible)
 
 
-def _attend(q_rows, keys, values, scale_dim, visible):
+def _attend(q_rows, keys, values, visible):
     # The kernel behind attend_rows and attention_full; they stay separate
     # names so a per-function profile attributes prefill and row attention
     # apart.
     n_heads, nq, dh = q_rows.shape
     n_kv = keys.shape[0]
-    group = n_heads // n_kv
-    scale = 1.0 / np.sqrt(float(scale_dim))
     if nq == 1:
-        q = q_rows.reshape(n_kv, group, 1, dh)
-        logits = (q @ keys.transpose(0, 2, 1)[:, None]) * scale
+        q = q_rows.reshape(n_kv, n_heads // n_kv, 1, dh)
+        logits = (q @ keys.transpose(0, 2, 1)[:, None]) * logit_scale(q_rows)
         if visible is not None:
             logits = np.where(visible, logits, -np.inf)
         o = masked_softmax_rows(logits) @ values[:, None]
         return o.reshape(1, n_heads * dh)
     out = np.empty((nq, n_heads, dh))
-    for h in range(n_heads):
-        g = h // group
-        logits = (q_rows[h] @ keys[g].T) * scale
-        if visible is not None:
-            logits = np.where(visible, logits, -np.inf)
+    for h, g, logits in head_logits(q_rows, keys, visible):
         out[:, h, :] = masked_softmax_rows(logits) @ values[g]
     return out.reshape(nq, n_heads * dh)
 
@@ -273,7 +289,7 @@ class TeacherModel:
         traces = []
         for layer in self.layers:
             q_pre, q, k, v = self._project_qkv(layer, x, rope)
-            o_concat = attention_full(q, k, v, self.config.d_model)
+            o_concat = attention_full(q, k, v)
             x_out = self._finish_layer(layer, x, o_concat)
             traces.append(LayerTrace(x_in=x, q_pre=q_pre, q=q, k=k, v=v,
                                      o_concat=o_concat, x_out=x_out))
@@ -305,8 +321,7 @@ class TeacherModel:
             o = np.empty((n_sim, 1, cfg.d_model))
             for s, cache in enumerate(caches):
                 cache.append(idx, k[s], v[s], positions)
-                o[s] = attend_rows(q[s], cache.keys(idx), cache.values(idx),
-                                   cfg.d_model)
+                o[s] = attend_rows(q[s], cache.keys(idx), cache.values(idx))
             xs.append(x[:, 0])
             qps.append(q_pre[:, :, 0])
             qs.append(q[:, :, 0])
@@ -321,25 +336,12 @@ def flatten_heads(per_head: np.ndarray) -> np.ndarray:
     return per_head.transpose(1, 0, 2).reshape(L, h * dh)
 
 
-def pooled_teacher_importance(q: np.ndarray, k: np.ndarray, scale_dim: int,
-                              q_set: np.ndarray | None = None) -> np.ndarray:
+def pooled_teacher_importance(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Per-key importance: max over query heads and query positions of the
-    causal attention logits q_s . k_t / sqrt(scale_dim).
-
-    Keys after the last pooled query have empty causal support and come back
-    as -inf. ``q_set`` defaults to every query position.
-    """
-    n_heads, L, dh = q.shape
-    n_kv = k.shape[0]
-    scale = 1.0 / np.sqrt(float(scale_dim))
-    rows = np.arange(L) if q_set is None else np.asarray(q_set, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("empty query set")
+    causal attention logits q_s . k_t * :func:`logit_scale`, for ``q`` and
+    ``k`` over the same L positions."""
+    L = q.shape[1]
     imp = np.full(L, -np.inf)
-    key_ids = np.arange(L)
-    for h in range(n_heads):
-        g = kv_head_of(h, n_heads, n_kv)
-        logits = (q[h][rows] @ k[g].T) * scale
-        logits = np.where(key_ids[None, :] <= rows[:, None], logits, -np.inf)
+    for _, _, logits in head_logits(q, k, np.tri(L, dtype=bool)):
         imp = np.maximum(imp, logits.max(axis=0))
     return imp

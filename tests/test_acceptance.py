@@ -78,7 +78,7 @@ def test_attention_matches_quadratic_reference_and_decode_accumulation():
         values = rng.split(1).normal((n_kv, length, d_head))
         q_rows = rng.split(2).normal((4, length, d_head))
         visible = np.tril(np.ones((length, length), dtype=bool))
-        got = attend_rows(q_rows, keys, values, 4 * d_head, visible)
+        got = attend_rows(q_rows, keys, values, visible)
         want = quadratic_attention(q_rows, keys, values, 4 * d_head, visible)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -200,8 +200,8 @@ def test_compaction_semantics_and_sink_protection():
         mask = np.zeros((6, length), dtype=bool)
         mask[:, keep] = True
         compacted = attend_rows(q_rows, keys[:, keep, :], values[:, keep, :],
-                                32, np.ones((6, keep.size), dtype=bool))
-        masked = attend_rows(q_rows, keys, values, 32, mask)
+                                np.ones((6, keep.size), dtype=bool))
+        masked = attend_rows(q_rows, keys, values, mask)
         assert np.max(np.abs(compacted - masked)) < 1e-10
 
     for i in range(1000):
@@ -309,8 +309,7 @@ def test_trained_memory_beats_attention_only_reconstruction():
         keeps = [select(plan, aggregate_heads(score_knorm(lt.k[:, :eval_start, :])),
                         np.arange(eval_start))
                  for lt in full_run.trace.layers]
-        return prefill_episodes(teacher, x0, keeps,
-                                eval_start=eval_start, full_run=full_run)
+        return prefill_episodes(full_run, keeps)
 
     by_layer = [[] for _ in range(cfg.n_layers)]
     for i in range(96):

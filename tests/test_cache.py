@@ -278,9 +278,9 @@ class TestPrefillCompress:
         q = Rng(23).normal((4, 2, 4))  # two query rows per attention head
         keep = np.array([0, 1, 5, 9, 13, 18, 19])
         expect = attend_rows(q, cache.keys(0)[:, keep, :],
-                             cache.values(0)[:, keep, :], scale_dim=4)
+                             cache.values(0)[:, keep, :])
         cache.compact(0, keep, local_window=2)
-        got = attend_rows(q, cache.keys(0), cache.values(0), scale_dim=4)
+        got = attend_rows(q, cache.keys(0), cache.values(0))
         assert np.array_equal(expect, got)
 
     def test_randomized_compactions_never_touch_sinks(self):

@@ -74,11 +74,9 @@ class TestEpisodeTypes:
 class TestPrefillEpisodes:
     def test_no_eviction_means_zero_targets(self):
         teacher = toy_teacher()
-        x0 = Rng(200).normal((24, D))
-        trace = teacher.forward(x0=x0)
+        run = FullRun.of(teacher, Rng(200).normal((24, D)), 16)
         plan = CompressionPlan(ratio=0.0, sink_count=2, local_window=2)
-        eps = prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 16),
-                               eval_start=16)
+        eps = prefill_episodes(run, knorm_keeps(run.trace, plan, 16))
         assert len(eps) == teacher.config.n_layers
         for ep in eps:
             assert np.all(ep.targets == 0.0)
@@ -86,11 +84,10 @@ class TestPrefillEpisodes:
 
     def test_eviction_produces_targets_and_writes(self):
         teacher = toy_teacher()
-        x0 = Rng(201).normal((24, D))
-        trace = teacher.forward(x0=x0)
+        run = FullRun.of(teacher, Rng(201).normal((24, D)), 16)
+        trace = run.trace
         plan = CompressionPlan(ratio=0.5, sink_count=2, local_window=2)
-        eps = prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 16),
-                               eval_start=16)
+        eps = prefill_episodes(run, knorm_keeps(trace, plan, 16))
         for li, ep in enumerate(eps):
             assert ep.n_eval == 8
             assert np.any(ep.targets != 0.0)
@@ -102,25 +99,24 @@ class TestPrefillEpisodes:
     def test_targets_match_manual_attention_difference(self):
         teacher = toy_teacher()
         x0 = Rng(202).normal((20, D))
-        trace = teacher.forward(x0=x0)
+        full_run = FullRun.of(teacher, x0, 12)
+        trace = full_run.trace
         plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
-        eps = prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 12),
-                               eval_start=12)
+        eps = prefill_episodes(full_run, knorm_keeps(trace, plan, 12))
         lt = trace.layers[0]
         keep = select(plan, knorm_scores(trace, 12)[0], np.arange(12))
         t = 15   # third eval row
         q_row = lt.q[:, t:t + 1, :]
         full = np.zeros((1, 20), dtype=bool)
         full[0, :t + 1] = True
-        o_full = attend_rows(q_row, lt.k, lt.v, D, visible=full)[0]
+        o_full = attend_rows(q_row, lt.k, lt.v, visible=full)[0]
         kept = np.zeros((1, 20), dtype=bool)
         kept[0, keep] = True
         kept[0, 12:t + 1] = True
-        o_kept = attend_rows(q_row, lt.k, lt.v, D, visible=kept)[0]
+        o_kept = attend_rows(q_row, lt.k, lt.v, visible=kept)[0]
         assert np.allclose(eps[0].targets[3], o_full - o_kept, atol=1e-12)
 
         # Every row at once, masks built row by row: bit-identical targets.
-        full_run = FullRun.of(teacher, x0, 12)
         n_eval = 8
         full = np.zeros((n_eval, 20), dtype=bool)
         for i in range(n_eval):
@@ -130,37 +126,21 @@ class TestPrefillEpisodes:
         for trial in range(6):
             keeps = [r.split(10 * trial + li).choice(12, size)
                      for li, size in enumerate((trial, 12 - trial))]
-            eps = prefill_episodes(teacher, x0, keeps, 12, full_run=full_run)
+            eps = prefill_episodes(full_run, keeps)
             for li, lt in enumerate(trace.layers):
                 kept = np.zeros((n_eval, 20), dtype=bool)
                 kept[:, keeps[li]] = True
                 for i in range(n_eval):
                     kept[i, 12:12 + i + 1] = True
                 q_rows = lt.q[:, 12:, :]
-                o_full = attend_rows(q_rows, lt.k, lt.v, D, visible=full)
-                o_kept = attend_rows(q_rows, lt.k, lt.v, D, visible=kept)
+                o_full = attend_rows(q_rows, lt.k, lt.v, visible=full)
+                o_kept = attend_rows(q_rows, lt.k, lt.v, visible=kept)
                 assert np.array_equal(full_run.o_full[li], o_full)
                 assert np.array_equal(eps[li].targets, o_full - o_kept)
 
-    def test_full_run_gives_the_episodes_built_without_it(self):
-        teacher = toy_teacher()
-        x0 = Rng(207).normal((20, D))
-        full_run = FullRun.of(teacher, x0, 12)
-        plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
-        keeps = knorm_keeps(full_run.trace, plan, 12)
-        given = prefill_episodes(teacher, x0, keeps, 12, full_run=full_run)
-        built = prefill_episodes(teacher, x0, keeps, 12)
-        for a, b in zip(given, built):
-            assert np.array_equal(a.queries, b.queries)
-            assert np.array_equal(a.targets, b.targets)
-            assert np.array_equal(a.writes[0].keys, b.writes[0].keys)
-            assert np.array_equal(a.writes[0].values, b.writes[0].values)
-            assert np.array_equal(a.reads_after, b.reads_after)
-
     def test_full_keep_reuses_the_full_output(self, monkeypatch):
         teacher = toy_teacher()
-        x0 = Rng(208).normal((20, D))
-        full_run = FullRun.of(teacher, x0, 12)
+        full_run = FullRun.of(teacher, Rng(208).normal((20, D)), 12)
         calls = []
 
         def counting(*args, **kwargs):
@@ -169,44 +149,32 @@ class TestPrefillEpisodes:
 
         monkeypatch.setattr(episodes_module, "attend_rows", counting)
         keeps = [np.arange(12), np.arange(12)[::-1]]
-        eps = prefill_episodes(teacher, x0, keeps, 12, full_run=full_run)
+        eps = prefill_episodes(full_run, keeps)
         assert calls == []
         for ep in eps:
             assert np.all(ep.targets == 0.0)
             assert ep.writes[0].keys.shape[0] == 0
-        prefill_episodes(teacher, x0, [np.arange(11), np.arange(12)], 12,
-                         full_run=full_run)
+        prefill_episodes(full_run, [np.arange(11), np.arange(12)])
         assert len(calls) == 1
-
-    def test_rejects_full_run_of_another_split(self):
-        teacher = toy_teacher()
-        x0 = Rng(209).normal((20, D))
-        with pytest.raises(ValueError, match="another eval start"):
-            prefill_episodes(teacher, x0, [np.arange(10)] * 2, 10,
-                             full_run=FullRun.of(teacher, x0, 12))
 
     def test_rejects_bad_eval_start(self):
         teacher = toy_teacher()
-        x0 = Rng(203).normal((10, D))
-        trace = teacher.forward(x0=x0)
-        plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
         with pytest.raises(ValueError, match="split"):
-            prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 10), 10)
+            FullRun.of(teacher, Rng(203).normal((10, D)), 10)
 
     def test_rejects_wrong_score_count(self):
         teacher = toy_teacher()
-        x0 = Rng(204).normal((10, D))
-        trace = teacher.forward(x0=x0)
+        run = FullRun.of(teacher, Rng(204).normal((10, D)), 6)
         plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
         with pytest.raises(ValueError, match="per layer"):
-            prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 6)[:1], 6)
+            prefill_episodes(run, knorm_keeps(run.trace, plan, 6)[:1])
 
     def test_rejects_keep_outside_prefix(self):
         teacher = toy_teacher()
-        x0 = Rng(205).normal((10, D))
+        run = FullRun.of(teacher, Rng(205).normal((10, D)), 6)
         keeps = [np.arange(6), np.array([0, 6])]
         with pytest.raises(ValueError, match="prefix"):
-            prefill_episodes(teacher, x0, keeps, 6)
+            prefill_episodes(run, keeps)
 
 
 def oracle_episode_loss_and_grads(slow, episode, lam=0.95, eta=1.0,
@@ -326,7 +294,7 @@ def pipeline_episodes():
         x0 = teacher.embed(Rng(600).split(s).integers(0, 64, 128))
         full_run = FullRun.of(teacher, x0, 85)
         keeps = knorm_keeps(full_run.trace, plan, 85)
-        eps += prefill_episodes(teacher, x0, keeps, 85, full_run=full_run)
+        eps += prefill_episodes(full_run, keeps)
     return eps
 
 
@@ -588,10 +556,9 @@ class TestTrainMemory:
     def test_no_eviction_episodes_are_inert(self):
         # empty writes: the readout is zero, so nothing moves
         teacher = toy_teacher()
-        x0 = Rng(309).normal((20, D))
-        trace = teacher.forward(x0=x0)
+        run = FullRun.of(teacher, Rng(309).normal((20, D)), 12)
         plan = CompressionPlan(ratio=0.0, sink_count=2, local_window=2)
-        eps = prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 12), 12)
+        eps = prefill_episodes(run, knorm_keeps(run.trace, plan, 12))
         slow = MemorySlowWeights.init(D, Rng(310), d_mem=2)
         before = slow.copy()
         losses = train_memory(slow, eps, steps=10)
@@ -636,9 +603,8 @@ class TestTrainMemory:
         plan = CompressionPlan(ratio=0.5, sink_count=2, local_window=2)
 
         def eps_for(rng):
-            x0 = teacher.embed(rng.integers(0, 16, 24))
-            trace = teacher.forward(x0=x0)
-            return prefill_episodes(teacher, x0, knorm_keeps(trace, plan, 16), 16)
+            run = FullRun.of(teacher, teacher.embed(rng.integers(0, 16, 24)), 16)
+            return prefill_episodes(run, knorm_keeps(run.trace, plan, 16))
 
         train = [ep for i in range(12) for ep in eps_for(Rng(500).split(i))]
         slow = MemorySlowWeights.init(D, Rng(501), d_mem=2)

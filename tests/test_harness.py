@@ -12,7 +12,7 @@ import kvgate.harness as harness
 from kvgate.cache import DecodeSchedule, KvCache, budget_compress
 from kvgate.cli import EXIT_DIVERGENCE, main
 from kvgate.config import ConfigError, parse_config
-from kvgate.episodes import episode_loss, plain_mse, prefill_episodes
+from kvgate.episodes import FullRun, episode_loss, plain_mse, prefill_episodes
 from kvgate.harness import (
     EVAL_STREAM,
     POLICY_STREAM,
@@ -105,10 +105,9 @@ def oracle_simulation(cfg, teacher, x0, budget, params_by_layer=None):
         kept = cache.positions(layer)
         if not use_indexer:
             return score_layer(policy, cache.keys(layer), kept, queries,
-                               cfg_t.d_model,
                                rng=Rng(policy.seed).split(4000 + calls))
         return score_layer(policy, cache.keys(layer), kept, queries,
-                           cfg_t.d_model, params=params_by_layer[layer],
+                           params=params_by_layer[layer],
                            key_feats=feature_caches[layer].rows_for(kept))
 
     def scorer(layer, _cache, buffered):
@@ -372,9 +371,9 @@ class TestTrainMemoryRun:
         assert len(calls) == cfg.n_train
 
     def test_episode_sets_shape(self, cfg, teacher, stage_one):
-        sets = build_episode_sets(cfg, teacher,
-                                  training_sequences(cfg, teacher),
-                                  params_by_layer=stage_one)
+        runs = (FullRun.of(teacher, x0, cfg.eval_start)
+                for x0, _ in training_sequences(cfg, teacher))
+        sets = build_episode_sets(cfg, runs, params_by_layer=stage_one)
         assert len(sets) == cfg.teacher.n_layers
         assert all(len(eps) == cfg.n_train for eps in sets)
 
@@ -452,21 +451,20 @@ class TestSweepFromScratch:
             plan = replace(cfg.plan, ratio=record["ratio"])
             attn, fused, recalls, kls = [], [], [], []
             for s, (x0, planted) in enumerate(sequences):
-                trace = teacher.forward(x0=x0)
+                full_run = FullRun.of(teacher, x0, upto)
+                trace = full_run.trace
                 scores = layer_scores(
                     cfg, policy, trace, upto,
                     rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
                 keeps = [select(plan, sc, prefix) for sc in scores]
-                eps = prefill_episodes(teacher, x0, keeps, upto,
-                                       head_sum=cfg.head_sum)
+                eps = prefill_episodes(full_run, keeps, head_sum=cfg.head_sum)
                 for li, lt in enumerate(trace.layers):
                     attn.append(plain_mse(eps[li]))
                     fused.append(episode_loss(memories[li], eps[li],
                                               lam=cfg.lam, eta=cfg.eta))
                     recalls.append(retention_recall(keeps[li], planted))
                     imp = pooled_teacher_importance(lt.q[:, :upto, :],
-                                                    lt.k[:, :upto, :],
-                                                    cfg.teacher.d_model)
+                                                    lt.k[:, :upto, :])
                     kls.append(kl_divergence(imp[support],
                                              scores[li][support]))
             assert record["recon_attn"] == float(np.mean(attn))
@@ -640,8 +638,7 @@ class TestDecodeStartScoring:
         plan = replace(cfg.plan, ratio=0.0, budget=12)
         for li, lt in enumerate(trace.layers):
             scores = score_layer(make_policy(cfg), lt.k, positions,
-                                 QueryRows(lt.x_in, lt.q_pre, lt.q, positions),
-                                 cfg.teacher.d_model)
+                                 QueryRows(lt.x_in, lt.q_pre, lt.q, positions))
             assert np.array_equal(kept[li], select(plan, scores, positions))
         knorm = self.kept_at_start(
             small_config(policy={"name": "knorm"}, **overrides), monkeypatch)

@@ -27,7 +27,7 @@ from kvgate.indexer import (
 )
 from kvgate.numerics import Rng, rmsnorm
 from kvgate.policies import select
-from kvgate.teacher import TeacherConfig, TeacherModel
+from kvgate.teacher import TeacherConfig, TeacherModel, logit_scale
 
 
 def dense_scores(params, x, q_pre):
@@ -282,7 +282,7 @@ class TestDistillBatch:
         assert batch.x.shape == (20, 16)
         assert batch.q_pre.shape == (4, 20, 4)
         assert batch.k_rot.shape == (2, 20, 4)
-        assert batch.scale_dim == 16
+        assert logit_scale(batch.q_rot) == 1.0 / math.sqrt(16)
 
     def test_sink_count_validation(self):
         teacher = small_teacher()
@@ -332,14 +332,14 @@ class TestStreamingLoss:
         trace = teacher.forward(x0=Rng(60).normal((20, 16)))
         from kvgate.teacher import pooled_teacher_importance
         lt = trace.layers[0]
-        want = pooled_teacher_importance(lt.q, lt.k, 16)
+        want = pooled_teacher_importance(lt.q, lt.k)
         assert np.max(np.abs(t_imp - want)) < 1e-12
 
     def test_sink_scores_are_irrelevant(self):
         _, batch, params = small_setup(sink_count=4)
         base = streaming_distill_loss(params, batch)
         noisy = DistillBatch(x=batch.x, q_pre=batch.q_pre, q_rot=batch.q_rot,
-                             k_rot=batch.k_rot.copy(), scale_dim=batch.scale_dim,
+                             k_rot=batch.k_rot.copy(),
                              sink_count=batch.sink_count)
         noisy.k_rot[:, :4, :] += 100.0
         assert streaming_distill_loss(params, noisy) == base
@@ -388,7 +388,6 @@ class TestGradients:
         _, grads = distill_gradients(params, batch)
         perturbed = DistillBatch(x=batch.x.copy(), q_pre=batch.q_pre,
                                  q_rot=batch.q_rot, k_rot=batch.k_rot,
-                                 scale_dim=batch.scale_dim,
                                  sink_count=batch.sink_count)
         perturbed.x[:4] = Rng(68).normal((4, 16))
         _, grads2 = distill_gradients(params, perturbed)

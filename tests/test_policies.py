@@ -61,15 +61,15 @@ class TestSnapkv:
         L, w, n_heads, n_kv, dh = 12, 4, 4, 2, 6
         q = rng.normal((n_heads, L, dh))
         k = rng.normal((n_kv, L, dh))
-        got = score_snapkv(q[:, L - w:, :], k, scale_dim=dh)
-        want = reference_snapkv(q[:, L - w:, :], k, dh, L)
+        got = score_snapkv(q[:, L - w:, :], k)
+        want = reference_snapkv(q[:, L - w:, :], k, n_heads * dh, L)
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_rows_sum_to_one_per_head(self):
         rng = Rng(31)
         q = rng.normal((4, 5, 6))
         k = rng.normal((2, 20, 6))
-        s = score_snapkv(q, k, scale_dim=6)
+        s = score_snapkv(q, k)
         assert np.allclose(s.sum(axis=1), 1.0, atol=1e-9)
 
     def test_full_window_equals_column_means(self):
@@ -77,11 +77,11 @@ class TestSnapkv:
         L, dh = 10, 4
         q = rng.normal((2, L, dh))
         k = rng.normal((2, L, dh))
-        s = score_snapkv(q, k, scale_dim=dh)
+        s = score_snapkv(q, k)
         for g in range(2):
             dense = np.zeros((L, L))
             for i in range(L):
-                logits = np.array([float(q[g, i] @ k[g, t]) / math.sqrt(dh)
+                logits = np.array([float(q[g, i] @ k[g, t]) / math.sqrt(2 * dh)
                                    for t in range(i + 1)])
                 e = np.exp(logits - logits.max())
                 dense[i, :i + 1] = e / e.sum()
@@ -91,9 +91,9 @@ class TestSnapkv:
         rng = Rng(33)
         q = rng.normal((2, 1, 4))
         k = rng.normal((2, 9, 4))
-        s = score_snapkv(q, k, scale_dim=4)
+        s = score_snapkv(q, k)
         for g in range(2):
-            logits = (q[g, 0] @ k[g].T) / math.sqrt(4)
+            logits = (q[g, 0] @ k[g].T) / math.sqrt(8)
             e = np.exp(logits - logits.max())
             assert np.allclose(s[g], e / e.sum(), atol=1e-12)
 
@@ -104,27 +104,26 @@ class TestSnapkv:
         q = rng.normal((2, 2, 4))
         k = rng.normal((2, 5, 4))
         key_pos = np.array([0, 1, 7, 8, 9])
-        s = score_snapkv(q, k, scale_dim=4, q_positions=np.array([8, 9]),
+        s = score_snapkv(q, k, q_positions=np.array([8, 9]),
                          key_positions=key_pos)
         # the position-8 query must put zero mass on the position-9 key
         for g in range(2):
-            row8 = np.r_[_softmax_row(q[g, 0], k[g, :4], 4), 0.0]
-            row9 = _softmax_row(q[g, 1], k[g], 4)
+            row8 = np.r_[_softmax_row(q[g, 0], k[g, :4], 8), 0.0]
+            row9 = _softmax_row(q[g, 1], k[g], 8)
             assert np.allclose(s[g], 0.5 * (row8 + row9), atol=1e-12)
 
     def test_max_pool_flag(self):
         rng = Rng(35)
         q = rng.normal((4, 3, 4))
         k = rng.normal((2, 8, 4))
-        mean_s = score_snapkv(q, k, scale_dim=4, head_pool="mean")
-        max_s = score_snapkv(q, k, scale_dim=4, head_pool="max")
+        mean_s = score_snapkv(q, k, head_pool="mean")
+        max_s = score_snapkv(q, k, head_pool="max")
         assert np.all(max_s >= mean_s - 1e-15)
         assert not np.allclose(mean_s, max_s)
 
     def test_rejects_oversized_window(self):
         with pytest.raises(ValueError, match="window"):
-            score_snapkv(Rng(36).normal((2, 6, 4)), Rng(37).normal((2, 5, 4)),
-                         scale_dim=4)
+            score_snapkv(Rng(36).normal((2, 6, 4)), Rng(37).normal((2, 5, 4)))
 
 
 def _softmax_row(q_row, keys, scale_dim):
@@ -164,14 +163,14 @@ class TestTova:
         rng = Rng(40)
         q = rng.normal((4, 7, 4))
         k = rng.normal((2, 7, 4))
-        tova = score_layer(PolicyId("tova"), k, np.arange(7), prefill_rows(q), 4)
-        snap = score_snapkv(q[:, -1:, :], k, scale_dim=4)
+        tova = score_layer(PolicyId("tova"), k, np.arange(7), prefill_rows(q))
+        snap = score_snapkv(q[:, -1:, :], k)
         assert np.array_equal(tova, aggregate_heads(snap))
 
     def test_single_row_cache(self):
         q = Rng(41).normal((2, 1, 4))
         k = Rng(42).normal((2, 1, 4))
-        s = score_layer(PolicyId("tova"), k, np.arange(1), prefill_rows(q), 4)
+        s = score_layer(PolicyId("tova"), k, np.arange(1), prefill_rows(q))
         # one kv head per query head, each putting all its mass on the row
         assert np.allclose(s, 2.0)
 
@@ -247,12 +246,12 @@ class TestDispatch:
         k = rng.normal((2, 10, 4))
         pos = np.arange(10)
         snap = score_layer(PolicyId("snapkv", window=4), k, pos,
-                           prefill_rows(q), 4)
-        want = aggregate_heads(score_snapkv(q[:, -4:, :], k, 4))
+                           prefill_rows(q))
+        want = aggregate_heads(score_snapkv(q[:, -4:, :], k))
         assert np.array_equal(snap, want)
-        tova = score_layer(PolicyId("tova"), k, pos, prefill_rows(q), 4)
-        assert np.array_equal(tova, aggregate_heads(score_snapkv(q[:, -1:, :], k, 4)))
-        knorm = score_layer(PolicyId("knorm"), k, pos, None, 4)
+        tova = score_layer(PolicyId("tova"), k, pos, prefill_rows(q))
+        assert np.array_equal(tova, aggregate_heads(score_snapkv(q[:, -1:, :], k)))
+        knorm = score_layer(PolicyId("knorm"), k, pos, None)
         assert np.array_equal(knorm, aggregate_heads(score_knorm(k)))
 
     def test_window_clips_to_cache(self):
@@ -260,14 +259,14 @@ class TestDispatch:
         q = rng.normal((2, 3, 4))
         k = rng.normal((2, 3, 4))
         s = score_layer(PolicyId("snapkv", window=64), k, np.arange(3),
-                        prefill_rows(q), 4)
+                        prefill_rows(q))
         assert s.shape == (3,)
 
     def test_random_needs_rng(self):
         k = Rng(50).normal((2, 5, 4))
         with pytest.raises(ValueError, match="rng"):
-            score_layer(PolicyId("random"), k, np.arange(5), None, 4)
-        s = score_layer(PolicyId("random"), k, np.arange(5), None, 4,
+            score_layer(PolicyId("random"), k, np.arange(5), None)
+        s = score_layer(PolicyId("random"), k, np.arange(5), None,
                         rng=Rng(51))
         assert np.array_equal(s, score_random(5, Rng(51)))
 
@@ -275,7 +274,7 @@ class TestDispatch:
         k = Rng(52).normal((2, 5, 4))
         q = Rng(53).normal((2, 5, 4))
         with pytest.raises(ValueError, match="indexer"):
-            score_layer(PolicyId("indexer"), k, np.arange(5), prefill_rows(q), 4)
+            score_layer(PolicyId("indexer"), k, np.arange(5), prefill_rows(q))
 
     def test_indexer_matches_prefill_importance(self):
         cfg = TeacherConfig(n_layers=1, d_model=8, n_heads=2, n_kv_heads=1,
@@ -286,7 +285,7 @@ class TestDispatch:
         q_pre = rng.split(1).normal((2, 12, 4))
         k = rng.split(2).normal((1, 12, 4))
         rows = prefill_rows(q_pre, x=x, q_pre=q_pre)
-        s = score_layer(PolicyId("indexer"), k, np.arange(12), rows, 8,
+        s = score_layer(PolicyId("indexer"), k, np.arange(12), rows,
                         params=params, key_feats=key_features(params, x))
         assert np.array_equal(s, indexer_importance(params, x, q_pre))
 
@@ -295,7 +294,7 @@ class TestDispatch:
         k = Rng(56).normal((2, 6, 4))
         knorm = aggregate_heads(score_knorm(k))
         for name in ("snapkv", "tova", "indexer"):
-            s = score_layer(PolicyId(name), k, np.arange(6), None, 4)
+            s = score_layer(PolicyId(name), k, np.arange(6), None)
             assert np.array_equal(s, knorm)
 
     def test_decode_positions_mask_future_keys(self):
@@ -306,7 +305,7 @@ class TestDispatch:
         k = rng.normal((2, 5, 4))
         key_pos = np.array([0, 1, 7, 8, 9])
         rows = QueryRows(x=None, q_pre=None, q=q, positions=np.array([8, 9]))
-        s = score_layer(PolicyId("snapkv", window=2), k, key_pos, rows, 4)
-        want = score_snapkv(q, k, 4, q_positions=np.array([8, 9]),
+        s = score_layer(PolicyId("snapkv", window=2), k, key_pos, rows)
+        want = score_snapkv(q, k, q_positions=np.array([8, 9]),
                             key_positions=key_pos)
         assert np.array_equal(s, aggregate_heads(want))

@@ -130,7 +130,7 @@ class TestTeacherSignal:
         for stream in range(6):
             seq, needle = one_needle(teacher, 64, stream)
             for lt in teacher.forward(x0=seq.x0).layers:
-                imp = pooled_teacher_importance(lt.q, lt.k, teacher.config.d_model)
+                imp = pooled_teacher_importance(lt.q, lt.k)
                 middle = np.r_[imp[SINKS:needle], imp[needle + 1:64 - TAIL]]
                 assert imp[needle] > middle.max()
 
@@ -141,7 +141,7 @@ class TestTeacherSignal:
             needle = int(rng.split(99).integers(SINKS, 96 - TAIL, 1)[0])
             seq = planted_sequence(teacher, 96, [needle], rng, tail_width=TAIL)
             for lt in teacher.forward(x0=seq.x0).layers:
-                imp = pooled_teacher_importance(lt.q, lt.k, teacher.config.d_model)
+                imp = pooled_teacher_importance(lt.q, lt.k)
                 middle = np.r_[imp[SINKS:needle], imp[needle + 1:96 - TAIL]]
                 assert imp[needle] > np.median(middle)
 

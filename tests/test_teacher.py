@@ -1,11 +1,14 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from kvgate.cache import KvCache
+from kvgate.indexer import DistillBatch
 from kvgate.numerics import NORM_EPS, Rng, masked_softmax_rows, rmsnorm
+from kvgate.policies import score_snapkv
 from kvgate.teacher import (
     TeacherConfig,
     TeacherModel,
@@ -154,7 +157,7 @@ class TestAttention:
         q = rng.normal((2, 1, 4))
         k = rng.normal((1, 1, 4))
         v = rng.normal((1, 1, 4))
-        out = attention_full(q, k, v, scale_dim=8)
+        out = attention_full(q, k, v)
         # only one visible value: attention must return it exactly
         assert np.allclose(out[0, :4], v[0, 0], atol=1e-12)
         assert np.allclose(out[0, 4:], v[0, 0], atol=1e-12)
@@ -165,7 +168,7 @@ class TestAttention:
             q = rng.normal((4, 16, 6))
             k = rng.normal((2, 16, 6))
             v = rng.normal((2, 16, 6))
-            got = attention_full(q, k, v, scale_dim=24)
+            got = attention_full(q, k, v)
             ref = reference_attention(q, k, v, 24)
             assert np.abs(got - ref).max() < 1e-10
 
@@ -175,7 +178,7 @@ class TestAttention:
         q = np.zeros((1, L, 4))
         k = rng.normal((1, L, 4))
         v = rng.normal((1, L, 4))
-        out = attention_full(q, k, v, scale_dim=16)
+        out = attention_full(q, k, v)
         for s in range(L):
             assert np.allclose(out[s], v[0, :s + 1].mean(axis=0), atol=1e-12)
 
@@ -185,12 +188,13 @@ class TestAttentionKernel:
     head blocks (nq == 1) and one head at a time (nq > 1), from a few keys
     to more than a decode cache holds.
 
-    1/sqrt(64) is exact in binary, so at scale_dim 64 multiplying by the
-    scale and dividing by sqrt(scale_dim) agree; 32 and 48 have inexact
-    scales, and there only the oracle's multiply matches."""
+    The logit scale is 1/sqrt(n_heads * d_head). d_head 4, 6 and 8 at 8
+    heads give widths 32, 48 and 64: 1/sqrt(64) is exact in binary, so
+    there multiplying by the scale and dividing by sqrt(64) agree; 32 and
+    48 have inexact scales, and there only the oracle's multiply matches."""
 
     KEY_COUNTS = (12, 64, 700, 1280, 2100)
-    SCALE_DIMS = (32, 48, 64)
+    D_HEADS = (4, 6, 8)
 
     @staticmethod
     def masks(nq, n_rows, rng):
@@ -203,31 +207,28 @@ class TestAttentionKernel:
     @pytest.mark.parametrize("nq", [1, 3, 43, 86])
     def test_matches_per_head_oracle(self, n_heads, n_kv, nq):
         rng = Rng(100 + 10 * n_heads + n_kv + nq)
-        dh = 8
-        q = rng.normal((n_heads, nq, dh))
-        for n_rows in self.KEY_COUNTS:
+        for dh, n_rows in product(self.D_HEADS, self.KEY_COUNTS):
+            q = rng.normal((n_heads, nq, dh))
             # cache-style views: the live prefix of a larger buffer
             keys = rng.normal((n_kv, 2 * n_rows, dh))[:, :n_rows, :]
             values = rng.normal((n_kv, 2 * n_rows, dh))[:, :n_rows, :]
             for name, visible in self.masks(nq, n_rows, rng).items():
-                for scale_dim in self.SCALE_DIMS:
-                    got = attend_rows(q, keys, values, scale_dim,
-                                      visible=visible)
-                    want = per_head_attention(q, keys, values, scale_dim,
-                                              visible)
-                    assert np.array_equal(got, want), (n_rows, name, scale_dim)
+                got = attend_rows(q, keys, values, visible=visible)
+                want = per_head_attention(q, keys, values, n_heads * dh,
+                                          visible)
+                assert np.array_equal(got, want), (dh, n_rows, name)
 
     @pytest.mark.parametrize("length", [1, 16, 128, 200])
     def test_full_attention_is_causal_attend_rows(self, length):
         rng = Rng(200 + length)
-        q = rng.normal((8, length, 8))
-        k = rng.normal((2, length, 8))
-        v = rng.normal((2, length, 8))
         causal = np.tri(length, dtype=bool)
-        for scale_dim in self.SCALE_DIMS:
-            assert np.array_equal(attention_full(q, k, v, scale_dim),
-                                  per_head_attention(q, k, v, scale_dim,
-                                                     causal)), scale_dim
+        for dh in self.D_HEADS:
+            q = rng.normal((8, length, dh))
+            k = rng.normal((2, length, dh))
+            v = rng.normal((2, length, dh))
+            assert np.array_equal(attention_full(q, k, v),
+                                  per_head_attention(q, k, v, 8 * dh,
+                                                     causal)), dh
 
     @pytest.mark.parametrize("nq,n_rows", [(1, 12), (3, 700), (86, 2100)])
     def test_fully_masked_row_raises(self, nq, n_rows):
@@ -236,7 +237,7 @@ class TestAttentionKernel:
         visible[nq - 1] = False
         with pytest.raises(ValueError, match="empty support"):
             attend_rows(rng.normal((8, nq, 8)), rng.normal((2, n_rows, 8)),
-                        rng.normal((2, n_rows, 8)), 64, visible=visible)
+                        rng.normal((2, n_rows, 8)), visible=visible)
 
 
 class TestForward:
@@ -396,19 +397,11 @@ class TestDecode:
 
 
 class TestPooledImportance:
-    def test_trailing_keys_have_empty_support(self):
-        rng = Rng(14)
-        q = rng.normal((2, 6, 4))
-        k = rng.normal((1, 6, 4))
-        imp = pooled_teacher_importance(q, k, scale_dim=8, q_set=np.array([2, 3]))
-        assert np.all(np.isneginf(imp[4:]))
-        assert np.all(np.isfinite(imp[:4]))
-
     def test_matches_bruteforce_max(self):
         rng = Rng(15)
         q = rng.normal((4, 10, 4))
         k = rng.normal((2, 10, 4))
-        imp = pooled_teacher_importance(q, k, scale_dim=16)
+        imp = pooled_teacher_importance(q, k)
         for t in range(10):
             best = -np.inf
             for h in range(4):
@@ -416,3 +409,41 @@ class TestPooledImportance:
                 for s in range(t, 10):
                     best = max(best, float(q[h, s] @ k[g, t]) / math.sqrt(16))
             assert imp[t] == pytest.approx(best, abs=1e-12)
+
+
+class TestLogitScale:
+    """Every consumer that rebuilds attention scales its logits by
+    1/sqrt(d_model). At d_model 48 with 8 heads of width 6 and 2 kv heads,
+    that differs from 1/sqrt(d_head) and 1/sqrt(n_kv_heads * d_head), and
+    it is inexact in binary. The oracles write the scale out by hand."""
+
+    SCALE = 1.0 / math.sqrt(48)
+
+    def test_every_consumer_scales_by_d_model(self):
+        cfg = TeacherConfig(n_layers=1, d_model=48, n_heads=8, n_kv_heads=2,
+                            d_ffn=32, vocab_size=16, seed=3)
+        lt = TeacherModel(cfg).forward(x0=Rng(16).normal((12, 48))).layers[0]
+        q, k, v = lt.q, lt.k, lt.v
+        causal = np.tri(12, dtype=bool)
+        # query head h reads kv head h // 4
+        logits = np.stack([q[h] @ k[h // 4].T for h in range(8)]) * self.SCALE
+        logits = np.where(causal, logits, -np.inf)
+        weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        out = np.concatenate([weights[h] @ v[h // 4] for h in range(8)], axis=1)
+
+        def close(got, want):
+            return np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+        assert close(attention_full(q, k, v), out)
+        assert close(attend_rows(q, k, v, visible=causal), out)
+        assert close(attend_rows(q[:, -1:], k, v), out[-1:])
+        # snapkv over the last 4 queries: mean attention row per query head,
+        # then mean over the 4 query heads of each kv head
+        snap = weights[:, 8:].mean(axis=1).reshape(2, 4, 12).mean(axis=1)
+        assert close(score_snapkv(q[:, 8:], k), snap)
+        # the teacher target: max causal logit over heads and queries
+        imp = logits.max(axis=(0, 1))
+        assert close(pooled_teacher_importance(q, k), imp)
+        batch = DistillBatch(x=lt.x_in, q_pre=lt.q_pre, q_rot=q, k_rot=k)
+        assert close(batch.teacher_imp, imp)
