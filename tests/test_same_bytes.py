@@ -1,6 +1,7 @@
 """tools/same_bytes.py: the byte comparison of two source trees."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +44,23 @@ def test_changed_and_missing_files_differ(tmp_path):
         ("gone.jsonl", "DIFFERS (missing in head)"),
         ("same.jsonl", "same"),
     ]
+
+
+def test_tree_with_a_changed_scale_differs(tmp_path, capsys):
+    # Each side must import its own tree's sources: a copy whose logit
+    # scale moves by one part in 1e7 has to write other bytes.
+    tool = load_tool()
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    teacher = tree / "src" / "kvgate" / "teacher.py"
+    source = teacher.read_text()
+    exact = "return 1.0 / np.sqrt(float(q.shape[0] * q.shape[-1]))"
+    assert source.count(exact) == 1
+    teacher.write_text(source.replace(exact, exact.replace("1.0", "1.0000001")))
+    tiny = tool.load_workloads().workload("pipeline", "smoke")
+    work = tmp_path / "work"
+    work.mkdir()
+    assert not tool.compare(tree, ROOT, {"tiny": tiny}, work)
+    lines = capsys.readouterr().out.splitlines()
+    assert "tiny/indexer.kvgt: DIFFERS" in lines

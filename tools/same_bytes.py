@@ -1,6 +1,6 @@
 """Check that the working tree writes the same bytes as a base revision.
 
-    python3 tools/same_bytes.py --base <rev> [--only NAME ...] [--seed N]
+    python3 tools/same_bytes.py --base <rev>
 
 Exports ``<rev>`` with ``git archive`` into a temporary directory, then runs
 ``train-indexer``, ``train-memory``, ``sweep --threads 2`` and ``decode-sim``
@@ -76,14 +76,10 @@ def cases() -> dict:
     return out
 
 
-def run_case(tree: Path, case, config_path: Path, out: Path,
-             seed: int | None = None) -> str | None:
-    """Run a case's stages from ``tree``'s sources; the error, if any.
-
-    ``seed`` overrides the config's own seed, as the CLI's ``--seed``.
-    """
-    if seed is None:
-        seed = case.config["seed"]
+def run_case(tree: Path, case, config_path: Path, out: Path) -> str | None:
+    """Run a case's stages from ``tree``'s sources at the config's own
+    seed; the error, if any."""
+    seed = case.config["seed"]
     argvs = [[str(a) for a in case.argv(stage, config_path, out, seed)]
              for stage in (*case.setup, *case.stages)]
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
@@ -112,8 +108,8 @@ def compare_dirs(base: Path, head: Path) -> list:
     return rows
 
 
-def compare(base_tree: Path, head_tree: Path, selected: dict, work: Path,
-            seed: int | None = None) -> bool:
+def compare(base_tree: Path, head_tree: Path, selected: dict,
+            work: Path) -> bool:
     """Run every selected case under both trees and print the verdicts;
     True when every file is the same and every stage succeeded."""
     ok = True
@@ -123,7 +119,7 @@ def compare(base_tree: Path, head_tree: Path, selected: dict, work: Path,
         outs, failed = {}, False
         for side, tree in (("base", base_tree), ("head", head_tree)):
             outs[side] = work / side / name
-            error = run_case(tree, case, config_path, outs[side], seed)
+            error = run_case(tree, case, config_path, outs[side])
             if error:
                 print(f"{name}: {side} failed: {error}")
                 failed = True
@@ -137,18 +133,10 @@ def compare(base_tree: Path, head_tree: Path, selected: dict, work: Path,
 
 
 def main(argv=None) -> int:
-    known = cases()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True,
                         help="git revision to compare the working tree with")
-    parser.add_argument("--only", action="append", choices=sorted(known),
-                        help="run only this config (repeatable)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="the --seed given to every stage (default: "
-                             "each config's own seed)")
     args = parser.parse_args(argv)
-    selected = {n: c for n, c in known.items()
-                if not args.only or n in args.only}
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
         work = Path(tmp)
         base_tree = work / "base_tree"
@@ -157,7 +145,7 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive,
                        check=True)
-        ok = compare(base_tree, ROOT, selected, work, args.seed)
+        ok = compare(base_tree, ROOT, cases(), work)
     print("all files same" if ok else "outputs differ")
     return 0 if ok else 1
 
