@@ -20,6 +20,9 @@ from .policies import HEAD_POOLS, POLICY_NAMES
 from .teacher import TeacherConfig
 
 CONFIG_VERSION = 1
+# ``numerics.Rng`` reads a seed modulo 2**64, so a larger seed would run
+# exactly as a smaller one while its records named the larger.
+SEED_LIMIT = 2**64
 DATA_KINDS = ("tokens", "gauss", "planted")
 PROB_MODES = ("softmax", "negonly")
 
@@ -97,6 +100,12 @@ def _as_int(tree: dict, section: str, key: str, minimum=None, optional=False):
     return value
 
 
+def _as_seed(tree: dict, section: str, key: str) -> int:
+    value = _as_int(tree, section, key, 0)
+    _require(value < SEED_LIMIT, f"{section}.{key} must be below 2**64")
+    return value
+
+
 def _as_bool(tree: dict, section: str, key: str) -> bool:
     value = tree[section][key]
     _require(isinstance(value, bool), f"{section}.{key} must be true or false")
@@ -168,7 +177,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(type(tree["version"]) is int and tree["version"] == CONFIG_VERSION,
              f"config version must be {CONFIG_VERSION}")
     _require(isinstance(tree["seed"], int) and not isinstance(tree["seed"], bool)
-             and tree["seed"] >= 0, "seed must be a non-negative integer")
+             and 0 <= tree["seed"] < SEED_LIMIT,
+             "seed must be an integer in [0, 2**64)")
     _require(isinstance(tree["out"], str) and tree["out"],
              "out must be a non-empty string")
 
@@ -180,7 +190,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             n_kv_heads=_as_int(tree, "teacher", "n_kv_heads", 1),
             d_ffn=_as_int(tree, "teacher", "d_ffn", 1),
             vocab_size=_as_int(tree, "teacher", "vocab_size", 1),
-            seed=_as_int(tree, "teacher", "seed", 0))
+            seed=_as_seed(tree, "teacher", "seed"))
         plan = CompressionPlan(
             ratio=_as_number(tree, "plan", "ratio"),
             sink_count=_as_int(tree, "plan", "sink_count", 0),
@@ -232,7 +242,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         plan=plan,
         policy_name=tree["policy"]["name"],
         policy_window=_as_int(tree, "policy", "window", 1),
-        policy_seed=_as_int(tree, "policy", "seed", 0),
+        policy_seed=_as_seed(tree, "policy", "seed"),
         policy_head_pool=tree["policy"]["head_pool"],
         agg_mode=tree["agg"]["mode"],
         agg_gamma=gamma,
@@ -246,7 +256,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         h_index=_as_int(tree, "train", "h_index", 1, optional=True),
         d_index=_as_int(tree, "train", "d_index", 1, optional=True),
         d_mem=_as_int(tree, "train", "d_mem", 1, optional=True),
-        param_seed=_as_int(tree, "train", "param_seed", 0),
+        param_seed=_as_seed(tree, "train", "param_seed"),
         indexer_steps=_as_int(tree, "train", "indexer_steps", 0),
         indexer_peak=peak,
         mem_steps=_as_int(tree, "train", "mem_steps", 0),

@@ -166,6 +166,9 @@ class EpisodeStack:
     ``queries`` and ``targets`` are (E, n_eval, d_model); the j-th write
     event of every episode is ``write_keys[j]`` / ``write_values[j]``, each
     (E, w_j, d_model). All episodes share ``reads_after`` (n_eval,).
+    The stack also owns :func:`episode_loss_and_grads`' work arrays, so a
+    training loop that reuses one stack allocates them once; they make a
+    stack unfit for concurrent kernel calls.
     """
 
     queries: np.ndarray
@@ -173,6 +176,17 @@ class EpisodeStack:
     write_keys: tuple
     write_values: tuple
     reads_after: np.ndarray
+    _work: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def _work_arrays(self, group: int, n_rows: int) -> tuple:
+        """Three contiguous (E, n_rows, d_model) arrays for the rows that
+        read after ``group`` writes, made on first use and reused after."""
+        arrays = self._work.get(group)
+        if arrays is None:
+            shape = (self.queries.shape[0], n_rows, self.queries.shape[2])
+            arrays = self._work[group] = tuple(np.empty(shape) for _ in range(3))
+        return arrays
 
     @classmethod
     def of(cls, episodes) -> EpisodeStack:
@@ -281,7 +295,13 @@ def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
     2. transposed operands are ``np.swapaxes`` views, never contiguous
        copies, so every per-episode BLAS call sees the same layout;
     3. nothing reduces over the episode axis here; scalars are summed per
-       episode in Python (see :func:`memory_loss_and_grads` for the mean).
+       episode in Python (see :func:`memory_loss_and_grads` for the mean);
+    4. the (E, rows, d_model) work arrays of a ``reads_after`` group are
+       written with ``out=`` into the stack's own arrays for that group
+       (:meth:`EpisodeStack._work_arrays`), each contiguous in the group's
+       exact shape: a strided view of a larger buffer would change
+       ``np.sum``'s pairwise order. Nothing returned aliases them, and a
+       stack must not serve two calls at once.
 
     The write path is differentiated by running the state recursion
     backwards; ``stop_write_grad`` cuts it and treats the replayed states
@@ -311,11 +331,12 @@ def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
         q_rows = np.swapaxes(_rows(queries, idx), 1, 2)
         g_rows = _rows(g, idx)
         denom = ((fq ** 2) @ st_b[:, :, None])[:, :, 0] + MEM_EPS
-        m = fq @ st_m
+        m, resid, work = stack._work_arrays(j, idx.size)
+        np.matmul(fq, st_m, out=m)
         np.divide(m, denom[:, :, None], out=m)
-        resid = g_rows[:, :, None] * m
+        np.multiply(g_rows[:, :, None], m, out=resid)
         np.subtract(_rows(targets, idx), resid, out=resid)
-        work = np.square(resid)
+        np.square(resid, out=work)
         for e in range(n_ep):
             totals[e] += float(np.sum(work[e]))
 

@@ -7,9 +7,11 @@ computed from the hidden state mixes the ReLU similarities into one score.
 Importance of a key is the max score any query in the aggregation set gives
 it. Training distills the pooled importance distribution from the frozen
 attention logits with a KL loss. The teacher target depends only on the
-batch, so each :class:`DistillBatch` computes it once; the gradient step
-itself is dense (L x L, test scale), while :func:`importance_from_features`
-streams score blocks so scoring never materializes the full matrix.
+batch, so each :class:`DistillBatch` computes it once. The gradient step
+builds the full (L x L) score matrix for its forward, but its backward runs
+only on the query rows that are some key's argmax; scoring, by
+:func:`importance_from_features`, streams score blocks and never
+materializes the full matrix.
 
 All gradients here are hand-derived; at max ties the lowest-index query
 carries the subgradient and ReLU contributes zero slope at its kink, which
@@ -345,8 +347,14 @@ def _rmsnorm_backward(raw: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 def distill_gradients(params: IndexerParams, batch: DistillBatch):
     """Loss and analytic gradients of the streaming KL w.r.t. u_q, u_k, g.
 
-    The computation is dense (test scale); the loss value matches the
-    streamed one exactly because block maxima equal global maxima.
+    The forward builds the full (L, L) score matrix; its loss matches the
+    streamed one exactly because block maxima equal global maxima. A key's
+    gradient flows only through its argmax query, so the backward runs its
+    four ``einsum`` on just the distinct argmax rows of the keys that carry
+    gradient and scatters the row results into zeros; every row keeps the
+    bits the dense (L, L) backward gave it. The feature-norm backward and
+    the weight-gradient matmuls keep all L rows, so their BLAS sums are the
+    dense ones too.
     """
     n = batch.length
     ids = np.arange(n)
@@ -358,14 +366,14 @@ def distill_gradients(params: IndexerParams, batch: DistillBatch):
     k_feat = rmsnorm(raw_k)
     gates = head_gates(params, batch.x)
 
-    dots = np.einsum("shd,td->sth", q_feat, k_feat)
-    z = np.maximum(dots, 0.0)
+    # ReLU in place: z > 0 exactly where the dot products are.
+    z = np.einsum("shd,td->sth", q_feat, k_feat)
+    np.maximum(z, 0.0, out=z)
     scores = np.einsum("sth,sh->st", z, gates)
-    invalid = ids[None, :] > ids[:, None]
-    scores = np.where(invalid, -np.inf, scores)
+    np.copyto(scores, -np.inf, where=ids[None, :] > ids[:, None])
 
-    student_imp = scores.max(axis=0)
     arg_rows = np.argmax(scores, axis=0)           # lowest index wins ties
+    student_imp = scores[arg_rows, ids]
 
     keep = np.arange(batch.sink_count, n)
     t_valid = batch.teacher_imp[keep]
@@ -384,16 +392,21 @@ def distill_gradients(params: IndexerParams, batch: DistillBatch):
     d_imp = np.zeros(n)
     d_imp[keep] = q - p
 
-    # Route each key's gradient through its argmax query.
-    d_scores = np.zeros((n, n))
+    # Route each key's gradient through its argmax query: d_scores has
+    # non-zeros only on the rows R, so the backward runs on R alone.
     cols = np.flatnonzero(np.isfinite(student_imp) & (d_imp != 0.0))
-    d_scores[arg_rows[cols], cols] = d_imp[cols]
+    rows, slot = np.unique(arg_rows[cols], return_inverse=True)
+    d_scores = np.zeros((rows.size, n))
+    d_scores[slot, cols] = d_imp[cols]
+    z_r = z[rows]
 
-    d_gates = np.einsum("st,sth->sh", d_scores, z)
-    d_z = np.einsum("st,sh->sth", d_scores, gates)
-    d_dots = d_z * (dots > 0.0)
-    d_qfeat = np.einsum("sth,td->shd", d_dots, k_feat)
-    d_kfeat = np.einsum("sth,shd->td", d_dots, q_feat)
+    d_gates = np.zeros_like(gates)
+    d_gates[rows] = np.einsum("st,sth->sh", d_scores, z_r)
+    d_dots = np.einsum("st,sh->sth", d_scores, gates[rows])
+    d_dots *= z_r > 0.0
+    d_qfeat = np.zeros_like(q_feat)
+    d_qfeat[rows] = np.einsum("sth,td->shd", d_dots, k_feat)
+    d_kfeat = np.einsum("sth,shd->td", d_dots, q_feat[rows])
 
     d_raw_q = _rmsnorm_backward(raw_q, d_qfeat)
     d_raw_k = _rmsnorm_backward(raw_k, d_kfeat)

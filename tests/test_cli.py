@@ -119,6 +119,19 @@ class TestTrainIndexer:
             assert np.array_equal(got[name], want[name])
         assert read_records(out / "train_indexer_loss.jsonl") == []
 
+    def test_seed_beyond_64_bits_is_config_error(self, stage_one, tmp_path,
+                                                 capsys):
+        # 2**64 + 5 would run exactly as seed 5 while its records said
+        # otherwise.
+        out = tmp_path / "aliased"
+        code = run("train-indexer", "--config", stage_one["config"],
+                   "--seed", 2**64 + 5, "--out", out)
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "2**64" in record["message"]
+        assert not (out / "indexer.kvgt").exists()
+
     def test_seed_override_matches_explicit_seed(self, stage_one, tmp_path):
         override_out = tmp_path / "override"
         assert run("train-indexer", "--config", stage_one["config"],

@@ -156,6 +156,46 @@ class TestParsing:
         assert issubclass(ConfigError, ValueError)
 
 
+def seed_at(place, value):
+    """A minimal config with one of its five seeds set to ``value``."""
+    if place == "seed":
+        return {"version": 1, "seed": value}
+    section, key = place.split(".")
+    return {"version": 1, section: {key: value}}
+
+
+SEED_PLACES = ("seed", "teacher.seed", "policy.seed", "train.param_seed")
+
+
+class TestSeedRange:
+    """``Rng`` reads seeds modulo 2**64, so the config stops at 2**64 - 1."""
+
+    @pytest.mark.parametrize("place", SEED_PLACES)
+    def test_largest_seed_accepted(self, place):
+        parse_config(seed_at(place, 2**64 - 1))
+
+    @pytest.mark.parametrize("place", SEED_PLACES)
+    @pytest.mark.parametrize("value", [2**64, 2**64 + 5, 2**70])
+    def test_seed_from_two_to_the_64_rejected(self, place, value):
+        with pytest.raises(ConfigError, match="2\\*\\*64"):
+            parse_config(seed_at(place, value))
+
+    def test_override_seed_checked(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"version": 1, "seed": 3}))
+        assert load_config(path, seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(path, seed=2**64 + 5)
+
+    def test_valid_seeds_keep_their_hash(self):
+        top = 2**64 - 1
+        assert parse_config(minimal()).config_hash == "53f848eecbe3e2eb"
+        assert parse_config({
+            "version": 1, "seed": top, "teacher": {"seed": top},
+            "policy": {"seed": top}, "train": {"param_seed": top},
+        }).config_hash == "fa12ca314fcc1012"
+
+
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 300)
                 | st.floats(allow_nan=True, allow_infinity=True)
                 | st.text(max_size=6))

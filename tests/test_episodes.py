@@ -534,6 +534,62 @@ class TestStackedKernel:
             EpisodeStack.of([])
 
 
+def kernel_bytes(result):
+    """A kernel result as bytes: losses, then each gradient."""
+    losses, grads = result
+    return (np.array(losses).tobytes(), grads["w_phi"].tobytes(),
+            grads["w_gate"].tobytes(), np.array(grads["gate_bias"]).tobytes())
+
+
+class TestWorkArrays:
+    """The kernel's reused work arrays never change what it returns."""
+
+    @pytest.mark.parametrize("stop_write_grad", [False, True])
+    def test_repeated_and_interleaved_calls_match_a_fresh_stack(
+            self, stop_write_grad):
+        multi = [multi_write_episode(i) for i in range(3)]
+        single = [single_write_episode(i, 6, 4, [1] * 6) for i in range(2)]
+        slow = MemorySlowWeights.init(D, Rng(804), d_mem=3)
+        stacks = [EpisodeStack.of(multi), EpisodeStack.of(single)]
+        want = [kernel_bytes(episode_loss_and_grads(
+                    slow, EpisodeStack.of(eps), stop_write_grad=stop_write_grad))
+                for eps in (multi, single)]
+        for _ in range(3):
+            for stack, first in zip(stacks, want):
+                got = episode_loss_and_grads(slow, stack,
+                                             stop_write_grad=stop_write_grad)
+                assert kernel_bytes(got) == first
+        # Four reads_after groups in the multi-write stack, one in the other.
+        assert len(stacks[0]._work) == 4 and len(stacks[1]._work) == 1
+
+    def test_work_arrays_are_made_once(self):
+        stack = EpisodeStack.of([multi_write_episode(i) for i in range(2)])
+        slow = MemorySlowWeights.init(D, Rng(805), d_mem=3)
+        episode_loss_and_grads(slow, stack)
+        made = {j: tuple(map(id, arrays)) for j, arrays in stack._work.items()}
+        episode_loss_and_grads(slow, stack)
+        assert {j: tuple(map(id, arrays))
+                for j, arrays in stack._work.items()} == made
+        for arrays in stack._work.values():
+            assert all(a.flags.c_contiguous for a in arrays)
+
+    def test_returned_results_survive_the_next_call(self):
+        stack = EpisodeStack.of([multi_write_episode(i) for i in range(2)])
+        slow = MemorySlowWeights.init(D, Rng(806), d_mem=3)
+        first = episode_loss_and_grads(slow, stack)
+        kept = kernel_bytes(first)
+        slow.w_phi *= 1.5
+        slow.gate_bias += 0.25
+        second = episode_loss_and_grads(slow, stack)
+        assert kernel_bytes(first) == kept
+        assert kernel_bytes(second) != kept
+        for arrays in stack._work.values():
+            for a in arrays:
+                for result in (first, second):
+                    assert not np.shares_memory(a, result[1]["w_phi"])
+                    assert not np.shares_memory(a, result[1]["w_gate"])
+
+
 class TestTrainMemory:
     def test_loss_decreases(self):
         eps = [multi_write_episode(i) for i in range(4)]

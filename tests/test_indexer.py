@@ -6,6 +6,7 @@ import pytest
 from kvgate.cache import CompressionPlan
 from kvgate.indexer import (
     DistillBatch,
+    _rmsnorm_backward,
     DivergenceError,
     IndexerKeyCache,
     IndexerParams,
@@ -25,9 +26,9 @@ from kvgate.indexer import (
     teacher_block,
     train_indexer,
 )
-from kvgate.numerics import Rng, rmsnorm
+from kvgate.numerics import Rng, kl_divergence, masked_softmax_rows, rmsnorm
 from kvgate.policies import select
-from kvgate.teacher import TeacherConfig, TeacherModel, logit_scale
+from kvgate.teacher import TeacherConfig, TeacherModel, flatten_heads, logit_scale
 
 
 def dense_scores(params, x, q_pre):
@@ -51,6 +52,95 @@ def small_setup(length=20, sink_count=3, param_seed=61, x_seed=60, layer=0):
     params = IndexerParams.init(teacher.config, Rng(param_seed),
                                 h_index=2, d_index=3)
     return teacher, batch, params
+
+
+def dense_distill_gradients(params, batch):
+    """The dense (L, L) distillation backward, the oracle of the row-sparse one.
+
+    ``d_scores`` is a full (L, L) array and every einsum runs over all L
+    query rows, most of which carry only zeros.
+    """
+    n = batch.length
+    ids = np.arange(n)
+
+    flat_q = flatten_heads(batch.q_pre)
+    raw_q = (flat_q @ params.u_q).reshape(n, params.h_index, params.d_index)
+    q_feat = rmsnorm(raw_q)
+    raw_k = batch.x @ params.u_k
+    k_feat = rmsnorm(raw_k)
+    gates = head_gates(params, batch.x)
+
+    dots = np.einsum("shd,td->sth", q_feat, k_feat)
+    z = np.maximum(dots, 0.0)
+    scores = np.einsum("sth,sh->st", z, gates)
+    invalid = ids[None, :] > ids[:, None]
+    scores = np.where(invalid, -np.inf, scores)
+
+    student_imp = scores.max(axis=0)
+    arg_rows = np.argmax(scores, axis=0)
+
+    keep = np.arange(batch.sink_count, n)
+    t_valid = batch.teacher_imp[keep]
+    s_valid = student_imp[keep]
+    loss = kl_divergence(t_valid, s_valid)
+
+    finite = np.isfinite(s_valid)
+    p = np.zeros_like(t_valid)
+    q = np.zeros_like(s_valid)
+    p[finite] = masked_softmax_rows(t_valid[finite])
+    q[finite] = masked_softmax_rows(s_valid[finite])
+    d_imp = np.zeros(n)
+    d_imp[keep] = q - p
+
+    d_scores = np.zeros((n, n))
+    cols = np.flatnonzero(np.isfinite(student_imp) & (d_imp != 0.0))
+    d_scores[arg_rows[cols], cols] = d_imp[cols]
+
+    d_gates = np.einsum("st,sth->sh", d_scores, z)
+    d_z = np.einsum("st,sh->sth", d_scores, gates)
+    d_dots = d_z * (dots > 0.0)
+    d_qfeat = np.einsum("sth,td->shd", d_dots, k_feat)
+    d_kfeat = np.einsum("sth,shd->td", d_dots, q_feat)
+
+    d_raw_q = _rmsnorm_backward(raw_q, d_qfeat)
+    d_raw_k = _rmsnorm_backward(raw_k, d_kfeat)
+
+    grad_u_q = flat_q.T @ d_raw_q.reshape(n, -1)
+    grad_u_k = batch.x.T @ d_raw_k
+    grad_g = (batch.x.T @ d_gates) * params.gate_scale
+    return loss, {"u_q": grad_u_q, "u_k": grad_u_k, "g": grad_g}
+
+
+def gqa_batch(length, n_heads, n_kv_heads, seed, sink_count=4):
+    """A one-layer teacher's distillation batch, d_head 4, random inputs."""
+    d_model = 4 * n_heads
+    teacher = TeacherModel(TeacherConfig(
+        n_layers=1, d_model=d_model, n_heads=n_heads, n_kv_heads=n_kv_heads,
+        d_ffn=2 * d_model, vocab_size=16, seed=seed))
+    x0 = Rng(seed + 1).normal((length, d_model))
+    return teacher, distill_batch(teacher, x0, 0, sink_count=sink_count)
+
+
+def argmax_rows(params, batch):
+    """Distinct argmax query rows of the non-sink keys, and the score matrix."""
+    scores = dense_scores(params, batch.x, batch.q_pre)
+    arg_rows = np.argmax(scores, axis=0)
+    return np.unique(arg_rows[batch.sink_count:]), scores
+
+
+def assert_matches_dense_oracle(params, batch, steps=3, lr=0.5):
+    """Loss and gradients equal the dense oracle's bytes at every SGD step."""
+    for _ in range(steps):
+        loss, grads = distill_gradients(params, batch)
+        want_loss, want = dense_distill_gradients(params, batch)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert set(grads) == set(want)
+        for name, value in want.items():
+            assert grads[name].shape == value.shape
+            assert grads[name].tobytes() == value.tobytes(), name
+        params.u_q -= lr * grads["u_q"]
+        params.u_k -= lr * grads["u_k"]
+        params.g -= lr * grads["g"]
 
 
 def reference_scores(params, x, q_pre):
@@ -393,6 +483,75 @@ class TestGradients:
         _, grads2 = distill_gradients(params, perturbed)
         assert np.array_equal(grads["u_k"], grads2["u_k"])
         assert np.array_equal(grads["g"], grads2["g"])
+
+
+class TestSparseBackward:
+    """The row-sparse backward against the dense (L, L) oracle, byte for byte."""
+
+    @pytest.mark.parametrize("length, heads, h_index, d_index", [
+        (8, (8, 2), 1, 1), (8, (4, 1), 4, 8),
+        (24, (8, 2), 2, 3), (24, (4, 1), 3, 5),
+        (128, (8, 2), 2, 1), (128, (4, 1), 4, 8),
+        (256, (8, 2), 4, 8), (256, (4, 1), 1, 2),
+    ])
+    def test_lengths_and_gqa(self, length, heads, h_index, d_index):
+        teacher, batch = gqa_batch(length, *heads, seed=90 + length)
+        params = IndexerParams.init(teacher.config, Rng(91), h_index=h_index,
+                                    d_index=d_index)
+        assert_matches_dense_oracle(params, batch)
+
+    @pytest.mark.parametrize("heads", [(8, 2), (4, 1)])
+    def test_every_indexer_width(self, heads):
+        teacher, batch = gqa_batch(24, *heads, seed=92)
+        for h_index in range(1, 5):
+            for d_index in range(1, 9):
+                params = IndexerParams.init(teacher.config, Rng(93),
+                                            h_index=h_index, d_index=d_index)
+                assert_matches_dense_oracle(params, batch)
+
+    def test_single_argmax_row(self):
+        teacher, batch = gqa_batch(24, 8, 2, seed=96, sink_count=22)
+        params = IndexerParams.init(teacher.config, Rng(97), h_index=2,
+                                    d_index=3)
+        rows, _ = argmax_rows(params, batch)
+        assert rows.size == 1
+        assert_matches_dense_oracle(params, batch)
+
+    def test_no_gradient_columns(self):
+        teacher, batch = gqa_batch(24, 4, 1, seed=98)
+        params = IndexerParams.init(teacher.config, Rng(99), h_index=2,
+                                    d_index=3)
+        # A teacher target equal to the student's importance leaves every
+        # key with a zero gradient.
+        _, batch.teacher_imp = pooled_vectors(params, batch)
+        loss, grads = distill_gradients(params, batch)
+        assert loss == 0.0
+        for value in grads.values():
+            assert not value.any()
+        assert_matches_dense_oracle(params, batch, steps=1)
+
+    def test_tied_queries_route_to_the_lowest_row(self):
+        # Rows 2 and 3 share the only coordinates the indexer reads (the
+        # first of q_pre and of x), so they tie exactly on every key up
+        # to 2, and their gate of 2.0 makes that tie the column maximum.
+        # Their second coordinates differ, so which row carries the
+        # gradient shows in grad_u_q and grad_g.
+        x = np.array([[0.5, 0.3], [0.4, -0.2], [2.0, 0.7], [2.0, -1.1],
+                      [0.3, 0.9], [0.6, 0.1]])
+        q_pre = np.array([[[0.5, 0.1], [0.8, -0.4], [1.5, 0.6], [1.5, -0.9],
+                           [0.7, 0.2], [0.9, 0.3]]])
+        rng = Rng(100)
+        batch = DistillBatch(x=x, q_pre=q_pre, q_rot=rng.split(0).normal((1, 6, 2)),
+                             k_rot=rng.split(1).normal((1, 6, 2)), sink_count=1)
+        reads_first = np.array([[1.0], [0.0]])
+        params = IndexerParams(u_q=reads_first.copy(), u_k=reads_first.copy(),
+                               g=reads_first.copy())
+        _, scores = argmax_rows(params, batch)
+        assert np.array_equal(scores[2, :3], scores[3, :3])
+        assert np.array_equal(np.argmax(scores, axis=0)[1:3], [2, 2])
+        _, grads = distill_gradients(params, batch)
+        assert grads["u_q"][1, 0] != 0.0 and grads["g"][1, 0] != 0.0
+        assert_matches_dense_oracle(params, batch)
 
 
 class TestSchedule:

@@ -64,3 +64,12 @@ def test_tree_with_a_changed_scale_differs(tmp_path, capsys):
     assert not tool.compare(tree, ROOT, {"tiny": tiny}, work)
     lines = capsys.readouterr().out.splitlines()
     assert "tiny/indexer.kvgt: DIFFERS" in lines
+
+
+def test_cases_include_a_wide_indexer():
+    cases = load_tool().cases()
+    wide, pipeline = cases["pipeline-wide"], cases["pipeline"]
+    assert wide.config["train"]["h_index"] == 4
+    assert wide.config["train"]["d_index"] == 8
+    assert "h_index" not in pipeline.config["train"]
+    assert wide.stages == pipeline.stages and wide.setup == pipeline.setup

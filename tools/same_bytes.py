@@ -11,7 +11,10 @@ timestamps, excepted). The configs are:
 - ``readme``: the example config in ``README.md``;
 - ``pipeline``, ``sweep-planted``, ``decode-long``: the benchmark's
   workloads (``perfbench/workloads.py``), each with its own stages;
-- ``pipeline-<policy>``: the ``pipeline`` config under each other policy.
+- ``pipeline-<policy>``: the ``pipeline`` config under each other policy;
+- ``pipeline-wide``: the ``pipeline`` config with a wider indexer
+  (``train.h_index`` 4, ``train.d_index`` 8), so the distillation
+  backward is also compared beyond the default widths (2 and 1).
 
 Prints ``same`` or ``DIFFERS`` per file and exits 1 on any difference or
 failed stage. Run it from the root of a kvgate checkout.
@@ -73,6 +76,10 @@ def cases() -> dict:
         config["policy"]["name"] = policy
         out[f"pipeline-{policy}"] = wl.Workload(
             f"pipeline-{policy}", config, pipeline.setup, pipeline.stages)
+    wide = copy.deepcopy(pipeline.config)
+    wide["train"].update(h_index=4, d_index=8)
+    out["pipeline-wide"] = wl.Workload("pipeline-wide", wide, pipeline.setup,
+                                       pipeline.stages)
     return out
 
 
