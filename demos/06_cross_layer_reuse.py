@@ -1,22 +1,16 @@
-"""Sharing importance scores across layers.
+"""Sharing importance scores across a layer group.
 
-Layers tend to agree on which tokens matter, which invites two shortcuts:
-average the per-layer score vectors (optionally skipping high-entropy
-layers whose distribution is near uniform), or compute scores once per
-group of layers and reuse them. The demo shows both, plus the keep-set
-overlap that justifies them.
+Layers tend to agree on which tokens matter, so a group of layers can be
+scored once: the group's first layer computes its scores and the others
+reuse them (the config's ``reuse.group_size``). The demo shows the reuse
+plan, the computations it saves, and how many rows each layer would have
+kept on its own scores that it also keeps on its leader's.
 """
 
 import numpy as np
 
 from kvgate.cache import CompressionPlan
-from kvgate.crosslayer import (
-    LayerScoreBundle,
-    aggregate_scores,
-    index_reuse_plan,
-    overlap_matrix,
-    scores_with_reuse,
-)
+from kvgate.crosslayer import index_reuse_plan, scores_with_reuse
 from kvgate.numerics import Rng
 from kvgate.policies import aggregate_heads, score_knorm, select
 from kvgate.teacher import TeacherConfig, TeacherModel
@@ -26,30 +20,11 @@ cfg = TeacherConfig(n_layers=4, d_model=32, n_heads=4, n_kv_heads=2,
 teacher = TeacherModel(cfg)
 plan = CompressionPlan(ratio=0.5, sink_count=2, local_window=4)
 length = 48
+positions = np.arange(length)
 
 tokens = Rng(21).integers(0, cfg.vocab_size, length)
 trace = teacher.forward(tokens=tokens)
 per_layer = [aggregate_heads(score_knorm(lt.k)) for lt in trace.layers]
-keeps = [select(plan, s, np.arange(length)) for s in per_layer]
-
-overlap = overlap_matrix(keeps)
-print("keep-set overlap between layers (Jaccard):")
-for row in overlap:
-    print("  " + " ".join(f"{v:.2f}" for v in row))
-
-bundle = LayerScoreBundle.from_scores(per_layer)
-print("\nper-layer score entropies:",
-      " ".join(f"{e:.3f}" for e in bundle.entropies))
-pooled = aggregate_scores(bundle, "layer_mean")
-gamma = float(np.median(bundle.entropies))
-gated = aggregate_scores(bundle, "ent_skip_high", gamma=gamma)
-included = int(np.sum(bundle.entropies <= gamma))
-print(f"layer_mean equals the plain mean: "
-      f"{np.array_equal(pooled, np.mean(bundle.scores, axis=0))}")
-print(f"gating at entropy <= {gamma:.3f} keeps {included} of "
-      f"{bundle.n_layers} layers; result differs from the plain mean: "
-      f"{not np.array_equal(pooled, gated)}")
-
 calls = {"n": 0}
 
 
@@ -58,9 +33,16 @@ def compute(layer):
     return per_layer[layer]
 
 
-shared = scores_with_reuse(cfg.n_layers, 2, compute)
-print(f"\nreuse plan for groups of 2: {index_reuse_plan(cfg.n_layers, 2)}")
+group = 2
+shared = scores_with_reuse(cfg.n_layers, group, compute)
+print(f"reuse plan for groups of {group}: {index_reuse_plan(cfg.n_layers, group)}")
 print(f"score computations for {cfg.n_layers} layers: {calls['n']} "
-      f"(layers in a group share one array: "
-      f"{shared[1] is shared[0]})")
+      f"(layers in a group share one array: {shared[1] is shared[0]})")
 assert calls["n"] == 2
+
+print("\nrows kept on the layer's own scores that reuse also keeps:")
+for layer in range(cfg.n_layers):
+    own = select(plan, per_layer[layer], positions)
+    reused = select(plan, shared[layer], positions)
+    common = np.intersect1d(own, reused).size
+    print(f"  layer {layer}: {common} of {own.size}")

@@ -15,16 +15,20 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import CompressionPlan
-from .crosslayer import AGG_MODES
-from .policies import HEAD_POOLS, POLICY_NAMES
+from .numerics import SEED_LIMIT
+from .policies import POLICY_NAMES
 from .teacher import TeacherConfig
 
 CONFIG_VERSION = 1
-# ``numerics.Rng`` reads a seed modulo 2**64, so a larger seed would run
-# exactly as a smaller one while its records named the larger.
-SEED_LIMIT = 2**64
 DATA_KINDS = ("tokens", "gauss", "planted")
-PROB_MODES = ("softmax", "negonly")
+# Knobs that are no longer settable, at the values every config had for
+# them. The hash covers the canonical form with these merged in, so each
+# config keeps the hash its records carried before the knobs were retired.
+_RETIRED = {
+    "policy": {"head_pool": "mean"},
+    "agg": {"mode": "none", "gamma": 0.5, "prob": "softmax"},
+    "train": {"head_sum": False, "stop_write_grad": False},
+}
 
 
 class ConfigError(ValueError):
@@ -43,10 +47,7 @@ _SCHEMA = {
         "ratio": 0.5, "sink_count": 4, "local_window": 8, "budget": None,
     },
     "policy": {
-        "name": "indexer", "window": 8, "seed": 0, "head_pool": "mean",
-    },
-    "agg": {
-        "mode": "none", "gamma": 0.5, "prob": "softmax",
+        "name": "indexer", "window": 8, "seed": 0,
     },
     "reuse": {
         "group_size": 1,
@@ -59,7 +60,6 @@ _SCHEMA = {
         "h_index": None, "d_index": None, "d_mem": None, "param_seed": 42,
         "indexer_steps": 600, "indexer_peak": 1e-3,
         "mem_steps": 300, "mem_lr": 0.05, "lam": 0.95, "eta": 1.0,
-        "head_sum": False, "stop_write_grad": False,
     },
     "decode": {
         "steps": 256, "interval": 128, "budgets": (48, 64, 96),
@@ -106,12 +106,6 @@ def _as_seed(tree: dict, section: str, key: str) -> int:
     return value
 
 
-def _as_bool(tree: dict, section: str, key: str) -> bool:
-    value = tree[section][key]
-    _require(isinstance(value, bool), f"{section}.{key} must be true or false")
-    return value
-
-
 def _as_number(tree: dict, section: str, key: str) -> float:
     value = tree[section][key]
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
@@ -136,10 +130,6 @@ class ExperimentConfig:
     policy_name: str
     policy_window: int
     policy_seed: int
-    policy_head_pool: str
-    agg_mode: str
-    agg_gamma: float
-    agg_prob: str
     reuse_group_size: int
     data_kind: str
     data_length: int
@@ -156,15 +146,16 @@ class ExperimentConfig:
     mem_lr: float
     lam: float
     eta: float
-    head_sum: bool
-    stop_write_grad: bool
     decode_steps: int
     decode_budgets: tuple
     canonical: dict
 
     @property
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical, sort_keys=True,
+        hashed = dict(self.canonical)
+        for section, values in _RETIRED.items():
+            hashed[section] = {**hashed.get(section, {}), **values}
+        blob = json.dumps(hashed, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -202,14 +193,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     _require(tree["policy"]["name"] in POLICY_NAMES,
              f"policy.name must be one of {POLICY_NAMES}")
-    _require(tree["policy"]["head_pool"] in HEAD_POOLS,
-             f"policy.head_pool must be one of {HEAD_POOLS}")
-    _require(tree["agg"]["mode"] in AGG_MODES,
-             f"agg.mode must be one of {AGG_MODES}")
-    _require(tree["agg"]["prob"] in PROB_MODES,
-             f"agg.prob must be one of {PROB_MODES}")
-    gamma = _as_number(tree, "agg", "gamma")
-    _require(0.0 <= gamma <= 1.0, "agg.gamma must lie in [0, 1]")
     _require(tree["data"]["kind"] in DATA_KINDS,
              f"data.kind must be one of {DATA_KINDS}")
 
@@ -243,10 +226,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         policy_name=tree["policy"]["name"],
         policy_window=_as_int(tree, "policy", "window", 1),
         policy_seed=_as_seed(tree, "policy", "seed"),
-        policy_head_pool=tree["policy"]["head_pool"],
-        agg_mode=tree["agg"]["mode"],
-        agg_gamma=gamma,
-        agg_prob=tree["agg"]["prob"],
         reuse_group_size=_as_int(tree, "reuse", "group_size", 1),
         data_kind=tree["data"]["kind"],
         data_length=length,
@@ -263,8 +242,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         mem_lr=mem_lr,
         lam=lam,
         eta=eta,
-        head_sum=_as_bool(tree, "train", "head_sum"),
-        stop_write_grad=_as_bool(tree, "train", "stop_write_grad"),
         decode_steps=_as_int(tree, "decode", "steps", 1),
         decode_budgets=tuple(budgets),
         canonical=tree,

@@ -1,99 +1,13 @@
-"""Cross-layer score aggregation and reuse.
+"""Cross-layer index reuse.
 
-Per-layer importance scores over the same tokens tend to agree; these
-helpers exploit that. Scores can be averaged across layers, averaged with
-low-entropy layers only (the peaked ones carry the signal), or computed
-once per layer group and shared.
+Per-layer importance scores over the same tokens tend to agree, so a
+layer group can share one score computation: the group's first layer is
+scored and the other layers reuse its scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .numerics import normalized_entropy, score_to_prob
-
-AGG_MODES = ("none", "layer_mean", "ent_skip_high", "ent_skip_low")
-
-
-@dataclass
-class LayerScoreBundle:
-    """One score vector per layer plus each layer's normalized entropy."""
-
-    scores: np.ndarray      # (n_layers, length)
-    entropies: np.ndarray   # (n_layers,)
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.entropies = np.asarray(self.entropies, dtype=np.float64)
-        if self.scores.ndim != 2 or self.scores.shape[0] < 1:
-            raise ValueError("bundle needs at least one layer of scores")
-        if self.entropies.shape != (self.scores.shape[0],):
-            raise ValueError("one entropy per layer required")
-        if np.any(self.entropies < 0.0) or np.any(self.entropies > 1.0):
-            raise ValueError("normalized entropies must lie in [0, 1]")
-
-    @property
-    def n_layers(self) -> int:
-        return self.scores.shape[0]
-
-    @classmethod
-    def from_scores(cls, scores_by_layer, prob_mode: str = "softmax",
-                    temperature: float = 1.0) -> "LayerScoreBundle":
-        scores = np.asarray(scores_by_layer, dtype=np.float64)
-        if scores.ndim != 2:
-            raise ValueError("expected (n_layers, length) scores")
-        ent = np.array([
-            normalized_entropy(score_to_prob(row, prob_mode, temperature))
-            for row in scores])
-        return cls(scores, ent)
-
-
-def running_mean(bundle: LayerScoreBundle) -> np.ndarray:
-    """Element-wise mean of all layers' scores."""
-    return np.mean(bundle.scores, axis=0)
-
-
-def _inclusion(bundle: LayerScoreBundle, gamma: float,
-               direction: str) -> np.ndarray:
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    if direction == "skip_high":
-        return bundle.entropies <= gamma
-    if direction == "skip_low":
-        return bundle.entropies >= gamma
-    raise ValueError(f"unknown gating direction: {direction!r}")
-
-
-def entropy_gated_mean(bundle: LayerScoreBundle, gamma: float,
-                       direction: str = "skip_high") -> np.ndarray:
-    """Mean over the layers whose entropy clears the threshold.
-
-    ``skip_high`` keeps layers with entropy <= gamma (drops the diffuse
-    ones); ``skip_low`` keeps entropy >= gamma. An empty inclusion set
-    collapses to the zero vector (an empty sum over the epsilon guard);
-    callers that need a usable signal should fall back to running_mean,
-    which aggregate_scores does.
-    """
-    included = _inclusion(bundle, gamma, direction)
-    if not np.any(included):
-        return np.zeros(bundle.scores.shape[1])
-    return np.mean(bundle.scores[included], axis=0)
-
-
-def aggregate_scores(bundle: LayerScoreBundle, mode: str,
-                     gamma: float = 0.5) -> np.ndarray:
-    """Dispatch an aggregation mode, falling back to the plain mean when
-    entropy gating excludes every layer."""
-    if mode == "layer_mean":
-        return running_mean(bundle)
-    if mode in ("ent_skip_high", "ent_skip_low"):
-        direction = mode.removeprefix("ent_")
-        if not np.any(_inclusion(bundle, gamma, direction)):
-            return running_mean(bundle)
-        return entropy_gated_mean(bundle, gamma, direction)
-    raise ValueError(f"no aggregation defined for mode {mode!r}")
 
 
 def index_reuse_plan(n_layers: int, group_size: int = 4) -> np.ndarray:
@@ -119,22 +33,4 @@ def scores_with_reuse(n_layers: int, group_size: int, compute) -> list:
         if src not in computed:
             computed[src] = compute(src)
         out.append(computed[src])
-    return out
-
-
-def overlap_matrix(keep_sets) -> np.ndarray:
-    """Pairwise Jaccard similarity of per-layer keep sets."""
-    sets = [frozenset(int(i) for i in np.asarray(s).ravel()) for s in keep_sets]
-    if not sets:
-        raise ValueError("no keep sets")
-    size = len(sets[0])
-    if size == 0 or any(len(s) != size for s in sets):
-        raise ValueError("keep sets must be nonempty and equally sized")
-    n = len(sets)
-    out = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = len(sets[i] & sets[j])
-            union = len(sets[i] | sets[j])
-            out[i, j] = out[j, i] = inter / union
     return out

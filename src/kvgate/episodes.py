@@ -107,8 +107,7 @@ class FullRun:
         return cls(trace, eval_start, visible, o_full)
 
 
-def prefill_episodes(full_run: FullRun, keeps_by_layer,
-                     head_sum: bool = False) -> list:
+def prefill_episodes(full_run: FullRun, keeps_by_layer) -> list:
     """One episode per layer for a compress-then-continue run.
 
     The first ``full_run.eval_start`` tokens are compressed to each layer's
@@ -144,7 +143,7 @@ def prefill_episodes(full_run: FullRun, keeps_by_layer,
                                  visible=kept)
         k_tok, v_tok = tokens_from_evicted(lt.k[:, evicted, :],
                                            lt.v[:, evicted, :],
-                                           lt.q.shape[0], head_sum=head_sum)
+                                           lt.q.shape[0])
         episodes.append(LayerEpisode(
             queries=flatten_heads(lt.q_pre)[eval_start:],
             targets=o_full - o_kept,
@@ -275,8 +274,7 @@ def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
-                           lam: float = 0.95, eta: float = 1.0,
-                           stop_write_grad: bool = False):
+                           lam: float = 0.95, eta: float = 1.0):
     """Per-episode losses plus analytic slow-weight gradients over a stack.
 
     Every array carries the stack's leading episode axis E: queries and
@@ -304,8 +302,7 @@ def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
        stack must not serve two calls at once.
 
     The write path is differentiated by running the state recursion
-    backwards; ``stop_write_grad`` cuts it and treats the replayed states
-    as constants, trading fidelity for speed.
+    backwards.
     """
     queries, targets = stack.queries, stack.targets
     n_ep = queries.shape[0]
@@ -353,30 +350,28 @@ def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
         d_fq = (d_num @ np.swapaxes(st_m, 1, 2)
                 + 2.0 * fq * st_b[:, None, :] * d_denom[:, :, None])
         grad_phi += q_rows @ d_fq
-        if not stop_write_grad and j > 0:
+        if j > 0:
             ds_acc[j] += np.swapaxes(fq, 1, 2) @ d_num
             db_acc[j] += (np.swapaxes(fq ** 2, 1, 2) @ d_denom[:, :, None])[:, :, 0]
 
-    if not stop_write_grad:
-        ds = np.zeros_like(ms[0])
-        db = np.zeros_like(bs[0])
-        for j in range(n_writes, 0, -1):
-            ds += ds_acc[j]
-            db += db_acc[j]
-            fk = feats_k[j - 1]
-            d_fk = (eta * (stack.write_values[j - 1] @ np.swapaxes(ds, 1, 2))
-                    + 2.0 * eta * fk * db[:, None, :])
-            grad_phi += np.swapaxes(stack.write_keys[j - 1], 1, 2) @ d_fk
-            ds = lam * ds
-            db = lam * db
+    ds = np.zeros_like(ms[0])
+    db = np.zeros_like(bs[0])
+    for j in range(n_writes, 0, -1):
+        ds += ds_acc[j]
+        db += db_acc[j]
+        fk = feats_k[j - 1]
+        d_fk = (eta * (stack.write_values[j - 1] @ np.swapaxes(ds, 1, 2))
+                + 2.0 * eta * fk * db[:, None, :])
+        grad_phi += np.swapaxes(stack.write_keys[j - 1], 1, 2) @ d_fk
+        ds = lam * ds
+        db = lam * db
 
     grads = {"w_phi": grad_phi, "w_gate": grad_gate, "gate_bias": grad_bias}
     return [t / size for t in totals], grads
 
 
 def memory_loss_and_grads(slow: MemorySlowWeights, episodes,
-                          lam: float = 0.95, eta: float = 1.0,
-                          stop_write_grad: bool = False):
+                          lam: float = 0.95, eta: float = 1.0):
     """Mean episode loss and averaged gradients over a batch of episodes.
 
     ``episodes`` is an :class:`EpisodeBatch`, or a list of episodes that is
@@ -394,7 +389,7 @@ def memory_loss_and_grads(slow: MemorySlowWeights, episodes,
     grad_phi = np.empty((batch.size, d_model, d_mem))
     grad_gate = np.empty((batch.size, d_model))
     for stack, idx in zip(batch.stacks, batch.order):
-        ls, gs = episode_loss_and_grads(slow, stack, lam, eta, stop_write_grad)
+        ls, gs = episode_loss_and_grads(slow, stack, lam, eta)
         grad_phi[idx] = gs["w_phi"]
         grad_gate[idx] = gs["w_gate"]
         for pos, i in enumerate(idx):
@@ -414,8 +409,7 @@ def memory_loss_and_grads(slow: MemorySlowWeights, episodes,
 
 
 def train_memory(slow: MemorySlowWeights, episodes, steps: int = 300,
-                 lr: float = 0.05, lam: float = 0.95, eta: float = 1.0,
-                 stop_write_grad: bool = False) -> list:
+                 lr: float = 0.05, lam: float = 0.95, eta: float = 1.0) -> list:
     """Adagrad descent on the reconstruction loss; updates ``slow`` in place.
 
     Every step takes the full batch of episodes. The batch is stacked once,
@@ -443,8 +437,7 @@ def train_memory(slow: MemorySlowWeights, episodes, steps: int = 300,
                 and np.all(np.isfinite(slow.w_gate))
                 and np.isfinite(slow.gate_bias)):
             raise DivergenceError(f"weights diverged at step {step}")
-        loss, grads = memory_loss_and_grads(slow, batch, lam, eta,
-                                            stop_write_grad)
+        loss, grads = memory_loss_and_grads(slow, batch, lam, eta)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss diverged at step {step}")
         acc_phi += grads["w_phi"] ** 2

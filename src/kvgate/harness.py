@@ -15,7 +15,7 @@ import numpy as np
 
 from .cache import CompressionPlan, DecodeSchedule, KvCache, budget_compress
 from .config import ConfigError, ExperimentConfig
-from .crosslayer import LayerScoreBundle, aggregate_scores, scores_with_reuse
+from .crosslayer import scores_with_reuse
 from .episodes import (
     FullRun,
     episode_loss,
@@ -47,7 +47,7 @@ POLICY_STREAM = 3000
 
 def make_policy(cfg: ExperimentConfig, name: str | None = None) -> PolicyId:
     return PolicyId(name=name or cfg.policy_name, window=cfg.policy_window,
-                    seed=cfg.policy_seed, head_pool=cfg.policy_head_pool)
+                    seed=cfg.policy_seed)
 
 
 def input_sequence(cfg: ExperimentConfig, teacher: TeacherModel, rng: Rng,
@@ -121,12 +121,10 @@ def fit_indexer(cfg: ExperimentConfig, params_by_layer: list,
 
 def layer_scores(cfg: ExperimentConfig, policy: PolicyId, trace, upto: int,
                  params_by_layer=None, rng_parent: Rng | None = None) -> list:
-    """Per-layer importance over the first ``upto`` rows, post aggregation.
+    """Per-layer importance over the first ``upto`` rows.
 
-    Index reuse shares score computations across layer groups; the entropy
-    modes then replace every layer's vector with the gated mean.
+    Index reuse shares score computations across layer groups.
     """
-    n_layers = len(trace.layers)
     if policy.name == "indexer" and params_by_layer is None:
         raise ConfigError("indexer policy needs a trained checkpoint")
     positions = np.arange(upto)
@@ -142,12 +140,7 @@ def layer_scores(cfg: ExperimentConfig, policy: PolicyId, trace, upto: int,
             params=params,
             key_feats=None if params is None else key_features(params, x))
 
-    scores = scores_with_reuse(n_layers, cfg.reuse_group_size, compute)
-    if cfg.agg_mode != "none":
-        bundle = LayerScoreBundle.from_scores(scores, prob_mode=cfg.agg_prob)
-        pooled = aggregate_scores(bundle, cfg.agg_mode, gamma=cfg.agg_gamma)
-        scores = [pooled for _ in range(n_layers)]
-    return scores
+    return scores_with_reuse(len(trace.layers), cfg.reuse_group_size, compute)
 
 
 def train_indexer_run(cfg: ExperimentConfig) -> dict:
@@ -190,7 +183,7 @@ def build_episode_sets(cfg: ExperimentConfig, runs,
                               rng_parent=Rng(cfg.policy_seed).split(POLICY_STREAM + s))
         keeps = [select(cfg.plan, sc, np.arange(cfg.eval_start))
                  for sc in scores]
-        eps = prefill_episodes(full_run, keeps, head_sum=cfg.head_sum)
+        eps = prefill_episodes(full_run, keeps)
         for li in range(cfg.teacher.n_layers):
             per_layer[li].append(eps[li])
     return per_layer
@@ -221,8 +214,7 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
     memories = init_memory(cfg)
     losses_by_layer = [train_memory(memories[li], per_layer_eps[li],
                                     steps=cfg.mem_steps, lr=cfg.mem_lr,
-                                    lam=cfg.lam, eta=cfg.eta,
-                                    stop_write_grad=cfg.stop_write_grad)
+                                    lam=cfg.lam, eta=cfg.eta)
                        for li in range(cfg.teacher.n_layers)]
     curve = [{"step": step,
               "loss": float(np.mean([losses_by_layer[li][step]
@@ -309,7 +301,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
         for s, (_, planted) in enumerate(sequences):
             full_run, scored = per_seq[s]
             keeps = [select(plan, sc, prefix) for sc in scored[name][0]]
-            eps = prefill_episodes(full_run, keeps, head_sum=cfg.head_sum)
+            eps = prefill_episodes(full_run, keeps)
             keep_counts = [k.size for k in keeps]
             kept_fraction = ((keeps[0].size - forced) / candidates
                              if candidates else 1.0)
@@ -532,10 +524,8 @@ def selftest() -> list:
     from pathlib import Path
 
     from .checkpoint import load_weights, save_weights
-    from .crosslayer import entropy_gated_mean, running_mean
     from .indexer import pooled_vectors
     from .memory import MEM_EPS, mem_read, mem_write
-    from .numerics import masked_softmax_rows, normalized_entropy
     from .teacher import TeacherConfig, attend_rows
 
     checks = []
@@ -606,14 +596,4 @@ def selftest() -> list:
                        all(np.array_equal(loaded[k], tensors[k])
                            for k in tensors)))
 
-    bundle = LayerScoreBundle.from_scores(list(Rng(5).normal((4, 12))))
-    gated = entropy_gated_mean(bundle, gamma=1.0, direction="skip_high")
-    checks.append(("entropy gate at gamma one equals the running mean",
-                   np.array_equal(gated, running_mean(bundle))))
-    uniform = normalized_entropy(np.full(9, 1.0 / 9.0))
-    checks.append(("uniform distribution has unit entropy",
-                   abs(uniform - 1.0) < 1e-9))
-    probs = masked_softmax_rows(np.array([[0.0, -np.inf, -np.inf]]))
-    checks.append(("one-hot distribution has zero entropy",
-                   abs(normalized_entropy(probs[0])) < 1e-9))
     return checks

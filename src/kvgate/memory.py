@@ -157,14 +157,13 @@ def fuse(slow: MemorySlowWeights, state: MemoryState, o_attn: np.ndarray,
     return o_attn + g * mem_read(slow, state, q)
 
 
-def tokens_from_evicted(keys: np.ndarray, values: np.ndarray, n_heads: int,
-                        head_sum: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def tokens_from_evicted(keys: np.ndarray, values: np.ndarray,
+                        n_heads: int) -> tuple[np.ndarray, np.ndarray]:
     """Token-level (n, d_model) key/value rows from per-kv-head evictions.
 
     Each kv head's slice is repeated across its query group and the heads
     are concatenated, so the row layout matches the flattened query space
-    the memory is read with. ``head_sum`` switches the value rows to the
-    sum across kv heads, tiled to full width; key rows always concatenate.
+    the memory is read with.
     """
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -174,9 +173,5 @@ def tokens_from_evicted(keys: np.ndarray, values: np.ndarray, n_heads: int,
     if n_heads % n_kv != 0:
         raise ValueError("n_heads must be a multiple of n_kv_heads")
     reps = n_heads // n_kv
-    k_tok = flatten_heads(np.repeat(keys, reps, axis=0))
-    if head_sum:
-        v_tok = np.tile(values.sum(axis=0), (1, n_heads))
-    else:
-        v_tok = flatten_heads(np.repeat(values, reps, axis=0))
-    return k_tok, v_tok
+    return (flatten_heads(np.repeat(keys, reps, axis=0)),
+            flatten_heads(np.repeat(values, reps, axis=0)))

@@ -13,13 +13,14 @@ import numpy as np
 
 # Epsilon inside the RMS denominator.
 NORM_EPS = 1e-6
-# Epsilon inside the entropy logarithm.
-ENTROPY_EPS = 1e-12
+# Seeds are 64-bit words; a seed outside [0, SEED_LIMIT) would alias one
+# inside it, so :class:`Rng` refuses it.
+SEED_LIMIT = 1 << 64
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
-_U64 = (1 << 64) - 1
+_U64 = SEED_LIMIT - 1
 
 
 class DivergenceError(RuntimeError):
@@ -50,11 +51,15 @@ class Rng:
     seed: int
     counter: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         with np.errstate(over="ignore"):
-            z = np.uint64(self.seed & _U64) + idx * np.uint64(_GOLDEN)
+            z = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
             z = z ^ (z >> np.uint64(30))
             z = z * np.uint64(_MIX_A)
             z = z ^ (z >> np.uint64(27))
@@ -97,7 +102,7 @@ class Rng:
 
     def split(self, stream: int) -> "Rng":
         """Independent child stream, deterministic in (seed, stream)."""
-        child = _finalize_u64(_finalize_u64((stream + 1) * _GOLDEN) ^ (self.seed & _U64))
+        child = _finalize_u64(_finalize_u64((stream + 1) * _GOLDEN) ^ self.seed)
         return Rng(seed=child)
 
 
@@ -201,45 +206,3 @@ def kl_divergence(target_logits, student_logits) -> float:
     lq = log_softmax(sf)
     p = np.exp(lp)
     return float(np.sum(p * (lp - lq)))
-
-
-def normalized_entropy(p) -> float:
-    """Entropy of a probability vector scaled into [0, 1] by log(T).
-
-    -(1/log T) * sum_t p_t * log(p_t + 1e-12). Zero entries contribute
-    exactly zero because the multiplication happens outside the log.
-    """
-    q = np.asarray(p, dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError("normalized_entropy expects a 1-D array")
-    if q.size < 2:
-        raise ValueError("entropy is undefined for fewer than two outcomes")
-    h = -float(np.sum(q * np.log(q + ENTROPY_EPS)))
-    return h / float(np.log(q.size))
-
-
-def score_to_prob(scores, mode: str = "softmax", temperature: float = 1.0) -> np.ndarray:
-    """Turn a raw score vector into a probability vector.
-
-    ``softmax``: tempered softmax.
-    ``negonly``: shift by the minimum only when it is negative, then
-    L1-normalize; an all-zero result after the shift falls back to uniform,
-    which is what stops the division degenerating when every score ties.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("score_to_prob expects a nonempty 1-D array")
-    if not np.isfinite(s).all():
-        raise ValueError("scores must be finite")
-    if mode == "softmax":
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        return masked_softmax_rows(s / temperature)
-    if mode == "negonly":
-        lo = s.min()
-        shifted = s - lo if lo < 0 else s
-        total = shifted.sum()
-        if total <= 0.0:
-            return np.full(s.shape, 1.0 / s.size)
-        return shifted / total
-    raise ValueError(f"unknown score-to-prob mode: {mode!r}")

@@ -26,7 +26,6 @@ if TYPE_CHECKING:
     from .cache import CompressionPlan
 
 POLICY_NAMES = ("snapkv", "knorm", "tova", "random", "indexer")
-HEAD_POOLS = ("mean", "max")
 
 
 @dataclass(frozen=True)
@@ -36,21 +35,18 @@ class PolicyId:
     name: str
     window: int = 8
     seed: int = 0
-    head_pool: str = "mean"
 
     def __post_init__(self):
         if self.name not in POLICY_NAMES:
             raise ValueError(f"unknown policy: {self.name!r}")
         if self.window < 1:
             raise ValueError("scoring window must be at least 1")
-        if self.head_pool not in HEAD_POOLS:
-            raise ValueError(f"unknown head pool: {self.head_pool!r}")
 
 
 def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions=None,
-                 key_positions=None, head_pool: str = "mean") -> np.ndarray:
+                 key_positions=None) -> np.ndarray:
     """Average attention mass from the trailing query window to each key,
-    under the teacher's logit scale.
+    under the teacher's logit scale, over the query heads of each kv head.
 
     Args:
         q_window: (n_heads, w, d_head) rotated queries, the last w of the
@@ -59,11 +55,8 @@ def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions=None,
         q_positions / key_positions: absolute positions for causal masking.
             When omitted, the queries are taken to be the newest w cached
             rows, which is the prefill case.
-        head_pool: how to combine query heads sharing a kv head; "mean"
-            keeps every softmax row summing to one.
 
-    Returns (n_kv_heads, L) scores; each head's scores sum to 1 under mean
-    pooling.
+    Returns (n_kv_heads, L) scores; each head's scores sum to 1.
     """
     n_heads, w, _ = q_window.shape
     if w == 0:
@@ -78,8 +71,6 @@ def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions=None,
         q_positions = key_positions[n_rows - w:]
     q_positions = np.asarray(q_positions, dtype=np.int64)
     visible = key_positions[None, :] <= q_positions[:, None]
-    if head_pool not in HEAD_POOLS:
-        raise ValueError(f"unknown head pool: {head_pool!r}")
 
     per_query_head = np.empty((n_heads, n_rows))
     for h, _, logits in head_logits(q_window, keys, visible):
@@ -87,8 +78,7 @@ def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions=None,
     out = np.empty((n_kv, n_rows))
     group = n_heads // n_kv
     for g in range(n_kv):
-        block = per_query_head[g * group:(g + 1) * group]
-        out[g] = block.max(axis=0) if head_pool == "max" else block.mean(axis=0)
+        out[g] = per_query_head[g * group:(g + 1) * group].mean(axis=0)
     return out
 
 
@@ -184,6 +174,5 @@ def score_layer(policy: PolicyId, keys: np.ndarray, key_positions: np.ndarray,
     w = 1 if policy.name == "tova" else min(policy.window, n)
     per_head = score_snapkv(queries.q[:, n - w:, :], keys,
                             q_positions=queries.positions[n - w:],
-                            key_positions=key_positions,
-                            head_pool=policy.head_pool)
+                            key_positions=key_positions)
     return aggregate_heads(per_head)

@@ -481,14 +481,21 @@ class TestErrorPaths:
         assert code == EXIT_IO
         assert stderr_record(capsys)["error"] == "FileNotFoundError"
 
-    def test_non_boolean_flag_in_config(self, tmp_path, capsys):
-        config = write_config(tmp_path, train={"head_sum": "false"})
+    @pytest.mark.parametrize("section,value,key", [
+        ("agg", {"mode": "none"}, "agg"),
+        ("policy", {"head_pool": "mean"}, "head_pool"),
+        ("train", {"head_sum": False}, "head_sum"),
+        ("train", {"stop_write_grad": False}, "stop_write_grad"),
+    ])
+    def test_retired_config_key(self, tmp_path, capsys, section, value, key):
+        # One JSON line on stderr, so no traceback either.
+        config = write_config(tmp_path, **{section: value})
         code = run("train-indexer", "--config", config,
                    "--out", tmp_path / "out")
         assert code == EXIT_CONFIG
         record = only_stderr_record(capsys)
         assert record["error"] == "ConfigError"
-        assert "head_sum" in record["message"]
+        assert key in record["message"]
 
     def test_boolean_version_in_config(self, tmp_path, capsys):
         config = write_config(tmp_path, version=True)

@@ -1,14 +1,20 @@
 """Strict config parsing, defaults, and the canonical hash."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvgate.config import _SCHEMA, ConfigError, load_config, parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def minimal():
@@ -22,7 +28,6 @@ class TestParsing:
         assert cfg.teacher.n_layers == 4
         assert cfg.plan.ratio == 0.5
         assert cfg.policy_name == "indexer"
-        assert cfg.agg_mode == "none"
         assert cfg.reuse_group_size == 1
         assert cfg.data_length == 128
         assert cfg.eval_start == (2 * 128) // 3
@@ -36,7 +41,7 @@ class TestParsing:
             "plan": {"ratio": 0.25, "sink_count": 2},
             "teacher": {"d_model": 32, "d_ffn": 64},
             "data": {"length": 60, "eval_start": 40},
-            "train": {"head_sum": True, "mem_lr": 0.1},
+            "train": {"lam": 0.9, "mem_lr": 0.1},
         })
         assert cfg.seed == 7
         assert cfg.plan.ratio == 0.25
@@ -44,7 +49,7 @@ class TestParsing:
         assert cfg.plan.local_window == 8
         assert cfg.teacher.d_model == 32
         assert cfg.eval_start == 40
-        assert cfg.head_sum is True
+        assert cfg.lam == 0.9
         assert cfg.mem_lr == 0.1
 
     def test_version_is_required(self):
@@ -71,8 +76,8 @@ class TestParsing:
             parse_config({"version": 1, "plan": {"ration": 0.5}})
 
     def test_unknown_deep_key_names_section(self):
-        with pytest.raises(ConfigError, match="agg"):
-            parse_config({"version": 1, "agg": {"gama": 0.5}})
+        with pytest.raises(ConfigError, match="reuse"):
+            parse_config({"version": 1, "reuse": {"group_sise": 2}})
 
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="object"):
@@ -92,10 +97,11 @@ class TestParsing:
         ({"plan": {"ratio": 1.5}}, "ratio"),
         ({"plan": {"budget": 0}}, "budget"),
         ({"policy": {"name": "oracle"}}, "policy.name"),
-        ({"policy": {"head_pool": "sum"}}, "head_pool"),
-        ({"agg": {"mode": "mean"}}, "agg.mode"),
-        ({"agg": {"gamma": 1.5}}, "gamma"),
-        ({"agg": {"prob": "sigmoid"}}, "agg.prob"),
+        # Retired knobs are unknown keys, even at their old defaults.
+        ({"policy": {"head_pool": "mean"}}, "head_pool"),
+        ({"agg": {"mode": "none"}}, "agg"),
+        ({"agg": {}}, "agg"),
+        ({"train": {"head_sum": False, "stop_write_grad": False}}, "head_sum"),
         ({"reuse": {"group_size": 0}}, "group_size"),
         ({"data": {"kind": "text"}}, "data.kind"),
         ({"data": {"length": 1}}, "length"),
@@ -107,13 +113,14 @@ class TestParsing:
         ({"train": {"lam": 1.2}}, "lam"),
         ({"train": {"eta": -1}}, "eta"),
         ({"train": {"indexer_peak": 0}}, "indexer_peak"),
-        *[({"train": {key: value}}, f"{key} must be true or false")
+        # A retired flag is refused whatever its value.
+        *[({"train": {key: value}}, key)
           for key in ("head_sum", "stop_write_grad")
-          for value in ("false", "no", 0, 1, None)],
+          for value in (False, True, "false", 0, None)],
         *[({"train": {key: value}}, f"{key} must be finite")
           for key in ("mem_lr", "eta", "indexer_peak", "lam")
           for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
-        ({"agg": {"gamma": math.nan}}, "gamma must be finite"),
+        ({"agg": {"gamma": 0.5}}, "agg"),
         ({"plan": {"ratio": math.inf}}, "ratio must be finite"),
     ])
     def test_bad_values_rejected(self, patch, needle):
@@ -129,12 +136,6 @@ class TestParsing:
     def test_decode_booleans_rejected(self, patch, needle):
         with pytest.raises(ConfigError, match=needle):
             parse_config({"version": 1, "decode": patch})
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_json_booleans_parse(self, value):
-        cfg = parse_config({"version": 1, "train": {"head_sum": value,
-                                                    "stop_write_grad": value}})
-        assert cfg.head_sum is value and cfg.stop_write_grad is value
 
     def test_plan_carries_decode_interval(self):
         assert parse_config(minimal()).plan.decode_interval == 128
@@ -168,7 +169,7 @@ SEED_PLACES = ("seed", "teacher.seed", "policy.seed", "train.param_seed")
 
 
 class TestSeedRange:
-    """``Rng`` reads seeds modulo 2**64, so the config stops at 2**64 - 1."""
+    """Seeds are 64-bit words, so the config stops at 2**64 - 1."""
 
     @pytest.mark.parametrize("place", SEED_PLACES)
     def test_largest_seed_accepted(self, place):
@@ -210,13 +211,12 @@ def schema_section(defaults: dict):
         for key, value in defaults.items()})
 
 
-def unflagged_fields(cfg):
-    """Every field of a parsed config but the two flags, budgets included."""
+def parsed_fields(cfg):
+    """Every field of a parsed config but its canonical form, budgets included."""
     for part in (cfg, cfg.teacher, cfg.plan):
         for f in dataclasses.fields(part):
-            value = getattr(part, f.name)
-            if f.name not in ("head_sum", "stop_write_grad", "canonical"):
-                yield f.name, value
+            if f.name != "canonical":
+                yield f.name, getattr(part, f.name)
     for budget in cfg.decode_budgets:
         yield "budget", budget
 
@@ -235,7 +235,7 @@ class TestAnyJsonObject:
         except ConfigError:
             return
         assert type(cfg.canonical["version"]) is int
-        for name, value in unflagged_fields(cfg):
+        for name, value in parsed_fields(cfg):
             assert not isinstance(value, bool), name
             if isinstance(value, float):
                 assert math.isfinite(value), name
@@ -251,7 +251,9 @@ class TestHash:
         a = parse_config(minimal())
         b = parse_config({"version": 1, "seed": 0,
                           "plan": {"ratio": 0.5},
-                          "agg": {"mode": "none"}})
+                          "policy": {"name": "indexer"},
+                          "reuse": {"group_size": 1},
+                          "train": {"mem_lr": 0.05}})
         assert a.config_hash == b.config_hash
 
     def test_value_change_changes_hash(self):
@@ -264,6 +266,33 @@ class TestHash:
         b = parse_config({"version": 1, "data": {"length": 90,
                                                  "eval_start": 60}})
         assert a.config_hash == b.config_hash
+
+    # Every record's ``config`` field and the benchmark's reference files
+    # carry these, so they must not move; they were measured while the
+    # retired knobs were still settable.
+    @pytest.mark.parametrize("name,size,expected", [
+        ("pipeline", "full", "1f1df511e3f77795"),
+        ("sweep-planted", "full", "f36a12e9bed96d6b"),
+        ("decode-long", "full", "d110ec88e788d383"),
+        ("pipeline", "smoke", "cda60085c03bc278"),
+        ("sweep-planted", "smoke", "9ff3dbd8bc6ebc94"),
+        ("decode-long", "smoke", "909a2f15edb0b88a"),
+    ])
+    def test_benchmark_config_hashes_are_pinned(self, name, size, expected):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # dataclasses looks the module up by name while it is being built.
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+        config = workloads.workload(name, size).config
+        assert config["seed"] == 0
+        assert parse_config(config).config_hash == expected
+
+    def test_readme_config_hash_is_pinned(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        raw = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+        assert parse_config(raw).config_hash == "8c3768e5c67ceb9f"
 
 
 class TestLoadConfig:

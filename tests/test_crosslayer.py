@@ -1,118 +1,7 @@
 import numpy as np
 import pytest
 
-from kvgate.crosslayer import (
-    LayerScoreBundle,
-    aggregate_scores,
-    entropy_gated_mean,
-    index_reuse_plan,
-    overlap_matrix,
-    running_mean,
-    scores_with_reuse,
-)
-from kvgate.numerics import Rng, normalized_entropy, score_to_prob
-
-
-def random_bundle(n_layers=4, length=10, seed=0):
-    return LayerScoreBundle.from_scores(Rng(seed).normal((n_layers, length)))
-
-
-class TestBundle:
-    def test_from_scores_entropies(self):
-        b = random_bundle()
-        for row, h in zip(b.scores, b.entropies):
-            assert h == normalized_entropy(score_to_prob(row))
-        assert np.all((b.entropies >= 0.0) & (b.entropies <= 1.0))
-
-    def test_negonly_mode(self):
-        scores = np.array([[1.0, 1.0, 1.0, 1.0]])
-        b = LayerScoreBundle.from_scores(scores, prob_mode="negonly")
-        assert b.entropies[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_bad_entropies(self):
-        with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            LayerScoreBundle(np.zeros((2, 3)), np.array([0.5, 1.5]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one layer"):
-            LayerScoreBundle(np.zeros((0, 3)), np.zeros(0))
-
-
-class TestRunningMean:
-    def test_single_layer_identity(self):
-        b = LayerScoreBundle.from_scores(Rng(1).normal((1, 8)))
-        assert np.array_equal(running_mean(b), b.scores[0])
-
-    def test_opposite_layers_cancel(self):
-        s = Rng(2).normal((1, 8))
-        b = LayerScoreBundle(np.vstack([s, -s]), np.array([0.5, 0.5]))
-        assert np.allclose(running_mean(b), 0.0, atol=1e-15)
-
-    def test_matches_incremental_recurrence(self):
-        b = random_bundle(n_layers=7, seed=3)
-        acc = np.zeros(b.scores.shape[1])
-        for m, row in enumerate(b.scores, start=1):
-            acc = acc + (row - acc) / m
-        assert np.max(np.abs(running_mean(b) - acc)) < 1e-12
-
-
-class TestEntropyGatedMean:
-    def test_gamma_one_skip_high_equals_running_mean_exactly(self):
-        b = random_bundle(seed=4)
-        assert np.array_equal(entropy_gated_mean(b, 1.0, "skip_high"),
-                              running_mean(b))
-
-    def test_empty_inclusion_returns_zeros(self):
-        b = random_bundle(seed=5)
-        assert np.all(b.entropies > 0.0)
-        assert np.all(entropy_gated_mean(b, 0.0, "skip_high") == 0.0)
-
-    def test_hand_picked_inclusion(self):
-        scores = Rng(6).normal((4, 6))
-        ent = np.array([0.2, 0.9, 0.3, 0.8])
-        b = LayerScoreBundle(scores, ent)
-        got = entropy_gated_mean(b, 0.5, "skip_high")
-        want = scores[[0, 2]].mean(axis=0)
-        assert np.max(np.abs(got - want)) < 1e-12
-        got_low = entropy_gated_mean(b, 0.5, "skip_low")
-        want_low = scores[[1, 3]].mean(axis=0)
-        assert np.max(np.abs(got_low - want_low)) < 1e-12
-
-    def test_rejects_bad_gamma_and_direction(self):
-        b = random_bundle(seed=7)
-        with pytest.raises(ValueError, match="gamma"):
-            entropy_gated_mean(b, 1.5)
-        with pytest.raises(ValueError, match="direction"):
-            entropy_gated_mean(b, 0.5, "sideways")
-
-    def test_permutation_equivariance(self):
-        b = random_bundle(seed=8)
-        perm = np.argsort(Rng(9).uniform(10))
-        permuted = LayerScoreBundle(b.scores[:, perm], b.entropies)
-        assert np.array_equal(entropy_gated_mean(permuted, 0.8),
-                              entropy_gated_mean(b, 0.8)[perm])
-
-
-class TestAggregateDispatch:
-    def test_layer_mean(self):
-        b = random_bundle(seed=10)
-        assert np.array_equal(aggregate_scores(b, "layer_mean"),
-                              running_mean(b))
-
-    def test_fallback_on_empty_inclusion(self):
-        b = random_bundle(seed=11)
-        got = aggregate_scores(b, "ent_skip_high", gamma=0.0)
-        assert np.array_equal(got, running_mean(b))
-
-    def test_gated_when_nonempty(self):
-        scores = Rng(12).normal((3, 5))
-        b = LayerScoreBundle(scores, np.array([0.1, 0.9, 0.2]))
-        got = aggregate_scores(b, "ent_skip_high", gamma=0.5)
-        assert np.array_equal(got, entropy_gated_mean(b, 0.5, "skip_high"))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            aggregate_scores(random_bundle(seed=13), "none")
+from kvgate.crosslayer import index_reuse_plan, scores_with_reuse
 
 
 class TestReuse:
@@ -146,29 +35,3 @@ class TestReuse:
         assert len(calls) == int(np.ceil(10 / 4))
         assert out[1] is out[0] and out[7] is out[4]
         assert np.all(out[9] == 8.0)
-
-
-class TestOverlap:
-    def test_identical_sets(self):
-        m = overlap_matrix([[1, 2, 3], [3, 2, 1]])
-        assert np.array_equal(m, np.ones((2, 2)))
-
-    def test_disjoint_sets(self):
-        m = overlap_matrix([[0, 1], [2, 3]])
-        assert m[0, 1] == 0.0 and m[1, 0] == 0.0
-        assert m[0, 0] == 1.0
-
-    def test_partial_overlap(self):
-        m = overlap_matrix([[0, 1, 2], [1, 2, 3]])
-        assert m[0, 1] == pytest.approx(2 / 4)
-
-    def test_symmetry_and_diagonal(self):
-        sets = [Rng(20 + i).integers(0, 30, 8) for i in range(4)]
-        sets = [np.unique(s)[:5] for s in sets]
-        m = overlap_matrix(sets)
-        assert np.array_equal(m, m.T)
-        assert np.all(np.diag(m) == 1.0)
-
-    def test_rejects_uneven_sets(self):
-        with pytest.raises(ValueError, match="equally sized"):
-            overlap_matrix([[1, 2], [1, 2, 3]])

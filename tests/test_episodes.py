@@ -177,8 +177,7 @@ class TestPrefillEpisodes:
             prefill_episodes(run, keeps)
 
 
-def oracle_episode_loss_and_grads(slow, episode, lam=0.95, eta=1.0,
-                                  stop_write_grad=False):
+def oracle_episode_loss_and_grads(slow, episode, lam=0.95, eta=1.0):
     """The single-episode kernel the stacked one replaced, kept as its oracle."""
     feats_k = [ev.keys @ slow.w_phi for ev in episode.writes]
     states = [MemoryState.zeros(slow.d_mem, slow.d_model)]
@@ -221,35 +220,33 @@ def oracle_episode_loss_and_grads(slow, episode, lam=0.95, eta=1.0,
         d_denom = -np.sum(d_m * m, axis=1) / denom
         d_fq = d_num @ st.m.T + 2.0 * fq * st.b[None, :] * d_denom[:, None]
         grad_phi += queries[rows].T @ d_fq
-        if not stop_write_grad and j > 0:
+        if j > 0:
             ds_acc[j] += fq.T @ d_num
             db_acc[j] += (fq ** 2).T @ d_denom
 
-    if not stop_write_grad:
-        ds = np.zeros_like(states[0].m)
-        db = np.zeros_like(states[0].b)
-        for j in range(n_writes, 0, -1):
-            ds += ds_acc[j]
-            db += db_acc[j]
-            ev, fk = episode.writes[j - 1], feats_k[j - 1]
-            d_fk = eta * (ev.values @ ds.T) + 2.0 * eta * fk * db[None, :]
-            grad_phi += ev.keys.T @ d_fk
-            ds = lam * ds
-            db = lam * db
+    ds = np.zeros_like(states[0].m)
+    db = np.zeros_like(states[0].b)
+    for j in range(n_writes, 0, -1):
+        ds += ds_acc[j]
+        db += db_acc[j]
+        ev, fk = episode.writes[j - 1], feats_k[j - 1]
+        d_fk = eta * (ev.values @ ds.T) + 2.0 * eta * fk * db[None, :]
+        grad_phi += ev.keys.T @ d_fk
+        ds = lam * ds
+        db = lam * db
 
     grads = {"w_phi": grad_phi, "w_gate": grad_gate,
              "gate_bias": np.float64(grad_bias)}
     return total / targets.size, grads
 
 
-def oracle_memory_loss_and_grads(slow, episodes, lam=0.95, eta=1.0,
-                                 stop_write_grad=False):
+def oracle_memory_loss_and_grads(slow, episodes, lam=0.95, eta=1.0):
     """Batch mean over the oracle, one episode at a time."""
     weight = 1.0 / len(episodes)
     loss = 0.0
     grads = None
     for ep in episodes:
-        l, g = oracle_episode_loss_and_grads(slow, ep, lam, eta, stop_write_grad)
+        l, g = oracle_episode_loss_and_grads(slow, ep, lam, eta)
         loss += weight * l
         if grads is None:
             grads = {k: weight * v for k, v in g.items()}
@@ -259,15 +256,14 @@ def oracle_memory_loss_and_grads(slow, episodes, lam=0.95, eta=1.0,
     return loss, grads
 
 
-def oracle_train_memory(slow, episodes, steps, lr=0.05, stop_write_grad=False):
+def oracle_train_memory(slow, episodes, steps, lr=0.05):
     """train_memory's Adagrad loop over the oracle batch mean."""
     acc_phi = np.zeros_like(slow.w_phi)
     acc_gate = np.zeros_like(slow.w_gate)
     acc_bias = 0.0
     losses = []
     for _ in range(steps):
-        loss, grads = oracle_memory_loss_and_grads(
-            slow, episodes, stop_write_grad=stop_write_grad)
+        loss, grads = oracle_memory_loss_and_grads(slow, episodes)
         acc_phi += grads["w_phi"] ** 2
         acc_gate += grads["w_gate"] ** 2
         acc_bias += float(grads["gate_bias"]) ** 2
@@ -421,17 +417,6 @@ class TestLossAndGrads:
     def test_finite_difference_check_mixed_batch(self):
         check_against_finite_differences(mixed_episodes())
 
-    def test_stop_write_grad_changes_feature_grads_only(self):
-        ep = multi_write_episode()
-        slow = MemorySlowWeights.init(D, Rng(304), d_mem=3)
-        loss_full, g_full = memory_loss_and_grads(slow, [ep])
-        loss_stop, g_stop = memory_loss_and_grads(slow, [ep],
-                                                  stop_write_grad=True)
-        assert loss_stop == loss_full
-        assert not np.allclose(g_stop["w_phi"], g_full["w_phi"])
-        assert np.array_equal(g_stop["w_gate"], g_full["w_gate"])
-        assert float(g_stop["gate_bias"]) == float(g_full["gate_bias"])
-
     def test_batch_is_mean_of_episodes(self):
         eps = [multi_write_episode(0), multi_write_episode(1)]
         slow = MemorySlowWeights.init(D, Rng(305), d_mem=3)
@@ -460,9 +445,8 @@ class TestStackedKernel:
         assert {(ep.n_eval, ep.writes[0].keys.shape) for ep in eps} == {(43, (36, 64))}
         assert len(EpisodeBatch.of(eps).stacks) == 1
 
-    @pytest.mark.parametrize("stop_write_grad", [False, True])
     @pytest.mark.parametrize("batch", ["pipeline", "one", "mixed"])
-    def test_batch_matches_oracle(self, pipeline_eps, batch, stop_write_grad):
+    def test_batch_matches_oracle(self, pipeline_eps, batch):
         if batch == "mixed":
             eps, d_model, d_mem = mixed_episodes(), D, 3
         else:
@@ -471,24 +455,20 @@ class TestStackedKernel:
                 eps = eps[3:4]
         slow = MemorySlowWeights.init(d_model, Rng(800), d_mem=d_mem)
         for lam, eta in ((0.95, 1.0), (0.9, 0.8)):
-            got = memory_loss_and_grads(slow, eps, lam, eta, stop_write_grad)
-            want = oracle_memory_loss_and_grads(slow, eps, lam, eta,
-                                                stop_write_grad)
+            got = memory_loss_and_grads(slow, eps, lam, eta)
+            want = oracle_memory_loss_and_grads(slow, eps, lam, eta)
             assert_same_loss_and_grads(got, want)
 
-    @pytest.mark.parametrize("stop_write_grad", [False, True])
-    def test_each_stacked_episode_matches_oracle(self, stop_write_grad):
+    def test_each_stacked_episode_matches_oracle(self):
         eps = mixed_episodes()
         slow = MemorySlowWeights.init(D, Rng(801), d_mem=3)
         batch = EpisodeBatch.of(eps)
         assert len(batch.stacks) == 5
         assert sorted(i for idx in batch.order for i in idx) == list(range(len(eps)))
         for stack, idx in zip(batch.stacks, batch.order):
-            losses, grads = episode_loss_and_grads(
-                slow, stack, stop_write_grad=stop_write_grad)
+            losses, grads = episode_loss_and_grads(slow, stack)
             for pos, i in enumerate(idx):
-                want_loss, want = oracle_episode_loss_and_grads(
-                    slow, eps[i], stop_write_grad=stop_write_grad)
+                want_loss, want = oracle_episode_loss_and_grads(slow, eps[i])
                 assert losses[pos] == want_loss
                 assert np.array_equal(grads["w_phi"][pos], want["w_phi"])
                 assert np.array_equal(grads["w_gate"][pos], want["w_gate"])
@@ -544,20 +524,16 @@ def kernel_bytes(result):
 class TestWorkArrays:
     """The kernel's reused work arrays never change what it returns."""
 
-    @pytest.mark.parametrize("stop_write_grad", [False, True])
-    def test_repeated_and_interleaved_calls_match_a_fresh_stack(
-            self, stop_write_grad):
+    def test_repeated_and_interleaved_calls_match_a_fresh_stack(self):
         multi = [multi_write_episode(i) for i in range(3)]
         single = [single_write_episode(i, 6, 4, [1] * 6) for i in range(2)]
         slow = MemorySlowWeights.init(D, Rng(804), d_mem=3)
         stacks = [EpisodeStack.of(multi), EpisodeStack.of(single)]
-        want = [kernel_bytes(episode_loss_and_grads(
-                    slow, EpisodeStack.of(eps), stop_write_grad=stop_write_grad))
+        want = [kernel_bytes(episode_loss_and_grads(slow, EpisodeStack.of(eps)))
                 for eps in (multi, single)]
         for _ in range(3):
             for stack, first in zip(stacks, want):
-                got = episode_loss_and_grads(slow, stack,
-                                             stop_write_grad=stop_write_grad)
+                got = episode_loss_and_grads(slow, stack)
                 assert kernel_bytes(got) == first
         # Four reads_after groups in the multi-write stack, one in the other.
         assert len(stacks[0]._work) == 4 and len(stacks[1]._work) == 1

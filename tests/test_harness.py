@@ -270,17 +270,6 @@ class TestLayerScores:
                               trace, 20)
         assert scores[1] is scores[0]
 
-    def test_layer_mean_gives_one_shared_vector(self, teacher):
-        agg_cfg = small_config(agg={"mode": "layer_mean"})
-        x0, _ = input_sequence(agg_cfg, teacher, Rng(9))
-        trace = teacher.forward(x0=x0)
-        scores = layer_scores(agg_cfg, make_policy(agg_cfg, "knorm"),
-                              trace, 20)
-        per_layer = [aggregate_heads(score_knorm(lt.k[:, :20, :]))
-                     for lt in trace.layers]
-        assert scores[1] is scores[0]
-        assert np.allclose(scores[0], np.mean(per_layer, axis=0))
-
     def test_random_scores_are_seeded(self, cfg, teacher):
         x0, _ = input_sequence(cfg, teacher, Rng(9))
         trace = teacher.forward(x0=x0)
@@ -457,7 +446,7 @@ class TestSweepFromScratch:
                     cfg, policy, trace, upto,
                     rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
                 keeps = [select(plan, sc, prefix) for sc in scores]
-                eps = prefill_episodes(full_run, keeps, head_sum=cfg.head_sum)
+                eps = prefill_episodes(full_run, keeps)
                 for li, lt in enumerate(trace.layers):
                     attn.append(plain_mse(eps[li]))
                     fused.append(episode_loss(memories[li], eps[li],
@@ -648,5 +637,5 @@ class TestDecodeStartScoring:
 class TestSelftest:
     def test_all_checks_pass(self):
         results = selftest()
-        assert len(results) >= 8
+        assert len(results) >= 6
         assert all(ok for _, ok in results)

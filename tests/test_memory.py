@@ -219,16 +219,6 @@ class TestTokensFromEvicted:
             wantv = np.concatenate([vals[0, t], vals[0, t], vals[1, t], vals[1, t]])
             assert np.array_equal(v_tok[t], wantv)
 
-    def test_head_sum_variant(self):
-        keys = Rng(38).normal((2, 3, 4))
-        vals = Rng(39).normal((2, 3, 4))
-        k_tok, v_tok = tokens_from_evicted(keys, vals, n_heads=4, head_sum=True)
-        summed = vals.sum(axis=0)
-        for t in range(3):
-            assert np.array_equal(v_tok[t], np.tile(summed[t], 4))
-        k_ref, _ = tokens_from_evicted(keys, vals, n_heads=4)
-        assert np.array_equal(k_tok, k_ref)
-
     def test_zero_tokens(self):
         k_tok, v_tok = tokens_from_evicted(np.zeros((2, 0, 4)),
                                            np.zeros((2, 0, 4)), n_heads=4)

@@ -13,9 +13,7 @@ from kvgate.numerics import (
     kl_divergence,
     log_softmax,
     masked_softmax_rows,
-    normalized_entropy,
     rmsnorm,
-    score_to_prob,
     topk_indices,
 )
 
@@ -23,11 +21,9 @@ from kvgate.numerics import (
 #   softmax([1000, 1001]) = [e^-1, 1] / (1 + e^-1)
 #   rmsnorm([3, 4])       = [3, 4] / sqrt(12.5 + 1e-6)
 #   KL([0,0] || [0,ln3])  = 0.5*ln(0.5/0.25) + 0.5*ln(0.5/0.75)
-#   Hn([0.75, 0.25])      = -(0.75 ln 0.75 + 0.25 ln 0.25) / ln 2
 SOFTMAX_1000_1001 = (0.2689414213699951, 0.7310585786300049)
 RMSNORM_3_4 = (0.8485281034827336, 1.1313708046436448)
 KL_HALF_VS_QUARTER = 0.14384103622589042
-ENTROPY_75_25 = 0.8112781244591328
 
 
 class TestSoftmax:
@@ -238,62 +234,6 @@ class TestKl:
         assert abs(np.exp(log_softmax(x)).sum() - 1.0) < 1e-12
 
 
-class TestNormalizedEntropy:
-    def test_uniform_is_one(self):
-        for n in (2, 5, 64):
-            assert normalized_entropy(np.full(n, 1.0 / n)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_one_hot_is_zero(self):
-        p = np.zeros(16)
-        p[3] = 1.0
-        assert normalized_entropy(p) == pytest.approx(0.0, abs=1e-9)
-
-    def test_frozen_two_point_value(self):
-        assert normalized_entropy([0.75, 0.25]) == pytest.approx(ENTROPY_75_25, abs=1e-9)
-
-    def test_uniform_maximizes(self):
-        rng = Rng(111)
-        for _ in range(300):
-            n = 2 + int(rng.uniform() * 30)
-            p = rng.uniform((n,)) + 1e-3
-            p = p / p.sum()
-            assert normalized_entropy(p) <= 1.0 + 1e-9
-
-    def test_single_outcome_raises(self):
-        with pytest.raises(ValueError):
-            normalized_entropy([1.0])
-
-
-class TestScoreToProb:
-    def test_negonly_shifts_negative_minimum(self):
-        out = score_to_prob([-1.0, 0.0, 1.0], mode="negonly")
-        assert out == pytest.approx([0.0, 1.0 / 3.0, 2.0 / 3.0], abs=1e-15)
-
-    def test_negonly_nonnegative_input_is_plain_l1(self):
-        rng = Rng(112)
-        for _ in range(100):
-            s = np.abs(rng.normal((10,)))
-            out = score_to_prob(s, mode="negonly")
-            assert np.array_equal(out, s / s.sum())
-
-    def test_negonly_all_equal_is_uniform(self):
-        for v in (0.0, -2.5):
-            out = score_to_prob(np.full(4, v), mode="negonly")
-            assert out.tolist() == [0.25, 0.25, 0.25, 0.25]
-
-    def test_softmax_temperature(self):
-        s = np.array([0.0, 1.0])
-        hot = score_to_prob(s, mode="softmax", temperature=10.0)
-        cold = score_to_prob(s, mode="softmax", temperature=0.1)
-        assert hot[1] < cold[1]
-        with pytest.raises(ValueError):
-            score_to_prob(s, mode="softmax", temperature=0.0)
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            score_to_prob([1.0], mode="meanshift")
-
-
 class TestRng:
     def test_same_seed_same_stream(self):
         a = Rng(7).normal((100,))
@@ -333,3 +273,20 @@ class TestRng:
         got = Rng(14).choice(20, 8)
         assert len(set(got.tolist())) == 8
         assert np.all(np.diff(got) > 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Each would alias a seed inside the range: 2**64 + 5 drew seed 5's
+        # stream, -1 drew seed 2**64 - 1's.
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            Rng(seed)
+
+    def test_seeds_at_both_ends_keep_their_streams(self):
+        # Frozen draws, recorded before out-of-range seeds were refused.
+        assert Rng(5).uniform((3,)).tolist() == [
+            0.386768045983934, 0.7523070158382239, 0.2327091656774618]
+        top = Rng(2**64 - 1)
+        assert top.uniform((3,)).tolist() == [
+            0.8939429202831845, 0.9125972035944532, 0.21948196289526756]
+        assert top.split(7).uniform((2,)).tolist() == [
+            0.3292713902976405, 0.5118690212535497]

@@ -43,12 +43,12 @@ def reference_snapkv(q_window, keys, scale_dim, L):
 class TestPolicyId:
     def test_valid(self):
         p = PolicyId("snapkv", window=4)
-        assert p.head_pool == "mean"
+        assert p.window == 4 and p.seed == 0
 
     @pytest.mark.parametrize("kw", [
         dict(name="h2o"),
         dict(name="snapkv", window=0),
-        dict(name="snapkv", head_pool="median"),
+        dict(name="tova", window=-1),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
@@ -111,15 +111,6 @@ class TestSnapkv:
             row8 = np.r_[_softmax_row(q[g, 0], k[g, :4], 8), 0.0]
             row9 = _softmax_row(q[g, 1], k[g], 8)
             assert np.allclose(s[g], 0.5 * (row8 + row9), atol=1e-12)
-
-    def test_max_pool_flag(self):
-        rng = Rng(35)
-        q = rng.normal((4, 3, 4))
-        k = rng.normal((2, 8, 4))
-        mean_s = score_snapkv(q, k, head_pool="mean")
-        max_s = score_snapkv(q, k, head_pool="max")
-        assert np.all(max_s >= mean_s - 1e-15)
-        assert not np.allclose(mean_s, max_s)
 
     def test_rejects_oversized_window(self):
         with pytest.raises(ValueError, match="window"):

@@ -105,6 +105,12 @@ class TestConfig:
             # d_head = 1 is odd, rotary pairs impossible
             TeacherConfig(d_model=8, n_heads=8)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # 2**64 + 5 would build seed 5's weights.
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=seed)
+
     def test_derived_dims(self):
         cfg = TeacherConfig(d_model=64, n_heads=8, n_kv_heads=2)
         assert cfg.d_head == 8
