@@ -115,7 +115,7 @@ def cmd_train_memory(args) -> int:
     fresh = init_memory(cfg)
 
     def split_loss(memories):
-        per = [episode_loss(memories[li], ep, lam=cfg.lam, eta=cfg.eta)
+        per = [episode_loss(memories[li], ep, eta=cfg.eta)
                for li, eps in enumerate(eval_eps) for ep in eps]
         return float(sum(per) / len(per))
 

@@ -27,7 +27,7 @@ DATA_KINDS = ("tokens", "gauss", "planted")
 _RETIRED = {
     "policy": {"head_pool": "mean"},
     "agg": {"mode": "none", "gamma": 0.5, "prob": "softmax"},
-    "train": {"head_sum": False, "stop_write_grad": False},
+    "train": {"head_sum": False, "stop_write_grad": False, "lam": 0.95},
 }
 
 
@@ -59,7 +59,7 @@ _SCHEMA = {
     "train": {
         "h_index": None, "d_index": None, "d_mem": None, "param_seed": 42,
         "indexer_steps": 600, "indexer_peak": 1e-3,
-        "mem_steps": 300, "mem_lr": 0.05, "lam": 0.95, "eta": 1.0,
+        "mem_steps": 300, "mem_lr": 0.05, "eta": 1.0,
     },
     "decode": {
         "steps": 256, "interval": 128, "budgets": (48, 64, 96),
@@ -144,7 +144,6 @@ class ExperimentConfig:
     indexer_peak: float
     mem_steps: int
     mem_lr: float
-    lam: float
     eta: float
     decode_steps: int
     decode_budgets: tuple
@@ -208,11 +207,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "decode.budgets must be a non-empty list of positive integers")
 
     mem_lr = _as_number(tree, "train", "mem_lr")
-    lam = _as_number(tree, "train", "lam")
     eta = _as_number(tree, "train", "eta")
     peak = _as_number(tree, "train", "indexer_peak")
     _require(mem_lr > 0.0, "train.mem_lr must be positive")
-    _require(0.0 < lam <= 1.0, "train.lam must lie in (0, 1]")
     _require(eta > 0.0, "train.eta must be positive")
     _require(peak > 0.0, "train.indexer_peak must be positive")
 
@@ -240,7 +237,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         indexer_peak=peak,
         mem_steps=_as_int(tree, "train", "mem_steps", 0),
         mem_lr=mem_lr,
-        lam=lam,
         eta=eta,
         decode_steps=_as_int(tree, "decode", "steps", 1),
         decode_budgets=tuple(budgets),

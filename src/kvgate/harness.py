@@ -214,7 +214,7 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
     memories = init_memory(cfg)
     losses_by_layer = [train_memory(memories[li], per_layer_eps[li],
                                     steps=cfg.mem_steps, lr=cfg.mem_lr,
-                                    lam=cfg.lam, eta=cfg.eta)
+                                    eta=cfg.eta)
                        for li in range(cfg.teacher.n_layers)]
     curve = [{"step": step,
               "loss": float(np.mean([losses_by_layer[li][step]
@@ -309,7 +309,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
                 mse_attn.append(plain_mse(eps[li]))
                 if memories is not None:
                     mse_fused.append(episode_loss(memories[li], eps[li],
-                                                  lam=cfg.lam, eta=cfg.eta))
+                                                  eta=cfg.eta))
                 recalls.append(retention_recall(keeps[li], planted))
         fields = {
             "policy": name,

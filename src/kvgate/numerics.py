@@ -27,6 +27,18 @@ class DivergenceError(RuntimeError):
     """Raised when a loss, a weight or an activation stops being finite."""
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an int in [0, SEED_LIMIT).
+
+    ``True`` would draw seed 1's stream, and a float or numpy integer
+    draws but breaks :meth:`Rng.split`'s python-int arithmetic.
+    """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an int, got {type(seed).__name__}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def _finalize_u64(z: int) -> int:
     """SplitMix64 output mix on a python int."""
     z &= _U64
@@ -52,8 +64,7 @@ class Rng:
     counter: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)

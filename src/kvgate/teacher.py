@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .numerics import SEED_LIMIT, Rng, masked_softmax_rows, rmsnorm
+from .numerics import Rng, check_seed, masked_softmax_rows, rmsnorm
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ class TeacherConfig:
             raise ValueError("head dimension must be even for rotary pairs")
         if self.d_ffn < 1 or self.vocab_size < 1:
             raise ValueError("d_ffn and vocab_size must be positive")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError("seed must lie in [0, 2**64)")
+        check_seed(self.seed)
 
     @property
     def d_head(self) -> int:

@@ -17,7 +17,6 @@ from kvgate.crosslayer import scores_with_reuse
 from kvgate.episodes import (
     FullRun,
     LayerEpisode,
-    WriteEvent,
     episode_loss,
     memory_loss_and_grads,
     plain_mse,
@@ -144,22 +143,23 @@ def test_analytic_gradients_match_central_differences():
             numeric = (up - down) / (2.0 * h)
             assert _relative_error(grads[name][idx], numeric) < 1e-4
 
+    # The memory's gradients, on one-write episodes: a batch with 5-row
+    # writes, and one whose writes have zero rows (an empty state).
     d_model = 64
-    episodes = []
-    for i in range(6):
-        rng = Rng(500 + i)
-        episodes.append(LayerEpisode(
-            queries=rng.split(0).normal((10, d_model)),
-            targets=0.1 * rng.split(1).normal((10, d_model)),
-            writes=[WriteEvent(rng.split(2).normal((5, d_model)),
-                               rng.split(3).normal((5, d_model))),
-                    WriteEvent(rng.split(4).normal((4, d_model)),
-                               rng.split(5).normal((4, d_model)))],
-            reads_after=rng.split(6).integers(0, 3, 10)))
+    batches = []
+    for n_write in (5, 0):
+        episodes = []
+        for i in range(6):
+            rng = Rng(500 + i)
+            episodes.append(LayerEpisode(
+                queries=rng.split(0).normal((10, d_model)),
+                targets=0.1 * rng.split(1).normal((10, d_model)),
+                write_keys=rng.split(2).normal((n_write, d_model)),
+                write_values=rng.split(3).normal((n_write, d_model))))
+        batches.append(episodes)
     slow = MemorySlowWeights.init(d_model, Rng(510))
-    _, mgrads = memory_loss_and_grads(slow, episodes)
 
-    def memory_fd(read, write):
+    def memory_fd(episodes, read, write):
         saved = read()
         h = 1e-6 * max(1.0, abs(saved))
         write(saved + h)
@@ -169,17 +169,19 @@ def test_analytic_gradients_match_central_differences():
         write(saved)
         return (up - down) / (2.0 * h)
 
-    for idx in _coords(Rng(511), slow.w_phi.shape):
-        numeric = memory_fd(lambda: slow.w_phi[idx],
-                            lambda v: slow.w_phi.__setitem__(idx, v))
-        assert _relative_error(mgrads["w_phi"][idx], numeric) < 1e-4
-    for idx in _coords(Rng(512), slow.w_gate.shape):
-        numeric = memory_fd(lambda: slow.w_gate[idx],
-                            lambda v: slow.w_gate.__setitem__(idx, v))
-        assert _relative_error(mgrads["w_gate"][idx], numeric) < 1e-4
-    numeric = memory_fd(lambda: slow.gate_bias,
-                        lambda v: setattr(slow, "gate_bias", v))
-    assert _relative_error(float(mgrads["gate_bias"]), numeric) < 1e-4
+    for episodes in batches:
+        _, mgrads = memory_loss_and_grads(slow, episodes)
+        for idx in _coords(Rng(511), slow.w_phi.shape):
+            numeric = memory_fd(episodes, lambda: slow.w_phi[idx],
+                                lambda v: slow.w_phi.__setitem__(idx, v))
+            assert _relative_error(mgrads["w_phi"][idx], numeric) < 1e-4
+        for idx in _coords(Rng(512), slow.w_gate.shape):
+            numeric = memory_fd(episodes, lambda: slow.w_gate[idx],
+                                lambda v: slow.w_gate.__setitem__(idx, v))
+            assert _relative_error(mgrads["w_gate"][idx], numeric) < 1e-4
+        numeric = memory_fd(episodes, lambda: slow.gate_bias,
+                            lambda v: setattr(slow, "gate_bias", v))
+        assert _relative_error(float(mgrads["gate_bias"]), numeric) < 1e-4
 
 
 def test_compaction_semantics_and_sink_protection():

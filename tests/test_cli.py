@@ -486,6 +486,7 @@ class TestErrorPaths:
         ("policy", {"head_pool": "mean"}, "head_pool"),
         ("train", {"head_sum": False}, "head_sum"),
         ("train", {"stop_write_grad": False}, "stop_write_grad"),
+        ("train", {"lam": 0.95}, "lam"),
     ])
     def test_retired_config_key(self, tmp_path, capsys, section, value, key):
         # One JSON line on stderr, so no traceback either.

@@ -41,7 +41,7 @@ class TestParsing:
             "plan": {"ratio": 0.25, "sink_count": 2},
             "teacher": {"d_model": 32, "d_ffn": 64},
             "data": {"length": 60, "eval_start": 40},
-            "train": {"lam": 0.9, "mem_lr": 0.1},
+            "train": {"eta": 0.9, "mem_lr": 0.1},
         })
         assert cfg.seed == 7
         assert cfg.plan.ratio == 0.25
@@ -49,7 +49,7 @@ class TestParsing:
         assert cfg.plan.local_window == 8
         assert cfg.teacher.d_model == 32
         assert cfg.eval_start == 40
-        assert cfg.lam == 0.9
+        assert cfg.eta == 0.9
         assert cfg.mem_lr == 0.1
 
     def test_version_is_required(self):
@@ -109,7 +109,8 @@ class TestParsing:
         ({"decode": {"budgets": [64, 0]}}, "budgets"),
         ({"decode": {"budgets": 64}}, "budgets"),
         ({"train": {"mem_lr": 0}}, "mem_lr"),
-        ({"train": {"lam": 0}}, "lam"),
+        # Retired with the multi-write memory replay: unknown at any value.
+        ({"train": {"lam": 0.95}}, "lam"),
         ({"train": {"lam": 1.2}}, "lam"),
         ({"train": {"eta": -1}}, "eta"),
         ({"train": {"indexer_peak": 0}}, "indexer_peak"),
@@ -118,10 +119,13 @@ class TestParsing:
           for key in ("head_sum", "stop_write_grad")
           for value in (False, True, "false", 0, None)],
         *[({"train": {key: value}}, f"{key} must be finite")
-          for key in ("mem_lr", "eta", "indexer_peak", "lam")
+          for key in ("mem_lr", "eta", "indexer_peak")
+          for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
+        *[({"train": {"lam": value}}, "lam")
           for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
         ({"agg": {"gamma": 0.5}}, "agg"),
         ({"plan": {"ratio": math.inf}}, "ratio must be finite"),
+        ({"train": {"eta": 0}}, "eta must be positive"),
     ])
     def test_bad_values_rejected(self, patch, needle):
         raw = {**minimal(), **patch}

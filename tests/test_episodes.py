@@ -5,11 +5,9 @@ from scipy.special import expit
 import kvgate.episodes as episodes_module
 from kvgate.cache import CompressionPlan
 from kvgate.episodes import (
-    EpisodeBatch,
     EpisodeStack,
     FullRun,
     LayerEpisode,
-    WriteEvent,
     episode_loss,
     episode_loss_and_grads,
     memory_loss_and_grads,
@@ -40,35 +38,32 @@ def knorm_keeps(trace, plan, upto):
     return [select(plan, sc, np.arange(upto)) for sc in knorm_scores(trace, upto)]
 
 
-def multi_write_episode(seed=0, n_eval=9):
-    r = Rng(100 + seed)
-    writes = [WriteEvent(r.split(2 * j).normal((3, D)),
-                         r.split(2 * j + 1).normal((3, D)))
-              for j in range(3)]
-    return LayerEpisode(queries=r.split(50).normal((n_eval, D)),
-                        targets=r.split(51).normal((n_eval, D)) * 0.3,
-                        writes=writes,
-                        reads_after=np.array([0, 1, 1, 2, 2, 2, 3, 3, 3]))
+def one_write_episode(seed=0, n_eval=9, n_write=3):
+    r = Rng(700 + seed)
+    return LayerEpisode(queries=r.split(0).normal((n_eval, D)),
+                        targets=r.split(1).normal((n_eval, D)) * 0.3,
+                        write_keys=r.split(2).normal((n_write, D)),
+                        write_values=r.split(3).normal((n_write, D)))
+
+
+def zero_write(n):
+    return {"write_keys": np.zeros((n, D)), "write_values": np.zeros((n, D))}
 
 
 class TestEpisodeTypes:
     def test_write_event_rejects_mismatch(self):
         with pytest.raises(ValueError, match="matching"):
-            WriteEvent(np.zeros((2, D)), np.zeros((3, D)))
-
-    def test_reads_after_defaults_to_all_writes(self):
-        ep = LayerEpisode(queries=np.zeros((4, D)), targets=np.zeros((4, D)),
-                          writes=[WriteEvent(np.zeros((1, D)), np.zeros((1, D)))])
-        assert ep.reads_after.tolist() == [1, 1, 1, 1]
-
-    def test_rejects_bad_reads_after(self):
-        with pytest.raises(ValueError, match="out of range"):
             LayerEpisode(queries=np.zeros((2, D)), targets=np.zeros((2, D)),
-                         writes=[], reads_after=np.array([0, 1]))
+                         write_keys=np.zeros((2, D)),
+                         write_values=np.zeros((3, D)))
+        with pytest.raises(ValueError, match="matching"):
+            LayerEpisode(queries=np.zeros((2, D)), targets=np.zeros((2, D)),
+                         write_keys=np.zeros(D), write_values=np.zeros(D))
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError, match="matching"):
-            LayerEpisode(queries=np.zeros((2, D)), targets=np.zeros((3, D)))
+            LayerEpisode(queries=np.zeros((2, D)), targets=np.zeros((3, D)),
+                         **zero_write(0))
 
 
 class TestPrefillEpisodes:
@@ -80,7 +75,7 @@ class TestPrefillEpisodes:
         assert len(eps) == teacher.config.n_layers
         for ep in eps:
             assert np.all(ep.targets == 0.0)
-            assert ep.writes[0].keys.shape[0] == 0
+            assert ep.write_keys.shape == ep.write_values.shape == (0, D)
 
     def test_eviction_produces_targets_and_writes(self):
         teacher = toy_teacher()
@@ -91,10 +86,9 @@ class TestPrefillEpisodes:
         for li, ep in enumerate(eps):
             assert ep.n_eval == 8
             assert np.any(ep.targets != 0.0)
-            assert ep.writes[0].keys.shape == (6, D)
+            assert ep.write_keys.shape == ep.write_values.shape == (6, D)
             assert np.array_equal(ep.queries,
                                   flatten_heads(trace.layers[li].q_pre)[16:])
-            assert ep.reads_after.tolist() == [1] * 8
 
     def test_targets_match_manual_attention_difference(self):
         teacher = toy_teacher()
@@ -153,7 +147,7 @@ class TestPrefillEpisodes:
         assert calls == []
         for ep in eps:
             assert np.all(ep.targets == 0.0)
-            assert ep.writes[0].keys.shape[0] == 0
+            assert ep.write_keys.shape == ep.write_values.shape == (0, D)
         prefill_episodes(full_run, [np.arange(11), np.arange(12)])
         assert len(calls) == 1
 
@@ -177,76 +171,48 @@ class TestPrefillEpisodes:
             prefill_episodes(run, keeps)
 
 
-def oracle_episode_loss_and_grads(slow, episode, lam=0.95, eta=1.0):
+def oracle_episode_loss_and_grads(slow, episode, eta=1.0):
     """The single-episode kernel the stacked one replaced, kept as its oracle."""
-    feats_k = [ev.keys @ slow.w_phi for ev in episode.writes]
-    states = [MemoryState.zeros(slow.d_mem, slow.d_model)]
-    for ev, f in zip(episode.writes, feats_k):
-        prev = states[-1]
-        states.append(MemoryState(m=lam * prev.m + eta * (f.T @ ev.values),
-                                  b=lam * prev.b + eta * (f ** 2).sum(axis=0)))
-    n_writes = len(episode.writes)
+    feat_k = episode.write_keys @ slow.w_phi
+    st = MemoryState(m=eta * (feat_k.T @ episode.write_values),
+                     b=eta * (feat_k ** 2).sum(axis=0))
     queries, targets = episode.queries, episode.targets
-    feat_q = queries @ slow.w_phi
-    z = queries @ slow.w_gate + slow.gate_bias
-    g = expit(z)
+    fq = queries @ slow.w_phi
+    g = expit(queries @ slow.w_gate + slow.gate_bias)
 
-    grad_phi = np.zeros_like(slow.w_phi)
-    grad_gate = np.zeros_like(slow.w_gate)
-    grad_bias = 0.0
-    ds_acc = [np.zeros_like(states[0].m) for _ in range(n_writes + 1)]
-    db_acc = [np.zeros_like(states[0].b) for _ in range(n_writes + 1)]
-
-    total = 0.0
     inv_size = 1.0 / targets.size
-    for j in np.unique(episode.reads_after):
-        rows = episode.reads_after == j
-        st = states[j]
-        fq = feat_q[rows]
-        denom = (fq ** 2) @ st.b + MEM_EPS
-        num = fq @ st.m
-        m = num / denom[:, None]
-        resid = targets[rows] - g[rows, None] * m
-        total += float(np.sum(resid ** 2))
+    denom = (fq ** 2) @ st.b + MEM_EPS
+    m = (fq @ st.m) / denom[:, None]
+    resid = targets - g[:, None] * m
+    loss = float(np.sum(resid ** 2)) / targets.size
 
-        d_pred = -2.0 * inv_size * resid
-        d_g = np.sum(d_pred * m, axis=1)
-        d_m = d_pred * g[rows, None]
-        d_z = d_g * g[rows] * (1.0 - g[rows])
-        grad_gate += queries[rows].T @ d_z
-        grad_bias += float(d_z.sum())
+    d_pred = -2.0 * inv_size * resid
+    d_g = np.sum(d_pred * m, axis=1)
+    d_m = d_pred * g[:, None]
+    d_z = d_g * g * (1.0 - g)
+    d_num = d_m / denom[:, None]
+    d_denom = -np.sum(d_m * m, axis=1) / denom
+    d_fq = d_num @ st.m.T + 2.0 * fq * st.b[None, :] * d_denom[:, None]
 
-        d_num = d_m / denom[:, None]
-        d_denom = -np.sum(d_m * m, axis=1) / denom
-        d_fq = d_num @ st.m.T + 2.0 * fq * st.b[None, :] * d_denom[:, None]
-        grad_phi += queries[rows].T @ d_fq
-        if j > 0:
-            ds_acc[j] += fq.T @ d_num
-            db_acc[j] += (fq ** 2).T @ d_denom
-
-    ds = np.zeros_like(states[0].m)
-    db = np.zeros_like(states[0].b)
-    for j in range(n_writes, 0, -1):
-        ds += ds_acc[j]
-        db += db_acc[j]
-        ev, fk = episode.writes[j - 1], feats_k[j - 1]
-        d_fk = eta * (ev.values @ ds.T) + 2.0 * eta * fk * db[None, :]
-        grad_phi += ev.keys.T @ d_fk
-        ds = lam * ds
-        db = lam * db
-
-    grads = {"w_phi": grad_phi, "w_gate": grad_gate,
-             "gate_bias": np.float64(grad_bias)}
-    return total / targets.size, grads
+    # The write path: the state the write made, differentiated back to
+    # the write rows' features.
+    ds = fq.T @ d_num
+    db = (fq ** 2).T @ d_denom
+    d_fk = eta * (episode.write_values @ ds.T) + 2.0 * eta * feat_k * db[None, :]
+    grad_phi = queries.T @ d_fq
+    grad_phi += episode.write_keys.T @ d_fk
+    grads = {"w_phi": grad_phi, "w_gate": queries.T @ d_z,
+             "gate_bias": np.float64(d_z.sum())}
+    return loss, grads
 
 
-def oracle_memory_loss_and_grads(slow, episodes, lam=0.95, eta=1.0):
+def oracle_memory_loss_and_grads(slow, episodes, eta=1.0):
     """Batch mean over the oracle, one episode at a time."""
     weight = 1.0 / len(episodes)
     loss = 0.0
     grads = None
     for ep in episodes:
-        l, g = oracle_episode_loss_and_grads(slow, ep, lam, eta)
+        l, g = oracle_episode_loss_and_grads(slow, ep, eta)
         loss += weight * l
         if grads is None:
             grads = {k: weight * v for k, v in g.items()}
@@ -294,30 +260,15 @@ def pipeline_episodes():
     return eps
 
 
-def single_write_episode(seed, n_eval, n_write, reads_after):
-    r = Rng(700 + seed)
-    return LayerEpisode(queries=r.split(0).normal((n_eval, D)),
-                        targets=r.split(1).normal((n_eval, D)) * 0.3,
-                        writes=[WriteEvent(r.split(2).normal((n_write, D)),
-                                           r.split(3).normal((n_write, D)))],
-                        reads_after=np.asarray(reads_after, dtype=np.int64))
-
-
 def mixed_episodes():
-    """Interleaved shapes: row counts, write counts and read orders differ."""
-    return [
-        multi_write_episode(0),
-        single_write_episode(0, 6, 4, [1] * 6),
-        multi_write_episode(1),
-        single_write_episode(1, 6, 4, [1] * 6),
-        single_write_episode(2, 5, 4, [0, 1, 0, 1, 1]),
-        multi_write_episode(2),
-        single_write_episode(3, 6, 2, [1] * 6),
-        LayerEpisode(queries=Rng(710).normal((4, D)),
-                     targets=Rng(711).normal((4, D)), writes=[]),
-        single_write_episode(4, 5, 4, [0, 1, 0, 1, 1]),
-        multi_write_episode(3),
-    ]
+    """One shape, mixed contents: ordinary episodes, one whose targets
+    vanish, and one whose write rows are all zero, so its state stays
+    empty."""
+    eps = [one_write_episode(i, 6, 4) for i in range(5)]
+    eps[1].targets[:] = 0.0
+    eps[3] = LayerEpisode(queries=eps[3].queries, targets=eps[3].targets,
+                          **zero_write(4))
+    return eps
 
 
 def assert_same_loss_and_grads(got, want):
@@ -331,12 +282,11 @@ def assert_same_loss_and_grads(got, want):
 def check_against_finite_differences(eps):
     """Batch gradients against central differences of the mean episode loss."""
     slow = MemorySlowWeights.init(D, Rng(302), d_mem=3)
-    _, grads = memory_loss_and_grads(slow, eps, lam=0.9, eta=0.8)
+    _, grads = memory_loss_and_grads(slow, eps, eta=0.8)
     h = 1e-6
 
     def loss_now():
-        return np.mean([episode_loss(slow, ep, lam=0.9, eta=0.8)
-                        for ep in eps])
+        return np.mean([episode_loss(slow, ep, eta=0.8) for ep in eps])
 
     for name in ("w_phi", "w_gate"):
         flat = getattr(slow, name).reshape(-1)
@@ -364,36 +314,31 @@ def check_against_finite_differences(eps):
 
 class TestLossAndGrads:
     def test_loss_matches_manual_replay(self):
-        ep = multi_write_episode()
+        ep = one_write_episode()
         slow = MemorySlowWeights.init(D, Rng(300), d_mem=3)
-        states = [MemoryState.zeros(3, D)]
-        for ev in ep.writes:
-            states.append(mem_write(slow, states[-1], ev.keys, ev.values,
-                                    lam=0.9, eta=0.8))
+        st = mem_write(slow, MemoryState.zeros(3, D), ep.write_keys,
+                       ep.write_values, eta=0.8)
         total = 0.0
         for i in range(ep.n_eval):
-            st = states[ep.reads_after[i]]
             f = ep.queries[i] @ slow.w_phi
             m = (f @ st.m) / (f ** 2 @ st.b + MEM_EPS)
             g = expit(ep.queries[i] @ slow.w_gate + slow.gate_bias)
             total += np.sum((ep.targets[i] - g * m) ** 2)
         want = total / ep.targets.size
-        got = episode_loss(slow, ep, lam=0.9, eta=0.8)
+        got = episode_loss(slow, ep, eta=0.8)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_grad_loss_equals_plain_loss(self):
         # episode_loss is memory.py's forward, so this ties the stacked
         # kernel's fused forward to mem_write, mem_read and gate bit for bit.
+        no_rows = [one_write_episode(i, 5, 0) for i in range(2)]
         for eps, d_model, d_mem in ((mixed_episodes(), D, 3),
+                                    (no_rows, D, 3),
                                     (pipeline_episodes(), 64, 8)):
             slow = MemorySlowWeights.init(d_model, Rng(301), d_mem=d_mem)
-            batch = EpisodeBatch.of(eps)
-            for stack, idx in zip(batch.stacks, batch.order):
-                losses, _ = episode_loss_and_grads(slow, stack, lam=0.9,
-                                                   eta=0.8)
-                for loss, i in zip(losses, idx):
-                    assert loss == episode_loss(slow, eps[i], lam=0.9,
-                                                eta=0.8)
+            losses, _ = episode_loss_and_grads(slow, EpisodeStack.of(eps),
+                                               eta=0.8)
+            assert losses == [episode_loss(slow, ep, eta=0.8) for ep in eps]
 
     def test_plain_loss_reads_and_writes_through_memory(self, monkeypatch):
         calls = {"mem_write": 0, "mem_read": 0}
@@ -407,24 +352,26 @@ class TestLossAndGrads:
         for ep in mixed_episodes():
             before = dict(calls)
             episode_loss(slow, ep)
-            assert calls["mem_write"] - before["mem_write"] == len(ep.writes)
-            assert (calls["mem_read"] - before["mem_read"]
-                    == np.unique(ep.reads_after).size)
+            assert calls["mem_write"] - before["mem_write"] == 1
+            assert calls["mem_read"] - before["mem_read"] == 1
 
     def test_finite_difference_check(self):
-        check_against_finite_differences([multi_write_episode()])
+        check_against_finite_differences([one_write_episode()])
 
     def test_finite_difference_check_mixed_batch(self):
         check_against_finite_differences(mixed_episodes())
 
     def test_batch_is_mean_of_episodes(self):
-        eps = [multi_write_episode(0), multi_write_episode(1)]
+        eps = [one_write_episode(0), one_write_episode(1)]
         slow = MemorySlowWeights.init(D, Rng(305), d_mem=3)
         (l0, l1), g = episode_loss_and_grads(slow, EpisodeStack.of(eps))
         lb, gb = memory_loss_and_grads(slow, eps)
         assert lb == pytest.approx(0.5 * (l0 + l1), rel=1e-12)
         assert np.allclose(gb["w_phi"], 0.5 * (g["w_phi"][0] + g["w_phi"][1]),
                            atol=1e-15)
+        # A stack given directly is the same batch.
+        assert_same_loss_and_grads(
+            memory_loss_and_grads(slow, EpisodeStack.of(eps)), (lb, gb))
 
     def test_empty_batch_rejected(self):
         slow = MemorySlowWeights.init(D, Rng(306), d_mem=2)
@@ -440,10 +387,14 @@ class TestStackedKernel:
         return pipeline_episodes()
 
     def test_pipeline_shapes(self, pipeline_eps):
+        # One ratio evicts the same number of rows from every sequence, so
+        # a layer's pipeline episodes stack as one shape.
         eps = pipeline_eps
         assert len(eps) == 8
-        assert {(ep.n_eval, ep.writes[0].keys.shape) for ep in eps} == {(43, (36, 64))}
-        assert len(EpisodeBatch.of(eps).stacks) == 1
+        assert {(ep.n_eval, ep.write_keys.shape) for ep in eps} == {(43, (36, 64))}
+        stack = EpisodeStack.of(eps)
+        assert stack.queries.shape == stack.targets.shape == (8, 43, 64)
+        assert stack.write_keys.shape == stack.write_values.shape == (8, 36, 64)
 
     @pytest.mark.parametrize("batch", ["pipeline", "one", "mixed"])
     def test_batch_matches_oracle(self, pipeline_eps, batch):
@@ -454,25 +405,21 @@ class TestStackedKernel:
             if batch == "one":
                 eps = eps[3:4]
         slow = MemorySlowWeights.init(d_model, Rng(800), d_mem=d_mem)
-        for lam, eta in ((0.95, 1.0), (0.9, 0.8)):
-            got = memory_loss_and_grads(slow, eps, lam, eta)
-            want = oracle_memory_loss_and_grads(slow, eps, lam, eta)
+        for eta in (1.0, 0.8):
+            got = memory_loss_and_grads(slow, eps, eta)
+            want = oracle_memory_loss_and_grads(slow, eps, eta)
             assert_same_loss_and_grads(got, want)
 
     def test_each_stacked_episode_matches_oracle(self):
         eps = mixed_episodes()
         slow = MemorySlowWeights.init(D, Rng(801), d_mem=3)
-        batch = EpisodeBatch.of(eps)
-        assert len(batch.stacks) == 5
-        assert sorted(i for idx in batch.order for i in idx) == list(range(len(eps)))
-        for stack, idx in zip(batch.stacks, batch.order):
-            losses, grads = episode_loss_and_grads(slow, stack)
-            for pos, i in enumerate(idx):
-                want_loss, want = oracle_episode_loss_and_grads(slow, eps[i])
-                assert losses[pos] == want_loss
-                assert np.array_equal(grads["w_phi"][pos], want["w_phi"])
-                assert np.array_equal(grads["w_gate"][pos], want["w_gate"])
-                assert grads["gate_bias"][pos] == want["gate_bias"]
+        losses, grads = episode_loss_and_grads(slow, EpisodeStack.of(eps))
+        for i, ep in enumerate(eps):
+            want_loss, want = oracle_episode_loss_and_grads(slow, ep)
+            assert losses[i] == want_loss
+            assert np.array_equal(grads["w_phi"][i], want["w_phi"])
+            assert np.array_equal(grads["w_gate"][i], want["w_gate"])
+            assert grads["gate_bias"][i] == want["gate_bias"]
 
     @pytest.mark.parametrize("batch", ["pipeline", "mixed"])
     def test_training_run_matches_oracle(self, pipeline_eps, batch):
@@ -488,12 +435,7 @@ class TestStackedKernel:
         assert np.array_equal(slow.w_gate, oracle.w_gate)
         assert slow.gate_bias == oracle.gate_bias
 
-    @pytest.mark.parametrize("shapes", [1, 2])
-    def test_one_kernel_call_per_shape_and_step(self, monkeypatch, shapes):
-        eps = [multi_write_episode(i) for i in range(4)]
-        if shapes == 2:
-            eps[1::2] = [single_write_episode(i, 6, 4, [1] * 6)
-                         for i in range(2)]
+    def test_one_kernel_call_per_step(self, monkeypatch):
         calls = []
         kernel = episodes_module.episode_loss_and_grads
 
@@ -503,13 +445,14 @@ class TestStackedKernel:
 
         monkeypatch.setattr(episodes_module, "episode_loss_and_grads", counting)
         slow = MemorySlowWeights.init(D, Rng(803), d_mem=3)
-        train_memory(slow, eps, steps=10)
-        assert len(calls) == 10 * shapes
+        train_memory(slow, [one_write_episode(i) for i in range(4)], steps=10)
+        assert len(calls) == 10
 
     def test_stack_rejects_mixed_shapes(self):
-        eps = [multi_write_episode(0), single_write_episode(0, 6, 4, [1] * 6)]
-        with pytest.raises(ValueError, match="share"):
-            EpisodeStack.of(eps)
+        for other in (one_write_episode(1, n_eval=8),
+                      one_write_episode(1, n_write=4)):
+            with pytest.raises(ValueError, match="share"):
+                EpisodeStack.of([one_write_episode(0), other])
         with pytest.raises(ValueError, match="no episodes"):
             EpisodeStack.of([])
 
@@ -525,32 +468,30 @@ class TestWorkArrays:
     """The kernel's reused work arrays never change what it returns."""
 
     def test_repeated_and_interleaved_calls_match_a_fresh_stack(self):
-        multi = [multi_write_episode(i) for i in range(3)]
-        single = [single_write_episode(i, 6, 4, [1] * 6) for i in range(2)]
+        nine = [one_write_episode(i) for i in range(3)]
+        six = [one_write_episode(i, 6, 4) for i in range(2)]
         slow = MemorySlowWeights.init(D, Rng(804), d_mem=3)
-        stacks = [EpisodeStack.of(multi), EpisodeStack.of(single)]
+        stacks = [EpisodeStack.of(nine), EpisodeStack.of(six)]
         want = [kernel_bytes(episode_loss_and_grads(slow, EpisodeStack.of(eps)))
-                for eps in (multi, single)]
+                for eps in (nine, six)]
         for _ in range(3):
             for stack, first in zip(stacks, want):
                 got = episode_loss_and_grads(slow, stack)
                 assert kernel_bytes(got) == first
-        # Four reads_after groups in the multi-write stack, one in the other.
-        assert len(stacks[0]._work) == 4 and len(stacks[1]._work) == 1
+        for stack in stacks:
+            assert [a.shape for a in stack._work] == [stack.queries.shape] * 3
 
     def test_work_arrays_are_made_once(self):
-        stack = EpisodeStack.of([multi_write_episode(i) for i in range(2)])
+        stack = EpisodeStack.of([one_write_episode(i) for i in range(2)])
         slow = MemorySlowWeights.init(D, Rng(805), d_mem=3)
         episode_loss_and_grads(slow, stack)
-        made = {j: tuple(map(id, arrays)) for j, arrays in stack._work.items()}
+        made = tuple(map(id, stack._work))
         episode_loss_and_grads(slow, stack)
-        assert {j: tuple(map(id, arrays))
-                for j, arrays in stack._work.items()} == made
-        for arrays in stack._work.values():
-            assert all(a.flags.c_contiguous for a in arrays)
+        assert tuple(map(id, stack._work)) == made
+        assert all(a.flags.c_contiguous for a in stack._work)
 
     def test_returned_results_survive_the_next_call(self):
-        stack = EpisodeStack.of([multi_write_episode(i) for i in range(2)])
+        stack = EpisodeStack.of([one_write_episode(i) for i in range(2)])
         slow = MemorySlowWeights.init(D, Rng(806), d_mem=3)
         first = episode_loss_and_grads(slow, stack)
         kept = kernel_bytes(first)
@@ -559,23 +500,22 @@ class TestWorkArrays:
         second = episode_loss_and_grads(slow, stack)
         assert kernel_bytes(first) == kept
         assert kernel_bytes(second) != kept
-        for arrays in stack._work.values():
-            for a in arrays:
-                for result in (first, second):
-                    assert not np.shares_memory(a, result[1]["w_phi"])
-                    assert not np.shares_memory(a, result[1]["w_gate"])
+        for a in stack._work:
+            for result in (first, second):
+                assert not np.shares_memory(a, result[1]["w_phi"])
+                assert not np.shares_memory(a, result[1]["w_gate"])
 
 
 class TestTrainMemory:
     def test_loss_decreases(self):
-        eps = [multi_write_episode(i) for i in range(4)]
+        eps = [one_write_episode(i) for i in range(4)]
         slow = MemorySlowWeights.init(D, Rng(307), d_mem=3)
         losses = train_memory(slow, eps, steps=60)
         assert len(losses) == 60
         assert losses[-1] < losses[0]
 
     def test_deterministic(self):
-        eps = [multi_write_episode(i) for i in range(2)]
+        eps = [one_write_episode(i) for i in range(2)]
         runs = []
         for _ in range(2):
             slow = MemorySlowWeights.init(D, Rng(308), d_mem=2)
@@ -607,9 +547,8 @@ class TestTrainMemory:
             eps.append(LayerEpisode(
                 queries=r.split(0).normal((10, D)),
                 targets=np.zeros((10, D)),
-                writes=[WriteEvent(r.split(1).normal((5, D)),
-                                   r.split(2).normal((5, D)))],
-                reads_after=np.ones(10, dtype=np.int64)))
+                write_keys=r.split(1).normal((5, D)),
+                write_values=r.split(2).normal((5, D))))
         slow = MemorySlowWeights.init(D, Rng(401), d_mem=4)
         g_before = np.mean([np.mean(gate(slow, e.queries)) for e in eps])
         train_memory(slow, eps, steps=200)
@@ -617,7 +556,7 @@ class TestTrainMemory:
         assert g_after < g_before
 
     def test_divergence_guard(self):
-        ep = multi_write_episode()
+        ep = one_write_episode()
         slow = MemorySlowWeights.init(D, Rng(402), d_mem=2)
         slow.w_phi[0, 0] = np.inf
         with pytest.raises(DivergenceError):
@@ -628,7 +567,20 @@ class TestTrainMemory:
         with pytest.raises(ValueError):
             train_memory(slow, [], steps=5)
         with pytest.raises(ValueError):
-            train_memory(slow, [multi_write_episode()], steps=5, lr=0.0)
+            train_memory(slow, [one_write_episode()], steps=5, lr=0.0)
+
+    def test_rejects_mixed_shapes(self):
+        # A batch is one stack: episodes that differ in rows or write size
+        # are refused before any step, and the weights stay as they were.
+        slow = MemorySlowWeights.init(D, Rng(404), d_mem=2)
+        before = slow.copy()
+        for other in (one_write_episode(1, n_eval=8),
+                      one_write_episode(1, n_write=0)):
+            with pytest.raises(ValueError, match="share"):
+                train_memory(slow, [one_write_episode(0), other], steps=5)
+        assert np.array_equal(slow.w_phi, before.w_phi)
+        assert np.array_equal(slow.w_gate, before.w_gate)
+        assert slow.gate_bias == before.gate_bias
 
     def test_trained_beats_untrained_on_holdout(self):
         teacher = toy_teacher()

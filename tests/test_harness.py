@@ -450,7 +450,7 @@ class TestSweepFromScratch:
                 for li, lt in enumerate(trace.layers):
                     attn.append(plain_mse(eps[li]))
                     fused.append(episode_loss(memories[li], eps[li],
-                                              lam=cfg.lam, eta=cfg.eta))
+                                              eta=cfg.eta))
                     recalls.append(retention_recall(keeps[li], planted))
                     imp = pooled_teacher_importance(lt.q[:, :upto, :],
                                                     lt.k[:, :upto, :])

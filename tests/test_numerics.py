@@ -281,6 +281,14 @@ class TestRng:
         with pytest.raises(ValueError, match="2\\*\\*64"):
             Rng(seed)
 
+    @pytest.mark.parametrize("seed", [True, 5.0, np.int64(5)],
+                             ids=["bool", "float", "int64"])
+    def test_seed_that_is_not_an_int_rejected(self, seed):
+        # True drew seed 1's stream; 5.0 drew seed 5's but could not split,
+        # and np.int64(5).split overflowed.
+        with pytest.raises(ValueError, match="must be an int"):
+            Rng(seed)
+
     def test_seeds_at_both_ends_keep_their_streams(self):
         # Frozen draws, recorded before out-of-range seeds were refused.
         assert Rng(5).uniform((3,)).tolist() == [

@@ -111,6 +111,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             small_config(seed=seed)
 
+    @pytest.mark.parametrize("seed", [True, 5.0, np.int64(5)],
+                             ids=["bool", "float", "int64"])
+    def test_seed_that_is_not_an_int_rejected(self, seed):
+        # True built seed 1's weights.
+        with pytest.raises(ValueError, match="must be an int"):
+            small_config(seed=seed)
+
     def test_derived_dims(self):
         cfg = TeacherConfig(d_model=64, n_heads=8, n_kv_heads=2)
         assert cfg.d_head == 8

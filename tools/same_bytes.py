@@ -15,6 +15,9 @@ timestamps, excepted). The configs are:
 - ``pipeline-wide``: the ``pipeline`` config with a wider indexer
   (``train.h_index`` 4, ``train.d_index`` 8), so the distillation
   backward is also compared beyond the default widths (2 and 1).
+- ``pipeline-eta``: the ``pipeline`` config at ``train.eta`` 0.7. Every
+  other case writes to the memory at 1.0, where ``eta * x`` is exact, so
+  a moved ``eta`` in the memory kernel would write the same bytes there.
 
 Prints ``same`` or ``DIFFERS`` per file and exits 1 on any difference or
 failed stage. Run it from the root of a kvgate checkout.
@@ -80,6 +83,10 @@ def cases() -> dict:
     wide["train"].update(h_index=4, d_index=8)
     out["pipeline-wide"] = wl.Workload("pipeline-wide", wide, pipeline.setup,
                                        pipeline.stages)
+    eta = copy.deepcopy(pipeline.config)
+    eta["train"]["eta"] = 0.7
+    out["pipeline-eta"] = wl.Workload("pipeline-eta", eta, pipeline.setup,
+                                      pipeline.stages)
     return out
 
 
