@@ -23,7 +23,7 @@ print("head -> kv head:",
        for h in range(cfg.n_heads)})
 
 tokens = Rng(1).integers(0, cfg.vocab_size, 24)
-trace = teacher.forward(tokens=tokens)
+trace = teacher.forward(x0=teacher.embed(tokens))
 last = trace.layers[-1]
 print(f"\nfull forward over {tokens.size} tokens:")
 print(f"  per-layer keys   {trace.layers[0].k.shape}  (kv_heads, len, d_head)")

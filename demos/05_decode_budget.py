@@ -21,22 +21,23 @@ plan = CompressionPlan(ratio=0.5, sink_count=2, local_window=4,
                        budget=24, decode_interval=8)
 prefill, steps = 40, 120
 
+tokens = Rng(3).integers(0, cfg.vocab_size, prefill)
+trace = teacher.forward(x0=teacher.embed(tokens))
+cache = KvCache(cfg.n_layers, cfg.n_kv_heads, cfg.d_head,
+                sink_count=plan.sink_count)
 
-def knorm_scores(layer, cache, buffered):
+
+def knorm_scores(layer):
     return aggregate_heads(score_knorm(cache.keys(layer)))
 
 
-tokens = Rng(3).integers(0, cfg.vocab_size, prefill)
-trace = teacher.forward(tokens=tokens)
-cache = KvCache(cfg.n_layers, cfg.n_kv_heads, cfg.d_head,
-                sink_count=plan.sink_count)
 for li, lt in enumerate(trace.layers):
     cache.append(li, lt.k, lt.v, np.arange(prefill))
 
 # The schedule assumes the budget already holds when decoding starts, so
 # compress the prefill overhang first.
 for li in range(cfg.n_layers):
-    budget_compress(cache, li, plan, knorm_scores(li, cache, []))
+    budget_compress(cache, li, plan, knorm_scores(li))
 print(f"prefill: {prefill} rows compressed to {cache.length(0)} "
       f"(budget {plan.budget})")
 

@@ -23,7 +23,7 @@ length = 48
 positions = np.arange(length)
 
 tokens = Rng(21).integers(0, cfg.vocab_size, length)
-trace = teacher.forward(tokens=tokens)
+trace = teacher.forward(x0=teacher.embed(tokens))
 per_layer = [aggregate_heads(score_knorm(lt.k)) for lt in trace.layers]
 calls = {"n": 0}
 

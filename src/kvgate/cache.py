@@ -84,11 +84,6 @@ class KvCache:
         """(n_kv_heads, length, d_head) values; a view like :meth:`positions`."""
         return self._values[layer][:, :self._lengths[layer], :]
 
-    def nbytes(self) -> int:
-        """Bytes of the live key and value rows, excluding spare capacity."""
-        return int(sum(self.keys(layer).nbytes + self.values(layer).nbytes
-                       for layer in range(self.n_layers)))
-
     def append(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray, positions) -> None:
         """Append rows for strictly increasing, never-before-seen positions."""
         pos = np.asarray(positions, dtype=np.int64)
@@ -167,12 +162,12 @@ class DecodeSchedule:
     """Periodic compression driver for the decode phase.
 
     Steps are 1-based. Every ``decode_interval`` steps each layer holding
-    more than the budget is compressed back to it, scored by a caller
-    callback over the queries buffered during that interval; every layer's
-    query buffer is cleared at every boundary, compressed or not. Between
-    boundaries at most ``decode_interval`` rows accumulate, so the retained
-    length never exceeds ``budget + decode_interval`` provided the cache
-    respected the budget when decoding started.
+    more than the budget is compressed back to it, scored by the caller's
+    ``scorer(layer)``, which reads the queries of that interval from
+    wherever the caller keeps them. Between boundaries at most
+    ``decode_interval`` rows accumulate, so the retained length never
+    exceeds ``budget + decode_interval`` provided the cache respected the
+    budget when decoding started.
     """
 
     def __init__(self, cache: KvCache, plan: CompressionPlan):
@@ -181,18 +176,13 @@ class DecodeSchedule:
         self.cache = cache
         self.plan = plan
         self.step_index = 0
-        self.interval_queries = [[] for _ in range(cache.n_layers)]
 
-    def buffer_query(self, layer: int, **rows) -> None:
-        """Stash per-step scoring inputs (e.g. x / q_pre / q rows) for a layer."""
-        self.interval_queries[layer].append(rows)
-
-    def step(self, scorer=None, on_evict=None) -> bool:
+    def step(self, scorer, on_evict=None) -> bool:
         """Advance one decode step; returns True when compression ran.
 
-        ``scorer(layer, cache, buffered)`` must return one score per cached
-        row of that layer. ``on_evict(layer, keys, values, positions)`` sees
-        each layer's evicted rows, in original order.
+        ``scorer(layer)`` must return one score per cached row of that
+        layer. ``on_evict(layer, keys, values, positions)`` sees each
+        layer's evicted rows, in original order.
         """
         self.step_index += 1
         if self.step_index % self.plan.decode_interval != 0:
@@ -201,12 +191,9 @@ class DecodeSchedule:
         for layer in range(self.cache.n_layers):
             if self.cache.length(layer) <= self.plan.budget:
                 continue
-            if scorer is None:
-                raise ValueError("compression is due but no scorer was given")
-            scores = scorer(layer, self.cache, self.interval_queries[layer])
-            evicted = budget_compress(self.cache, layer, self.plan, scores)
+            evicted = budget_compress(self.cache, layer, self.plan,
+                                      scorer(layer))
             compressed = True
             if on_evict is not None and evicted[2].size:
                 on_evict(layer, *evicted)
-        self.interval_queries = [[] for _ in range(self.cache.n_layers)]
         return compressed

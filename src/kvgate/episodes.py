@@ -167,12 +167,16 @@ def episode_loss(slow: MemorySlowWeights, episode: LayerEpisode,
                  eta: float = 1.0) -> float:
     """Mean squared residual after the gated readout is subtracted, by the
     memory's own forward: one :func:`mem_write` into an empty state, then
-    :func:`mem_read` and :func:`gate` over every query row."""
+    :func:`mem_read` and :func:`gate` over every query row. Raises
+    :class:`DivergenceError` when the loss is not finite."""
     state = mem_write(slow, MemoryState.zeros(slow.d_mem, slow.d_model),
                       episode.write_keys, episode.write_values, eta=eta)
     q = episode.queries
     resid = episode.targets - gate(slow, q)[:, None] * mem_read(slow, state, q)
-    return float(np.sum(resid ** 2)) / episode.targets.size
+    loss = float(np.sum(resid ** 2)) / episode.targets.size
+    if not np.isfinite(loss):
+        raise DivergenceError("memory loss non-finite")
+    return loss
 
 
 def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,

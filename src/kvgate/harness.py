@@ -334,15 +334,14 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     return [eval_point(p) for p in points]
 
 
-def _stack_queries(buffered) -> QueryRows | None:
-    """Query rows from the per-step dicts a DecodeSchedule buffered."""
-    if not buffered:
-        return None
-    return QueryRows(x=np.stack([b["x"] for b in buffered]),
-                     q_pre=np.stack([b["q_pre"] for b in buffered], axis=1),
-                     q=np.stack([b["q"] for b in buffered], axis=1),
-                     positions=np.array([b["pos"] for b in buffered],
-                                        dtype=np.int64))
+def _window_queries(window, layer: int, s: int) -> QueryRows:
+    """Simulation ``s``'s query rows at ``layer`` over the lockstep steps
+    in ``window``, each a ``(position, x_in, q_pre, q)`` tuple."""
+    positions, x_in, q_pre, q = zip(*window)
+    return QueryRows(x=np.stack([rows[layer][s] for rows in x_in]),
+                     q_pre=np.stack([rows[layer][s] for rows in q_pre], axis=1),
+                     q=np.stack([rows[layer][s] for rows in q], axis=1),
+                     positions=np.array(positions, dtype=np.int64))
 
 
 def _finite_row(row: np.ndarray, where: str) -> np.ndarray:
@@ -354,7 +353,8 @@ def _finite_row(row: np.ndarray, where: str) -> np.ndarray:
 class _Simulation:
     """One decode simulation's own state: the reference (no budget) or one
     budget's run with its schedule, indexer feature caches and scorer
-    stream counter.
+    stream counter. The query rows its compactions score live in the
+    lockstep loop's one window, shared by every simulation.
 
     State lives in plain attributes, never in closures or stored bound
     methods, so nothing forms a reference cycle: a finished simulation's
@@ -396,10 +396,9 @@ class _Simulation:
             prompt = QueryRows(lt.x_in, lt.q_pre, lt.q, positions)
             self.on_evict(li, *budget_compress(self.cache, li, plan,
                                                self.score(li, prompt)))
-        self.retain_features()
         self.schedule = DecodeSchedule(self.cache, plan)
 
-    def score(self, layer: int, queries: QueryRows | None) -> np.ndarray:
+    def score(self, layer: int, queries: QueryRows) -> np.ndarray:
         self.calls += 1
         kept = self.cache.positions(layer)
         if self.params is None:
@@ -410,26 +409,18 @@ class _Simulation:
                            params=self.params[layer],
                            key_feats=self.feature_caches[layer].rows_for(kept))
 
-    def scorer(self, layer: int, _cache, buffered) -> np.ndarray:
-        return self.score(layer, _stack_queries(buffered))
-
     def on_evict(self, layer, keys, values, dropped_positions) -> None:
         self.evicted += dropped_positions.size
+        if self.feature_caches:
+            self.feature_caches[layer].retain(self.cache.positions(layer))
 
-    def retain_features(self) -> None:
-        for li, fc in enumerate(self.feature_caches):
-            fc.retain(self.cache.positions(li))
-
-    def advance(self, t: int, pos: int, step, s: int) -> None:
-        """Buffer row ``s`` of a lockstep step's queries, run the schedule
-        and record step ``t``'s kept size and evictions."""
+    def advance(self, t: int, window, s: int) -> None:
+        """Run the schedule, scoring row ``s`` of the window's queries, and
+        record step ``t``'s kept size and evictions."""
         if self.schedule is not None:
-            for li in range(self.cache.n_layers):
-                self.schedule.buffer_query(li, x=step.x_in[li][s],
-                                           q_pre=step.q_pre[li][s],
-                                           q=step.q[li][s], pos=pos)
-            if self.schedule.step(self.scorer, on_evict=self.on_evict):
-                self.retain_features()
+            self.schedule.step(
+                lambda layer: self.score(layer, _window_queries(window, layer, s)),
+                on_evict=self.on_evict)
         self.kept[t] = max(self.cache.length(li)
                            for li in range(self.cache.n_layers))
         self.evictions[t] = self.evicted
@@ -463,6 +454,11 @@ def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
     length = x0.shape[0]
     # The prompt's trace is not read past the start-of-decode compactions.
     del trace, prompt_features
+    # The query rows since the last boundary. Every schedule compacts only
+    # after a whole interval of steps, so a full window holds exactly the
+    # rows its compactions score; no later compaction reads them, so they
+    # are dropped then rather than held through the next interval.
+    window = []
     for t in range(cfg.decode_steps):
         pos = length + t
         step = teacher.forward_step(x_rows, caches, pos)
@@ -473,8 +469,11 @@ def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
                 feats = key_features(params, step.x_in[li][first:, None, :])
                 for sim, row in zip(scored, feats):
                     sim.feature_caches[li].append(row, np.array([pos]))
+        window.append((pos, step.x_in, step.q_pre, step.q))
         for s, sim in enumerate(sims):
-            sim.advance(t, pos, step, s)
+            sim.advance(t, window, s)
+        if len(window) == cfg.plan.decode_interval:
+            window = []
         x_rows = rmsnorm(step.output)
     return sims
 
@@ -581,7 +580,7 @@ def selftest() -> list:
         pos = 40 + t
         cache.append(0, rng.normal((2, 1, 4)), rng.normal((2, 1, 4)),
                      np.array([pos]))
-        sched.step(lambda layer, c, b: Rng(10).split(t).uniform((c.length(layer),)))
+        sched.step(lambda layer: Rng(10).split(t).uniform((cache.length(layer),)))
         bound_ok = bound_ok and cache.length(0) <= plan.budget + plan.decode_interval
         sinks_ok = sinks_ok and np.all(np.isin(np.arange(4), cache.positions(0)))
     checks.append(("decode retention stays within budget plus interval", bound_ok))

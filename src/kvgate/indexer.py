@@ -61,6 +61,8 @@ class IndexerParams:
     def __post_init__(self):
         if self.u_k.ndim != 2 or self.u_q.ndim != 2 or self.g.ndim != 2:
             raise ValueError("indexer weights must be matrices")
+        if self.h_index < 1 or self.d_index < 1:
+            raise ValueError("H_index and d_index must be at least 1")
         if self.u_q.shape[1] != self.h_index * self.d_index:
             raise ValueError("u_q output width must equal H_index * d_index")
         if self.g.shape[0] != self.u_k.shape[0]:
@@ -145,10 +147,6 @@ class IndexerKeyCache:
         """Cached positions, ascending: a view valid until the next
         :meth:`append` or :meth:`retain`; copy it to keep it longer."""
         return self._positions[:self._length]
-
-    def nbytes(self) -> int:
-        """Bytes of the live feature rows, excluding spare capacity."""
-        return int(self._rows[:self._length].nbytes)
 
     def append(self, rows: np.ndarray, positions) -> None:
         rows = np.asarray(rows, dtype=np.float64)

@@ -45,6 +45,8 @@ class MemorySlowWeights:
         self.gate_bias = float(self.gate_bias)
         if self.w_phi.ndim != 2:
             raise ValueError("w_phi must be 2-D")
+        if self.d_mem < 1:
+            raise ValueError("d_mem must be at least 1")
         if self.w_gate.shape != (self.w_phi.shape[0],):
             raise ValueError("w_gate width must match w_phi input width")
         for arr in (self.w_phi, self.w_gate):

@@ -104,13 +104,6 @@ class Rng:
         draws = (self.uniform((n,)) * span).astype(np.int64)
         return low + np.minimum(draws, span - 1)
 
-    def choice(self, population: int, k: int) -> np.ndarray:
-        """k distinct indices from range(population), ascending."""
-        if k > population:
-            raise ValueError("cannot draw more distinct values than exist")
-        keys = self.uniform((population,))
-        return np.sort(np.argsort(keys, kind="stable")[:k])
-
     def split(self, stream: int) -> "Rng":
         """Independent child stream, deterministic in (seed, stream)."""
         child = _finalize_u64(_finalize_u64((stream + 1) * _GOLDEN) ^ self.seed)

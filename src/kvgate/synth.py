@@ -34,11 +34,6 @@ class PlantedSequence:
     tail_start: int         # first position of the trailing query block
 
 
-def random_sequence(rng: Rng, length: int, d_model: int) -> np.ndarray:
-    """Isotropic filler rows with unit RMS per entry."""
-    return rng.normal((length, d_model))
-
-
 def retention_recall(kept_positions, planted) -> float:
     """Fraction of planted rows still cached; defined as 1.0 with no needles."""
     planted = np.asarray(planted, dtype=np.int64)
@@ -103,7 +98,8 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
     if ridge <= 0.0:
         raise ValueError("ridge must be positive")
 
-    x0 = random_sequence(rng, length, cfg.d_model)
+    # Isotropic filler rows with unit RMS per entry.
+    x0 = rng.normal((length, cfg.d_model))
     if cfg.n_layers == 0 or needles.size == 0:
         return PlantedSequence(x0=x0, planted=needles, tail_start=tail_start)
 

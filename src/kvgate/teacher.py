@@ -50,10 +50,6 @@ class TeacherConfig:
     def d_head(self) -> int:
         return self.d_model // self.n_heads
 
-    @property
-    def group_size(self) -> int:
-        return self.n_heads // self.n_kv_heads
-
 
 def kv_head_of(query_head: int, n_heads: int, n_kv_heads: int) -> int:
     """KV head serving a given query head: floor(h * n_kv / n_heads)."""
@@ -269,22 +265,15 @@ class TeacherModel:
         pre = rmsnorm(h) @ layer.w_in
         return h + (pre * expit(pre)) @ layer.w_out
 
-    def forward(self, tokens=None, x0=None) -> ForwardTrace:
-        """Full-sequence forward pass with per-layer traces.
-
-        Exactly one of ``tokens`` (ids into the fixed embedding table) or
-        ``x0`` (caller-supplied (L, d_model) input rows) must be given.
+    def forward(self, x0) -> ForwardTrace:
+        """Full-sequence forward pass with per-layer traces over the
+        (L, d_model) input rows ``x0`` (token ids go through :meth:`embed`).
         """
-        if (tokens is None) == (x0 is None):
-            raise ValueError("provide exactly one of tokens or x0")
-        if tokens is not None:
-            x = self.embed(tokens)
-        else:
-            x = np.array(x0, dtype=np.float64, copy=True)
-            if x.ndim != 2 or x.shape[1] != self.config.d_model:
-                raise ValueError("x0 must have shape (L, d_model)")
-            if x.shape[0] == 0:
-                raise ValueError("empty sequence")
+        x = np.array(x0, dtype=np.float64, copy=True)
+        if x.ndim != 2 or x.shape[1] != self.config.d_model:
+            raise ValueError("x0 must have shape (L, d_model)")
+        if x.shape[0] == 0:
+            raise ValueError("empty sequence")
         rope = rope_tables(np.arange(x.shape[0]), self.config.d_head,
                            self.config.rope_base)
         traces = []

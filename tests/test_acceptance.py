@@ -37,7 +37,7 @@ from kvgate.memory import MEM_EPS, MemorySlowWeights, MemoryState, mem_read, \
 from kvgate.metrics import read_records
 from kvgate.numerics import Rng
 from kvgate.policies import aggregate_heads, score_knorm, select
-from kvgate.synth import planted_sequence, random_sequence, retention_recall
+from kvgate.synth import planted_sequence, retention_recall
 from kvgate.teacher import TeacherConfig, TeacherModel, attend_rows, kv_head_of
 
 
@@ -80,8 +80,8 @@ def test_attention_matches_quadratic_reference_and_decode_accumulation():
                         d_ffn=64, vocab_size=16, seed=0)
     teacher = TeacherModel(cfg)
     tokens = Rng(9).integers(0, cfg.vocab_size, 48)
-    trace = teacher.forward(tokens=tokens)
     x0 = teacher.embed(tokens)
+    trace = teacher.forward(x0=x0)
     split = 32
     cache = KvCache(cfg.n_layers, cfg.n_kv_heads, cfg.d_head, sink_count=2)
     for li, lt in enumerate(trace.layers):
@@ -347,7 +347,7 @@ def test_trained_indexer_beats_untrained_and_heuristic_retention():
             x0 = planted_sequence(teacher, length, needles, rng,
                                   tail_width=tail, beacon_weight=beacon).x0
         else:
-            x0 = random_sequence(rng, length, cfg.d_model)
+            x0 = rng.normal((length, cfg.d_model))
         for layer in range(cfg.n_layers):
             batches[layer].append(
                 distill_batch(teacher, x0, layer, sink_count=sinks))

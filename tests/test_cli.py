@@ -544,6 +544,59 @@ class TestErrorPaths:
         assert record["error"] == "ValueError"
         assert tensor in record["message"]
 
+    @pytest.mark.parametrize("command", ["train-memory", "sweep",
+                                         "decode-sim"])
+    @pytest.mark.parametrize("fields", [("g", "u_q"), ("u_k", "u_q")],
+                             ids=["heads", "width"])
+    def test_zero_width_indexer_checkpoint(self, stage_one, tmp_path, capsys,
+                                           command, fields):
+        # Zero-width g and u_q divided by zero in the gate scale.
+        tensors = load_weights(stage_one["checkpoint"])
+        for name in list(tensors):
+            if name.split(".")[-1] in fields:
+                tensors[name] = np.zeros((tensors[name].shape[0], 0))
+        bogus = tmp_path / "zero.kvgt"
+        save_weights(bogus, tensors)
+        code = run(command, "--config", stage_one["config"],
+                   "--checkpoint", bogus, "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert "H_index and d_index must be at least 1" in record["message"]
+
+    def test_zero_width_memory_checkpoint(self, stage_two, tmp_path, capsys):
+        tensors = load_weights(stage_two / "memory.kvgt")
+        for name in list(tensors):
+            if name.endswith(".w_phi"):
+                tensors[name] = np.zeros((tensors[name].shape[0], 0))
+        bogus = tmp_path / "zero.kvgt"
+        save_weights(bogus, tensors)
+        code = run("sweep", "--config", write_config(tmp_path),
+                   "--checkpoint", bogus, "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert "d_mem must be at least 1" in record["message"]
+
+    def test_overflowing_memory_readout_exits_divergence(self, stage_two,
+                                                         tmp_path, capsys):
+        # Finite weights whose readout overflows: the fused loss used to
+        # reach the records as a float JSON cannot hold.
+        tensors = load_weights(stage_two / "memory.kvgt")
+        for name in list(tensors):
+            if name.endswith(".w_phi"):
+                tensors[name] = np.full_like(tensors[name], 1e200)
+        huge = tmp_path / "huge.kvgt"
+        save_weights(huge, tensors)
+        out = tmp_path / "out"
+        code = run("sweep", "--config", write_config(tmp_path),
+                   "--checkpoint", huge, "--out", out, "--threads", 2)
+        assert code == EXIT_DIVERGENCE
+        record = only_stderr_record(capsys)
+        assert record["error"] == "DivergenceError"
+        assert "memory loss non-finite" in record["message"]
+        assert not (out / "sweep.jsonl").exists()
+
     def test_no_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main([])

@@ -24,6 +24,11 @@ from kvgate.teacher import TeacherConfig, TeacherModel, attend_rows, flatten_hea
 D = 16
 
 
+def distinct_sorted(rng, population, k):
+    """k distinct indices from range(population), ascending."""
+    return np.sort(np.argsort(rng.uniform((population,)), kind="stable")[:k])
+
+
 def toy_teacher():
     cfg = TeacherConfig(n_layers=2, d_model=D, n_heads=4, n_kv_heads=2,
                         d_ffn=32, vocab_size=16, seed=5)
@@ -118,7 +123,7 @@ class TestPrefillEpisodes:
         assert np.array_equal(full_run.visible, full)
         r = Rng(206)
         for trial in range(6):
-            keeps = [r.split(10 * trial + li).choice(12, size)
+            keeps = [distinct_sorted(r.split(10 * trial + li), 12, size)
                      for li, size in enumerate((trial, 12 - trial))]
             eps = prefill_episodes(full_run, keeps)
             for li, lt in enumerate(trace.layers):

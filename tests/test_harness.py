@@ -110,14 +110,17 @@ def oracle_simulation(cfg, teacher, x0, budget, params_by_layer=None):
                            params=params_by_layer[layer],
                            key_feats=feature_caches[layer].rows_for(kept))
 
-    def scorer(layer, _cache, buffered):
-        if not buffered:
-            return score(layer, None)
+    # The query rows of the current interval, per layer, emptied at every
+    # boundary whether or not it compacted.
+    buffered = [[] for _ in range(cfg_t.n_layers)]
+
+    def scorer(layer):
+        rows = buffered[layer]
         return score(layer, QueryRows(
-            x=np.stack([b["x"] for b in buffered]),
-            q_pre=np.stack([b["q_pre"] for b in buffered], axis=1),
-            q=np.stack([b["q"] for b in buffered], axis=1),
-            positions=np.array([b["pos"] for b in buffered], dtype=np.int64)))
+            x=np.stack([b["x"] for b in rows]),
+            q_pre=np.stack([b["q_pre"] for b in rows], axis=1),
+            q=np.stack([b["q"] for b in rows], axis=1),
+            positions=np.array([b["pos"] for b in rows], dtype=np.int64)))
 
     def on_evict(layer, keys, values, dropped_positions):
         nonlocal evicted_total
@@ -149,11 +152,14 @@ def oracle_simulation(cfg, teacher, x0, budget, params_by_layer=None):
                       np.array([pos]))
         if schedule is not None:
             for li in range(cfg_t.n_layers):
-                schedule.buffer_query(li, x=step.x_in[li][0],
-                                      q_pre=step.q_pre[li][0],
-                                      q=step.q[li][0], pos=pos)
+                buffered[li].append(dict(x=step.x_in[li][0],
+                                         q_pre=step.q_pre[li][0],
+                                         q=step.q[li][0], pos=pos))
             if schedule.step(scorer, on_evict=on_evict):
                 retain_features()
+            if (t + 1) % cfg.plan.decode_interval == 0:
+                for rows in buffered:
+                    rows.clear()
         kept_sizes[t] = max(cache.length(li) for li in range(cfg_t.n_layers))
         evictions[t] = evicted_total
         x_row = rmsnorm(step.output[0])
@@ -560,7 +566,7 @@ class TestLockstepDecode:
     keep the bits of its own sequential run."""
 
     OVERRIDES = dict(decode={"steps": 40, "interval": 4,
-                             "budgets": [10, 14, 17, 96]})
+                             "budgets": [10, 14, 17, 40, 96]})
 
     @pytest.mark.parametrize("policy", ["indexer", "snapkv", "tova",
                                         "knorm", "random"])
@@ -574,6 +580,9 @@ class TestLockstepDecode:
         evicted = {r["budget"]: r["evicted_total"] for r in got
                    if r["kind"] == "decode_summary"}
         assert evicted[10] > evicted[14] > evicted[17] > 0
+        # The 30-row prompt fits budget 40: the boundaries at steps 4 and 8
+        # compact nothing, the one at step 12 compacts on its own rows.
+        assert evicted[17] > evicted[40] > 0
         assert evicted[96] == 0
 
     def test_state_is_freed_without_the_cyclic_gc(self, monkeypatch):

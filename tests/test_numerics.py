@@ -269,11 +269,6 @@ class TestRng:
         v = Rng(13).integers(-3, 5, 1000)
         assert v.min() >= -3 and v.max() <= 4
 
-    def test_choice_distinct_sorted(self):
-        got = Rng(14).choice(20, 8)
-        assert len(set(got.tolist())) == 8
-        assert np.all(np.diff(got) > 0)
-
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_64_bits_rejected(self, seed):
         # Each would alias a seed inside the range: 2**64 + 5 drew seed 5's

@@ -85,3 +85,19 @@ def test_cases_include_a_memory_write_rate():
     assert all(case.config["train"].get("eta", 1.0) == 1.0
                for name, case in cases.items() if name != "pipeline-eta")
     assert eta.stages == pipeline.stages and eta.setup == pipeline.setup
+
+
+def test_cases_include_a_late_decode_compaction():
+    # The prompt fits one budget, so its first decode boundary compacts
+    # nothing and a later one compacts: no other case reaches that path.
+    cases = load_tool().cases()
+    late, pipeline = cases["pipeline-late"], cases["pipeline"]
+    prompt = late.config["data"]["length"]
+    interval = late.config["decode"]["interval"]
+    steps = late.config["decode"]["steps"]
+    budget = max(late.config["decode"]["budgets"])
+    assert late.config["decode"]["budgets"] == [48, 170]
+    assert prompt <= budget and prompt + interval <= budget
+    assert prompt + steps > budget and steps % interval == 0
+    assert late.config["decode"]["budgets"] != pipeline.config["decode"]["budgets"]
+    assert late.stages == pipeline.stages and late.setup == pipeline.setup

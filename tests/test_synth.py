@@ -5,7 +5,6 @@ from kvgate.numerics import Rng
 from kvgate.synth import (
     beacon_direction,
     planted_sequence,
-    random_sequence,
     retention_recall,
 )
 from kvgate.teacher import TeacherConfig, TeacherModel, pooled_teacher_importance
@@ -41,7 +40,7 @@ class TestConstruction:
         teacher = retrieval_teacher(2)
         seq = planted_sequence(teacher, 32, [], Rng(8), tail_width=8)
         assert seq.planted.size == 0
-        assert seq.x0.shape == (32, 64)
+        assert np.array_equal(seq.x0, Rng(8).normal((32, 64)))
 
     def test_duplicate_needles_collapse(self):
         teacher = retrieval_teacher(2)
@@ -77,8 +76,9 @@ class TestConstruction:
         assert np.sqrt(np.mean(body**2)) == pytest.approx(1.0, abs=0.05)
 
     def test_random_sequence_moments(self):
-        x = random_sequence(Rng(12), 2000, 16)
-        assert x.shape == (2000, 16)
+        teacher = retrieval_teacher(2)
+        x = planted_sequence(teacher, 2000, [], Rng(12), tail_width=8).x0
+        assert x.shape == (2000, 64)
         assert abs(x.mean()) < 0.01
         assert np.std(x) == pytest.approx(1.0, abs=0.01)
 

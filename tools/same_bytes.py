@@ -18,6 +18,11 @@ timestamps, excepted). The configs are:
 - ``pipeline-eta``: the ``pipeline`` config at ``train.eta`` 0.7. Every
   other case writes to the memory at 1.0, where ``eta * x`` is exact, so
   a moved ``eta`` in the memory kernel would write the same bytes there.
+- ``pipeline-late``: the ``pipeline`` config at ``decode.budgets``
+  ``[48, 170]``. The 128-row prompt fits budget 170, the decode boundary
+  at step 32 compacts nothing and the one at step 64 compacts, so a
+  compaction is scored by one interval's queries after a boundary that
+  evicted nothing.
 
 Prints ``same`` or ``DIFFERS`` per file and exits 1 on any difference or
 failed stage. Run it from the root of a kvgate checkout.
@@ -87,6 +92,10 @@ def cases() -> dict:
     eta["train"]["eta"] = 0.7
     out["pipeline-eta"] = wl.Workload("pipeline-eta", eta, pipeline.setup,
                                       pipeline.stages)
+    late = copy.deepcopy(pipeline.config)
+    late["decode"]["budgets"] = [48, 170]
+    out["pipeline-late"] = wl.Workload("pipeline-late", late, pipeline.setup,
+                                       pipeline.stages)
     return out
 
 
