@@ -24,10 +24,9 @@ print("head -> kv head:",
 
 tokens = Rng(1).integers(0, cfg.vocab_size, 24)
 trace = teacher.forward(x0=teacher.embed(tokens))
-last = trace.layers[-1]
 print(f"\nfull forward over {tokens.size} tokens:")
 print(f"  per-layer keys   {trace.layers[0].k.shape}  (kv_heads, len, d_head)")
-print(f"  final residual   {last.x_out.shape}")
+print(f"  final residual   {trace.output.shape}")
 
 # Replay the tail incrementally: prefill a cache with the first rows, then
 # feed the remaining embedded inputs one at a time.
@@ -41,7 +40,7 @@ x0 = teacher.embed(tokens)
 worst = 0.0
 for pos in range(split, tokens.size):
     step = teacher.forward_step(x0[pos][None, :], [cache], pos)
-    worst = max(worst, float(np.max(np.abs(step.output[0] - last.x_out[pos]))))
+    worst = max(worst, float(np.max(np.abs(step.output[0] - trace.output[pos]))))
 print(f"\nincremental decode of the last {tokens.size - split} positions:")
 print(f"  max |step output - full forward| = {worst:.3e}")
 assert worst < 1e-10

@@ -42,7 +42,7 @@ print(f"prefill: {prefill} rows compressed to {cache.length(0)} "
       f"(budget {plan.budget})")
 
 schedule = DecodeSchedule(cache, plan)
-x_row = rmsnorm(trace.layers[-1].x_out[-1])
+x_row = rmsnorm(trace.output[-1])
 peak, compressions = 0, 0
 for t in range(steps):
     step = teacher.forward_step(x_row[None, :], [cache], prefill + t)

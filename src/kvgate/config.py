@@ -20,7 +20,7 @@ from .policies import POLICY_NAMES
 from .teacher import TeacherConfig
 
 CONFIG_VERSION = 1
-DATA_KINDS = ("tokens", "gauss", "planted")
+DATA_KINDS = ("tokens", "planted")
 # Knobs that are no longer settable, at the values every config had for
 # them. The hash covers the canonical form with these merged in, so each
 # config keeps the hash its records carried before the knobs were retired.
@@ -200,6 +200,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if eval_start is None:
         eval_start = (2 * length) // 3
     _require(eval_start < length, "data.eval_start must fall inside the sequence")
+    _require(eval_start > plan.sink_count,
+             "data.eval_start must exceed plan.sink_count, so the prefix "
+             "has a key that is not a sink")
 
     budgets = tree["decode"]["budgets"]
     _require(isinstance(budgets, (list, tuple)) and len(budgets) > 0

@@ -57,8 +57,6 @@ def input_sequence(cfg: ExperimentConfig, teacher: TeacherModel, rng: Rng,
     if cfg.data_kind == "tokens":
         tokens = rng.integers(0, cfg.teacher.vocab_size, length)
         return teacher.embed(tokens), np.zeros(0, dtype=np.int64)
-    if cfg.data_kind == "gauss":
-        return rng.normal((length, cfg.teacher.d_model)), np.zeros(0, dtype=np.int64)
     lo = cfg.plan.sink_count
     hi = cfg.eval_start - cfg.plan.local_window
     if hi <= lo:
@@ -109,13 +107,16 @@ def init_memory(cfg: ExperimentConfig) -> list:
             for layer in range(cfg.teacher.n_layers)]
 
 
-def fit_indexer(cfg: ExperimentConfig, params_by_layer: list,
-                per_layer_batches: list) -> list:
-    """Train every layer in place; returns per-step mean losses by layer."""
+def fit_indexer(cfg: ExperimentConfig, teacher: TeacherModel,
+                params_by_layer: list, traces) -> list:
+    """Train every layer in place on batches built from ``traces``;
+    returns per-step losses by layer. At zero steps ``traces`` is never
+    read, so a generator of teacher forwards runs none."""
     if cfg.indexer_steps == 0:
         return [[] for _ in params_by_layer]
+    per_layer = batches_by_layer(teacher, traces, cfg.plan.sink_count)
     schedule = WsdSchedule(peak=cfg.indexer_peak).scaled(cfg.indexer_steps)
-    return [train_indexer(params, per_layer_batches[li], schedule)
+    return [train_indexer(params, per_layer[li], schedule)
             for li, params in enumerate(params_by_layer)]
 
 
@@ -147,17 +148,15 @@ def train_indexer_run(cfg: ExperimentConfig) -> dict:
     """Stage one: distill the teacher's pooled importance into the indexer."""
     teacher = TeacherModel(cfg.teacher)
     params = init_indexer(cfg)
-    # A generator: the parts of a trace no batch holds are freed at once.
+    # A generator: each trace is freed once its batches are built.
     traces = (teacher.forward(x0=x0)
               for x0, _ in training_sequences(cfg, teacher))
-    per_layer = batches_by_layer(teacher, traces, cfg.plan.sink_count)
-    losses_by_layer = fit_indexer(cfg, params, per_layer)
+    losses_by_layer = fit_indexer(cfg, teacher, params, traces)
     curve = [{"step": step,
               "loss": float(np.mean([losses_by_layer[li][step]
                                      for li in range(len(params))]))}
              for step in range(cfg.indexer_steps)]
-    return {"params": params, "curve": curve, "teacher": teacher,
-            "batches": per_layer}
+    return {"params": params, "curve": curve}
 
 
 def _drain(items: list):
@@ -204,9 +203,7 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
     sequences = training_sequences(cfg, teacher)
     runs = [FullRun.of(teacher, x0, cfg.eval_start) for x0, _ in sequences]
     if params is not None and not freeze_indexer and cfg.policy_name == "indexer":
-        fit_indexer(cfg, params,
-                    batches_by_layer(teacher, [run.trace for run in runs],
-                                     cfg.plan.sink_count))
+        fit_indexer(cfg, teacher, params, [run.trace for run in runs])
     # Each run is freed once its episodes are built, so all the runs and
     # all the episodes are never alive together.
     per_layer_eps = build_episode_sets(cfg, _drain(runs),
@@ -449,7 +446,7 @@ def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
     scored = [sim for sim in sims if sim.feature_caches]
     first = len(sims) - len(scored)
     caches = [sim.cache for sim in sims]
-    x_rows = np.repeat(rmsnorm(trace.layers[-1].x_out[-1])[None, :],
+    x_rows = np.repeat(rmsnorm(trace.output[-1])[None, :],
                        len(sims), axis=0)
     length = x0.shape[0]
     # The prompt's trace is not read past the start-of-decode compactions.

@@ -6,8 +6,8 @@ tiny feature stream (MQA style), both are RMS-normalized, and a per-head gate
 computed from the hidden state mixes the ReLU similarities into one score.
 Importance of a key is the max score any query in the aggregation set gives
 it. Training distills the pooled importance distribution from the frozen
-attention logits with a KL loss. The teacher target depends only on the
-batch, so each :class:`DistillBatch` computes it once. The gradient step
+attention logits with a KL loss. Each :class:`DistillBatch` builds its
+teacher target at construction and keeps no rotated q/k. The gradient step
 builds the full (L x L) score matrix for its forward, but its backward runs
 only on the query rows that are some key's argmax; scoring, by
 :func:`importance_from_features`, streams score blocks and never
@@ -21,8 +21,7 @@ keeps finite-difference checks exact in 64-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -256,33 +255,30 @@ class DistillBatch:
     """One sequence's worth of distillation inputs for a single layer.
 
     ``q_pre`` feeds the indexer (queries before rotation, as the scorer sees
-    them); ``q_rot``/``k_rot`` are the states the attention actually used,
-    from which the teacher logits are rebuilt. Every query row is in the
-    aggregation set. :attr:`teacher_imp` is computed on first read and
-    cached, so the arrays must not change after it has been read.
+    them); ``q_rot``/``k_rot``, the states the attention actually used, are
+    read once to build :attr:`teacher_imp` and are not kept. Every query row
+    is in the aggregation set.
     """
 
-    x: np.ndarray        # (L, d_model) layer-input hidden states
-    q_pre: np.ndarray    # (n_heads, L, d_head)
-    q_rot: np.ndarray    # (n_heads, L, d_head)
-    k_rot: np.ndarray    # (n_kv_heads, L, d_head)
+    x: np.ndarray               # (L, d_model) layer-input hidden states
+    q_pre: np.ndarray           # (n_heads, L, d_head)
+    q_rot: InitVar[np.ndarray]  # (n_heads, L, d_head)
+    k_rot: InitVar[np.ndarray]  # (n_kv_heads, L, d_head)
     sink_count: int = 4
+    # Distillation target: per-key max teacher logit over all queries, (L,).
+    teacher_imp: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, q_rot, k_rot):
         if self.x.shape[0] != self.q_pre.shape[1]:
             raise ValueError("hidden states and queries must align")
         if self.sink_count < 0 or self.sink_count >= self.x.shape[0]:
             raise ValueError("sink count must leave at least one scored key")
+        ids = np.arange(self.length)
+        self.teacher_imp = teacher_block(q_rot, k_rot, ids, ids).max(axis=0)
 
     @property
     def length(self) -> int:
         return self.x.shape[0]
-
-    @cached_property
-    def teacher_imp(self) -> np.ndarray:
-        """Distillation target: per-key max teacher logit over all queries, (L,)."""
-        ids = np.arange(self.length)
-        return teacher_block(self, ids, ids).max(axis=0)
 
 
 def distill_batch(teacher: TeacherModel, x0: np.ndarray, layer: int,
@@ -294,17 +290,17 @@ def distill_batch(teacher: TeacherModel, x0: np.ndarray, layer: int,
                         sink_count=sink_count)
 
 
-def teacher_block(batch: DistillBatch, q_ids: np.ndarray,
+def teacher_block(q_rot: np.ndarray, k_rot: np.ndarray, q_ids: np.ndarray,
                   k_ids: np.ndarray) -> np.ndarray:
-    """Teacher logits max-pooled over every query head, causally masked."""
-    n_heads = batch.q_rot.shape[0]
-    n_kv = batch.k_rot.shape[0]
-    scale = logit_scale(batch.q_rot)
+    """Logits of rotated queries ``q_rot[:, q_ids]`` against rotated keys
+    ``k_rot[:, k_ids]``, max-pooled over every query head, causally masked."""
+    n_heads = q_rot.shape[0]
+    n_kv = k_rot.shape[0]
+    scale = logit_scale(q_rot)
     out = np.full((q_ids.size, k_ids.size), -np.inf)
     for h in range(n_heads):
         g = kv_head_of(h, n_heads, n_kv)
-        logits = np.einsum("qd,kd->qk", batch.q_rot[h][q_ids],
-                           batch.k_rot[g][k_ids]) * scale
+        logits = np.einsum("qd,kd->qk", q_rot[h][q_ids], k_rot[g][k_ids]) * scale
         out = np.maximum(out, logits)
     invalid = k_ids[None, :] > q_ids[:, None]
     return np.where(invalid, -np.inf, out)
@@ -314,7 +310,7 @@ def pooled_vectors(params: IndexerParams, batch: DistillBatch,
                    q_blk: int = 128, k_blk: int = 4096):
     """(teacher_imp, student_imp) over all keys, both (L,).
 
-    The teacher side is the batch's cached target; the student side is
+    The teacher side is the batch's target; the student side is
     streamed by :func:`importance_from_features`, so it is bit-identical
     for every (q_blk, k_blk).
     """

@@ -165,11 +165,15 @@ def rmsnorm(x, axis: int = -1) -> np.ndarray:
 
     The mean is the sum-then-divide that ``np.mean`` performs, written out
     so that a one-row call does not pay for ``np.mean``'s Python wrapper.
+    A non-finite mean square (a non-finite entry, or squares that overflow
+    above ~1e154) raises DivergenceError.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.shape[axis] == 0:
         raise ValueError("rmsnorm of an empty vector")
     ms = np.add.reduce(a * a, axis=axis, keepdims=True) / a.shape[axis]
+    if not np.isfinite(ms).all():
+        raise DivergenceError("rmsnorm of non-finite or overflowing entries")
     return a / np.sqrt(ms + NORM_EPS)
 
 

@@ -2,8 +2,8 @@
 
 The model is never trained: weights are drawn once from a seeded stream and
 the forward pass exposes every intermediate an eviction policy or distillation
-loss could want (hidden states, pre- and post-rotary queries, keys, values,
-and the concatenated attention output before the output projection).
+loss reads: each layer's input hidden states, pre- and post-rotary queries,
+keys and values.
 
 All attention softmax logits are scaled by 1/sqrt(d_model), and everything
 downstream that reconstructs attention takes that scale from its one owner,
@@ -193,14 +193,12 @@ class LayerTrace:
     q: np.ndarray         # (n_heads, L, d_head) rotated queries
     k: np.ndarray         # (n_kv_heads, L, d_head) rotated keys
     v: np.ndarray         # (n_kv_heads, L, d_head) values
-    o_concat: np.ndarray  # (L, d_model) attention output before w_o
-    x_out: np.ndarray     # (L, d_model) layer output
 
 
 @dataclass
 class ForwardTrace:
-    layers: list
-    output: np.ndarray
+    layers: list          # LayerTrace per layer; layer i's output is i+1's x_in
+    output: np.ndarray    # (L, d_model) the last layer's output
 
 
 @dataclass
@@ -211,7 +209,6 @@ class StepTrace:
     x_in: list            # (S, d_model) per layer
     q_pre: list           # (S, n_heads, d_head) per layer
     q: list               # (S, n_heads, d_head) per layer
-    o_concat: list        # (S, d_model) per layer
     output: np.ndarray    # (S, d_model) final hidden rows
 
 
@@ -279,11 +276,8 @@ class TeacherModel:
         traces = []
         for layer in self.layers:
             q_pre, q, k, v = self._project_qkv(layer, x, rope)
-            o_concat = attention_full(q, k, v)
-            x_out = self._finish_layer(layer, x, o_concat)
-            traces.append(LayerTrace(x_in=x, q_pre=q_pre, q=q, k=k, v=v,
-                                     o_concat=o_concat, x_out=x_out))
-            x = x_out
+            traces.append(LayerTrace(x_in=x, q_pre=q_pre, q=q, k=k, v=v))
+            x = self._finish_layer(layer, x, attention_full(q, k, v))
         return ForwardTrace(layers=traces, output=x)
 
     def forward_step(self, x_rows: np.ndarray, caches, position: int) -> StepTrace:
@@ -305,7 +299,7 @@ class TeacherModel:
         x = np.asarray(x_rows, dtype=np.float64).reshape(n_sim, 1, cfg.d_model)
         positions = np.array([position])
         rope = rope_tables(positions, cfg.d_head, cfg.rope_base)
-        xs, qps, qs, os_ = [], [], [], []
+        xs, qps, qs = [], [], []
         for idx, layer in enumerate(self.layers):
             q_pre, q, k, v = self._project_qkv(layer, x, rope)
             o = np.empty((n_sim, 1, cfg.d_model))
@@ -315,9 +309,8 @@ class TeacherModel:
             xs.append(x[:, 0])
             qps.append(q_pre[:, :, 0])
             qs.append(q[:, :, 0])
-            os_.append(o[:, 0])
             x = self._finish_layer(layer, x, o)
-        return StepTrace(x_in=xs, q_pre=qps, q=qs, o_concat=os_, output=x[:, 0])
+        return StepTrace(x_in=xs, q_pre=qps, q=qs, output=x[:, 0])
 
 
 def flatten_heads(per_head: np.ndarray) -> np.ndarray:

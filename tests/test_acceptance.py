@@ -91,7 +91,7 @@ def test_attention_matches_quadratic_reference_and_decode_accumulation():
     for pos in range(split, tokens.size):
         step = teacher.forward_step(x0[pos][None, :], [cache], pos)
         worst = max(worst, float(np.max(np.abs(
-            step.output[0] - trace.layers[-1].x_out[pos]))))
+            step.output[0] - trace.output[pos]))))
     assert worst < 1e-9
 
 

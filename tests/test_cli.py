@@ -337,7 +337,8 @@ class TestDecodeSim:
 
     def test_numpy_warnings_stay_off_stderr(self, tmp_path):
         # pytest's own warning capture would hide a leak, so the poisoned
-        # run goes through a plain interpreter.
+        # run goes through a plain interpreter. The weight is finite, so the
+        # overflow warning comes from the next layer's rmsnorm square.
         script = "\n".join([
             "import sys",
             "import numpy as np",
@@ -346,7 +347,7 @@ class TestDecodeSim:
             "class Poisoned(harness.TeacherModel):",
             "    def __init__(self, config):",
             "        super().__init__(config)",
-            "        self.layers[0].w_out[0, 0] = np.inf",
+            "        self.layers[0].w_out[0, 0] = 1e200",
             "harness.TeacherModel = Poisoned",
             "sys.exit(main(sys.argv[1:]))",
         ])
@@ -487,6 +488,7 @@ class TestErrorPaths:
         ("train", {"head_sum": False}, "head_sum"),
         ("train", {"stop_write_grad": False}, "stop_write_grad"),
         ("train", {"lam": 0.95}, "lam"),
+        ("data", {"kind": "gauss"}, "data.kind"),
     ])
     def test_retired_config_key(self, tmp_path, capsys, section, value, key):
         # One JSON line on stderr, so no traceback either.
@@ -596,6 +598,38 @@ class TestErrorPaths:
         assert record["error"] == "DivergenceError"
         assert "memory loss non-finite" in record["message"]
         assert not (out / "sweep.jsonl").exists()
+
+    @pytest.mark.parametrize("command, out_file", [("sweep", "sweep.jsonl"),
+                                                   ("decode-sim", "decode.jsonl")])
+    def test_overflowing_indexer_features_exit_divergence(
+            self, stage_one, tmp_path, capsys, command, out_file):
+        # Finite weights whose key features overflow in rmsnorm's square
+        # used to give every key the same score, and the run exited 0.
+        tensors = load_weights(stage_one["checkpoint"])
+        for name in list(tensors):
+            if name.endswith(".u_k"):
+                tensors[name] = np.full_like(tensors[name], 1e200)
+        huge = tmp_path / "huge.kvgt"
+        save_weights(huge, tensors)
+        out = tmp_path / "out"
+        code = run(command, "--config", stage_one["config"],
+                   "--checkpoint", huge, "--out", out)
+        assert code == EXIT_DIVERGENCE
+        record = only_stderr_record(capsys)
+        assert record["error"] == "DivergenceError"
+        assert "non-finite" in record["message"]
+        assert not (out / out_file).exists()
+
+    def test_eval_start_among_the_sinks(self, tmp_path, capsys):
+        # A prefix of sinks alone used to train to a zero loss and exit 0.
+        config = write_config(tmp_path, data={"eval_start": 2})
+        code = run("train-indexer", "--config", config,
+                   "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "data.eval_start" in record["message"]
+        assert "plan.sink_count" in record["message"]
 
     def test_no_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:

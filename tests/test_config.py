@@ -126,6 +126,8 @@ class TestParsing:
         ({"agg": {"gamma": 0.5}}, "agg"),
         ({"plan": {"ratio": math.inf}}, "ratio must be finite"),
         ({"train": {"eta": 0}}, "eta must be positive"),
+        # Retired: gaussian inputs, which no workload used.
+        ({"data": {"kind": "gauss"}}, "data.kind"),
     ])
     def test_bad_values_rejected(self, patch, needle):
         raw = {**minimal(), **patch}
@@ -151,6 +153,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="eval_start"):
             parse_config({"version": 1,
                           "data": {"length": 32, "eval_start": 32}})
+
+    def test_eval_start_must_pass_the_sinks(self):
+        # A prefix of sinks alone leaves the eval nothing to evict or score.
+        for eval_start in (2, 3):
+            with pytest.raises(ConfigError, match="eval_start.*sink_count"):
+                parse_config({"version": 1, "plan": {"sink_count": 3},
+                              "data": {"length": 8, "eval_start": eval_start}})
+        cfg = parse_config({"version": 1, "plan": {"sink_count": 3},
+                            "data": {"length": 8, "eval_start": 4}})
+        assert cfg.eval_start == 4
 
     def test_teacher_head_mismatch_becomes_config_error(self):
         with pytest.raises(ConfigError):

@@ -139,7 +139,7 @@ def oracle_simulation(cfg, teacher, x0, budget, params_by_layer=None):
         retain_features()
         schedule = DecodeSchedule(cache, plan)
 
-    x_row = rmsnorm(trace.layers[-1].x_out[-1])
+    x_row = rmsnorm(trace.output[-1])
     outputs = np.zeros((cfg.decode_steps, cfg_t.d_model))
     kept_sizes = np.zeros(cfg.decode_steps, dtype=np.int64)
     evictions = np.zeros(cfg.decode_steps, dtype=np.int64)
@@ -221,12 +221,6 @@ class TestData:
         assert planted.size == 0
         assert np.array_equal(a, b)
 
-    def test_gauss_inputs(self, teacher):
-        gauss = small_config(data={"kind": "gauss"})
-        x0, planted = input_sequence(gauss, teacher, Rng(1))
-        assert x0.shape == (gauss.data_length, 16)
-        assert planted.size == 0
-
     def test_planted_needles_are_candidates(self, teacher):
         planted_cfg = small_config(data={"kind": "planted", "length": 48,
                                          "eval_start": 28})
@@ -288,7 +282,15 @@ class TestLayerScores:
 
 
 class TestTrainIndexerRun:
-    def test_zero_steps_keeps_initialization(self):
+    def test_zero_steps_keeps_initialization(self, monkeypatch):
+        forwards = []
+        forward = TeacherModel.forward
+
+        def counting(self, *args, **kwargs):
+            forwards.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(TeacherModel, "forward", counting)
         cfg0 = small_config(train={"indexer_steps": 0})
         result = train_indexer_run(cfg0)
         fresh = init_indexer(cfg0)
@@ -296,14 +298,24 @@ class TestTrainIndexerRun:
             assert np.array_equal(got.u_q, init.u_q)
             assert np.array_equal(got.u_k, init.u_k)
             assert np.array_equal(got.g, init.g)
-        assert result["curve"] == []
+        assert result == {"params": result["params"], "curve": []}
+        # No step reads a batch, so no teacher forward runs; one step
+        # traces every training sequence once.
+        assert forwards == []
+        cfg1 = small_config(train={"indexer_steps": 1})
+        train_indexer_run(cfg1)
+        assert len(forwards) == cfg1.n_train
 
-    def test_curve_length_and_improvement(self, cfg):
+    def test_curve_length_and_improvement(self, cfg, teacher):
         result = train_indexer_run(cfg)
         assert len(result["curve"]) == cfg.indexer_steps
         assert all(r["step"] == i for i, r in enumerate(result["curve"]))
-        trained_kl = eval_indexer_kl(result["params"], result["batches"])
-        fresh_kl = eval_indexer_kl(init_indexer(cfg), result["batches"])
+        batches = batches_by_layer(
+            teacher, [teacher.forward(x0=x0)
+                      for x0, _ in training_sequences(cfg, teacher)],
+            cfg.plan.sink_count)
+        trained_kl = eval_indexer_kl(result["params"], batches)
+        fresh_kl = eval_indexer_kl(init_indexer(cfg), batches)
         assert trained_kl < fresh_kl
 
     def test_determinism(self, cfg):
@@ -626,7 +638,7 @@ class TestDecodeStartScoring:
 
     def test_snapkv_keeps_its_prompt_scored_rows(self, monkeypatch):
         overrides = dict(decode={"budgets": [12]},
-                         data={"kind": "gauss", "length": 40})
+                         data={"length": 40})
         cfg = small_config(policy={"name": "snapkv"}, **overrides)
         kept = self.kept_at_start(cfg, monkeypatch)
         teacher = TeacherModel(cfg.teacher)

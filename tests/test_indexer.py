@@ -45,6 +45,13 @@ def small_teacher(n_layers=2, seed=5):
     return TeacherModel(cfg)
 
 
+def small_layer(length=20, x_seed=60, layer=0):
+    """The rows small_setup's batch is built from: one layer's trace."""
+    teacher = small_teacher()
+    x0 = Rng(x_seed).normal((length, 16))
+    return teacher.forward(x0=x0).layers[layer]
+
+
 def small_setup(length=20, sink_count=3, param_seed=61, x_seed=60, layer=0):
     teacher = small_teacher()
     x0 = Rng(x_seed).normal((length, 16))
@@ -370,8 +377,20 @@ class TestDistillBatch:
         teacher, batch, _ = small_setup()
         assert batch.x.shape == (20, 16)
         assert batch.q_pre.shape == (4, 20, 4)
-        assert batch.k_rot.shape == (2, 20, 4)
-        assert logit_scale(batch.q_rot) == 1.0 / math.sqrt(16)
+        assert batch.teacher_imp.shape == (20,)
+        lt = small_layer()
+        assert lt.k.shape == (2, 20, 4)
+        assert logit_scale(lt.q) == 1.0 / math.sqrt(16)
+
+    def test_keeps_its_target_not_the_rotated_states(self):
+        lt = small_layer()
+        batch = DistillBatch(x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q,
+                             k_rot=lt.k, sink_count=3)
+        assert not hasattr(batch, "q_rot")
+        assert not hasattr(batch, "k_rot")
+        ids = np.arange(batch.length)
+        want = teacher_block(lt.q, lt.k, ids, ids).max(axis=0)
+        assert batch.teacher_imp.tobytes() == want.tobytes()
 
     def test_sink_count_validation(self):
         teacher = small_teacher()
@@ -381,6 +400,7 @@ class TestDistillBatch:
 
     def test_teacher_target_matches_streamed_oracle(self):
         _, batch, _ = small_setup()
+        lt = small_layer()
         n = batch.length
         for q_blk, k_blk in ((1, 1), (3, 8), (20, 20)):
             want = np.full(n, -np.inf)
@@ -388,15 +408,12 @@ class TestDistillBatch:
                 q_ids = np.arange(qb, min(qb + q_blk, n))
                 for kb in range(0, n, k_blk):
                     k_ids = np.arange(kb, min(kb + k_blk, n))
-                    blk = teacher_block(batch, q_ids, k_ids).max(axis=0)
+                    blk = teacher_block(lt.q, lt.k, q_ids, k_ids).max(axis=0)
                     want[k_ids] = np.maximum(want[k_ids], blk)
             assert np.array_equal(batch.teacher_imp, want)
 
     def test_teacher_target_built_once_per_batch(self, monkeypatch):
         teacher = small_teacher()
-        batches = [distill_batch(teacher, Rng(80 + i).normal((12, 16)), 0,
-                                 sink_count=2) for i in range(3)]
-        params = IndexerParams.init(teacher.config, Rng(83), h_index=1, d_index=2)
         calls = []
 
         def counting(*args):
@@ -404,6 +421,10 @@ class TestDistillBatch:
             return teacher_block(*args)
 
         monkeypatch.setattr("kvgate.indexer.teacher_block", counting)
+        batches = [distill_batch(teacher, Rng(80 + i).normal((12, 16)), 0,
+                                 sink_count=2) for i in range(3)]
+        assert len(calls) == 3
+        params = IndexerParams.init(teacher.config, Rng(83), h_index=1, d_index=2)
         train_indexer(params, batches, WsdSchedule().scaled(10))
         assert len(calls) == 3
 
@@ -427,10 +448,11 @@ class TestStreamingLoss:
     def test_sink_scores_are_irrelevant(self):
         _, batch, params = small_setup(sink_count=4)
         base = streaming_distill_loss(params, batch)
-        noisy = DistillBatch(x=batch.x, q_pre=batch.q_pre, q_rot=batch.q_rot,
-                             k_rot=batch.k_rot.copy(),
-                             sink_count=batch.sink_count)
-        noisy.k_rot[:, :4, :] += 100.0
+        lt = small_layer()
+        k_noisy = lt.k.copy()
+        k_noisy[:, :4, :] += 100.0
+        noisy = DistillBatch(x=batch.x, q_pre=batch.q_pre, q_rot=lt.q,
+                             k_rot=k_noisy, sink_count=batch.sink_count)
         assert streaming_distill_loss(params, noisy) == base
         assert not np.array_equal(noisy.teacher_imp[:4], batch.teacher_imp[:4])
 
@@ -475,8 +497,9 @@ class TestGradients:
     def test_sink_rows_contribute_nothing(self):
         _, batch, params = small_setup(sink_count=4)
         _, grads = distill_gradients(params, batch)
+        lt = small_layer()
         perturbed = DistillBatch(x=batch.x.copy(), q_pre=batch.q_pre,
-                                 q_rot=batch.q_rot, k_rot=batch.k_rot,
+                                 q_rot=lt.q, k_rot=lt.k,
                                  sink_count=batch.sink_count)
         perturbed.x[:4] = Rng(68).normal((4, 16))
         _, grads2 = distill_gradients(params, perturbed)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -10,6 +11,8 @@ from kvgate.indexer import DistillBatch
 from kvgate.numerics import NORM_EPS, Rng, masked_softmax_rows, rmsnorm
 from kvgate.policies import score_snapkv
 from kvgate.teacher import (
+    LayerTrace,
+    StepTrace,
     TeacherConfig,
     TeacherModel,
     attend_rows,
@@ -67,7 +70,7 @@ def oracle_step(model, x_row, cache, position):
         return a / np.sqrt(np.mean(a * a, axis=-1, keepdims=True) + NORM_EPS)
 
     x = np.asarray(x_row, dtype=np.float64).reshape(1, cfg.d_model)
-    fields = {"x_in": [], "q_pre": [], "q": [], "o_concat": []}
+    fields = {"x_in": [], "q_pre": [], "q": []}
     for idx, layer in enumerate(model.layers):
         a_in = norm(x)
         q_pre = (a_in @ layer.w_q).reshape(n, cfg.n_heads, dh).transpose(1, 0, 2)
@@ -80,7 +83,6 @@ def oracle_step(model, x_row, cache, position):
         fields["x_in"].append(x[0])
         fields["q_pre"].append(q_pre[:, 0, :])
         fields["q"].append(q[:, 0, :])
-        fields["o_concat"].append(o[0])
         h = x + o @ layer.w_o
         pre = norm(h) @ layer.w_in
         x = h + (pre * expit(pre)) @ layer.w_out
@@ -300,17 +302,26 @@ class TestForward:
         trace = model.forward(x0=x0)
         lt = trace.layers[0]
         ref = reference_attention(lt.q, lt.k, lt.v, cfg.d_model)
-        assert np.abs(lt.o_concat - ref).max() < 1e-10
+        assert np.abs(attention_full(lt.q, lt.k, lt.v) - ref).max() < 1e-10
 
     def test_trace_shapes(self):
         cfg = small_config()
         model = TeacherModel(cfg)
         trace = model.forward(x0=Rng(11).normal((9, 16)))
         lt = trace.layers[0]
+        names = [f.name for f in dataclasses.fields(LayerTrace)]
+        assert names == ["x_in", "q_pre", "q", "k", "v"]
+        assert "o_concat" not in [f.name for f in dataclasses.fields(StepTrace)]
         assert lt.q_pre.shape == (4, 9, 4)
         assert lt.k.shape == (2, 9, 4)
-        assert lt.o_concat.shape == (9, 16)
-        assert np.array_equal(trace.layers[1].x_in, lt.x_out)
+        assert attention_full(lt.q, lt.k, lt.v).shape == (9, 16)
+        # Each layer's output is the next layer's input, and the last
+        # layer's is the trace output, bit for bit.
+        outputs = [nxt.x_in for nxt in trace.layers[1:]] + [trace.output]
+        for layer, lt, out in zip(model.layers, trace.layers, outputs):
+            o_concat = attention_full(lt.q, lt.k, lt.v)
+            assert np.array_equal(model._finish_layer(layer, lt.x_in, o_concat),
+                                  out)
 
     def test_flatten_heads_is_head_major(self):
         per_head = np.arange(2 * 3 * 4).reshape(2, 3, 4)
@@ -346,7 +357,11 @@ class TestDecode:
         for li, lt in enumerate(full.layers):
             assert np.abs(cache.keys(li) - lt.k).max() < 1e-9
             assert np.abs(cache.values(li) - lt.v).max() < 1e-9
-        assert np.abs(step.o_concat[0] - full.layers[0].o_concat[7]).max() < 1e-9
+            # the last step's rows are the full trace's row 7
+            assert np.abs(step.x_in[li][0] - lt.x_in[7]).max() < 1e-9
+            assert np.abs(step.q_pre[li][0] - lt.q_pre[:, 7]).max() < 1e-9
+            assert np.abs(step.q[li][0] - lt.q[:, 7]).max() < 1e-9
+        assert np.abs(step.output[0] - full.output[7]).max() < 1e-9
 
 
     @pytest.mark.parametrize("n_heads,n_kv", [(8, 2), (4, 4), (4, 1)])
@@ -385,7 +400,7 @@ class TestDecode:
             for s in range(n_sim):
                 want = oracle_step(model, x_rows[s], oracle_caches[s],
                                    position=t)
-                for name in ("x_in", "q_pre", "q", "o_concat"):
+                for name in ("x_in", "q_pre", "q"):
                     got = getattr(step, name)
                     assert len(got) == cfg.n_layers
                     for li in range(cfg.n_layers):
