@@ -9,13 +9,8 @@ dense one, so block size can never change a result.
 
 import numpy as np
 
-from kvgate.indexer import (
-    IndexerParams,
-    WsdSchedule,
-    distill_batch,
-    streaming_distill_loss,
-    train_indexer,
-)
+from kvgate.harness import batches_by_layer
+from kvgate.indexer import IndexerParams, streaming_distill_loss, train_indexer
 from kvgate.numerics import Rng
 from kvgate.synth import planted_sequence
 from kvgate.teacher import TeacherConfig, TeacherModel
@@ -25,20 +20,20 @@ cfg = TeacherConfig(n_layers=2, d_model=32, n_heads=4, n_kv_heads=2,
 teacher = TeacherModel(cfg)
 layer = 0
 
-batches = []
+traces = []
 for i in range(6):
     rng = Rng(100).split(i)
     needles = rng.split(99).integers(4, 30, 2)
     seq = planted_sequence(teacher, 48, needles, rng)
-    batches.append(distill_batch(teacher, seq.x0, layer, sink_count=4))
+    traces.append(teacher.forward(x0=seq.x0))
+batches = batches_by_layer(teacher, traces, sink_count=4)[layer]
 
 params = IndexerParams.init(cfg, Rng(42), h_index=2, d_index=4)
 print(f"indexer: {params.h_index} heads x {params.d_index} dims "
       f"(teacher uses {cfg.n_heads} x {cfg.d_head})")
 
 before = float(np.mean([streaming_distill_loss(params, b) for b in batches]))
-schedule = WsdSchedule().scaled(400)
-curve = train_indexer(params, batches, schedule)
+curve = train_indexer(params, batches, steps=400, peak=1e-3)
 after = float(np.mean([streaming_distill_loss(params, b) for b in batches]))
 
 print(f"\ndistillation KL over {len(batches)} sequences:")

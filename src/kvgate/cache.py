@@ -23,7 +23,8 @@ class CompressionPlan:
     ``ratio`` is the evicted share of the non-forced rows; ``sink_count``
     and ``local_window`` name the forced rows. ``budget`` is the total
     retained length including sinks and the local window; ``None`` disables
-    the budget (prefill-ratio-only runs). ``decode_interval`` spaces the
+    the budget (prefill-ratio-only runs), and decode sets one per entry of
+    ``decode.budgets``. ``decode_interval`` spaces the
     decode-time compressions of :class:`DecodeSchedule`.
     """
 

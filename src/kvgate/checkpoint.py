@@ -55,7 +55,10 @@ def load_weights(path) -> dict:
     manifest_end = 8 + manifest_len
     if len(blob) < manifest_end:
         raise ValueError("truncated weights file")
-    manifest = json.loads(blob[8:manifest_end].decode("utf-8"))
+    try:
+        manifest = json.loads(blob[8:manifest_end].decode("utf-8"))
+    except RecursionError:
+        raise ValueError("weights manifest JSON is nested too deeply") from None
     if not isinstance(manifest, dict):
         raise ValueError("weights manifest must be a JSON object")
     if manifest.get("version") != FORMAT_VERSION:

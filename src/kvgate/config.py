@@ -25,6 +25,7 @@ DATA_KINDS = ("tokens", "planted")
 # them. The hash covers the canonical form with these merged in, so each
 # config keeps the hash its records carried before the knobs were retired.
 _RETIRED = {
+    "plan": {"budget": None},
     "policy": {"head_pool": "mean"},
     "agg": {"mode": "none", "gamma": 0.5, "prob": "softmax"},
     "train": {"head_sum": False, "stop_write_grad": False, "lam": 0.95},
@@ -44,7 +45,7 @@ _SCHEMA = {
         "d_ffn": 128, "vocab_size": 64, "seed": 0,
     },
     "plan": {
-        "ratio": 0.5, "sink_count": 4, "local_window": 8, "budget": None,
+        "ratio": 0.5, "sink_count": 4, "local_window": 8,
     },
     "policy": {
         "name": "indexer", "window": 8, "seed": 0,
@@ -185,7 +186,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             ratio=_as_number(tree, "plan", "ratio"),
             sink_count=_as_int(tree, "plan", "sink_count", 0),
             local_window=_as_int(tree, "plan", "local_window", 0),
-            budget=_as_int(tree, "plan", "budget", 1, optional=True),
             decode_interval=_as_int(tree, "decode", "interval", 1))
     except ValueError as bad:
         raise ConfigError(str(bad)) from None
@@ -254,6 +254,8 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as bad:
         raise ConfigError(f"config is not valid JSON: {bad}") from None
+    except RecursionError:
+        raise ConfigError("config JSON is nested too deeply") from None
     if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed
     return parse_config(raw)

@@ -251,19 +251,16 @@ def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
     return losses, grads
 
 
-def memory_loss_and_grads(slow: MemorySlowWeights, episodes,
+def memory_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
                           eta: float = 1.0):
-    """Mean episode loss and averaged gradients over a batch of episodes.
+    """Mean episode loss and averaged gradients over a stack of episodes.
 
-    ``episodes`` is an :class:`EpisodeStack`, or a list of episodes that is
-    stacked here. One :func:`episode_loss_and_grads` call gives per-episode
-    results, which are then averaged in batch order: scalars by a Python
-    loop, arrays by ``(w * G).sum(axis=0)`` over the episode axis, which
-    adds the episodes one after another. Both match averaging the episodes
-    one at a time, bit for bit.
+    One :func:`episode_loss_and_grads` call gives per-episode results,
+    which are then averaged in stack order: scalars by a Python loop,
+    arrays by ``(w * G).sum(axis=0)`` over the episode axis, which adds the
+    episodes one after another. Both match averaging the episodes one at a
+    time, bit for bit.
     """
-    stack = (episodes if isinstance(episodes, EpisodeStack)
-             else EpisodeStack.of(episodes))
     losses, gs = episode_loss_and_grads(slow, stack, eta)
     weight = 1.0 / len(losses)
     loss = 0.0

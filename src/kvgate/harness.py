@@ -27,7 +27,6 @@ from .indexer import (
     DistillBatch,
     IndexerKeyCache,
     IndexerParams,
-    WsdSchedule,
     key_features,
     train_indexer,
 )
@@ -115,8 +114,8 @@ def fit_indexer(cfg: ExperimentConfig, teacher: TeacherModel,
     if cfg.indexer_steps == 0:
         return [[] for _ in params_by_layer]
     per_layer = batches_by_layer(teacher, traces, cfg.plan.sink_count)
-    schedule = WsdSchedule(peak=cfg.indexer_peak).scaled(cfg.indexer_steps)
-    return [train_indexer(params, per_layer[li], schedule)
+    return [train_indexer(params, per_layer[li], cfg.indexer_steps,
+                          cfg.indexer_peak)
             for li, params in enumerate(params_by_layer)]
 
 
@@ -558,10 +557,10 @@ def selftest() -> list:
                              gate_bias=0.0)
     state = mem_write(slow, MemoryState.zeros(4, 4), np.eye(4),
                       np.arange(16.0).reshape(4, 4), lam=1.0, eta=1.0)
-    read = mem_read(slow, state, np.eye(4)[1])
+    read = mem_read(slow, state, np.eye(4)[1:2])
     checks.append(("one-hot memory readout matches closed form",
                    float(np.max(np.abs(read * (1.0 + MEM_EPS)
-                                       - np.arange(16.0).reshape(4, 4)[1]))) < 1e-9))
+                                       - np.arange(16.0).reshape(4, 4)[1:2]))) < 1e-9))
 
     plan = CompressionPlan(ratio=0.5, decode_interval=16, budget=32,
                            sink_count=4, local_window=8)

@@ -34,7 +34,7 @@ from .numerics import (
     rmsnorm,
     with_capacity,
 )
-from .teacher import TeacherConfig, TeacherModel, flatten_heads, kv_head_of, logit_scale
+from .teacher import TeacherConfig, flatten_heads, kv_head_of, logit_scale
 
 
 def default_h_index(n_heads: int) -> int:
@@ -281,15 +281,6 @@ class DistillBatch:
         return self.x.shape[0]
 
 
-def distill_batch(teacher: TeacherModel, x0: np.ndarray, layer: int,
-                  sink_count: int = 4) -> DistillBatch:
-    """Build a layer's distillation inputs by tracing the frozen teacher."""
-    trace = teacher.forward(x0=x0)
-    lt = trace.layers[layer]
-    return DistillBatch(x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q, k_rot=lt.k,
-                        sink_count=sink_count)
-
-
 def teacher_block(q_rot: np.ndarray, k_rot: np.ndarray, q_ids: np.ndarray,
                   k_ids: np.ndarray) -> np.ndarray:
     """Logits of rotated queries ``q_rot[:, q_ids]`` against rotated keys
@@ -411,72 +402,55 @@ def distill_gradients(params: IndexerParams, batch: DistillBatch):
     return loss, {"u_q": grad_u_q, "u_k": grad_u_k, "g": grad_g}
 
 
-@dataclass(frozen=True)
-class WsdSchedule:
-    """Warmup-stable-decay learning rate: linear up, flat, linear down."""
-
-    warmup_steps: int = 100
-    stable_steps: int = 2000
-    decay_steps: int = 2000
-    peak: float = 1e-3
-    final: float = 7.5e-6
-
-    def __post_init__(self):
-        if min(self.warmup_steps, self.stable_steps, self.decay_steps) < 0:
-            raise ValueError("step counts must be nonnegative")
-        if self.peak <= 0 or self.final <= 0:
-            raise ValueError("learning rates must be positive")
-
-    @property
-    def total_steps(self) -> int:
-        return self.warmup_steps + self.stable_steps + self.decay_steps
-
-    def lr(self, step: int) -> float:
-        """Learning rate for 0-based ``step``; hits peak at the end of
-        warmup and exactly ``final`` on the last step."""
-        if not 0 <= step < self.total_steps:
-            raise ValueError("step outside the schedule")
-        if step < self.warmup_steps:
-            return self.peak * (step + 1) / self.warmup_steps
-        if step < self.warmup_steps + self.stable_steps:
-            return self.peak
-        j = step - self.warmup_steps - self.stable_steps
-        return self.peak + (self.final - self.peak) * (j + 1) / self.decay_steps
-
-    def scaled(self, total: int) -> "WsdSchedule":
-        """Same shape squeezed into ``total`` steps (desk-scale runs)."""
-        if total < 1:
-            raise ValueError("need at least one step")
-        frac = total / self.total_steps
-        warm = min(max(1, round(self.warmup_steps * frac)), total) if total >= 3 else 0
-        decay = min(max(1, round(self.decay_steps * frac)), total - warm) if total >= 3 else 0
-        return WsdSchedule(warm, total - warm - decay, decay, self.peak, self.final)
+# The warmup-stable-decay shape of a 4,100-step run (100 warmup, 2,000
+# stable, 2,000 decay steps), which :func:`wsd_lr` squeezes into a run's
+# own step count, and the learning rate its last step reaches.
+WSD_WARMUP = 100
+WSD_STABLE = 2000
+WSD_DECAY = 2000
+WSD_FINAL_LR = 7.5e-6
 
 
-def clip_gradients(grads: dict, max_norm: float = 1.0) -> dict:
-    """Scale the whole gradient set down to a global norm bound."""
+def wsd_lr(step: int, steps: int, peak: float) -> float:
+    """Warmup-stable-decay learning rate of 0-based ``step`` in a run of
+    ``steps``: linear up to ``peak`` at the end of warmup, flat, then
+    linear down to :data:`WSD_FINAL_LR` on the last step. Warmup
+    and decay keep their share of the 4,100-step shape, at least one step
+    each; runs under 3 steps stay at ``peak``."""
+    frac = steps / (WSD_WARMUP + WSD_STABLE + WSD_DECAY)
+    warm = decay = 0
+    if steps >= 3:
+        warm = min(max(1, round(WSD_WARMUP * frac)), steps)
+        decay = min(max(1, round(WSD_DECAY * frac)), steps - warm)
+    if step < warm:
+        return peak * (step + 1) / warm
+    if step < steps - decay:
+        return peak
+    return peak + (WSD_FINAL_LR - peak) * (step - (steps - decay) + 1) / decay
+
+
+def clip_gradients(grads: dict) -> dict:
+    """Scale the whole gradient set down to a global norm of at most 1."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
+    if total <= 1.0:
         return grads
-    scale = max_norm / total
+    scale = 1.0 / total
     return {k: g * scale for k, g in grads.items()}
 
 
-def train_indexer(params: IndexerParams, batches: list, schedule: WsdSchedule,
-                  steps: int | None = None, clip: float = 1.0) -> list:
+def train_indexer(params: IndexerParams, batches: list, steps: int,
+                  peak: float) -> list:
     """SGD distillation over a cycled batch list; returns per-step losses.
 
     The loop mutates ``params`` in place and is deterministic: batch order
-    is round-robin, gradients are exact, and the only schedule is WSD.
-    Raises :class:`DivergenceError` when the loss stops being finite.
+    is round-robin, gradients are exact and clipped to norm 1, and the
+    learning rate follows :func:`wsd_lr` up to ``peak``. Raises
+    :class:`DivergenceError` when the loss stops being finite.
     """
     if not batches:
         raise ValueError("need at least one batch")
-    total = schedule.total_steps if steps is None else steps
-    if total > schedule.total_steps:
-        raise ValueError("more steps than the schedule covers")
     losses = []
-    for step in range(total):
+    for step in range(steps):
         batch = batches[step % len(batches)]
         for w in (params.u_q, params.u_k, params.g):
             if not np.all(np.isfinite(w)):
@@ -484,8 +458,8 @@ def train_indexer(params: IndexerParams, batches: list, schedule: WsdSchedule,
         loss, grads = distill_gradients(params, batch)
         if not np.isfinite(loss):
             raise DivergenceError(f"distillation loss diverged at step {step}")
-        grads = clip_gradients(grads, clip)
-        lr = schedule.lr(step)
+        grads = clip_gradients(grads)
+        lr = wsd_lr(step, steps, peak)
         params.u_q -= lr * grads["u_q"]
         params.u_k -= lr * grads["u_k"]
         params.g -= lr * grads["g"]

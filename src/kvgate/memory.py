@@ -63,10 +63,6 @@ class MemorySlowWeights:
     def d_mem(self) -> int:
         return self.w_phi.shape[1]
 
-    def copy(self) -> "MemorySlowWeights":
-        return MemorySlowWeights(self.w_phi.copy(), self.w_gate.copy(),
-                                 self.gate_bias)
-
     @classmethod
     def init(cls, d_model: int, rng: Rng,
              d_mem: int | None = None) -> "MemorySlowWeights":
@@ -110,14 +106,9 @@ def phi(slow: MemorySlowWeights, x: np.ndarray) -> np.ndarray:
 
 def mem_read(slow: MemorySlowWeights, state: MemoryState,
              q: np.ndarray) -> np.ndarray:
-    """Normalized readout phi(q)' M / (phi(q)^2 . b + eps).
-
-    A vector query returns a d_model vector; (n, d_model) rows return
-    (n, d_model) readouts. Empty memory reads as zero.
+    """Normalized readout phi(q)' M / (phi(q)^2 . b + eps) of (n, d_model)
+    query rows: (n, d_model). Empty memory reads as zero.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim == 1:
-        return mem_read(slow, state, q[None, :])[0]
     feat = phi(slow, q)
     denom = (feat ** 2) @ state.b + MEM_EPS
     return (feat @ state.m) / denom[:, None]
@@ -143,12 +134,9 @@ def mem_write(slow: MemorySlowWeights, state: MemoryState,
                        b=lam * state.b + eta * (feat ** 2).sum(axis=0))
 
 
-def gate(slow: MemorySlowWeights, q: np.ndarray) -> np.ndarray | float:
-    """Read gate in (0, 1); scalar for a vector query, array for rows."""
-    q = np.asarray(q, dtype=np.float64)
-    z = q @ slow.w_gate + slow.gate_bias
-    out = expit(z)
-    return float(out) if q.ndim == 1 else out
+def gate(slow: MemorySlowWeights, q: np.ndarray) -> np.ndarray:
+    """Read gate in (0, 1) of (..., n, d_model) query rows: (..., n)."""
+    return expit(np.asarray(q, dtype=np.float64) @ slow.w_gate + slow.gate_bias)
 
 
 def fuse(slow: MemorySlowWeights, state: MemoryState, o_attn: np.ndarray,

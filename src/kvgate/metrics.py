@@ -19,15 +19,7 @@ ENVELOPE_KEYS = ("schema", "kind", "config", "seed")
 
 
 def _plain(value):
-    """Coerce numpy scalars/arrays to JSON-serializable python values."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
+    """A JSON-serializable copy of a field: Python scalars, lists of them."""
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -82,6 +74,8 @@ def read_records(path) -> list:
                 raise ValueError(f"metrics schema {schema!r} is not {SCHEMA_VERSION}")
         except ValueError as bad:
             raise ValueError(f"{path}:{line_no}: {bad}") from None
+        except RecursionError:
+            raise ValueError(f"{path}:{line_no}: JSON nested too deeply") from None
         out.append(record)
     return out
 

@@ -43,8 +43,8 @@ class PolicyId:
             raise ValueError("scoring window must be at least 1")
 
 
-def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions=None,
-                 key_positions=None) -> np.ndarray:
+def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions,
+                 key_positions) -> np.ndarray:
     """Average attention mass from the trailing query window to each key,
     under the teacher's logit scale, over the query heads of each kv head.
 
@@ -52,9 +52,8 @@ def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions=None,
         q_window: (n_heads, w, d_head) rotated queries, the last w of the
             sequence.
         keys: (n_kv_heads, L, d_head) cached keys.
-        q_positions / key_positions: absolute positions for causal masking.
-            When omitted, the queries are taken to be the newest w cached
-            rows, which is the prefill case.
+        q_positions / key_positions: absolute positions of the w queries
+            and the L keys, for causal masking.
 
     Returns (n_kv_heads, L) scores; each head's scores sum to 1.
     """
@@ -64,11 +63,7 @@ def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions=None,
     n_kv, n_rows, _ = keys.shape
     if w > n_rows:
         raise ValueError("scoring window exceeds the cached rows")
-    if key_positions is None:
-        key_positions = np.arange(n_rows)
     key_positions = np.asarray(key_positions, dtype=np.int64)
-    if q_positions is None:
-        q_positions = key_positions[n_rows - w:]
     q_positions = np.asarray(q_positions, dtype=np.int64)
     visible = key_positions[None, :] <= q_positions[:, None]
 
@@ -93,11 +88,8 @@ def score_random(n_rows: int, rng: Rng) -> np.ndarray:
 
 
 def aggregate_heads(scores: np.ndarray) -> np.ndarray:
-    """Per-layer score from per-kv-head scores: fixed sum across heads."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim == 1:
-        return scores
-    return scores.sum(axis=0)
+    """Per-layer score from (n_kv_heads, L) scores: fixed sum across heads."""
+    return np.asarray(scores, dtype=np.float64).sum(axis=0)
 
 
 def select(plan: CompressionPlan, scores: np.ndarray,
@@ -141,14 +133,13 @@ class QueryRows:
 
 
 def score_layer(policy: PolicyId, keys: np.ndarray, key_positions: np.ndarray,
-                queries: QueryRows | None, rng: Rng | None = None,
+                queries: QueryRows, rng: Rng | None = None,
                 params=None, key_feats: np.ndarray | None = None) -> np.ndarray:
     """One layer's (L,) scores under ``policy``, in prefill or decode.
 
     Args:
         keys: (n_kv_heads, L, d_head) cached rotated keys at ``key_positions``.
-        queries: the scoring query rows; ``None`` when there are none, in
-            which case the query-based policies fall back to key norm.
+        queries: the scoring query rows.
         rng: the random policy's draws; the caller owns the stream.
         params / key_feats: the layer's indexer weights and the (L, d_index)
             indexer features of the cached keys.
@@ -161,7 +152,7 @@ def score_layer(policy: PolicyId, keys: np.ndarray, key_positions: np.ndarray,
         if rng is None:
             raise ValueError("random policy needs an rng")
         return score_random(keys.shape[1], rng)
-    if policy.name == "knorm" or queries is None:
+    if policy.name == "knorm":
         return aggregate_heads(score_knorm(keys))
     if policy.name == "indexer":
         if params is None or key_feats is None:

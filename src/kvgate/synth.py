@@ -26,6 +26,16 @@ import numpy as np
 from .numerics import Rng
 from .teacher import TeacherModel, kv_head_of, rope_apply
 
+# Cosine between each needle row and the direction its keys align with.
+NEEDLE_COS = 0.9
+# RMS of needle and tail rows relative to filler: large enough that their
+# direction survives the residual stream.
+NEEDLE_SCALE = 4.0
+TAIL_SCALE = 4.0
+# Regularizer of the alignment solve: larger values trade a little
+# alignment for more ordinary needle key norms.
+RIDGE = 64.0
+
 
 @dataclass
 class PlantedSequence:
@@ -64,10 +74,8 @@ def _orthonormal_to(v: np.ndarray, *basis: np.ndarray) -> np.ndarray:
 
 
 def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
-                     rng: Rng, tail_width: int = 16, needle_cos: float = 0.9,
-                     needle_scale: float = 4.0, tail_scale: float = 4.0,
-                     beacon_weight: float = 0.8,
-                     ridge: float = 64.0) -> PlantedSequence:
+                     rng: Rng, tail_width: int = 16,
+                     beacon_weight: float = 0.8) -> PlantedSequence:
     """Build a planted-retrieval sequence for ``teacher``.
 
     Args:
@@ -75,13 +83,8 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
         needle_positions: rows to plant; must precede the query tail.
         rng: drives filler, tail noise, and the residual needle noise.
         tail_width: size of the trailing query block.
-        needle_cos: cosine between each needle row and its aligned direction.
-        needle_scale / tail_scale: RMS of planted rows relative to filler,
-            large enough that their direction survives the residual stream.
         beacon_weight: fraction of the off-alignment energy spent on the
             shared beacon direction (the rest is fresh noise).
-        ridge: regularizer for the alignment solve; larger values trade a
-            little alignment for more ordinary needle key norms.
 
     Returns a :class:`PlantedSequence`. Deterministic in (teacher, args, rng).
     """
@@ -93,10 +96,6 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
         raise ValueError("query tail must be nonempty and leave room for context")
     if needles.size and (needles[0] < 0 or needles[-1] >= tail_start):
         raise ValueError("needle positions must precede the query tail")
-    if not 0.0 < needle_cos <= 1.0:
-        raise ValueError("needle_cos must lie in (0, 1]")
-    if ridge <= 0.0:
-        raise ValueError("ridge must be positive")
 
     # Isotropic filler rows with unit RMS per entry.
     x0 = rng.normal((length, cfg.d_model))
@@ -115,7 +114,7 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
         base = tail_dirs[i % cfg.n_layers]
         noise = _orthonormal_to(rng.normal((cfg.d_model,)), _unit(base))
         direction = _unit(0.95 * _unit(base) + 0.05 * noise)
-        x0[pos] = tail_scale * np.sqrt(cfg.d_model) * direction
+        x0[pos] = TAIL_SCALE * np.sqrt(cfg.d_model) * direction
 
     # First pass without needles: measure the tail queries each layer actually
     # sees (the residual stream shifts them) and the typical key norm.
@@ -145,20 +144,19 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
             pos_anchor, head, q_anchor = anchors[li]
             g = kv_head_of(head, cfg.n_heads, cfg.n_kv_heads)
             block = layer.w_k[:, g * cfg.d_head:(g + 1) * cfg.d_head]
-            k_target = rope_apply(_unit(q_anchor)[None, :], np.array([-t]),
-                                  cfg.rope_base)[0]
+            k_target = rope_apply(_unit(q_anchor)[None, :], np.array([-t]))[0]
             blocks.append(block * np.sqrt(cfg.d_model))
             targets.append(key_norm[li] * k_target)
         stacked = np.concatenate(blocks, axis=1)
-        gram = stacked @ stacked.T + ridge * np.eye(cfg.d_model)
+        gram = stacked @ stacked.T + RIDGE * np.eye(cfg.d_model)
         y = np.linalg.solve(gram, stacked @ np.concatenate(targets))
         aligned = _unit(y)
         b_perp = _orthonormal_to(beacon, aligned)
         n_perp = _orthonormal_to(rng.normal((cfg.d_model,)), aligned, b_perp)
-        rest = np.sqrt(max(0.0, 1.0 - needle_cos**2))
+        rest = np.sqrt(1.0 - NEEDLE_COS**2)
         w_b = beacon_weight * rest
         w_n = np.sqrt(max(0.0, rest**2 - w_b**2))
-        direction = needle_cos * aligned + w_b * b_perp + w_n * n_perp
-        x0[t] = needle_scale * np.sqrt(cfg.d_model) * _unit(direction)
+        direction = NEEDLE_COS * aligned + w_b * b_perp + w_n * n_perp
+        x0[t] = NEEDLE_SCALE * np.sqrt(cfg.d_model) * _unit(direction)
 
     return PlantedSequence(x0=x0, planted=needles, tail_start=tail_start)

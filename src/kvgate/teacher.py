@@ -19,6 +19,9 @@ from scipy.special import expit
 
 from .numerics import Rng, check_seed, masked_softmax_rows, rmsnorm
 
+# Rotary frequency base: pair i of a d-wide row turns at ROPE_BASE**(-2i/d).
+ROPE_BASE = 10000.0
+
 
 @dataclass(frozen=True)
 class TeacherConfig:
@@ -27,7 +30,6 @@ class TeacherConfig:
     n_heads: int = 8
     n_kv_heads: int = 2
     d_ffn: int = 128
-    rope_base: float = 10000.0
     vocab_size: int = 64
     seed: int = 0
 
@@ -56,16 +58,16 @@ def kv_head_of(query_head: int, n_heads: int, n_kv_heads: int) -> int:
     return query_head * n_kv_heads // n_heads
 
 
-def rope_tables(positions, d: int, base: float = 10000.0):
+def rope_tables(positions, d: int):
     """Rotary ``(cos, sin)`` tables, each (..., L, d // 2), for ``positions``.
 
-    Pair i of a row at position p is rotated by angle p * base**(-2i/d).
+    Pair i of a row at position p is rotated by angle p * ROPE_BASE**(-2i/d).
     One pair of tables serves every tensor rotated at the same positions.
     """
     if d % 2 != 0:
         raise ValueError("rotary embedding needs an even feature dimension")
     pos = np.asarray(positions, dtype=np.float64)
-    inv_freq = base ** (-np.arange(0, d, 2, dtype=np.float64) / d)
+    inv_freq = ROPE_BASE ** (-np.arange(0, d, 2, dtype=np.float64) / d)
     theta = pos[..., :, None] * inv_freq
     return np.cos(theta), np.sin(theta)
 
@@ -82,13 +84,13 @@ def rope_rotate(x: np.ndarray, tables) -> np.ndarray:
     return out
 
 
-def rope_apply(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
-    """Rotate feature pairs (2i, 2i+1) by angle pos * base**(-2i/d).
+def rope_apply(x: np.ndarray, positions) -> np.ndarray:
+    """Rotate feature pairs (2i, 2i+1) by angle pos * ROPE_BASE**(-2i/d).
 
     ``x`` has shape (..., L, d) with even d; ``positions`` has length L.
     Negative positions invert the rotation, which some callers use to undo it.
     """
-    return rope_rotate(x, rope_tables(positions, x.shape[-1], base))
+    return rope_rotate(x, rope_tables(positions, x.shape[-1]))
 
 
 def logit_scale(q: np.ndarray) -> float:
@@ -271,8 +273,7 @@ class TeacherModel:
             raise ValueError("x0 must have shape (L, d_model)")
         if x.shape[0] == 0:
             raise ValueError("empty sequence")
-        rope = rope_tables(np.arange(x.shape[0]), self.config.d_head,
-                           self.config.rope_base)
+        rope = rope_tables(np.arange(x.shape[0]), self.config.d_head)
         traces = []
         for layer in self.layers:
             q_pre, q, k, v = self._project_qkv(layer, x, rope)
@@ -298,7 +299,7 @@ class TeacherModel:
         n_sim = len(caches)
         x = np.asarray(x_rows, dtype=np.float64).reshape(n_sim, 1, cfg.d_model)
         positions = np.array([position])
-        rope = rope_tables(positions, cfg.d_head, cfg.rope_base)
+        rope = rope_tables(positions, cfg.d_head)
         xs, qps, qs = [], [], []
         for idx, layer in enumerate(self.layers):
             q_pre, q, k, v = self._project_qkv(layer, x, rope)

@@ -13,8 +13,10 @@ import numpy as np
 
 from kvgate.cache import CompressionPlan, KvCache, budget_compress
 from kvgate.cli import main
+from kvgate.harness import batches_by_layer
 from kvgate.crosslayer import scores_with_reuse
 from kvgate.episodes import (
+    EpisodeStack,
     FullRun,
     LayerEpisode,
     episode_loss,
@@ -25,8 +27,6 @@ from kvgate.episodes import (
 )
 from kvgate.indexer import (
     IndexerParams,
-    WsdSchedule,
-    distill_batch,
     distill_gradients,
     indexer_importance,
     streaming_distill_loss,
@@ -101,8 +101,9 @@ def test_streaming_loss_matches_dense_for_all_block_shapes():
     teacher = TeacherModel(cfg)
     for case, length in enumerate((7, 33, 64)):
         x0 = Rng(300).split(case).normal((length, cfg.d_model))
+        per_layer = batches_by_layer(teacher, [teacher.forward(x0=x0)], 3)
         for layer in range(cfg.n_layers):
-            batch = distill_batch(teacher, x0, layer, sink_count=3)
+            (batch,) = per_layer[layer]
             params = IndexerParams.init(cfg, Rng(301).split(case * 2 + layer),
                                         h_index=2, d_index=4)
             dense, _ = distill_gradients(params, batch)
@@ -127,7 +128,7 @@ def test_analytic_gradients_match_central_differences():
                         d_ffn=64, vocab_size=16, seed=5)
     teacher = TeacherModel(cfg)
     x0 = Rng(60).normal((20, cfg.d_model))
-    batch = distill_batch(teacher, x0, layer=0, sink_count=3)
+    (batch,), _ = batches_by_layer(teacher, [teacher.forward(x0=x0)], 3)
     params = IndexerParams.init(cfg, Rng(61), h_index=2, d_index=4)
     _, grads = distill_gradients(params, batch)
     for name, arr in (("u_q", params.u_q), ("u_k", params.u_k),
@@ -156,7 +157,7 @@ def test_analytic_gradients_match_central_differences():
                 targets=0.1 * rng.split(1).normal((10, d_model)),
                 write_keys=rng.split(2).normal((n_write, d_model)),
                 write_values=rng.split(3).normal((n_write, d_model))))
-        batches.append(episodes)
+        batches.append(EpisodeStack.of(episodes))
     slow = MemorySlowWeights.init(d_model, Rng(510))
 
     def memory_fd(episodes, read, write):
@@ -281,8 +282,8 @@ def test_memory_update_algebra_and_footprint():
     values = np.arange(16.0).reshape(4, 4)
     state = mem_write(onehot, MemoryState.zeros(4, 4), np.eye(4), values,
                       lam=1.0, eta=1.0)
-    read = mem_read(onehot, state, np.eye(4)[1])
-    assert np.max(np.abs(read - values[1] / (1.0 + MEM_EPS))) <= 1e-9
+    read = mem_read(onehot, state, np.eye(4)[1:2])
+    assert np.max(np.abs(read - values[1:2] / (1.0 + MEM_EPS))) <= 1e-9
 
     state = MemoryState.zeros(d_mem, 32)
     wide = MemorySlowWeights.init(32, Rng(42), d_mem=d_mem)
@@ -338,7 +339,7 @@ def test_trained_indexer_beats_untrained_and_heuristic_retention():
     teacher = TeacherModel(cfg)
     length, tail, sinks, beacon = 96, 16, 4, 0.95
 
-    batches = {layer: [] for layer in range(cfg.n_layers)}
+    traces = []
     for i in range(16):
         rng = Rng(7000).split(i)
         if i < 12:
@@ -348,16 +349,14 @@ def test_trained_indexer_beats_untrained_and_heuristic_retention():
                                   tail_width=tail, beacon_weight=beacon).x0
         else:
             x0 = rng.normal((length, cfg.d_model))
-        for layer in range(cfg.n_layers):
-            batches[layer].append(
-                distill_batch(teacher, x0, layer, sink_count=sinks))
-    schedule = WsdSchedule().scaled(600)
+        traces.append(teacher.forward(x0=x0))
+    batches = batches_by_layer(teacher, traces, sinks)
     trained, untrained = {}, {}
     for layer in range(cfg.n_layers):
         trained[layer] = IndexerParams.init(cfg, Rng(42).split(layer),
                                             h_index=2, d_index=4)
         untrained[layer] = trained[layer].copy()
-        train_indexer(trained[layer], batches[layer], schedule)
+        train_indexer(trained[layer], batches[layer], 600, 1e-3)
 
     kl_wins = 0
     recall = {"indexer": [], "knorm": [], "random": []}
@@ -369,9 +368,10 @@ def test_trained_indexer_beats_untrained_and_heuristic_retention():
         seq = planted_sequence(teacher, length, [needle], rng,
                                tail_width=tail, beacon_weight=beacon)
         trace = teacher.forward(x0=seq.x0)
+        per_layer = batches_by_layer(teacher, [trace], sinks)
         kl_trained, kl_untrained = 0.0, 0.0
         for layer in range(cfg.n_layers):
-            batch = distill_batch(teacher, seq.x0, layer, sink_count=sinks)
+            (batch,) = per_layer[layer]
             kl_trained += streaming_distill_loss(trained[layer], batch)
             kl_untrained += streaming_distill_loss(untrained[layer], batch)
             importance = indexer_importance(trained[layer], batch.x,

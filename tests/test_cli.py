@@ -489,6 +489,7 @@ class TestErrorPaths:
         ("train", {"stop_write_grad": False}, "stop_write_grad"),
         ("train", {"lam": 0.95}, "lam"),
         ("data", {"kind": "gauss"}, "data.kind"),
+        ("plan", {"budget": 48}, "budget"),
     ])
     def test_retired_config_key(self, tmp_path, capsys, section, value, key):
         # One JSON line on stderr, so no traceback either.
@@ -619,6 +620,43 @@ class TestErrorPaths:
         assert record["error"] == "DivergenceError"
         assert "non-finite" in record["message"]
         assert not (out / out_file).exists()
+
+    @pytest.mark.parametrize("site", ["config", "metrics", "manifest"])
+    def test_deeply_nested_json_is_one_error_record(self, tmp_path, site):
+        # 1,000 nested arrays (2 KB) exceed the interpreter's recursion
+        # limit in json.loads; that used to end in a RecursionError
+        # traceback and exit 1. A plain interpreter shows the real exit.
+        deep = "[" * 1000 + "]" * 1000
+        config = write_config(tmp_path)
+        if site == "config":
+            config.write_text('{"version": 1, "seed": ' + deep + "}",
+                              encoding="utf-8")
+            argv = ["train-indexer", "--config", config]
+            error, where = "ConfigError", "nested too deeply"
+        elif site == "metrics":
+            path = tmp_path / "m.jsonl"
+            path.write_text('{"schema": 1, "kind": "sweep", "ratio": '
+                            + deep + "}\n", encoding="utf-8")
+            argv = ["report", path]
+            error, where = "ValueError", f"{path}:1:"
+        else:
+            body = ('{"version": 1, "tensors": ' + deep + "}").encode("utf-8")
+            path = tmp_path / "deep.kvgt"
+            path.write_bytes(MAGIC + np.uint32(len(body)).tobytes() + body)
+            argv = ["decode-sim", "--config", config, "--checkpoint", path]
+            error, where = "ValueError", "nested too deeply"
+        src = str(Path(harness.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "kvgate.cli", *map(str, argv),
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == EXIT_CONFIG
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1, lines
+        record = json.loads(lines[0])
+        assert record["error"] == error
+        assert where in record["message"]
 
     def test_eval_start_among_the_sinks(self, tmp_path, capsys):
         # A prefix of sinks alone used to train to a zero loss and exit 0.

@@ -128,6 +128,10 @@ class TestParsing:
         ({"train": {"eta": 0}}, "eta must be positive"),
         # Retired: gaussian inputs, which no workload used.
         ({"data": {"kind": "gauss"}}, "data.kind"),
+        # Retired: a budget cap on the prefill keep rule, which no workload
+        # set; unknown at any value, its old default included.
+        ({"plan": {"budget": 48}}, "budget"),
+        ({"plan": {"budget": None}}, "budget"),
     ])
     def test_bad_values_rejected(self, patch, needle):
         raw = {**minimal(), **patch}

@@ -176,6 +176,12 @@ class TestPrefillEpisodes:
             prefill_episodes(run, keeps)
 
 
+def copy_slow(slow):
+    """An independent copy of a memory's slow weights."""
+    return MemorySlowWeights(slow.w_phi.copy(), slow.w_gate.copy(),
+                             slow.gate_bias)
+
+
 def oracle_episode_loss_and_grads(slow, episode, eta=1.0):
     """The single-episode kernel the stacked one replaced, kept as its oracle."""
     feat_k = episode.write_keys @ slow.w_phi
@@ -287,7 +293,7 @@ def assert_same_loss_and_grads(got, want):
 def check_against_finite_differences(eps):
     """Batch gradients against central differences of the mean episode loss."""
     slow = MemorySlowWeights.init(D, Rng(302), d_mem=3)
-    _, grads = memory_loss_and_grads(slow, eps, eta=0.8)
+    _, grads = memory_loss_and_grads(slow, EpisodeStack.of(eps), eta=0.8)
     h = 1e-6
 
     def loss_now():
@@ -370,18 +376,18 @@ class TestLossAndGrads:
         eps = [one_write_episode(0), one_write_episode(1)]
         slow = MemorySlowWeights.init(D, Rng(305), d_mem=3)
         (l0, l1), g = episode_loss_and_grads(slow, EpisodeStack.of(eps))
-        lb, gb = memory_loss_and_grads(slow, eps)
+        lb, gb = memory_loss_and_grads(slow, EpisodeStack.of(eps))
         assert lb == pytest.approx(0.5 * (l0 + l1), rel=1e-12)
         assert np.allclose(gb["w_phi"], 0.5 * (g["w_phi"][0] + g["w_phi"][1]),
                            atol=1e-15)
-        # A stack given directly is the same batch.
+        # A fresh stack of the same episodes gives the same bytes.
         assert_same_loss_and_grads(
             memory_loss_and_grads(slow, EpisodeStack.of(eps)), (lb, gb))
 
     def test_empty_batch_rejected(self):
         slow = MemorySlowWeights.init(D, Rng(306), d_mem=2)
         with pytest.raises(ValueError, match="episodes"):
-            memory_loss_and_grads(slow, [])
+            memory_loss_and_grads(slow, EpisodeStack.of([]))
 
 
 class TestStackedKernel:
@@ -411,7 +417,7 @@ class TestStackedKernel:
                 eps = eps[3:4]
         slow = MemorySlowWeights.init(d_model, Rng(800), d_mem=d_mem)
         for eta in (1.0, 0.8):
-            got = memory_loss_and_grads(slow, eps, eta)
+            got = memory_loss_and_grads(slow, EpisodeStack.of(eps), eta)
             want = oracle_memory_loss_and_grads(slow, eps, eta)
             assert_same_loss_and_grads(got, want)
 
@@ -433,7 +439,7 @@ class TestStackedKernel:
         else:
             eps, d_model, d_mem = pipeline_eps, 64, 8
         slow = MemorySlowWeights.init(d_model, Rng(802), d_mem=d_mem)
-        oracle = slow.copy()
+        oracle = copy_slow(slow)
         losses = train_memory(slow, eps, steps=150)
         assert losses == oracle_train_memory(oracle, eps, steps=150)
         assert np.array_equal(slow.w_phi, oracle.w_phi)
@@ -537,7 +543,7 @@ class TestTrainMemory:
         plan = CompressionPlan(ratio=0.0, sink_count=2, local_window=2)
         eps = prefill_episodes(run, knorm_keeps(run.trace, plan, 12))
         slow = MemorySlowWeights.init(D, Rng(310), d_mem=2)
-        before = slow.copy()
+        before = copy_slow(slow)
         losses = train_memory(slow, eps, steps=10)
         assert losses == [0.0] * 10
         assert np.array_equal(slow.w_phi, before.w_phi)
@@ -578,7 +584,7 @@ class TestTrainMemory:
         # A batch is one stack: episodes that differ in rows or write size
         # are refused before any step, and the weights stay as they were.
         slow = MemorySlowWeights.init(D, Rng(404), d_mem=2)
-        before = slow.copy()
+        before = copy_slow(slow)
         for other in (one_write_episode(1, n_eval=8),
                       one_write_episode(1, n_write=0)):
             with pytest.raises(ValueError, match="share"):
@@ -597,7 +603,7 @@ class TestTrainMemory:
 
         train = [ep for i in range(12) for ep in eps_for(Rng(500).split(i))]
         slow = MemorySlowWeights.init(D, Rng(501), d_mem=2)
-        frozen = slow.copy()
+        frozen = copy_slow(slow)
         train_memory(slow, train, steps=150)
         hold = [ep for s in range(6) for ep in eps_for(Rng(502).split(s))]
         before = np.mean([episode_loss(frozen, e) for e in hold])

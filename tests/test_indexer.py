@@ -10,11 +10,9 @@ from kvgate.indexer import (
     DivergenceError,
     IndexerKeyCache,
     IndexerParams,
-    WsdSchedule,
     _score_from_features,
     default_d_index,
     default_h_index,
-    distill_batch,
     distill_gradients,
     indexer_importance,
     key_features,
@@ -25,6 +23,7 @@ from kvgate.indexer import (
     streaming_distill_loss,
     teacher_block,
     train_indexer,
+    wsd_lr,
 )
 from kvgate.numerics import Rng, kl_divergence, masked_softmax_rows, rmsnorm
 from kvgate.policies import select
@@ -52,10 +51,17 @@ def small_layer(length=20, x_seed=60, layer=0):
     return teacher.forward(x0=x0).layers[layer]
 
 
+def layer_batch(teacher, x0, layer=0, sink_count=4):
+    """One layer's distillation batch from a teacher forward over ``x0``."""
+    lt = teacher.forward(x0=x0).layers[layer]
+    return DistillBatch(x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q, k_rot=lt.k,
+                        sink_count=sink_count)
+
+
 def small_setup(length=20, sink_count=3, param_seed=61, x_seed=60, layer=0):
     teacher = small_teacher()
     x0 = Rng(x_seed).normal((length, 16))
-    batch = distill_batch(teacher, x0, layer=layer, sink_count=sink_count)
+    batch = layer_batch(teacher, x0, layer=layer, sink_count=sink_count)
     params = IndexerParams.init(teacher.config, Rng(param_seed),
                                 h_index=2, d_index=3)
     return teacher, batch, params
@@ -125,7 +131,7 @@ def gqa_batch(length, n_heads, n_kv_heads, seed, sink_count=4):
         n_layers=1, d_model=d_model, n_heads=n_heads, n_kv_heads=n_kv_heads,
         d_ffn=2 * d_model, vocab_size=16, seed=seed))
     x0 = Rng(seed + 1).normal((length, d_model))
-    return teacher, distill_batch(teacher, x0, 0, sink_count=sink_count)
+    return teacher, layer_batch(teacher, x0, 0, sink_count=sink_count)
 
 
 def argmax_rows(params, batch):
@@ -317,7 +323,7 @@ class TestImportance:
     def test_streamed_equals_dense_exactly(self):
         teacher = small_teacher()
         x0 = Rng(63).normal((16, 16))
-        batch = distill_batch(teacher, x0, 0, sink_count=2)
+        batch = layer_batch(teacher, x0, 0, sink_count=2)
         params = IndexerParams.init(teacher.config, Rng(64), h_index=2, d_index=3)
         dense = dense_scores(params, batch.x, batch.q_pre).max(axis=0)
         blk = indexer_importance(params, batch.x, batch.q_pre, q_blk=2, k_blk=3)
@@ -396,7 +402,7 @@ class TestDistillBatch:
         teacher = small_teacher()
         x0 = Rng(66).normal((6, 16))
         with pytest.raises(ValueError, match="sink count"):
-            distill_batch(teacher, x0, 0, sink_count=6)
+            layer_batch(teacher, x0, 0, sink_count=6)
 
     def test_teacher_target_matches_streamed_oracle(self):
         _, batch, _ = small_setup()
@@ -421,11 +427,11 @@ class TestDistillBatch:
             return teacher_block(*args)
 
         monkeypatch.setattr("kvgate.indexer.teacher_block", counting)
-        batches = [distill_batch(teacher, Rng(80 + i).normal((12, 16)), 0,
-                                 sink_count=2) for i in range(3)]
+        batches = [layer_batch(teacher, Rng(80 + i).normal((12, 16)), 0,
+                               sink_count=2) for i in range(3)]
         assert len(calls) == 3
         params = IndexerParams.init(teacher.config, Rng(83), h_index=1, d_index=2)
-        train_indexer(params, batches, WsdSchedule().scaled(10))
+        train_indexer(params, batches, 10, 1e-3)
         assert len(calls) == 3
 
 
@@ -576,33 +582,62 @@ class TestSparseBackward:
         assert_matches_dense_oracle(params, batch)
 
 
+class WsdSchedule:
+    """The schedule object ``wsd_lr`` replaced, kept as its oracle: linear
+    up, flat, linear down, and ``scaled`` squeezes the shape into a run."""
+
+    def __init__(self, warmup_steps=100, stable_steps=2000, decay_steps=2000,
+                 peak=1e-3, final=7.5e-6):
+        self.warmup_steps = warmup_steps
+        self.stable_steps = stable_steps
+        self.decay_steps = decay_steps
+        self.peak = peak
+        self.final = final
+        self.total_steps = warmup_steps + stable_steps + decay_steps
+
+    def lr(self, step):
+        if step < self.warmup_steps:
+            return self.peak * (step + 1) / self.warmup_steps
+        if step < self.warmup_steps + self.stable_steps:
+            return self.peak
+        j = step - self.warmup_steps - self.stable_steps
+        return self.peak + (self.final - self.peak) * (j + 1) / self.decay_steps
+
+    def scaled(self, total):
+        frac = total / self.total_steps
+        warm = min(max(1, round(self.warmup_steps * frac)), total) if total >= 3 else 0
+        decay = min(max(1, round(self.decay_steps * frac)), total - warm) if total >= 3 else 0
+        return WsdSchedule(warm, total - warm - decay, decay, self.peak, self.final)
+
+
 class TestSchedule:
+    @pytest.mark.parametrize("steps", [1, 2, 3, 50, 600, 4100])
+    @pytest.mark.parametrize("peak", [1e-3, 0.3])
+    def test_matches_the_scaled_schedule_object(self, steps, peak):
+        want = WsdSchedule(peak=peak).scaled(steps)
+        for step in range(steps):
+            assert wsd_lr(step, steps, peak) == want.lr(step), step
+
     def test_endpoints(self):
-        s = WsdSchedule()
-        assert s.peak == 1e-3 and s.final == 7.5e-6
-        assert s.lr(s.warmup_steps - 1) == pytest.approx(s.peak)
-        assert s.lr(s.warmup_steps + 100) == s.peak
-        assert s.lr(s.total_steps - 1) == pytest.approx(s.final)
+        # 4,100 steps is the unsqueezed shape: 100 up, 2,000 flat, 2,000 down.
+        assert wsd_lr(99, 4100, 1e-3) == pytest.approx(1e-3)
+        assert wsd_lr(100, 4100, 1e-3) == 1e-3
+        assert wsd_lr(2099, 4100, 1e-3) == 1e-3
+        assert wsd_lr(4099, 4100, 1e-3) == pytest.approx(7.5e-6)
 
     def test_warmup_is_linear(self):
-        s = WsdSchedule(warmup_steps=4, stable_steps=2, decay_steps=2)
-        assert [s.lr(i) for i in range(4)] == pytest.approx(
+        # 164 steps squeeze the shape to 4 warmup steps.
+        assert [wsd_lr(i, 164, 1e-3) for i in range(4)] == pytest.approx(
             [0.25e-3, 0.5e-3, 0.75e-3, 1e-3])
 
     def test_scaled_preserves_total(self):
-        s = WsdSchedule().scaled(600)
-        assert s.total_steps == 600
-        assert s.peak == 1e-3 and s.final == 7.5e-6
-        assert s.warmup_steps >= 1 and s.decay_steps >= 1
+        lrs = [wsd_lr(i, 600, 1e-3) for i in range(600)]
+        assert lrs[0] < 1e-3 and max(lrs) == 1e-3
+        assert lrs[-1] == pytest.approx(7.5e-6)
 
     def test_scaled_tiny(self):
-        s = WsdSchedule().scaled(1)
-        assert s.total_steps == 1
-
-    def test_step_bounds(self):
-        s = WsdSchedule(warmup_steps=1, stable_steps=1, decay_steps=1)
-        with pytest.raises(ValueError):
-            s.lr(3)
+        assert wsd_lr(0, 1, 1e-3) == 1e-3
+        assert [wsd_lr(i, 2, 1e-3) for i in range(2)] == [1e-3, 1e-3]
 
 
 class TestTraining:
@@ -611,11 +646,10 @@ class TestTraining:
         batches = []
         for i in range(4):
             x0 = Rng(70 + i).normal((16, 16))
-            batches.append(distill_batch(teacher, x0, 0, sink_count=2))
+            batches.append(layer_batch(teacher, x0, 0, sink_count=2))
         params = IndexerParams.init(teacher.config, Rng(71), h_index=2, d_index=3)
         before = np.mean([streaming_distill_loss(params, b) for b in batches])
-        losses = train_indexer(params, batches,
-                               WsdSchedule().scaled(80))
+        losses = train_indexer(params, batches, 80, 1e-3)
         after = np.mean([streaming_distill_loss(params, b) for b in batches])
         assert len(losses) == 80
         assert after < before
@@ -623,10 +657,10 @@ class TestTraining:
     def test_zero_steps_leaves_params_unchanged(self):
         teacher = small_teacher()
         x0 = Rng(72).normal((12, 16))
-        batch = distill_batch(teacher, x0, 0, sink_count=2)
+        batch = layer_batch(teacher, x0, 0, sink_count=2)
         params = IndexerParams.init(teacher.config, Rng(73), h_index=1, d_index=2)
         before = params.copy()
-        losses = train_indexer(params, [batch], WsdSchedule(), steps=0)
+        losses = train_indexer(params, [batch], 0, 1e-3)
         assert losses == []
         assert np.array_equal(params.u_q, before.u_q)
         assert np.array_equal(params.u_k, before.u_k)
@@ -635,12 +669,12 @@ class TestTraining:
     def test_deterministic(self):
         teacher = small_teacher()
         x0 = Rng(74).normal((12, 16))
-        batch = distill_batch(teacher, x0, 0, sink_count=2)
+        batch = layer_batch(teacher, x0, 0, sink_count=2)
         runs = []
         for _ in range(2):
             params = IndexerParams.init(teacher.config, Rng(75), h_index=1,
                                         d_index=2)
-            losses = train_indexer(params, [batch], WsdSchedule().scaled(30))
+            losses = train_indexer(params, [batch], 30, 1e-3)
             runs.append((losses, params))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1].u_q, runs[1][1].u_q)
@@ -648,8 +682,8 @@ class TestTraining:
     def test_divergence_guard(self):
         teacher = small_teacher()
         x0 = Rng(76).normal((12, 16))
-        batch = distill_batch(teacher, x0, 0, sink_count=2)
+        batch = layer_batch(teacher, x0, 0, sink_count=2)
         params = IndexerParams.init(teacher.config, Rng(77), h_index=1, d_index=2)
         params.u_k[0, 0] = np.inf
         with pytest.raises(DivergenceError):
-            train_indexer(params, [batch], WsdSchedule().scaled(10))
+            train_indexer(params, [batch], 10, 1e-3)

@@ -73,7 +73,7 @@ class TestRead:
     def test_empty_memory_reads_zero(self):
         slow = MemorySlowWeights.init(16, Rng(5))
         st = MemoryState.zeros(slow.d_mem, 16)
-        assert np.all(mem_read(slow, st, Rng(6).normal(16)) == 0.0)
+        assert np.all(mem_read(slow, st, Rng(6).normal((1, 16))) == 0.0)
         assert np.all(mem_read(slow, st, Rng(6).normal((4, 16))) == 0.0)
 
     def test_matches_direct_formula(self):
@@ -81,8 +81,8 @@ class TestRead:
         st = mem_write(slow, MemoryState.zeros(3, 16),
                        Rng(8).normal((6, 16)), Rng(9).normal((6, 16)),
                        lam=0.9, eta=0.7)
-        q = Rng(10).normal(16)
-        f = q @ slow.w_phi
+        q = Rng(10).normal((1, 16))
+        f = q[0] @ slow.w_phi
         want = (f @ st.m) / (f ** 2 @ st.b + MEM_EPS)
         assert np.max(np.abs(mem_read(slow, st, q) - want)) < 1e-12
 
@@ -92,7 +92,7 @@ class TestRead:
         st = mem_write(slow, MemoryState.zeros(2, 2),
                        np.array([[1.0, 0.0]]), np.array([[3.0, 4.0]]),
                        lam=1.0, eta=1.0)
-        got = mem_read(slow, st, np.array([1.0, 0.0]))
+        got = mem_read(slow, st, np.array([[1.0, 0.0]]))[0]
         want = np.array([3.0, 4.0]) / (1.0 + MEM_EPS)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -103,7 +103,7 @@ class TestRead:
         rows = Rng(14).normal((4, 12))
         batch = mem_read(slow, st, rows)
         for i in range(4):
-            assert np.allclose(batch[i], mem_read(slow, st, rows[i]),
+            assert np.allclose(batch[i], mem_read(slow, st, rows[i:i + 1])[0],
                                atol=1e-14)
 
 
@@ -164,11 +164,11 @@ class TestWrite:
 class TestGateAndFuse:
     def test_neutral_gate_is_half(self):
         slow = MemorySlowWeights(np.eye(4), np.zeros(4), 0.0)
-        assert gate(slow, Rng(24).normal(4)) == 0.5
+        assert np.all(gate(slow, Rng(24).normal((3, 4))) == 0.5)
 
     def test_closed_gate_limit(self):
         slow = MemorySlowWeights(np.eye(4), np.zeros(4), -40.0)
-        assert gate(slow, Rng(25).normal(4)) < 1e-15
+        assert np.all(gate(slow, Rng(25).normal((3, 4))) < 1e-15)
 
     def test_gate_bounded(self):
         slow = MemorySlowWeights.init(8, Rng(26))
@@ -178,8 +178,8 @@ class TestGateAndFuse:
     def test_fuse_with_empty_memory_is_identity(self):
         slow = MemorySlowWeights.init(8, Rng(28))
         st = MemoryState.zeros(slow.d_mem, 8)
-        o = Rng(29).normal(8)
-        assert np.array_equal(fuse(slow, st, o, Rng(30).normal(8)), o)
+        o = Rng(29).normal((2, 8))
+        assert np.array_equal(fuse(slow, st, o, Rng(30).normal((2, 8))), o)
 
     def test_orthogonal_write_readback_residual(self):
         # orthogonal one-hot features: reading with token j's feature returns
@@ -189,9 +189,9 @@ class TestGateAndFuse:
         keys = np.eye(d)
         vals = np.array([[3.0, 0.0, 1.0], [0.0, 2.0, 5.0], [7.0, 1.0, 2.0]])
         st = mem_write(slow, MemoryState.zeros(d, d), keys, vals, lam=1.0)
-        o = np.zeros(d)
+        o = np.zeros((1, d))
         for j in range(d):
-            got = fuse(slow, st, o, keys[j])
+            got = fuse(slow, st, o, keys[j:j + 1])[0]
             want = 0.5 * vals[j] / (1.0 + MEM_EPS)   # neutral gate is 1/2
             assert np.max(np.abs(got - want)) < 1e-9
 
@@ -203,7 +203,8 @@ class TestGateAndFuse:
         q = Rng(35).normal((3, 6))
         rows = fuse(slow, st, o, q)
         for i in range(3):
-            assert np.allclose(rows[i], fuse(slow, st, o[i], q[i]), atol=1e-14)
+            assert np.allclose(rows[i], fuse(slow, st, o[i:i + 1], q[i:i + 1])[0],
+                               atol=1e-14)
 
 
 class TestTokensFromEvicted:

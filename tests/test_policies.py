@@ -40,6 +40,13 @@ def reference_snapkv(q_window, keys, scale_dim, L):
     return out
 
 
+def prefill_snapkv(q_window, keys):
+    """snapkv whose w queries sit at the newest w of the L cached
+    positions 0..L-1, as in a prefill."""
+    w, n = q_window.shape[1], keys.shape[1]
+    return score_snapkv(q_window, keys, np.arange(n - w, n), np.arange(n))
+
+
 class TestPolicyId:
     def test_valid(self):
         p = PolicyId("snapkv", window=4)
@@ -61,7 +68,7 @@ class TestSnapkv:
         L, w, n_heads, n_kv, dh = 12, 4, 4, 2, 6
         q = rng.normal((n_heads, L, dh))
         k = rng.normal((n_kv, L, dh))
-        got = score_snapkv(q[:, L - w:, :], k)
+        got = prefill_snapkv(q[:, L - w:, :], k)
         want = reference_snapkv(q[:, L - w:, :], k, n_heads * dh, L)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -69,7 +76,7 @@ class TestSnapkv:
         rng = Rng(31)
         q = rng.normal((4, 5, 6))
         k = rng.normal((2, 20, 6))
-        s = score_snapkv(q, k)
+        s = prefill_snapkv(q, k)
         assert np.allclose(s.sum(axis=1), 1.0, atol=1e-9)
 
     def test_full_window_equals_column_means(self):
@@ -77,7 +84,7 @@ class TestSnapkv:
         L, dh = 10, 4
         q = rng.normal((2, L, dh))
         k = rng.normal((2, L, dh))
-        s = score_snapkv(q, k)
+        s = prefill_snapkv(q, k)
         for g in range(2):
             dense = np.zeros((L, L))
             for i in range(L):
@@ -91,7 +98,7 @@ class TestSnapkv:
         rng = Rng(33)
         q = rng.normal((2, 1, 4))
         k = rng.normal((2, 9, 4))
-        s = score_snapkv(q, k)
+        s = prefill_snapkv(q, k)
         for g in range(2):
             logits = (q[g, 0] @ k[g].T) / math.sqrt(8)
             e = np.exp(logits - logits.max())
@@ -114,7 +121,7 @@ class TestSnapkv:
 
     def test_rejects_oversized_window(self):
         with pytest.raises(ValueError, match="window"):
-            score_snapkv(Rng(36).normal((2, 6, 4)), Rng(37).normal((2, 5, 4)))
+            prefill_snapkv(Rng(36).normal((2, 6, 4)), Rng(37).normal((2, 5, 4)))
 
 
 def _softmax_row(q_row, keys, scale_dim):
@@ -155,7 +162,7 @@ class TestTova:
         q = rng.normal((4, 7, 4))
         k = rng.normal((2, 7, 4))
         tova = score_layer(PolicyId("tova"), k, np.arange(7), prefill_rows(q))
-        snap = score_snapkv(q[:, -1:, :], k)
+        snap = prefill_snapkv(q[:, -1:, :], k)
         assert np.array_equal(tova, aggregate_heads(snap))
 
     def test_single_row_cache(self):
@@ -182,10 +189,6 @@ class TestAggregate:
     def test_sums_heads(self):
         s = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert aggregate_heads(s).tolist() == [4.0, 6.0]
-
-    def test_flat_passthrough(self):
-        s = np.array([1.0, 2.0])
-        assert aggregate_heads(s).tolist() == [1.0, 2.0]
 
 
 class TestSelect:
@@ -238,11 +241,11 @@ class TestDispatch:
         pos = np.arange(10)
         snap = score_layer(PolicyId("snapkv", window=4), k, pos,
                            prefill_rows(q))
-        want = aggregate_heads(score_snapkv(q[:, -4:, :], k))
+        want = aggregate_heads(prefill_snapkv(q[:, -4:, :], k))
         assert np.array_equal(snap, want)
         tova = score_layer(PolicyId("tova"), k, pos, prefill_rows(q))
-        assert np.array_equal(tova, aggregate_heads(score_snapkv(q[:, -1:, :], k)))
-        knorm = score_layer(PolicyId("knorm"), k, pos, None)
+        assert np.array_equal(tova, aggregate_heads(prefill_snapkv(q[:, -1:, :], k)))
+        knorm = score_layer(PolicyId("knorm"), k, pos, prefill_rows(q))
         assert np.array_equal(knorm, aggregate_heads(score_knorm(k)))
 
     def test_window_clips_to_cache(self):
@@ -279,14 +282,6 @@ class TestDispatch:
         s = score_layer(PolicyId("indexer"), k, np.arange(12), rows,
                         params=params, key_feats=key_features(params, x))
         assert np.array_equal(s, indexer_importance(params, x, q_pre))
-
-    def test_no_queries_fall_back_to_key_norm(self):
-        # decode-start compaction hands the query-based policies no rows
-        k = Rng(56).normal((2, 6, 4))
-        knorm = aggregate_heads(score_knorm(k))
-        for name in ("snapkv", "tova", "indexer"):
-            s = score_layer(PolicyId(name), k, np.arange(6), None)
-            assert np.array_equal(s, knorm)
 
     def test_decode_positions_mask_future_keys(self):
         # sparse cached positions: the window query at position 8 must not

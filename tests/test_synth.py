@@ -51,12 +51,6 @@ class TestConstruction:
         (dict(length=8, needle_positions=[2], tail_width=8), "query tail"),
         (dict(length=32, needle_positions=[30], tail_width=8), "precede"),
         (dict(length=32, needle_positions=[-1], tail_width=8), "precede"),
-        (dict(length=32, needle_positions=[3], tail_width=8, needle_cos=0.0),
-         "needle_cos"),
-        (dict(length=32, needle_positions=[3], tail_width=8, needle_cos=1.2),
-         "needle_cos"),
-        (dict(length=32, needle_positions=[3], tail_width=8, ridge=0.0),
-         "ridge"),
     ])
     def test_rejects_bad_arguments(self, kw, msg):
         teacher = retrieval_teacher(2)
@@ -65,8 +59,7 @@ class TestConstruction:
 
     def test_planted_rows_have_boosted_rms(self):
         teacher = retrieval_teacher(2)
-        seq = planted_sequence(teacher, 48, [12], Rng(11), tail_width=8,
-                               needle_scale=4.0, tail_scale=4.0)
+        seq = planted_sequence(teacher, 48, [12], Rng(11), tail_width=8)
         d = 64
         assert np.linalg.norm(seq.x0[12]) == pytest.approx(4.0 * np.sqrt(d))
         for pos in range(40, 48):

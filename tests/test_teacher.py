@@ -76,8 +76,8 @@ def oracle_step(model, x_row, cache, position):
         q_pre = (a_in @ layer.w_q).reshape(n, cfg.n_heads, dh).transpose(1, 0, 2)
         k_pre = (a_in @ layer.w_k).reshape(n, cfg.n_kv_heads, dh).transpose(1, 0, 2)
         v = (a_in @ layer.w_v).reshape(n, cfg.n_kv_heads, dh).transpose(1, 0, 2)
-        q = rope_apply(q_pre, [position], cfg.rope_base)
-        k = rope_apply(k_pre, [position], cfg.rope_base)
+        q = rope_apply(q_pre, [position])
+        k = rope_apply(k_pre, [position])
         cache.append(idx, k, v, [position])
         o = per_head_attention(q, cache.keys(idx), cache.values(idx), cfg.d_model)
         fields["x_in"].append(x[0])
@@ -464,7 +464,8 @@ class TestLogitScale:
         # snapkv over the last 4 queries: mean attention row per query head,
         # then mean over the 4 query heads of each kv head
         snap = weights[:, 8:].mean(axis=1).reshape(2, 4, 12).mean(axis=1)
-        assert close(score_snapkv(q[:, 8:], k), snap)
+        assert close(score_snapkv(q[:, 8:], k, np.arange(8, 12), np.arange(12)),
+                     snap)
         # the teacher target: max causal logit over heads and queries
         imp = logits.max(axis=(0, 1))
         assert close(pooled_teacher_importance(q, k), imp)
