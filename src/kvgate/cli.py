@@ -24,12 +24,10 @@ from .checkpoint import (
     unpack_memory,
 )
 from .config import ConfigError, load_config
-from .episodes import FullRun, episode_loss
 from .harness import (
-    build_episode_sets,
     decode_run,
-    eval_sequences,
     init_memory,
+    memory_eval_losses,
     selftest,
     sweep_run,
     train_indexer_run,
@@ -108,19 +106,9 @@ def cmd_train_memory(args) -> int:
                   [make_record("memory_loss", cfg.config_hash, cfg.seed, row)
                    for row in result["curve"]])
 
-    teacher = result["teacher"]
-    runs = (FullRun.of(teacher, x0, cfg.eval_start)
-            for x0, _ in eval_sequences(cfg, teacher))
-    eval_eps = build_episode_sets(cfg, runs, params_by_layer=result["params"])
-    fresh = init_memory(cfg)
-
-    def split_loss(memories):
-        per = [episode_loss(memories[li], ep, eta=cfg.eta)
-               for li, eps in enumerate(eval_eps) for ep in eps]
-        return float(sum(per) / len(per))
-
-    loss_init = split_loss(fresh)
-    loss_trained = split_loss(result["memories"])
+    loss_init, loss_trained = memory_eval_losses(
+        cfg, result["teacher"], result["params"],
+        (init_memory(cfg), result["memories"]))
     write_records(out / "train_memory_eval.jsonl", [
         make_record("memory_eval", cfg.config_hash, cfg.seed, {
             "split": "eval",
@@ -209,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="keep indexer tensors exactly as loaded")
         if threads:
             cmd.add_argument("--threads", type=int, default=1,
-                             help="worker threads across sweep points")
+                             help="worker threads across the sweep points "
+                                  "of each eval sequence")
         cmd.set_defaults(func=func)
         return cmd
 

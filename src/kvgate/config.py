@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .cache import CompressionPlan
@@ -150,8 +151,9 @@ class ExperimentConfig:
     decode_budgets: tuple
     canonical: dict
 
-    @property
+    @cached_property
     def config_hash(self) -> str:
+        """Digest of the canonical form, computed once per config."""
         hashed = dict(self.canonical)
         for section, values in _RETIRED.items():
             hashed[section] = {**hashed.get(section, {}), **values}

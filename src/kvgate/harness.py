@@ -66,20 +66,18 @@ def input_sequence(cfg: ExperimentConfig, teacher: TeacherModel, rng: Rng,
     return planted.x0, planted.planted
 
 
-def training_sequences(cfg: ExperimentConfig, teacher: TeacherModel) -> list:
-    out = []
+def training_sequences(cfg: ExperimentConfig, teacher: TeacherModel):
+    """Each training sequence's ``(x0, planted)``, made when it is reached."""
     for i in range(cfg.n_train):
         rng = Rng(cfg.seed).split(TRAIN_STREAM + i)
-        out.append(input_sequence(cfg, teacher, rng, n_needles=2))
-    return out
+        yield input_sequence(cfg, teacher, rng, n_needles=2)
 
 
-def eval_sequences(cfg: ExperimentConfig, teacher: TeacherModel) -> list:
-    out = []
+def eval_sequences(cfg: ExperimentConfig, teacher: TeacherModel):
+    """Each eval sequence's ``(x0, planted)``, made when it is reached."""
     for s in range(cfg.n_eval):
         rng = Rng(cfg.seed).split(EVAL_STREAM + s)
-        out.append(input_sequence(cfg, teacher, rng, n_needles=1))
-    return out
+        yield input_sequence(cfg, teacher, rng, n_needles=1)
 
 
 def batches_by_layer(teacher: TeacherModel, traces, sink_count: int) -> list:
@@ -165,6 +163,24 @@ def _drain(items: list):
         yield items.pop()
 
 
+def sequence_scores(cfg: ExperimentConfig, policy: PolicyId,
+                    full_run: FullRun, s: int, params_by_layer=None) -> list:
+    """Eval-prefix scores of sequence ``s`` under ``policy``, per layer; a
+    scorer that draws does so from the sequence's own stream."""
+    return layer_scores(cfg, policy, full_run.trace, full_run.eval_start,
+                        params_by_layer=params_by_layer,
+                        rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
+
+
+def sequence_episodes(full_run: FullRun, plan: CompressionPlan,
+                      scores: list) -> tuple:
+    """``(keeps, episodes)``, one per layer, of one sequence compressed by
+    ``plan`` under its :func:`sequence_scores`."""
+    prefix = np.arange(full_run.eval_start)
+    keeps = [select(plan, sc, prefix) for sc in scores]
+    return keeps, prefill_episodes(full_run, keeps)
+
+
 def build_episode_sets(cfg: ExperimentConfig, runs,
                        params_by_layer=None) -> list:
     """Per-layer episode lists for the configured policy at the plan ratio.
@@ -176,12 +192,8 @@ def build_episode_sets(cfg: ExperimentConfig, runs,
     policy = make_policy(cfg)
     per_layer = [[] for _ in range(cfg.teacher.n_layers)]
     for s, full_run in enumerate(runs):
-        scores = layer_scores(cfg, policy, full_run.trace, cfg.eval_start,
-                              params_by_layer=params_by_layer,
-                              rng_parent=Rng(cfg.policy_seed).split(POLICY_STREAM + s))
-        keeps = [select(cfg.plan, sc, np.arange(cfg.eval_start))
-                 for sc in scores]
-        eps = prefill_episodes(full_run, keeps)
+        scores = sequence_scores(cfg, policy, full_run, s, params_by_layer)
+        _, eps = sequence_episodes(full_run, cfg.plan, scores)
         for li in range(cfg.teacher.n_layers):
             per_layer[li].append(eps[li])
     return per_layer
@@ -220,6 +232,34 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
             "teacher": teacher}
 
 
+def memory_eval_losses(cfg: ExperimentConfig, teacher: TeacherModel,
+                       params_by_layer, memory_sets) -> list:
+    """Mean eval-episode loss of each memory list in ``memory_sets``.
+
+    The eval sequences are episoded one at a time under the configured
+    policy and plan, and only their loss scalars are kept, so one
+    sequence's run and episodes are alive at a time. Each mean sums its
+    losses layer by layer, each layer's in sequence order.
+    """
+    policy = make_policy(cfg)
+    losses = [[[] for _ in range(cfg.teacher.n_layers)] for _ in memory_sets]
+    for s, (x0, _) in enumerate(eval_sequences(cfg, teacher)):
+        full_run = FullRun.of(teacher, x0, cfg.eval_start)
+        scores = sequence_scores(cfg, policy, full_run, s, params_by_layer)
+        _, eps = sequence_episodes(full_run, cfg.plan, scores)
+        del full_run, scores
+        for memories, per_layer in zip(memory_sets, losses):
+            for li, ep in enumerate(eps):
+                per_layer[li].append(episode_loss(memories[li], ep,
+                                                  eta=cfg.eta))
+        del eps
+    means = []
+    for per_layer in losses:
+        per = [loss for layer in per_layer for loss in layer]
+        means.append(float(sum(per) / len(per)))
+    return means
+
+
 def _accounting(cfg: ExperimentConfig, keep_counts, policy: PolicyId,
                 params_by_layer, memories) -> dict:
     d_head = cfg.teacher.d_head
@@ -247,87 +287,122 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
               threads: int = 1) -> list:
     """Metrics records for every (policy, ratio) grid point.
 
-    Each piece of work runs once at the level it depends on:
+    One pass over the eval sequences, one sequence at a time. Each piece of
+    work runs once at the level it depends on:
 
     - per eval sequence: the teacher trace, each layer's full-cache output
       (a :class:`~kvgate.episodes.FullRun`) and the teacher's pooled
       importance;
     - per (policy, sequence): the layer scores and their KL against the
       teacher's importance, so the random policy draws its stream once;
-    - per (policy, ratio) point: the keep sets, the episodes and the
-      metrics that read them.
+    - per (policy, ratio) point and sequence: the keep sets, the episodes
+      and the metrics that read them.
 
-    With ``threads > 1`` the points are spread over a pool and collected in
-    submission order, so the records do not depend on the thread count.
+    A point keeps only its per-layer scalars, in (sequence, layer) order,
+    so a sequence's run and episodes are freed once its points are done.
+    With ``threads > 1`` one pool, made once, spreads each sequence's
+    points; results are collected in submission order, so the records do
+    not depend on the thread count.
     """
     teacher = TeacherModel(cfg.teacher)
-    sequences = eval_sequences(cfg, teacher)
     upto = cfg.eval_start
-    prefix = np.arange(upto)
     support = np.arange(cfg.plan.sink_count, upto)
     names = sweep_policies(cfg)
+    policies = {name: make_policy(cfg, name) for name in names}
+    plans = {ratio: replace(cfg.plan, ratio=ratio) for ratio in SWEEP_RATIOS}
+    points = [(name, ratio) for name in names for ratio in SWEEP_RATIOS]
+    mse_attn = {point: [] for point in points}
+    mse_fused = {point: [] for point in points}
+    recalls = {point: [] for point in points}
+    keep_counts = {}     # per point, the last sequence's
+    kls = {name: [] for name in names}
+    # Sequence index -> (full_run, planted, scores by policy) while its
+    # points run. Tasks look their sequence up here rather than holding it,
+    # so a sequence is freed as soon as its points are collected.
+    live = {}
 
-    # Built here, not on the pool: when pool threads made these arrays, which
-    # outlive the threads, a process that swept repeatedly grew its peak RSS
-    # with every call (85 -> 93 MB over 12 sweep-planted calls).
-    per_seq = []
-    for s, (x0, _) in enumerate(sequences):
+    def eval_point(point, s):
+        full_run, planted, scored = live[s]
+        keeps, eps = sequence_episodes(full_run, plans[point[1]],
+                                       scored[point[0]])
+        fused = ([episode_loss(memories[li], ep, eta=cfg.eta)
+                  for li, ep in enumerate(eps)] if memories is not None
+                 else [])
+        return ([plain_mse(ep) for ep in eps], fused,
+                [retention_recall(keep, planted) for keep in keeps],
+                [keep.size for keep in keeps])
+
+    def prepare(s, x0, planted) -> None:
+        # Built here, not on the pool: when pool threads made arrays that
+        # outlive the threads, a process that swept repeatedly grew its
+        # peak RSS with every call (85 -> 93 MB over 12 sweep-planted calls).
         full_run = FullRun.of(teacher, x0, upto)
         teacher_imp = [pooled_teacher_importance(lt.q[:, :upto, :],
                                                  lt.k[:, :upto, :])
                        for lt in full_run.trace.layers]
         scored = {}
-        for name in names:
-            policy = make_policy(cfg, name)
-            scores = layer_scores(cfg, policy, full_run.trace, upto,
-                                  params_by_layer=params_by_layer,
-                                  rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
-            scored[name] = (scores, [kl_divergence(imp[support], sc[support])
-                                     for imp, sc in zip(teacher_imp, scores)])
-        per_seq.append((full_run, scored))
+        for name, policy in policies.items():
+            scored[name] = sequence_scores(cfg, policy, full_run, s,
+                                           params_by_layer)
+            kls[name].extend(kl_divergence(imp[support], sc[support])
+                             for imp, sc in zip(teacher_imp, scored[name]))
+        live[s] = (full_run, planted, scored)
 
-    def eval_point(point):
+    def collect(s, results) -> None:
+        for point, (attn, fused, recall, counts) in zip(points, results):
+            mse_attn[point].extend(attn)
+            mse_fused[point].extend(fused)
+            recalls[point].extend(recall)
+            keep_counts[point] = counts
+        del live[s]
+
+    sequences = enumerate(eval_sequences(cfg, teacher))
+    if threads == 1:
+        for s, (x0, planted) in sequences:
+            prepare(s, x0, planted)
+            collect(s, [eval_point(point, s) for point in points])
+    else:
+        # Sequence s is prepared here while the pool runs the points of
+        # s - 1, and its points are queued before those are collected, so
+        # the pool is not left idle at a sequence boundary. At most two
+        # sequences are live.
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            queued = []
+            for s, (x0, planted) in sequences:
+                prepare(s, x0, planted)
+                queued.append((s, [pool.submit(eval_point, point, s)
+                                   for point in points]))
+                if len(queued) == 2:
+                    done, futures = queued.pop(0)
+                    collect(done, (future.result() for future in futures))
+            for done, futures in queued:
+                collect(done, (future.result() for future in futures))
+
+    # The rule at ratio 1 keeps exactly the forced rows.
+    forced = select(replace(cfg.plan, ratio=1.0), np.zeros(upto),
+                    np.arange(upto)).size
+    candidates = upto - forced
+    records = []
+    for point in points:
         name, ratio = point
-        policy = make_policy(cfg, name)
-        plan = replace(cfg.plan, ratio=ratio)
-        # The rule at ratio 1 keeps exactly the forced rows.
-        forced = select(replace(plan, ratio=1.0), np.zeros(upto), prefix).size
-        candidates = upto - forced
-        mse_attn, mse_fused, recalls = [], [], []
-        for s, (_, planted) in enumerate(sequences):
-            full_run, scored = per_seq[s]
-            keeps = [select(plan, sc, prefix) for sc in scored[name][0]]
-            eps = prefill_episodes(full_run, keeps)
-            keep_counts = [k.size for k in keeps]
-            kept_fraction = ((keeps[0].size - forced) / candidates
-                             if candidates else 1.0)
-            for li in range(cfg.teacher.n_layers):
-                mse_attn.append(plain_mse(eps[li]))
-                if memories is not None:
-                    mse_fused.append(episode_loss(memories[li], eps[li],
-                                                  eta=cfg.eta))
-                recalls.append(retention_recall(keeps[li], planted))
+        kept_fraction = ((keep_counts[point][0] - forced) / candidates
+                         if candidates else 1.0)
         fields = {
             "policy": name,
             "ratio": ratio,
-            "recon_attn": float(np.mean(mse_attn)),
-            "recon_fused": (float(np.mean(mse_fused)) if memories is not None
-                            else float(np.mean(mse_attn))),
-            "recall": float(np.mean(recalls)),
+            "recon_attn": float(np.mean(mse_attn[point])),
+            "recon_fused": float(np.mean(mse_fused[point]
+                                         if memories is not None
+                                         else mse_attn[point])),
+            "recall": float(np.mean(recalls[point])),
             "kept_fraction": float(kept_fraction),
-            "pooled_kl": float(np.mean([kl for _, scored in per_seq
-                                        for kl in scored[name][1]])),
-            "n_sequences": len(sequences),
+            "pooled_kl": float(np.mean(kls[name])),
+            "n_sequences": cfg.n_eval,
         }
-        fields.update(_accounting(cfg, keep_counts, policy,
+        fields.update(_accounting(cfg, keep_counts[point], policies[name],
                                   params_by_layer, memories))
-        return make_record("sweep", cfg.config_hash, cfg.seed, fields)
-
-    points = [(name, ratio) for name in names for ratio in SWEEP_RATIOS]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(eval_point, points))
-    return [eval_point(p) for p in points]
+        records.append(make_record("sweep", cfg.config_hash, cfg.seed, fields))
+    return records
 
 
 def _window_queries(window, layer: int, s: int) -> QueryRows:

@@ -41,6 +41,34 @@ def test_harness_exposes_thread_pool():
     assert "ThreadPoolExecutor" in vars(harness)
 
 
+def test_sweep_submits_its_points_through_the_harness_pool(monkeypatch):
+    # The tracer swaps harness.ThreadPoolExecutor for a pool that times its
+    # tasks; harness.sweep_run.thread_busy_ratio reads those times, so the
+    # sweep's point work must be submitted through that name, from one pool.
+    harness = importlib.import_module("kvgate.harness")
+    config = importlib.import_module("kvgate.config")
+    counts = {"pools": 0, "submits": 0}
+
+    class CountingPool(harness.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts["pools"] += 1
+
+        def submit(self, fn, /, *args, **kwargs):
+            counts["submits"] += 1
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+    cfg = config.parse_config({
+        "version": 1, "seed": 3, "policy": {"name": "knorm"},
+        "teacher": {"n_layers": 2, "d_model": 16, "n_heads": 4,
+                    "n_kv_heads": 2, "d_ffn": 32, "vocab_size": 12},
+        "plan": {"ratio": 0.5, "sink_count": 2, "local_window": 4},
+        "data": {"kind": "tokens", "length": 30, "n_train": 1, "n_eval": 2}})
+    records = harness.sweep_run(cfg, threads=2)
+    assert counts == {"pools": 1, "submits": len(records) * cfg.n_eval}
+
+
 def test_decode_step_attention_goes_through_traced_names(monkeypatch):
     # The tracer counts teacher.attend_rows and cache.KvCache.append, once
     # per simulation, layer and step; a decode step that reached the kernel

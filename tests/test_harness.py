@@ -1,13 +1,16 @@
 """Experiment drivers: data generation, training runs, sweeps, decode."""
 
 import gc
+import hashlib
 import json
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import kvgate.config as config_module
 import kvgate.harness as harness
 from kvgate.cache import DecodeSchedule, KvCache, budget_compress
 from kvgate.cli import EXIT_DIVERGENCE, main
@@ -22,9 +25,11 @@ from kvgate.harness import (
     decode_run,
     eval_sequences,
     init_indexer,
+    init_memory,
     input_sequence,
     layer_scores,
     make_policy,
+    memory_eval_losses,
     selftest,
     sweep_run,
     train_indexer_run,
@@ -238,13 +243,13 @@ class TestData:
             input_sequence(tight, teacher, Rng(3))
 
     def test_sequence_counts(self, cfg, teacher):
-        assert len(training_sequences(cfg, teacher)) == cfg.n_train
-        assert len(eval_sequences(cfg, teacher)) == cfg.n_eval
+        assert len(list(training_sequences(cfg, teacher))) == cfg.n_train
+        assert len(list(eval_sequences(cfg, teacher))) == cfg.n_eval
 
     def test_train_and_eval_streams_differ(self, cfg, teacher):
-        train = training_sequences(cfg, teacher)
-        evals = eval_sequences(cfg, teacher)
-        assert not np.array_equal(train[0][0], evals[0][0])
+        train = next(training_sequences(cfg, teacher))
+        evals = next(eval_sequences(cfg, teacher))
+        assert not np.array_equal(train[0], evals[0])
 
 
 class TestLayerScores:
@@ -449,7 +454,7 @@ class TestSweepFromScratch:
             (name, ratio) for name in ("snapkv", "knorm", "random")
             for ratio in SWEEP_RATIOS]
         teacher = TeacherModel(cfg.teacher)
-        sequences = eval_sequences(cfg, teacher)
+        sequences = list(eval_sequences(cfg, teacher))
         upto = cfg.eval_start
         prefix = np.arange(upto)
         support = np.arange(cfg.plan.sink_count, upto)
@@ -483,6 +488,86 @@ class TestSweepFromScratch:
                 for k in keeps)
         assert any(r["recon_fused"] != r["recon_attn"] for r in records)
         assert len({r["recall"] for r in records}) > 1
+
+
+class TestStreamedEval:
+    """The sweep and the memory eval hold one sequence's run at a time."""
+
+    @pytest.fixture
+    def alive_at_build(self, monkeypatch):
+        """(runs, episodes) still alive at each ``FullRun.of`` call."""
+        runs, episodes, counts = [], [], []
+        build = FullRun.of.__func__
+        prefill = harness.prefill_episodes
+
+        def alive(refs):
+            return sum(ref() is not None for ref in refs)
+
+        def of(cls, *args, **kwargs):
+            counts.append((alive(runs), alive(episodes)))
+            run = build(cls, *args, **kwargs)
+            runs.append(weakref.ref(run))
+            return run
+
+        def tracked(*args, **kwargs):
+            eps = prefill(*args, **kwargs)
+            episodes.extend(weakref.ref(ep) for ep in eps)
+            return eps
+
+        monkeypatch.setattr(FullRun, "of", classmethod(of))
+        monkeypatch.setattr(harness, "prefill_episodes", tracked)
+        return counts
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_frees_each_run_before_the_next(self, alive_at_build,
+                                                  threads):
+        cfg = small_config(policy={"name": "knorm"}, data={"n_eval": 4})
+        records = sweep_run(cfg, threads=threads)
+        assert len(alive_at_build) == cfg.n_eval
+        assert max(runs for runs, _ in alive_at_build) <= 1
+        assert max(eps for _, eps in alive_at_build) <= cfg.teacher.n_layers
+        assert all(r["n_sequences"] == cfg.n_eval for r in records)
+
+    def test_train_memory_eval_frees_each_run_before_the_next(
+            self, alive_at_build, tmp_path):
+        # One training sequence, so the training runs, which the indexer
+        # re-fit holds together, are one run too.
+        raw = raw_config(data={"n_train": 1, "n_eval": 4},
+                         train={"indexer_steps": 2, "mem_steps": 2})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = str(tmp_path / "out")
+        assert main(["train-indexer", "--config", str(config),
+                     "--out", out]) == 0
+        assert main(["train-memory", "--config", str(config), "--out", out,
+                     "--checkpoint", str(tmp_path / "out" / "indexer.kvgt")]) == 0
+        assert len(alive_at_build) == 1 + 4
+        assert max(runs for runs, _ in alive_at_build) <= 1
+        assert max(eps for _, eps in alive_at_build) <= raw["teacher"]["n_layers"]
+
+    def test_eval_draws_each_sequence_own_policy_stream(self, teacher):
+        cfg = small_config(policy={"name": "random"}, data={"n_eval": 3})
+        memory_sets = (init_memory(cfg), train_memory_run(cfg, None)["memories"])
+
+        def runs():
+            return (FullRun.of(teacher, x0, cfg.eval_start)
+                    for x0, _ in eval_sequences(cfg, teacher))
+
+        def mean_loss(memories, eval_eps):
+            per = [episode_loss(memories[li], ep, eta=cfg.eta)
+                   for li, eps in enumerate(eval_eps) for ep in eps]
+            return float(sum(per) / len(per))
+
+        over_all = build_episode_sets(cfg, runs())
+        expected = [mean_loss(m, over_all) for m in memory_sets]
+        assert memory_eval_losses(cfg, teacher, None, memory_sets) == expected
+        # Episoding each sequence on its own restarts the stream at 0,
+        # which moves the losses.
+        restarted = [[] for _ in range(cfg.teacher.n_layers)]
+        for run in runs():
+            for li, eps in enumerate(build_episode_sets(cfg, [run])):
+                restarted[li].extend(eps)
+        assert [mean_loss(m, restarted) for m in memory_sets] != expected
 
 
 class TestDecode:
@@ -526,6 +611,21 @@ class TestDecode:
 
     def test_determinism(self, sweep_cfg, decode_records):
         assert decode_run(sweep_cfg) == decode_records
+
+    def test_hashes_the_config_once(self, monkeypatch):
+        blobs = []
+
+        def sha256(blob):
+            blobs.append(blob)
+            return hashlib.sha256(blob)
+
+        monkeypatch.setattr(config_module, "hashlib",
+                            SimpleNamespace(sha256=sha256))
+        records = decode_run(small_config(policy={"name": "knorm"}))
+        assert len(records) > 1
+        assert len(blobs) == 1
+        assert {r["config"] for r in records} == {
+            hashlib.sha256(blobs[0]).hexdigest()[:16]}
 
     def test_indexer_scored_decode_obeys_bounds(self, cfg):
         idx_cfg = small_config(policy={"name": "indexer"})
