@@ -27,9 +27,10 @@ DATA_KINDS = ("tokens", "planted")
 # config keeps the hash its records carried before the knobs were retired.
 _RETIRED = {
     "plan": {"budget": None},
-    "policy": {"head_pool": "mean"},
+    "policy": {"head_pool": "mean", "window": 8, "seed": 0},
     "agg": {"mode": "none", "gamma": 0.5, "prob": "softmax"},
-    "train": {"head_sum": False, "stop_write_grad": False, "lam": 0.95},
+    "train": {"head_sum": False, "stop_write_grad": False, "lam": 0.95,
+              "param_seed": 42},
 }
 
 
@@ -49,17 +50,16 @@ _SCHEMA = {
         "ratio": 0.5, "sink_count": 4, "local_window": 8,
     },
     "policy": {
-        "name": "indexer", "window": 8, "seed": 0,
+        "name": "indexer",
     },
     "reuse": {
         "group_size": 1,
     },
     "data": {
         "kind": "tokens", "length": 128, "n_train": 64, "n_eval": 32,
-        "eval_start": None,
     },
     "train": {
-        "h_index": None, "d_index": None, "d_mem": None, "param_seed": 42,
+        "h_index": None, "d_index": None, "d_mem": None,
         "indexer_steps": 600, "indexer_peak": 1e-3,
         "mem_steps": 300, "mem_lr": 0.05, "eta": 1.0,
     },
@@ -130,8 +130,6 @@ class ExperimentConfig:
     teacher: TeacherConfig
     plan: CompressionPlan
     policy_name: str
-    policy_window: int
-    policy_seed: int
     reuse_group_size: int
     data_kind: str
     data_length: int
@@ -141,7 +139,6 @@ class ExperimentConfig:
     h_index: int | None
     d_index: int | None
     d_mem: int | None
-    param_seed: int
     indexer_steps: int
     indexer_peak: float
     mem_steps: int
@@ -198,13 +195,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
              f"data.kind must be one of {DATA_KINDS}")
 
     length = _as_int(tree, "data", "length", 2)
-    eval_start = _as_int(tree, "data", "eval_start", 1, optional=True)
-    if eval_start is None:
-        eval_start = (2 * length) // 3
-    _require(eval_start < length, "data.eval_start must fall inside the sequence")
+    eval_start = (2 * length) // 3
     _require(eval_start > plan.sink_count,
-             "data.eval_start must exceed plan.sink_count, so the prefix "
-             "has a key that is not a sink")
+             "data.eval_start, two thirds of data.length, must exceed "
+             "plan.sink_count, so the prefix has a key that is not a sink")
 
     budgets = tree["decode"]["budgets"]
     _require(isinstance(budgets, (list, tuple)) and len(budgets) > 0
@@ -218,6 +212,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(eta > 0.0, "train.eta must be positive")
     _require(peak > 0.0, "train.indexer_peak must be positive")
 
+    # Written into the hashed form, as when it was a settable key.
     tree["data"]["eval_start"] = eval_start
     tree["decode"]["budgets"] = list(budgets)
     return ExperimentConfig(
@@ -226,8 +221,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         teacher=teacher,
         plan=plan,
         policy_name=tree["policy"]["name"],
-        policy_window=_as_int(tree, "policy", "window", 1),
-        policy_seed=_as_seed(tree, "policy", "seed"),
         reuse_group_size=_as_int(tree, "reuse", "group_size", 1),
         data_kind=tree["data"]["kind"],
         data_length=length,
@@ -237,7 +230,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         h_index=_as_int(tree, "train", "h_index", 1, optional=True),
         d_index=_as_int(tree, "train", "d_index", 1, optional=True),
         d_mem=_as_int(tree, "train", "d_mem", 1, optional=True),
-        param_seed=_as_seed(tree, "train", "param_seed"),
         indexer_steps=_as_int(tree, "train", "indexer_steps", 0),
         indexer_peak=peak,
         mem_steps=_as_int(tree, "train", "mem_steps", 0),

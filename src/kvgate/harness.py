@@ -33,7 +33,7 @@ from .indexer import (
 from .memory import MemorySlowWeights, MemoryState
 from .metrics import make_record
 from .numerics import DivergenceError, Rng, kl_divergence, rmsnorm
-from .policies import PolicyId, QueryRows, score_layer, select
+from .policies import QueryRows, score_layer, select
 from .synth import planted_sequence, retention_recall
 from .teacher import TeacherModel, pooled_teacher_importance
 
@@ -42,11 +42,10 @@ SWEEP_RATIOS = (0.0, 0.10, 0.25, 0.50, 0.75, 0.90)
 TRAIN_STREAM = 1000
 EVAL_STREAM = 2000
 POLICY_STREAM = 3000
-
-
-def make_policy(cfg: ExperimentConfig, name: str | None = None) -> PolicyId:
-    return PolicyId(name=name or cfg.policy_name, window=cfg.policy_window,
-                    seed=cfg.policy_seed)
+# Roots of the random policy's streams and of the initial indexer and
+# memory weights; every config had these values when they were settable.
+POLICY_SEED = 0
+PARAM_SEED = 42
 
 
 def input_sequence(cfg: ExperimentConfig, teacher: TeacherModel, rng: Rng,
@@ -92,14 +91,14 @@ def batches_by_layer(teacher: TeacherModel, traces, sink_count: int) -> list:
 
 
 def init_indexer(cfg: ExperimentConfig) -> list:
-    return [IndexerParams.init(cfg.teacher, Rng(cfg.param_seed).split(layer),
+    return [IndexerParams.init(cfg.teacher, Rng(PARAM_SEED).split(layer),
                                h_index=cfg.h_index, d_index=cfg.d_index)
             for layer in range(cfg.teacher.n_layers)]
 
 
 def init_memory(cfg: ExperimentConfig) -> list:
     return [MemorySlowWeights.init(cfg.teacher.d_model,
-                                   Rng(cfg.param_seed).split(100 + layer),
+                                   Rng(PARAM_SEED).split(100 + layer),
                                    d_mem=cfg.d_mem)
             for layer in range(cfg.teacher.n_layers)]
 
@@ -115,30 +114,6 @@ def fit_indexer(cfg: ExperimentConfig, teacher: TeacherModel,
     return [train_indexer(params, per_layer[li], cfg.indexer_steps,
                           cfg.indexer_peak)
             for li, params in enumerate(params_by_layer)]
-
-
-def layer_scores(cfg: ExperimentConfig, policy: PolicyId, trace, upto: int,
-                 params_by_layer=None, rng_parent: Rng | None = None) -> list:
-    """Per-layer importance over the first ``upto`` rows.
-
-    Index reuse shares score computations across layer groups.
-    """
-    if policy.name == "indexer" and params_by_layer is None:
-        raise ConfigError("indexer policy needs a trained checkpoint")
-    positions = np.arange(upto)
-
-    def compute(layer: int) -> np.ndarray:
-        lt = trace.layers[layer]
-        x = lt.x_in[:upto]
-        params = params_by_layer[layer] if policy.name == "indexer" else None
-        return score_layer(
-            policy, lt.k[:, :upto, :], positions,
-            QueryRows(x, lt.q_pre[:, :upto, :], lt.q[:, :upto, :], positions),
-            rng=None if rng_parent is None else rng_parent.split(50 + layer),
-            params=params,
-            key_feats=None if params is None else key_features(params, x))
-
-    return scores_with_reuse(len(trace.layers), cfg.reuse_group_size, compute)
 
 
 def train_indexer_run(cfg: ExperimentConfig) -> dict:
@@ -163,13 +138,35 @@ def _drain(items: list):
         yield items.pop()
 
 
-def sequence_scores(cfg: ExperimentConfig, policy: PolicyId,
-                    full_run: FullRun, s: int, params_by_layer=None) -> list:
-    """Eval-prefix scores of sequence ``s`` under ``policy``, per layer; a
-    scorer that draws does so from the sequence's own stream."""
-    return layer_scores(cfg, policy, full_run.trace, full_run.eval_start,
-                        params_by_layer=params_by_layer,
-                        rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
+def _require_checkpoint(cfg: ExperimentConfig, params_by_layer) -> None:
+    """A stage scoring with the indexer fails here, before any work, when
+    it has no trained weights."""
+    if cfg.policy_name == "indexer" and params_by_layer is None:
+        raise ConfigError("the indexer policy needs a trained checkpoint")
+
+
+def sequence_scores(cfg: ExperimentConfig, name: str, full_run: FullRun,
+                    s: int, params_by_layer=None) -> list:
+    """Eval-prefix scores of sequence ``s`` under the policy ``name``, per
+    layer; a scorer that draws does so from the sequence's own stream.
+
+    Index reuse shares score computations across layer groups.
+    """
+    trace, upto = full_run.trace, full_run.eval_start
+    positions = np.arange(upto)
+    rng_parent = Rng(POLICY_SEED).split(POLICY_STREAM + s)
+
+    def compute(layer: int) -> np.ndarray:
+        lt = trace.layers[layer]
+        x = lt.x_in[:upto]
+        params = params_by_layer[layer] if name == "indexer" else None
+        return score_layer(
+            name, lt.k[:, :upto, :], positions,
+            QueryRows(x, lt.q_pre[:, :upto, :], lt.q[:, :upto, :], positions),
+            rng=rng_parent.split(50 + layer), params=params,
+            key_feats=None if params is None else key_features(params, x))
+
+    return scores_with_reuse(len(trace.layers), cfg.reuse_group_size, compute)
 
 
 def sequence_episodes(full_run: FullRun, plan: CompressionPlan,
@@ -189,10 +186,10 @@ def build_episode_sets(cfg: ExperimentConfig, runs,
     ``cfg.eval_start``, in order; a generator lets each run be freed once
     its episodes are built.
     """
-    policy = make_policy(cfg)
     per_layer = [[] for _ in range(cfg.teacher.n_layers)]
     for s, full_run in enumerate(runs):
-        scores = sequence_scores(cfg, policy, full_run, s, params_by_layer)
+        scores = sequence_scores(cfg, cfg.policy_name, full_run, s,
+                                 params_by_layer)
         _, eps = sequence_episodes(full_run, cfg.plan, scores)
         for li in range(cfg.teacher.n_layers):
             per_layer[li].append(eps[li])
@@ -241,11 +238,11 @@ def memory_eval_losses(cfg: ExperimentConfig, teacher: TeacherModel,
     sequence's run and episodes are alive at a time. Each mean sums its
     losses layer by layer, each layer's in sequence order.
     """
-    policy = make_policy(cfg)
     losses = [[[] for _ in range(cfg.teacher.n_layers)] for _ in memory_sets]
     for s, (x0, _) in enumerate(eval_sequences(cfg, teacher)):
         full_run = FullRun.of(teacher, x0, cfg.eval_start)
-        scores = sequence_scores(cfg, policy, full_run, s, params_by_layer)
+        scores = sequence_scores(cfg, cfg.policy_name, full_run, s,
+                                 params_by_layer)
         _, eps = sequence_episodes(full_run, cfg.plan, scores)
         del full_run, scores
         for memories, per_layer in zip(memory_sets, losses):
@@ -260,13 +257,13 @@ def memory_eval_losses(cfg: ExperimentConfig, teacher: TeacherModel,
     return means
 
 
-def _accounting(cfg: ExperimentConfig, keep_counts, policy: PolicyId,
+def _accounting(cfg: ExperimentConfig, keep_counts, name: str,
                 params_by_layer, memories) -> dict:
     d_head = cfg.teacher.d_head
     kv = sum(int(c) * cfg.teacher.n_kv_heads * d_head * 2 * 8
              for c in keep_counts)
     idx = 0
-    if policy.name == "indexer" and params_by_layer is not None:
+    if name == "indexer" and params_by_layer is not None:
         idx = sum(int(c) * params_by_layer[li].d_index * 8
                   for li, c in enumerate(keep_counts))
     mem = sum(MemoryState.zeros(m.d_mem, m.d_model).nbytes()
@@ -304,11 +301,11 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     points; results are collected in submission order, so the records do
     not depend on the thread count.
     """
+    _require_checkpoint(cfg, params_by_layer)
     teacher = TeacherModel(cfg.teacher)
     upto = cfg.eval_start
     support = np.arange(cfg.plan.sink_count, upto)
     names = sweep_policies(cfg)
-    policies = {name: make_policy(cfg, name) for name in names}
     plans = {ratio: replace(cfg.plan, ratio=ratio) for ratio in SWEEP_RATIOS}
     points = [(name, ratio) for name in names for ratio in SWEEP_RATIOS]
     mse_attn = {point: [] for point in points}
@@ -341,8 +338,8 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
                                                  lt.k[:, :upto, :])
                        for lt in full_run.trace.layers]
         scored = {}
-        for name, policy in policies.items():
-            scored[name] = sequence_scores(cfg, policy, full_run, s,
+        for name in names:
+            scored[name] = sequence_scores(cfg, name, full_run, s,
                                            params_by_layer)
             kls[name].extend(kl_divergence(imp[support], sc[support])
                              for imp, sc in zip(teacher_imp, scored[name]))
@@ -399,7 +396,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
             "pooled_kl": float(np.mean(kls[name])),
             "n_sequences": cfg.n_eval,
         }
-        fields.update(_accounting(cfg, keep_counts[point], policies[name],
+        fields.update(_accounting(cfg, keep_counts[point], name,
                                   params_by_layer, memories))
         records.append(make_record("sweep", cfg.config_hash, cfg.seed, fields))
     return records
@@ -438,8 +435,8 @@ class _Simulation:
         cfg_t = cfg.teacher
         self.budget = budget
         self.name = "reference" if budget is None else f"budget {budget}"
-        self.policy = make_policy(cfg)
-        self.params = params_by_layer if self.policy.name == "indexer" else None
+        self.policy = cfg.policy_name
+        self.params = params_by_layer if self.policy == "indexer" else None
         self.calls = 0
         self.evicted = 0
         self.outputs = np.zeros((cfg.decode_steps, cfg_t.d_model))
@@ -472,13 +469,13 @@ class _Simulation:
     def score(self, layer: int, queries: QueryRows) -> np.ndarray:
         self.calls += 1
         kept = self.cache.positions(layer)
-        if self.params is None:
-            rng = Rng(self.policy.seed).split(4000 + self.calls)
-            return score_layer(self.policy, self.cache.keys(layer), kept,
-                               queries, rng=rng)
+        params = key_feats = None
+        if self.params is not None:
+            params = self.params[layer]
+            key_feats = self.feature_caches[layer].rows_for(kept)
         return score_layer(self.policy, self.cache.keys(layer), kept, queries,
-                           params=self.params[layer],
-                           key_feats=self.feature_caches[layer].rows_for(kept))
+                           rng=Rng(POLICY_SEED).split(4000 + self.calls),
+                           params=params, key_feats=key_feats)
 
     def on_evict(self, layer, keys, values, dropped_positions) -> None:
         self.evicted += dropped_positions.size
@@ -510,7 +507,7 @@ def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
     trace = teacher.forward(x0=x0)
     _finite_row(trace.output[-1], "the prompt")
     prompt_features = []
-    if make_policy(cfg).name == "indexer":
+    if cfg.policy_name == "indexer":
         prompt_features = [key_features(params_by_layer[li], lt.x_in)
                            for li, lt in enumerate(trace.layers)]
     sims = [_Simulation(cfg, budget, trace, params_by_layer, prompt_features)
@@ -551,8 +548,7 @@ def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
 
 def decode_run(cfg: ExperimentConfig, params_by_layer=None) -> list:
     """Budget-sweep decode simulation records, reference included."""
-    if make_policy(cfg).name == "indexer" and params_by_layer is None:
-        raise ConfigError("the indexer policy needs a trained checkpoint")
+    _require_checkpoint(cfg, params_by_layer)
     if min(cfg.decode_budgets) < cfg.plan.sink_count + cfg.plan.local_window:
         raise ConfigError("decode budget must cover the sinks plus the "
                           "local window")

@@ -2,8 +2,10 @@
 
 Every eviction decision has two steps. :func:`score_layer` reduces one
 layer's cached rows to a score vector; it is the only place that dispatches
-on a policy name (snapkv, tova, knorm, random, or the learned indexer), for
-prefill and decode alike. :func:`select` then turns the scores into a keep
+on a policy, for prefill and decode alike. A policy is its name (snapkv,
+tova, knorm, random, or the learned indexer) and nothing else: snapkv's
+query window is :data:`SNAPKV_WINDOW`, and the random policy's stream is
+the caller's. :func:`select` then turns the scores into a keep
 set: the top rows by score plus the forced sinks and trailing local window.
 It is the only keep rule, so two policies that emit the same scores keep the
 same rows. Heuristic scores are computed per kv head and summed across heads
@@ -26,21 +28,8 @@ if TYPE_CHECKING:
     from .cache import CompressionPlan
 
 POLICY_NAMES = ("snapkv", "knorm", "tova", "random", "indexer")
-
-
-@dataclass(frozen=True)
-class PolicyId:
-    """A policy choice plus its parameters, validated up front."""
-
-    name: str
-    window: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.name not in POLICY_NAMES:
-            raise ValueError(f"unknown policy: {self.name!r}")
-        if self.window < 1:
-            raise ValueError("scoring window must be at least 1")
+# The trailing query rows snapkv averages over, clipped to the rows there are.
+SNAPKV_WINDOW = 8
 
 
 def score_snapkv(q_window: np.ndarray, keys: np.ndarray, q_positions,
@@ -132,10 +121,10 @@ class QueryRows:
     positions: np.ndarray  # (n,) absolute positions
 
 
-def score_layer(policy: PolicyId, keys: np.ndarray, key_positions: np.ndarray,
+def score_layer(name: str, keys: np.ndarray, key_positions: np.ndarray,
                 queries: QueryRows, rng: Rng | None = None,
                 params=None, key_feats: np.ndarray | None = None) -> np.ndarray:
-    """One layer's (L,) scores under ``policy``, in prefill or decode.
+    """One layer's (L,) scores under the policy ``name``, in prefill or decode.
 
     Args:
         keys: (n_kv_heads, L, d_head) cached rotated keys at ``key_positions``.
@@ -144,25 +133,27 @@ def score_layer(policy: PolicyId, keys: np.ndarray, key_positions: np.ndarray,
         params / key_feats: the layer's indexer weights and the (L, d_index)
             indexer features of the cached keys.
 
-    snapkv averages attention from the trailing ``policy.window`` queries,
-    tova uses the newest query alone, and the indexer takes each key's max
-    score over every query row.
+    snapkv averages attention from the trailing :data:`SNAPKV_WINDOW`
+    queries, tova uses the newest query alone, and the indexer takes each
+    key's max score over every query row. An unknown name is a ValueError.
     """
-    if policy.name == "random":
+    if name == "random":
         if rng is None:
             raise ValueError("random policy needs an rng")
         return score_random(keys.shape[1], rng)
-    if policy.name == "knorm":
+    if name == "knorm":
         return aggregate_heads(score_knorm(keys))
-    if policy.name == "indexer":
+    if name == "indexer":
         if params is None or key_feats is None:
             raise ValueError("indexer policy needs its weights and key features")
         return importance_from_features(query_features(params, queries.q_pre),
                                         head_gates(params, queries.x),
                                         key_feats, queries.positions,
                                         key_positions)
+    if name not in ("snapkv", "tova"):
+        raise ValueError(f"unknown policy: {name!r}")
     n = queries.positions.size
-    w = 1 if policy.name == "tova" else min(policy.window, n)
+    w = 1 if name == "tova" else min(SNAPKV_WINDOW, n)
     per_head = score_snapkv(queries.q[:, n - w:, :], keys,
                             q_positions=queries.positions[n - w:],
                             key_positions=key_positions)

@@ -35,6 +35,11 @@ TAIL_SCALE = 4.0
 # Regularizer of the alignment solve: larger values trade a little
 # alignment for more ordinary needle key norms.
 RIDGE = 64.0
+# Rows in the trailing query block.
+TAIL_WIDTH = 16
+# Fraction of each needle row's off-alignment energy spent on the shared
+# beacon direction; the rest is fresh noise.
+BEACON_WEIGHT = 0.8
 
 
 @dataclass
@@ -74,26 +79,23 @@ def _orthonormal_to(v: np.ndarray, *basis: np.ndarray) -> np.ndarray:
 
 
 def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
-                     rng: Rng, tail_width: int = 16,
-                     beacon_weight: float = 0.8) -> PlantedSequence:
+                     rng: Rng) -> PlantedSequence:
     """Build a planted-retrieval sequence for ``teacher``.
 
     Args:
-        length: total sequence length (filler + needles + query tail).
+        length: total sequence length (filler + needles + a query tail of
+            :data:`TAIL_WIDTH` rows).
         needle_positions: rows to plant; must precede the query tail.
         rng: drives filler, tail noise, and the residual needle noise.
-        tail_width: size of the trailing query block.
-        beacon_weight: fraction of the off-alignment energy spent on the
-            shared beacon direction (the rest is fresh noise).
 
     Returns a :class:`PlantedSequence`. Deterministic in (teacher, args, rng).
     """
     cfg = teacher.config
     needles = np.asarray(sorted(set(np.asarray(needle_positions, dtype=np.int64).tolist())),
                          dtype=np.int64)
-    tail_start = length - tail_width
-    if tail_width < 1 or tail_start < 1:
-        raise ValueError("query tail must be nonempty and leave room for context")
+    tail_start = length - TAIL_WIDTH
+    if tail_start < 1:
+        raise ValueError("the query tail must leave room for context")
     if needles.size and (needles[0] < 0 or needles[-1] >= tail_start):
         raise ValueError("needle positions must precede the query tail")
 
@@ -154,7 +156,7 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
         b_perp = _orthonormal_to(beacon, aligned)
         n_perp = _orthonormal_to(rng.normal((cfg.d_model,)), aligned, b_perp)
         rest = np.sqrt(1.0 - NEEDLE_COS**2)
-        w_b = beacon_weight * rest
+        w_b = BEACON_WEIGHT * rest
         w_n = np.sqrt(max(0.0, rest**2 - w_b**2))
         direction = NEEDLE_COS * aligned + w_b * b_perp + w_n * n_perp
         x0[t] = NEEDLE_SCALE * np.sqrt(cfg.d_model) * _unit(direction)

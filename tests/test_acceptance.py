@@ -37,7 +37,8 @@ from kvgate.memory import MEM_EPS, MemorySlowWeights, MemoryState, mem_read, \
 from kvgate.metrics import read_records
 from kvgate.numerics import Rng
 from kvgate.policies import aggregate_heads, score_knorm, select
-from kvgate.synth import planted_sequence, retention_recall
+import kvgate.synth as synth
+from kvgate.synth import TAIL_WIDTH, planted_sequence, retention_recall
 from kvgate.teacher import TeacherConfig, TeacherModel, attend_rows, kv_head_of
 
 
@@ -333,11 +334,13 @@ def test_trained_memory_beats_attention_only_reconstruction():
     assert 1.0 - fused_total / plain_total >= 0.10
 
 
-def test_trained_indexer_beats_untrained_and_heuristic_retention():
+def test_trained_indexer_beats_untrained_and_heuristic_retention(monkeypatch):
     cfg = TeacherConfig(n_layers=4, d_model=64, n_heads=4, n_kv_heads=2,
                         d_ffn=128, seed=0)
     teacher = TeacherModel(cfg)
-    length, tail, sinks, beacon = 96, 16, 4, 0.95
+    length, tail, sinks = 96, TAIL_WIDTH, 4
+    # These needles lean harder on the shared beacon than the pipeline's.
+    monkeypatch.setattr(synth, "BEACON_WEIGHT", 0.95)
 
     traces = []
     for i in range(16):
@@ -345,8 +348,7 @@ def test_trained_indexer_beats_untrained_and_heuristic_retention():
         if i < 12:
             needles = sorted(set(
                 rng.split(99).integers(sinks, length - tail, 2).tolist()))
-            x0 = planted_sequence(teacher, length, needles, rng,
-                                  tail_width=tail, beacon_weight=beacon).x0
+            x0 = planted_sequence(teacher, length, needles, rng).x0
         else:
             x0 = rng.normal((length, cfg.d_model))
         traces.append(teacher.forward(x0=x0))
@@ -365,8 +367,7 @@ def test_trained_indexer_beats_untrained_and_heuristic_retention():
     for s in range(50):
         rng = Rng(9000).split(s)
         needle = int(rng.split(99).integers(sinks, length - tail, 1)[0])
-        seq = planted_sequence(teacher, length, [needle], rng,
-                               tail_width=tail, beacon_weight=beacon)
+        seq = planted_sequence(teacher, length, [needle], rng)
         trace = teacher.forward(x0=seq.x0)
         per_layer = batches_by_layer(teacher, [trace], sinks)
         kl_trained, kl_untrained = 0.0, 0.0

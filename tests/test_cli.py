@@ -490,6 +490,10 @@ class TestErrorPaths:
         ("train", {"lam": 0.95}, "lam"),
         ("data", {"kind": "gauss"}, "data.kind"),
         ("plan", {"budget": 48}, "budget"),
+        ("policy", {"window": 8}, "window"),
+        ("policy", {"seed": 0}, "seed"),
+        ("train", {"param_seed": 42}, "param_seed"),
+        ("data", {"eval_start": 20}, "eval_start"),
     ])
     def test_retired_config_key(self, tmp_path, capsys, section, value, key):
         # One JSON line on stderr, so no traceback either.
@@ -660,7 +664,8 @@ class TestErrorPaths:
 
     def test_eval_start_among_the_sinks(self, tmp_path, capsys):
         # A prefix of sinks alone used to train to a zero loss and exit 0.
-        config = write_config(tmp_path, data={"eval_start": 2})
+        # eval_start is two thirds of the length: 2, against 2 sinks.
+        config = write_config(tmp_path, data={"length": 3})
         code = run("train-indexer", "--config", config,
                    "--out", tmp_path / "out")
         assert code == EXIT_CONFIG

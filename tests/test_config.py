@@ -1,5 +1,6 @@
 """Strict config parsing, defaults, and the canonical hash."""
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -21,6 +22,20 @@ def minimal():
     return {"version": 1}
 
 
+def load_file_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up by name while it is being built.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_config() -> dict:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
 class TestParsing:
     def test_minimal_gets_defaults(self):
         cfg = parse_config(minimal())
@@ -40,7 +55,7 @@ class TestParsing:
             "seed": 7,
             "plan": {"ratio": 0.25, "sink_count": 2},
             "teacher": {"d_model": 32, "d_ffn": 64},
-            "data": {"length": 60, "eval_start": 40},
+            "data": {"length": 60},
             "train": {"eta": 0.9, "mem_lr": 0.1},
         })
         assert cfg.seed == 7
@@ -132,6 +147,13 @@ class TestParsing:
         # set; unknown at any value, its old default included.
         ({"plan": {"budget": 48}}, "budget"),
         ({"plan": {"budget": None}}, "budget"),
+        # Retired: constants every program used; unknown at any value,
+        # their old defaults included.
+        ({"policy": {"window": 8}}, "window"),
+        ({"policy": {"seed": 0}}, "seed"),
+        ({"train": {"param_seed": 42}}, "param_seed"),
+        ({"data": {"eval_start": 85}}, "eval_start"),
+        ({"data": {"eval_start": None}}, "eval_start"),
     ])
     def test_bad_values_rejected(self, patch, needle):
         raw = {**minimal(), **patch}
@@ -154,18 +176,21 @@ class TestParsing:
         assert cfg.canonical["decode"]["interval"] == 16
 
     def test_eval_start_must_be_inside(self):
-        with pytest.raises(ConfigError, match="eval_start"):
-            parse_config({"version": 1,
-                          "data": {"length": 32, "eval_start": 32}})
+        # eval_start is two thirds of the length, so it always is.
+        for length in range(2, 40):
+            cfg = parse_config({"version": 1, "plan": {"sink_count": 0},
+                                "data": {"length": length}})
+            assert 0 < cfg.eval_start < length
+            assert cfg.eval_start == (2 * length) // 3
 
     def test_eval_start_must_pass_the_sinks(self):
         # A prefix of sinks alone leaves the eval nothing to evict or score.
-        for eval_start in (2, 3):
+        for length in (4, 5):  # eval_start 2 and 3
             with pytest.raises(ConfigError, match="eval_start.*sink_count"):
                 parse_config({"version": 1, "plan": {"sink_count": 3},
-                              "data": {"length": 8, "eval_start": eval_start}})
+                              "data": {"length": length}})
         cfg = parse_config({"version": 1, "plan": {"sink_count": 3},
-                            "data": {"length": 8, "eval_start": 4}})
+                            "data": {"length": 6}})
         assert cfg.eval_start == 4
 
     def test_teacher_head_mismatch_becomes_config_error(self):
@@ -178,14 +203,14 @@ class TestParsing:
 
 
 def seed_at(place, value):
-    """A minimal config with one of its five seeds set to ``value``."""
+    """A minimal config with one of its seeds set to ``value``."""
     if place == "seed":
         return {"version": 1, "seed": value}
     section, key = place.split(".")
     return {"version": 1, section: {key: value}}
 
 
-SEED_PLACES = ("seed", "teacher.seed", "policy.seed", "train.param_seed")
+SEED_PLACES = ("seed", "teacher.seed")
 
 
 class TestSeedRange:
@@ -213,8 +238,7 @@ class TestSeedRange:
         assert parse_config(minimal()).config_hash == "53f848eecbe3e2eb"
         assert parse_config({
             "version": 1, "seed": top, "teacher": {"seed": top},
-            "policy": {"seed": top}, "train": {"param_seed": top},
-        }).config_hash == "fa12ca314fcc1012"
+        }).config_hash == "cabe4685a3488132"
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 300)
@@ -282,10 +306,11 @@ class TestHash:
         assert a.config_hash != b.config_hash
 
     def test_computed_eval_start_matches_explicit(self):
-        a = parse_config({"version": 1, "data": {"length": 90}})
-        b = parse_config({"version": 1, "data": {"length": 90,
-                                                 "eval_start": 60}})
-        assert a.config_hash == b.config_hash
+        # The hash a config had when it spelled out eval_start 60, which
+        # the computed value now writes into the hashed form.
+        cfg = parse_config({"version": 1, "data": {"length": 90}})
+        assert cfg.canonical["data"]["eval_start"] == 60
+        assert cfg.config_hash == "c58131a1eb009476"
 
     # Every record's ``config`` field and the benchmark's reference files
     # carry these, so they must not move; they were measured while the
@@ -299,20 +324,64 @@ class TestHash:
         ("decode-long", "smoke", "909a2f15edb0b88a"),
     ])
     def test_benchmark_config_hashes_are_pinned(self, name, size, expected):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        # dataclasses looks the module up by name while it is being built.
-        sys.modules[spec.name] = workloads
-        spec.loader.exec_module(workloads)
+        workloads = load_file_module("perfbench_workloads",
+                                     ROOT / "perfbench" / "workloads.py")
         config = workloads.workload(name, size).config
         assert config["seed"] == 0
         assert parse_config(config).config_hash == expected
 
     def test_readme_config_hash_is_pinned(self):
-        text = (ROOT / "README.md").read_text(encoding="utf-8")
-        raw = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
-        assert parse_config(raw).config_hash == "8c3768e5c67ceb9f"
+        assert parse_config(readme_config()).config_hash == "8c3768e5c67ceb9f"
+
+
+# Keys no program sets, each with the reason it stays settable.
+UNSET_BY_ANY_PROGRAM = {
+    "out": "a deployment path; every program passes --out instead",
+    "teacher.seed": "a second teacher is ROADMAP item 11",
+    "train.d_mem": "ROADMAP item 5 tunes the memory width",
+    "train.mem_lr": "ROADMAP item 5 tunes the memory step size",
+    "train.indexer_peak": "ROADMAP item 3 tunes the indexer step size",
+    "reuse.group_size": "retired with crosslayer.py in ROADMAP items 8-9",
+}
+
+
+def leaf_keys(tree: dict, prefix: str = ""):
+    """Dotted paths of a config tree's non-section keys."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def program_configs():
+    """Every config a program runs: the README example, the benchmark's
+    workloads at both sizes, the same-bytes cases and demo 07's."""
+    yield readme_config()
+    workloads = load_file_module("perfbench_workloads",
+                                 ROOT / "perfbench" / "workloads.py")
+    for size in workloads.SIZES:
+        for name in workloads.NAMES:
+            yield workloads.workload(name, size).config
+    same_bytes = load_file_module("same_bytes", ROOT / "tools" / "same_bytes.py")
+    for case in same_bytes.cases().values():
+        yield case.config
+    # The demo runs its pipeline when imported, so its CONFIG is read
+    # from the source instead.
+    demo = ast.parse((ROOT / "demos" / "07_cli_pipeline.py").read_text())
+    (config,) = [node.value for node in demo.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["CONFIG"]]
+    yield ast.literal_eval(config)
+
+
+class TestEveryKeyHasAProgram:
+    def test_each_key_is_set_by_a_program_or_allowlisted(self):
+        configs = list(program_configs())
+        for config in configs:
+            parse_config(config)
+        set_keys = {key for config in configs for key in leaf_keys(config)}
+        assert set(leaf_keys(_SCHEMA)) - set_keys == set(UNSET_BY_ANY_PROGRAM)
 
 
 class TestLoadConfig:

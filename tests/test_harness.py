@@ -18,7 +18,7 @@ from kvgate.config import ConfigError, parse_config
 from kvgate.episodes import FullRun, episode_loss, plain_mse, prefill_episodes
 from kvgate.harness import (
     EVAL_STREAM,
-    POLICY_STREAM,
+    POLICY_SEED,
     SWEEP_RATIOS,
     batches_by_layer,
     build_episode_sets,
@@ -27,10 +27,9 @@ from kvgate.harness import (
     init_indexer,
     init_memory,
     input_sequence,
-    layer_scores,
-    make_policy,
     memory_eval_losses,
     selftest,
+    sequence_scores,
     sweep_run,
     train_indexer_run,
     train_memory_run,
@@ -93,8 +92,8 @@ def oracle_simulation(cfg, teacher, x0, budget, params_by_layer=None):
     positions = np.arange(length)
     for li, lt in enumerate(trace.layers):
         cache.append(li, lt.k, lt.v, positions)
-    policy = make_policy(cfg)
-    use_indexer = policy.name == "indexer"
+    policy = cfg.policy_name
+    use_indexer = policy == "indexer"
     feature_caches = []
     if use_indexer:
         for li, lt in enumerate(trace.layers):
@@ -110,7 +109,7 @@ def oracle_simulation(cfg, teacher, x0, budget, params_by_layer=None):
         kept = cache.positions(layer)
         if not use_indexer:
             return score_layer(policy, cache.keys(layer), kept, queries,
-                               rng=Rng(policy.seed).split(4000 + calls))
+                               rng=Rng(POLICY_SEED).split(4000 + calls))
         return score_layer(policy, cache.keys(layer), kept, queries,
                            params=params_by_layer[layer],
                            key_feats=feature_caches[layer].rows_for(kept))
@@ -227,8 +226,7 @@ class TestData:
         assert np.array_equal(a, b)
 
     def test_planted_needles_are_candidates(self, teacher):
-        planted_cfg = small_config(data={"kind": "planted", "length": 48,
-                                         "eval_start": 28})
+        planted_cfg = small_config(data={"kind": "planted", "length": 48})
         x0, planted = input_sequence(planted_cfg, teacher, Rng(3),
                                      n_needles=2)
         assert x0.shape == (48, 16)
@@ -237,8 +235,9 @@ class TestData:
         assert planted.max() < planted_cfg.eval_start - planted_cfg.plan.local_window
 
     def test_planted_requires_candidate_room(self, teacher):
-        tight = small_config(data={"kind": "planted", "length": 30,
-                                   "eval_start": 6})
+        # eval_start 6 leaves no slot between the 2 sinks and the
+        # 4-row local window.
+        tight = small_config(data={"kind": "planted", "length": 10})
         with pytest.raises(ConfigError, match="candidate"):
             input_sequence(tight, teacher, Rng(3))
 
@@ -253,35 +252,30 @@ class TestData:
 
 
 class TestLayerScores:
-    def test_knorm_matches_direct_computation(self, cfg, teacher):
+    """``sequence_scores``: one eval sequence's prefix scores, per layer."""
+
+    @pytest.fixture(scope="class")
+    def full_run(self, cfg, teacher):
         x0, _ = input_sequence(cfg, teacher, Rng(9))
-        trace = teacher.forward(x0=x0)
-        scores = layer_scores(cfg, make_policy(cfg, "knorm"), trace, 20)
-        for li, lt in enumerate(trace.layers):
-            expected = aggregate_heads(score_knorm(lt.k[:, :20, :]))
+        return FullRun.of(teacher, x0, cfg.eval_start)
+
+    def test_knorm_matches_direct_computation(self, cfg, full_run):
+        upto = cfg.eval_start
+        scores = sequence_scores(cfg, "knorm", full_run, 0)
+        for li, lt in enumerate(full_run.trace.layers):
+            expected = aggregate_heads(score_knorm(lt.k[:, :upto, :]))
             assert np.array_equal(scores[li], expected)
 
-    def test_indexer_policy_without_params_raises(self, cfg, teacher):
-        x0, _ = input_sequence(cfg, teacher, Rng(9))
-        trace = teacher.forward(x0=x0)
-        with pytest.raises(ConfigError, match="checkpoint"):
-            layer_scores(cfg, make_policy(cfg, "indexer"), trace, 20)
-
-    def test_reuse_shares_score_objects(self, teacher):
+    def test_reuse_shares_score_objects(self, full_run):
         reuse_cfg = small_config(reuse={"group_size": 2})
-        x0, _ = input_sequence(reuse_cfg, teacher, Rng(9))
-        trace = teacher.forward(x0=x0)
-        scores = layer_scores(reuse_cfg, make_policy(reuse_cfg, "knorm"),
-                              trace, 20)
+        scores = sequence_scores(reuse_cfg, "knorm", full_run, 0)
         assert scores[1] is scores[0]
 
-    def test_random_scores_are_seeded(self, cfg, teacher):
-        x0, _ = input_sequence(cfg, teacher, Rng(9))
-        trace = teacher.forward(x0=x0)
-        policy = make_policy(cfg, "random")
-        a = layer_scores(cfg, policy, trace, 20, rng_parent=Rng(4))
-        b = layer_scores(cfg, policy, trace, 20, rng_parent=Rng(4))
-        c = layer_scores(cfg, policy, trace, 20, rng_parent=Rng(5))
+    def test_random_scores_are_seeded(self, cfg, full_run):
+        # Each sequence index draws from its own stream.
+        a = sequence_scores(cfg, "random", full_run, 4)
+        b = sequence_scores(cfg, "random", full_run, 4)
+        c = sequence_scores(cfg, "random", full_run, 5)
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
 
@@ -441,13 +435,39 @@ class TestSweep:
         assert row["recon_fused"] != row["recon_attn"]
 
 
+class TestCheckpointCheck:
+    """The indexer policy without weights fails before any teacher work,
+    with one message in every stage that scores."""
+
+    @pytest.mark.parametrize("stage", [sweep_run, decode_run],
+                             ids=["sweep", "decode"])
+    def test_fails_before_any_work(self, stage, monkeypatch):
+        work = []
+        build = FullRun.of.__func__
+        forward = TeacherModel.forward
+
+        def of(cls, *args, **kwargs):
+            work.append("FullRun.of")
+            return build(cls, *args, **kwargs)
+
+        def counting(self, *args, **kwargs):
+            work.append("forward")
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(FullRun, "of", classmethod(of))
+        monkeypatch.setattr(TeacherModel, "forward", counting)
+        with pytest.raises(ConfigError) as info:
+            stage(small_config(policy={"name": "indexer"}))
+        assert str(info.value) == "the indexer policy needs a trained checkpoint"
+        assert work == []
+
+
 class TestSweepFromScratch:
     """Every record equals its point recomputed alone, nothing shared."""
 
     def test_records_match_per_point_recomputation(self):
         cfg = small_config(policy={"name": "snapkv"},
-                           data={"kind": "planted", "length": 48,
-                                 "eval_start": 28})
+                           data={"kind": "planted", "length": 48})
         memories = train_memory_run(cfg, None)["memories"]
         records = sweep_run(cfg, memories=memories, threads=2)
         assert [(r["policy"], r["ratio"]) for r in records] == [
@@ -459,15 +479,12 @@ class TestSweepFromScratch:
         prefix = np.arange(upto)
         support = np.arange(cfg.plan.sink_count, upto)
         for record in records:
-            policy = make_policy(cfg, record["policy"])
             plan = replace(cfg.plan, ratio=record["ratio"])
             attn, fused, recalls, kls = [], [], [], []
             for s, (x0, planted) in enumerate(sequences):
                 full_run = FullRun.of(teacher, x0, upto)
                 trace = full_run.trace
-                scores = layer_scores(
-                    cfg, policy, trace, upto,
-                    rng_parent=Rng(policy.seed).split(POLICY_STREAM + s))
+                scores = sequence_scores(cfg, record["policy"], full_run, s)
                 keeps = [select(plan, sc, prefix) for sc in scores]
                 eps = prefill_episodes(full_run, keeps)
                 for li, lt in enumerate(trace.layers):
@@ -747,7 +764,7 @@ class TestDecodeStartScoring:
         positions = np.arange(cfg.data_length)
         plan = replace(cfg.plan, ratio=0.0, budget=12)
         for li, lt in enumerate(trace.layers):
-            scores = score_layer(make_policy(cfg), lt.k, positions,
+            scores = score_layer(cfg.policy_name, lt.k, positions,
                                  QueryRows(lt.x_in, lt.q_pre, lt.q, positions))
             assert np.array_equal(kept[li], select(plan, scores, positions))
         knorm = self.kept_at_start(

@@ -7,7 +7,7 @@ from kvgate.cache import CompressionPlan
 from kvgate.indexer import IndexerParams, indexer_importance, key_features
 from kvgate.numerics import Rng
 from kvgate.policies import (
-    PolicyId,
+    SNAPKV_WINDOW,
     QueryRows,
     aggregate_heads,
     score_knorm,
@@ -45,21 +45,6 @@ def prefill_snapkv(q_window, keys):
     positions 0..L-1, as in a prefill."""
     w, n = q_window.shape[1], keys.shape[1]
     return score_snapkv(q_window, keys, np.arange(n - w, n), np.arange(n))
-
-
-class TestPolicyId:
-    def test_valid(self):
-        p = PolicyId("snapkv", window=4)
-        assert p.window == 4 and p.seed == 0
-
-    @pytest.mark.parametrize("kw", [
-        dict(name="h2o"),
-        dict(name="snapkv", window=0),
-        dict(name="tova", window=-1),
-    ])
-    def test_rejects(self, kw):
-        with pytest.raises(ValueError):
-            PolicyId(**kw)
 
 
 class TestSnapkv:
@@ -161,14 +146,14 @@ class TestTova:
         rng = Rng(40)
         q = rng.normal((4, 7, 4))
         k = rng.normal((2, 7, 4))
-        tova = score_layer(PolicyId("tova"), k, np.arange(7), prefill_rows(q))
+        tova = score_layer("tova", k, np.arange(7), prefill_rows(q))
         snap = prefill_snapkv(q[:, -1:, :], k)
         assert np.array_equal(tova, aggregate_heads(snap))
 
     def test_single_row_cache(self):
         q = Rng(41).normal((2, 1, 4))
         k = Rng(42).normal((2, 1, 4))
-        s = score_layer(PolicyId("tova"), k, np.arange(1), prefill_rows(q))
+        s = score_layer("tova", k, np.arange(1), prefill_rows(q))
         # one kv head per query head, each putting all its mass on the row
         assert np.allclose(s, 2.0)
 
@@ -239,28 +224,35 @@ class TestDispatch:
         q = rng.normal((4, 10, 4))
         k = rng.normal((2, 10, 4))
         pos = np.arange(10)
-        snap = score_layer(PolicyId("snapkv", window=4), k, pos,
-                           prefill_rows(q))
-        want = aggregate_heads(prefill_snapkv(q[:, -4:, :], k))
+        snap = score_layer("snapkv", k, pos, prefill_rows(q))
+        want = aggregate_heads(prefill_snapkv(q[:, -SNAPKV_WINDOW:, :], k))
         assert np.array_equal(snap, want)
-        tova = score_layer(PolicyId("tova"), k, pos, prefill_rows(q))
+        tova = score_layer("tova", k, pos, prefill_rows(q))
         assert np.array_equal(tova, aggregate_heads(prefill_snapkv(q[:, -1:, :], k)))
-        knorm = score_layer(PolicyId("knorm"), k, pos, prefill_rows(q))
+        knorm = score_layer("knorm", k, pos, prefill_rows(q))
         assert np.array_equal(knorm, aggregate_heads(score_knorm(k)))
 
     def test_window_clips_to_cache(self):
         rng = Rng(49)
         q = rng.normal((2, 3, 4))
         k = rng.normal((2, 3, 4))
-        s = score_layer(PolicyId("snapkv", window=64), k, np.arange(3),
-                        prefill_rows(q))
-        assert s.shape == (3,)
+        s = score_layer("snapkv", k, np.arange(3), prefill_rows(q))
+        assert SNAPKV_WINDOW > 3
+        assert np.array_equal(s, aggregate_heads(prefill_snapkv(q, k)))
+
+    def test_rejects_unknown_name(self):
+        k = Rng(56).normal((2, 5, 4))
+        q = Rng(58).normal((2, 5, 4))
+        for name in ("h2o", "SnapKV", ""):
+            with pytest.raises(ValueError, match="unknown policy"):
+                score_layer(name, k, np.arange(5), prefill_rows(q),
+                            rng=Rng(59))
 
     def test_random_needs_rng(self):
         k = Rng(50).normal((2, 5, 4))
         with pytest.raises(ValueError, match="rng"):
-            score_layer(PolicyId("random"), k, np.arange(5), None)
-        s = score_layer(PolicyId("random"), k, np.arange(5), None,
+            score_layer("random", k, np.arange(5), None)
+        s = score_layer("random", k, np.arange(5), None,
                         rng=Rng(51))
         assert np.array_equal(s, score_random(5, Rng(51)))
 
@@ -268,7 +260,7 @@ class TestDispatch:
         k = Rng(52).normal((2, 5, 4))
         q = Rng(53).normal((2, 5, 4))
         with pytest.raises(ValueError, match="indexer"):
-            score_layer(PolicyId("indexer"), k, np.arange(5), prefill_rows(q))
+            score_layer("indexer", k, np.arange(5), prefill_rows(q))
 
     def test_indexer_matches_prefill_importance(self):
         cfg = TeacherConfig(n_layers=1, d_model=8, n_heads=2, n_kv_heads=1,
@@ -279,7 +271,7 @@ class TestDispatch:
         q_pre = rng.split(1).normal((2, 12, 4))
         k = rng.split(2).normal((1, 12, 4))
         rows = prefill_rows(q_pre, x=x, q_pre=q_pre)
-        s = score_layer(PolicyId("indexer"), k, np.arange(12), rows,
+        s = score_layer("indexer", k, np.arange(12), rows,
                         params=params, key_feats=key_features(params, x))
         assert np.array_equal(s, indexer_importance(params, x, q_pre))
 
@@ -291,7 +283,7 @@ class TestDispatch:
         k = rng.normal((2, 5, 4))
         key_pos = np.array([0, 1, 7, 8, 9])
         rows = QueryRows(x=None, q_pre=None, q=q, positions=np.array([8, 9]))
-        s = score_layer(PolicyId("snapkv", window=2), k, key_pos, rows)
+        s = score_layer("snapkv", k, key_pos, rows)
         want = score_snapkv(q, k, q_positions=np.array([8, 9]),
                             key_positions=key_pos)
         assert np.array_equal(s, aggregate_heads(want))

@@ -3,6 +3,7 @@ import pytest
 
 from kvgate.numerics import Rng
 from kvgate.synth import (
+    TAIL_WIDTH,
     beacon_direction,
     planted_sequence,
     retention_recall,
@@ -10,7 +11,7 @@ from kvgate.synth import (
 from kvgate.teacher import TeacherConfig, TeacherModel, pooled_teacher_importance
 
 SINKS = 4
-TAIL = 16
+TAIL = TAIL_WIDTH
 
 
 def retrieval_teacher(n_layers):
@@ -23,34 +24,34 @@ def one_needle(teacher, length, stream, base_seed=1234):
     """A planted sequence with a single mid-context needle."""
     rng = Rng(base_seed).split(stream)
     needle = int(rng.split(99).integers(SINKS, length - TAIL, 1)[0])
-    seq = planted_sequence(teacher, length, [needle], rng, tail_width=TAIL)
+    seq = planted_sequence(teacher, length, [needle], rng)
     return seq, needle
 
 
 class TestConstruction:
     def test_deterministic(self):
         teacher = retrieval_teacher(2)
-        a = planted_sequence(teacher, 48, [10, 20], Rng(7), tail_width=8)
-        b = planted_sequence(teacher, 48, [10, 20], Rng(7), tail_width=8)
+        a = planted_sequence(teacher, 48, [10, 20], Rng(7))
+        b = planted_sequence(teacher, 48, [10, 20], Rng(7))
         assert np.array_equal(a.x0, b.x0)
         assert np.array_equal(a.planted, b.planted)
-        assert a.tail_start == b.tail_start == 40
+        assert a.tail_start == b.tail_start == 48 - TAIL
 
     def test_no_needles_is_plain_noise(self):
         teacher = retrieval_teacher(2)
-        seq = planted_sequence(teacher, 32, [], Rng(8), tail_width=8)
+        seq = planted_sequence(teacher, 32, [], Rng(8))
         assert seq.planted.size == 0
         assert np.array_equal(seq.x0, Rng(8).normal((32, 64)))
 
     def test_duplicate_needles_collapse(self):
         teacher = retrieval_teacher(2)
-        seq = planted_sequence(teacher, 48, [9, 9, 17], Rng(9), tail_width=8)
+        seq = planted_sequence(teacher, 48, [9, 9, 17], Rng(9))
         assert seq.planted.tolist() == [9, 17]
 
     @pytest.mark.parametrize("kw,msg", [
-        (dict(length=8, needle_positions=[2], tail_width=8), "query tail"),
-        (dict(length=32, needle_positions=[30], tail_width=8), "precede"),
-        (dict(length=32, needle_positions=[-1], tail_width=8), "precede"),
+        (dict(length=8, needle_positions=[2]), "query tail"),
+        (dict(length=32, needle_positions=[30]), "precede"),
+        (dict(length=32, needle_positions=[-1]), "precede"),
     ])
     def test_rejects_bad_arguments(self, kw, msg):
         teacher = retrieval_teacher(2)
@@ -59,18 +60,18 @@ class TestConstruction:
 
     def test_planted_rows_have_boosted_rms(self):
         teacher = retrieval_teacher(2)
-        seq = planted_sequence(teacher, 48, [12], Rng(11), tail_width=8)
+        seq = planted_sequence(teacher, 48, [12], Rng(11))
         d = 64
         assert np.linalg.norm(seq.x0[12]) == pytest.approx(4.0 * np.sqrt(d))
-        for pos in range(40, 48):
+        for pos in range(48 - TAIL, 48):
             assert np.linalg.norm(seq.x0[pos]) == pytest.approx(4.0 * np.sqrt(d))
         # ordinary rows keep unit rms on average
-        body = np.delete(seq.x0, [12] + list(range(40, 48)), axis=0)
+        body = np.delete(seq.x0, [12] + list(range(48 - TAIL, 48)), axis=0)
         assert np.sqrt(np.mean(body**2)) == pytest.approx(1.0, abs=0.05)
 
     def test_random_sequence_moments(self):
         teacher = retrieval_teacher(2)
-        x = planted_sequence(teacher, 2000, [], Rng(12), tail_width=8).x0
+        x = planted_sequence(teacher, 2000, [], Rng(12)).x0
         assert x.shape == (2000, 64)
         assert abs(x.mean()) < 0.01
         assert np.std(x) == pytest.approx(1.0, abs=0.01)
@@ -132,7 +133,7 @@ class TestTeacherSignal:
         for stream in range(8):
             rng = Rng(555).split(stream)
             needle = int(rng.split(99).integers(SINKS, 96 - TAIL, 1)[0])
-            seq = planted_sequence(teacher, 96, [needle], rng, tail_width=TAIL)
+            seq = planted_sequence(teacher, 96, [needle], rng)
             for lt in teacher.forward(x0=seq.x0).layers:
                 imp = pooled_teacher_importance(lt.q, lt.k)
                 middle = np.r_[imp[SINKS:needle], imp[needle + 1:96 - TAIL]]
@@ -146,7 +147,7 @@ class TestTeacherSignal:
         for stream in range(8):
             rng = Rng(555).split(stream)
             needle = int(rng.split(99).integers(SINKS, 96 - TAIL, 1)[0])
-            seq = planted_sequence(teacher, 96, [needle], rng, tail_width=TAIL)
+            seq = planted_sequence(teacher, 96, [needle], rng)
             trace = teacher.forward(x0=seq.x0)
             for lt in trace.layers:
                 norms = np.linalg.norm(lt.k, axis=2).sum(axis=0)
