@@ -205,6 +205,7 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
     against the keep sets the final indexer actually produces. Both come
     from one teacher forward per training sequence.
     """
+    _require_checkpoint(cfg, indexer_params)
     teacher = TeacherModel(cfg.teacher)
     params = ([p.copy() for p in indexer_params]
               if indexer_params is not None else None)

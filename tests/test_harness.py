@@ -439,8 +439,9 @@ class TestCheckpointCheck:
     """The indexer policy without weights fails before any teacher work,
     with one message in every stage that scores."""
 
-    @pytest.mark.parametrize("stage", [sweep_run, decode_run],
-                             ids=["sweep", "decode"])
+    @pytest.mark.parametrize("stage", [
+        sweep_run, decode_run, lambda cfg: train_memory_run(cfg, None)],
+        ids=["sweep", "decode", "train-memory"])
     def test_fails_before_any_work(self, stage, monkeypatch):
         work = []
         build = FullRun.of.__func__
