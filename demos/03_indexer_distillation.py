@@ -2,15 +2,16 @@
 
 The indexer scores every cached key with a handful of small heads and a
 ReLU instead of running full attention. It is trained by KL-matching the
-teacher's pooled attention distribution. Because scoring streams over key
-blocks, we also check that blocked evaluation is bit-identical to the
-dense one, so block size can never change a result.
+teacher's pooled attention distribution. Scoring and the training step run
+one forward, so we also check that the scored loss equals the training
+step's loss bit for bit: the indexer scores keys exactly as it was trained.
 """
 
 import numpy as np
 
 from kvgate.harness import batches_by_layer
-from kvgate.indexer import IndexerParams, streaming_distill_loss, train_indexer
+from kvgate.indexer import (IndexerParams, distill_gradients, distill_loss,
+                            train_indexer)
 from kvgate.numerics import Rng
 from kvgate.synth import planted_sequence
 from kvgate.teacher import TeacherConfig, TeacherModel
@@ -32,18 +33,18 @@ params = IndexerParams.init(cfg, Rng(42), h_index=2, d_index=4)
 print(f"indexer: {params.h_index} heads x {params.d_index} dims "
       f"(teacher uses {cfg.n_heads} x {cfg.d_head})")
 
-before = float(np.mean([streaming_distill_loss(params, b) for b in batches]))
+before = float(np.mean([distill_loss(params, b) for b in batches]))
 curve = train_indexer(params, batches, steps=400, peak=1e-3)
-after = float(np.mean([streaming_distill_loss(params, b) for b in batches]))
+after = float(np.mean([distill_loss(params, b) for b in batches]))
 
 print(f"\ndistillation KL over {len(batches)} sequences:")
 print(f"  before training  {before:.4f}")
 print(f"  after {len(curve):>3} steps  {after:.4f}")
 assert after < before
 
-dense = streaming_distill_loss(params, batches[0], q_blk=48, k_blk=48)
-blocked = streaming_distill_loss(params, batches[0], q_blk=3, k_blk=8)
-print(f"\nstreaming evaluation, dense vs (3, 8) blocks:")
-print(f"  {dense!r}\n  {blocked!r}")
-assert dense == blocked
-print("  bit-identical: block size cannot change any result.")
+scored = distill_loss(params, batches[0])
+trained, _ = distill_gradients(params, batches[0])
+print("\nscored loss vs the training step's loss:")
+print(f"  {scored!r}\n  {trained!r}")
+assert scored == trained
+print("  bit-identical: the scorer is the training forward.")

@@ -122,11 +122,11 @@ def cmd_train_memory(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise ConfigError("--threads must be at least 1")
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     _attach_sidecar(out)
-    if args.threads < 1:
-        raise ConfigError("--threads must be at least 1")
     params = memories = None
     if args.checkpoint:
         params, memories = _load_checkpoint(args.checkpoint, cfg.teacher)

@@ -8,10 +8,9 @@ Importance of a key is the max score any query in the aggregation set gives
 it. Training distills the pooled importance distribution from the frozen
 attention logits with a KL loss. Each :class:`DistillBatch` builds its
 teacher target at construction and keeps no rotated q/k. The gradient step
-builds the full (L x L) score matrix for its forward, but its backward runs
-only on the query rows that are some key's argmax; scoring, by
-:func:`importance_from_features`, streams score blocks and never
-materializes the full matrix.
+and scoring share one forward, :func:`index_scores`, which builds the
+whole (queries x keys) score matrix; the gradient step's backward runs
+only on the query rows that are some key's argmax.
 
 All gradients here are hand-derived; at max ties the lowest-index query
 carries the subgradient and ReLU contributes zero slope at its kink, which
@@ -196,58 +195,47 @@ class IndexerKeyCache:
         self._length = keep.size
 
 
-def _score_from_features(q_feat: np.ndarray, gates: np.ndarray,
-                         k_feat: np.ndarray, q_ids: np.ndarray,
-                         k_ids: np.ndarray) -> np.ndarray:
-    """Gated ReLU similarity block from precomputed per-row features.
+def index_scores(q_feat: np.ndarray, gates: np.ndarray, k_feat: np.ndarray,
+                 q_ids: np.ndarray, k_ids: np.ndarray):
+    """The indexer's forward from precomputed per-row features.
 
-    einsum with a fixed contraction order keeps the result bit-identical no
-    matter how the rows were blocked, which the streamed/dense equivalence
-    tests rely on.
+    Returns ``z``, the (S, T, H_index) ReLU similarities, and ``scores``,
+    their gated (S, T) sum with keys past a query's position at -inf.
+    Scoring and the distillation step both run this one function, so the
+    scorer sees keys exactly as training did.
     """
-    z = np.maximum(np.einsum("shd,td->sth", q_feat, k_feat), 0.0)
-    block = np.einsum("sth,sh->st", z, gates)
-    invalid = k_ids[None, :] > q_ids[:, None]
-    return np.where(invalid, -np.inf, block)
+    # ReLU in place: z > 0 exactly where the dot products are.
+    z = np.einsum("shd,td->sth", q_feat, k_feat)
+    np.maximum(z, 0.0, out=z)
+    scores = np.einsum("sth,sh->st", z, gates)
+    np.copyto(scores, -np.inf, where=k_ids[None, :] > q_ids[:, None])
+    return z, scores
 
 
 def importance_from_features(q_feat: np.ndarray, gates: np.ndarray,
                              k_feat: np.ndarray, q_ids: np.ndarray,
-                             k_ids: np.ndarray, q_blk: int = 128,
-                             k_blk: int = 4096) -> np.ndarray:
-    """Per-key max score over the query rows, streamed in blocks.
+                             k_ids: np.ndarray) -> np.ndarray:
+    """Per-key max score over the query rows.
 
     ``q_feat``/``gates`` hold one row per query at positions ``q_ids``;
-    ``k_feat`` one row per key at positions ``k_ids``. Only score blocks
-    are ever materialized and, since block maxima commute with the global
-    max, the result is bit-identical for every block size. Keys outside
-    every query's causal support come back -inf.
+    ``k_feat`` one row per key at positions ``k_ids``. Keys outside every
+    query's causal support come back -inf.
     """
-    if q_blk < 1 or k_blk < 1:
-        raise ValueError("block sizes must be at least 1")
-    imp = np.full(k_ids.size, -np.inf)
-    for qb in range(0, q_ids.size, q_blk):
-        qs = slice(qb, qb + q_blk)
-        for kb in range(0, k_ids.size, k_blk):
-            ks = slice(kb, kb + k_blk)
-            block = _score_from_features(q_feat[qs], gates[qs], k_feat[ks],
-                                         q_ids[qs], k_ids[ks])
-            imp[ks] = np.maximum(imp[ks], block.max(axis=0))
-    return imp
+    _, scores = index_scores(q_feat, gates, k_feat, q_ids, k_ids)
+    return np.maximum.reduce(scores, axis=0, initial=-np.inf)
 
 
-def indexer_importance(params: IndexerParams, x: np.ndarray, q_pre: np.ndarray,
-                       q_set=None, q_blk: int = 128, k_blk: int = 4096) -> np.ndarray:
-    """Importance of every row of one sequence over the query subset ``q_set``."""
+def indexer_importance(params: IndexerParams, x: np.ndarray,
+                       q_pre: np.ndarray) -> np.ndarray:
+    """Importance of every row of one sequence over all its query rows.
+
+    Kept for its traced name; ROADMAP item 8 folds it into its callers.
+    """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    q_set = np.arange(n) if q_set is None else np.asarray(q_set, dtype=np.int64)
-    if q_set.size == 0:
-        raise ValueError("empty query set")
-    return importance_from_features(query_features(params, q_pre)[q_set],
-                                    head_gates(params, x)[q_set],
-                                    key_features(params, x), q_set,
-                                    np.arange(n), q_blk, k_blk)
+    ids = np.arange(x.shape[0])
+    return importance_from_features(query_features(params, q_pre),
+                                    head_gates(params, x),
+                                    key_features(params, x), ids, ids)
 
 
 @dataclass
@@ -273,49 +261,45 @@ class DistillBatch:
             raise ValueError("hidden states and queries must align")
         if self.sink_count < 0 or self.sink_count >= self.x.shape[0]:
             raise ValueError("sink count must leave at least one scored key")
-        ids = np.arange(self.length)
-        self.teacher_imp = teacher_block(q_rot, k_rot, ids, ids).max(axis=0)
+        self.teacher_imp = teacher_block(q_rot, k_rot).max(axis=0)
 
     @property
     def length(self) -> int:
         return self.x.shape[0]
 
 
-def teacher_block(q_rot: np.ndarray, k_rot: np.ndarray, q_ids: np.ndarray,
-                  k_ids: np.ndarray) -> np.ndarray:
-    """Logits of rotated queries ``q_rot[:, q_ids]`` against rotated keys
-    ``k_rot[:, k_ids]``, max-pooled over every query head, causally masked."""
+def teacher_block(q_rot: np.ndarray, k_rot: np.ndarray) -> np.ndarray:
+    """(L, L) logits of rotated queries against rotated keys, max-pooled
+    over every query head, causally masked."""
     n_heads = q_rot.shape[0]
     n_kv = k_rot.shape[0]
     scale = logit_scale(q_rot)
-    out = np.full((q_ids.size, k_ids.size), -np.inf)
+    ids = np.arange(q_rot.shape[1])
+    out = np.full((ids.size, ids.size), -np.inf)
     for h in range(n_heads):
         g = kv_head_of(h, n_heads, n_kv)
-        logits = np.einsum("qd,kd->qk", q_rot[h][q_ids], k_rot[g][k_ids]) * scale
+        logits = np.einsum("qd,kd->qk", q_rot[h], k_rot[g]) * scale
         out = np.maximum(out, logits)
-    invalid = k_ids[None, :] > q_ids[:, None]
+    invalid = ids[None, :] > ids[:, None]
     return np.where(invalid, -np.inf, out)
 
 
-def pooled_vectors(params: IndexerParams, batch: DistillBatch,
-                   q_blk: int = 128, k_blk: int = 4096):
+def pooled_vectors(params: IndexerParams, batch: DistillBatch):
     """(teacher_imp, student_imp) over all keys, both (L,).
 
     The teacher side is the batch's target; the student side is
-    streamed by :func:`importance_from_features`, so it is bit-identical
-    for every (q_blk, k_blk).
+    :func:`importance_from_features` over every query row.
     """
     ids = np.arange(batch.length)
     student_imp = importance_from_features(
         query_features(params, batch.q_pre), head_gates(params, batch.x),
-        key_features(params, batch.x), ids, ids, q_blk, k_blk)
+        key_features(params, batch.x), ids, ids)
     return batch.teacher_imp, student_imp
 
 
-def streaming_distill_loss(params: IndexerParams, batch: DistillBatch,
-                           q_blk: int = 128, k_blk: int = 4096) -> float:
+def distill_loss(params: IndexerParams, batch: DistillBatch) -> float:
     """KL between pooled teacher and student importance, sinks excluded."""
-    teacher_imp, student_imp = pooled_vectors(params, batch, q_blk, k_blk)
+    teacher_imp, student_imp = pooled_vectors(params, batch)
     keep = np.arange(batch.sink_count, batch.length)
     return kl_divergence(teacher_imp[keep], student_imp[keep])
 
@@ -330,10 +314,10 @@ def _rmsnorm_backward(raw: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 
 
 def distill_gradients(params: IndexerParams, batch: DistillBatch):
-    """Loss and analytic gradients of the streaming KL w.r.t. u_q, u_k, g.
+    """Loss and analytic gradients of :func:`distill_loss` w.r.t. u_q, u_k, g.
 
-    The forward builds the full (L, L) score matrix; its loss matches the
-    streamed one exactly because block maxima equal global maxima. A key's
+    The forward is :func:`index_scores` over every row, the scorer's own
+    forward, so the loss equals :func:`distill_loss` exactly. A key's
     gradient flows only through its argmax query, so the backward runs its
     four ``einsum`` on just the distinct argmax rows of the keys that carry
     gradient and scatters the row results into zeros; every row keeps the
@@ -350,12 +334,7 @@ def distill_gradients(params: IndexerParams, batch: DistillBatch):
     raw_k = batch.x @ params.u_k
     k_feat = rmsnorm(raw_k)
     gates = head_gates(params, batch.x)
-
-    # ReLU in place: z > 0 exactly where the dot products are.
-    z = np.einsum("shd,td->sth", q_feat, k_feat)
-    np.maximum(z, 0.0, out=z)
-    scores = np.einsum("sth,sh->st", z, gates)
-    np.copyto(scores, -np.inf, where=ids[None, :] > ids[:, None])
+    z, scores = index_scores(q_feat, gates, k_feat, ids, ids)
 
     arg_rows = np.argmax(scores, axis=0)           # lowest index wins ties
     student_imp = scores[arg_rows, ids]

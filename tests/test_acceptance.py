@@ -28,8 +28,8 @@ from kvgate.episodes import (
 from kvgate.indexer import (
     IndexerParams,
     distill_gradients,
+    distill_loss,
     indexer_importance,
-    streaming_distill_loss,
     train_indexer,
 )
 from kvgate.memory import MEM_EPS, MemorySlowWeights, MemoryState, mem_read, \
@@ -96,22 +96,19 @@ def test_attention_matches_quadratic_reference_and_decode_accumulation():
     assert worst < 1e-9
 
 
-def test_streaming_loss_matches_dense_for_all_block_shapes():
+def test_scored_loss_matches_training_forward():
     cfg = TeacherConfig(n_layers=2, d_model=32, n_heads=4, n_kv_heads=2,
                         d_ffn=64, vocab_size=16, seed=1)
     teacher = TeacherModel(cfg)
-    for case, length in enumerate((7, 33, 64)):
+    for case, length in enumerate((7, 33, 64, 200)):
         x0 = Rng(300).split(case).normal((length, cfg.d_model))
         per_layer = batches_by_layer(teacher, [teacher.forward(x0=x0)], 3)
         for layer in range(cfg.n_layers):
             (batch,) = per_layer[layer]
             params = IndexerParams.init(cfg, Rng(301).split(case * 2 + layer),
                                         h_index=2, d_index=4)
-            dense, _ = distill_gradients(params, batch)
-            for q_blk, k_blk in ((1, 1), (3, 8), (length, length)):
-                streamed = streaming_distill_loss(params, batch,
-                                                  q_blk=q_blk, k_blk=k_blk)
-                assert abs(streamed - dense) <= 1e-12
+            trained, _ = distill_gradients(params, batch)
+            assert distill_loss(params, batch) == trained
 
 
 def _coords(rng, shape, count=50):
@@ -138,9 +135,9 @@ def test_analytic_gradients_match_central_differences():
             h = 1e-6 * max(1.0, abs(arr[idx]))
             saved = arr[idx]
             arr[idx] = saved + h
-            up = streaming_distill_loss(params, batch)
+            up = distill_loss(params, batch)
             arr[idx] = saved - h
-            down = streaming_distill_loss(params, batch)
+            down = distill_loss(params, batch)
             arr[idx] = saved
             numeric = (up - down) / (2.0 * h)
             assert _relative_error(grads[name][idx], numeric) < 1e-4
@@ -373,8 +370,8 @@ def test_trained_indexer_beats_untrained_and_heuristic_retention(monkeypatch):
         kl_trained, kl_untrained = 0.0, 0.0
         for layer in range(cfg.n_layers):
             (batch,) = per_layer[layer]
-            kl_trained += streaming_distill_loss(trained[layer], batch)
-            kl_untrained += streaming_distill_loss(untrained[layer], batch)
+            kl_trained += distill_loss(trained[layer], batch)
+            kl_untrained += distill_loss(untrained[layer], batch)
             importance = indexer_importance(trained[layer], batch.x,
                                             batch.q_pre)
             recall["indexer"].append(retention_recall(

@@ -265,6 +265,7 @@ class TestSweep:
                    "--threads", 0, "--out", tmp_path / "out")
         assert code == EXIT_CONFIG
         assert "threads" in stderr_record(capsys)["message"]
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

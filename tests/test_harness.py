@@ -38,8 +38,8 @@ from kvgate.harness import (
 from kvgate.indexer import (
     DivergenceError,
     IndexerKeyCache,
+    distill_loss,
     key_features,
-    streaming_distill_loss,
 )
 from kvgate.metrics import dump_record, make_record
 from kvgate.numerics import Rng, kl_divergence, rmsnorm
@@ -202,7 +202,7 @@ def oracle_decode_records(cfg, params_by_layer=None):
 
 def eval_indexer_kl(params_by_layer, per_layer_batches):
     """Mean pooled-distribution KL across layers and sequences."""
-    return float(np.mean([streaming_distill_loss(params_by_layer[li], batch)
+    return float(np.mean([distill_loss(params_by_layer[li], batch)
                           for li, batches in enumerate(per_layer_batches)
                           for batch in batches]))
 

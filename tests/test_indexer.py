@@ -10,17 +10,17 @@ from kvgate.indexer import (
     DivergenceError,
     IndexerKeyCache,
     IndexerParams,
-    _score_from_features,
     default_d_index,
     default_h_index,
     distill_gradients,
+    distill_loss,
     indexer_importance,
     key_features,
     head_gates,
     importance_from_features,
+    index_scores,
     pooled_vectors,
     query_features,
-    streaming_distill_loss,
     teacher_block,
     train_indexer,
     wsd_lr,
@@ -31,11 +31,19 @@ from kvgate.teacher import TeacherConfig, TeacherModel, flatten_heads, logit_sca
 
 
 def dense_scores(params, x, q_pre):
-    """Full L x L score matrix; the reference for the blocked paths."""
+    """Full L x L score matrix; the reference for the importance paths."""
     ids = np.arange(np.asarray(x).shape[0])
-    return _score_from_features(query_features(params, q_pre),
-                                head_gates(params, x),
-                                key_features(params, x), ids, ids)
+    return index_scores(query_features(params, q_pre), head_gates(params, x),
+                        key_features(params, x), ids, ids)[1]
+
+
+def subset_importance(params, x, q_pre, q_set):
+    """Importance of every row of ``x`` over the query rows ``q_set``."""
+    q_set = np.asarray(q_set, dtype=np.int64)
+    return importance_from_features(query_features(params, q_pre)[q_set],
+                                    head_gates(params, x)[q_set],
+                                    key_features(params, x), q_set,
+                                    np.arange(np.asarray(x).shape[0]))
 
 
 def small_teacher(n_layers=2, seed=5):
@@ -307,7 +315,7 @@ class TestImportance:
         _, batch, params = small_setup()
         dense = dense_scores(params, batch.x, batch.q_pre)
         q_set = np.array([0, 1])
-        imp = indexer_importance(params, batch.x, batch.q_pre, q_set=q_set)
+        imp = subset_importance(params, batch.x, batch.q_pre, q_set)
         want = dense[q_set].max(axis=0)
         finite = np.isfinite(want)
         assert np.array_equal(imp[finite], want[finite])
@@ -316,32 +324,18 @@ class TestImportance:
     def test_single_query_is_its_row(self):
         _, batch, params = small_setup()
         dense = dense_scores(params, batch.x, batch.q_pre)
-        imp = indexer_importance(params, batch.x, batch.q_pre, q_set=[7])
+        imp = subset_importance(params, batch.x, batch.q_pre, [7])
         assert np.array_equal(imp[:8], dense[7, :8])
         assert np.all(np.isneginf(imp[8:]))
-
-    def test_streamed_equals_dense_exactly(self):
-        teacher = small_teacher()
-        x0 = Rng(63).normal((16, 16))
-        batch = layer_batch(teacher, x0, 0, sink_count=2)
-        params = IndexerParams.init(teacher.config, Rng(64), h_index=2, d_index=3)
-        dense = dense_scores(params, batch.x, batch.q_pre).max(axis=0)
-        blk = indexer_importance(params, batch.x, batch.q_pre, q_blk=2, k_blk=3)
-        assert np.array_equal(blk, dense)
-
-    def test_empty_query_set_rejected(self):
-        _, batch, params = small_setup()
-        with pytest.raises(ValueError, match="empty query set"):
-            indexer_importance(params, batch.x, batch.q_pre, q_set=[])
 
     def test_causality_of_importance(self):
         # rows after the last query must not influence any score
         _, batch, params = small_setup()
         q_set = np.arange(10)
-        imp = indexer_importance(params, batch.x, batch.q_pre, q_set=q_set)
+        imp = subset_importance(params, batch.x, batch.q_pre, q_set)
         x2 = batch.x.copy()
         x2[12:] = Rng(65).normal((8, 16)) * 5.0
-        imp2 = indexer_importance(params, x2, batch.q_pre, q_set=q_set)
+        imp2 = subset_importance(params, x2, batch.q_pre, q_set)
         assert np.array_equal(imp[:10], imp2[:10])
 
     def test_gate_scaling_preserves_keep_set(self):
@@ -394,8 +388,7 @@ class TestDistillBatch:
                              k_rot=lt.k, sink_count=3)
         assert not hasattr(batch, "q_rot")
         assert not hasattr(batch, "k_rot")
-        ids = np.arange(batch.length)
-        want = teacher_block(lt.q, lt.k, ids, ids).max(axis=0)
+        want = teacher_block(lt.q, lt.k).max(axis=0)
         assert batch.teacher_imp.tobytes() == want.tobytes()
 
     def test_sink_count_validation(self):
@@ -403,20 +396,6 @@ class TestDistillBatch:
         x0 = Rng(66).normal((6, 16))
         with pytest.raises(ValueError, match="sink count"):
             layer_batch(teacher, x0, 0, sink_count=6)
-
-    def test_teacher_target_matches_streamed_oracle(self):
-        _, batch, _ = small_setup()
-        lt = small_layer()
-        n = batch.length
-        for q_blk, k_blk in ((1, 1), (3, 8), (20, 20)):
-            want = np.full(n, -np.inf)
-            for qb in range(0, n, q_blk):
-                q_ids = np.arange(qb, min(qb + q_blk, n))
-                for kb in range(0, n, k_blk):
-                    k_ids = np.arange(kb, min(kb + k_blk, n))
-                    blk = teacher_block(lt.q, lt.k, q_ids, k_ids).max(axis=0)
-                    want[k_ids] = np.maximum(want[k_ids], blk)
-            assert np.array_equal(batch.teacher_imp, want)
 
     def test_teacher_target_built_once_per_batch(self, monkeypatch):
         teacher = small_teacher()
@@ -436,12 +415,6 @@ class TestDistillBatch:
 
 
 class TestStreamingLoss:
-    def test_block_size_invariance(self):
-        _, batch, params = small_setup()
-        base = streaming_distill_loss(params, batch, q_blk=20, k_blk=20)
-        for qb, kb in ((1, 1), (3, 8), (7, 5), (20, 20)):
-            assert streaming_distill_loss(params, batch, q_blk=qb, k_blk=kb) == base
-
     def test_pooled_vectors_match_teacher_oracle(self):
         teacher, batch, params = small_setup()
         t_imp, _ = pooled_vectors(params, batch)
@@ -453,13 +426,13 @@ class TestStreamingLoss:
 
     def test_sink_scores_are_irrelevant(self):
         _, batch, params = small_setup(sink_count=4)
-        base = streaming_distill_loss(params, batch)
+        base = distill_loss(params, batch)
         lt = small_layer()
         k_noisy = lt.k.copy()
         k_noisy[:, :4, :] += 100.0
         noisy = DistillBatch(x=batch.x, q_pre=batch.q_pre, q_rot=lt.q,
                              k_rot=k_noisy, sink_count=batch.sink_count)
-        assert streaming_distill_loss(params, noisy) == base
+        assert distill_loss(params, noisy) == base
         assert not np.array_equal(noisy.teacher_imp[:4], batch.teacher_imp[:4])
 
     def test_zero_when_student_equals_teacher(self):
@@ -476,7 +449,7 @@ class TestGradients:
     def test_finite_difference_check(self):
         _, batch, params = small_setup()
         loss, grads = distill_gradients(params, batch)
-        assert loss == streaming_distill_loss(params, batch)
+        assert loss == distill_loss(params, batch)
         h = 1e-5
         rng = Rng(67)
         for name in ("u_q", "u_k", "g"):
@@ -485,9 +458,9 @@ class TestGradients:
             for c in coords:
                 old = flat[c]
                 flat[c] = old + h
-                lp = streaming_distill_loss(params, batch)
+                lp = distill_loss(params, batch)
                 flat[c] = old - h
-                lm = streaming_distill_loss(params, batch)
+                lm = distill_loss(params, batch)
                 flat[c] = old
                 fd = (lp - lm) / (2 * h)
                 an = grads[name].reshape(-1)[c]
@@ -648,9 +621,9 @@ class TestTraining:
             x0 = Rng(70 + i).normal((16, 16))
             batches.append(layer_batch(teacher, x0, 0, sink_count=2))
         params = IndexerParams.init(teacher.config, Rng(71), h_index=2, d_index=3)
-        before = np.mean([streaming_distill_loss(params, b) for b in batches])
+        before = np.mean([distill_loss(params, b) for b in batches])
         losses = train_indexer(params, batches, 80, 1e-3)
-        after = np.mean([streaming_distill_loss(params, b) for b in batches])
+        after = np.mean([distill_loss(params, b) for b in batches])
         assert len(losses) == 80
         assert after < before
 

@@ -10,7 +10,11 @@ timestamps, excepted). The configs are:
 
 - ``readme``: the example config in ``README.md``;
 - ``pipeline``, ``sweep-planted``, ``decode-long``: the benchmark's
-  workloads (``perfbench/workloads.py``), each with its own stages;
+  workloads (``perfbench/workloads.py``), each with its own stages.
+  ``decode-long``'s 256-row prompt is the only indexer scoring input
+  above 128 query rows, so it is the case that shows a change in how
+  the scorer groups its query rows (one block, or 128-row blocks) keeps
+  the bytes;
 - ``pipeline-<policy>``: the ``pipeline`` config under each other policy;
 - ``pipeline-wide``: the ``pipeline`` config with a wider indexer
   (``train.h_index`` 4, ``train.d_index`` 8), so the distillation
