@@ -178,16 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "latent compensation memory, at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, config=True, checkpoint=False,
-            freeze=False, threads=False):
+    def add(name, func, help_text, checkpoint=False, freeze=False,
+            threads=False):
         cmd = sub.add_parser(name, help=help_text)
-        if config:
-            cmd.add_argument("--config", required=True,
-                             help="experiment config JSON")
-            cmd.add_argument("--out", default=None,
-                             help="output directory (default: config out)")
-            cmd.add_argument("--seed", type=int, default=None,
-                             help="override the config seed")
+        cmd.add_argument("--config", required=True,
+                         help="experiment config JSON")
+        cmd.add_argument("--out", default=None,
+                         help="output directory (default: config out)")
+        cmd.add_argument("--seed", type=int, default=None,
+                         help="override the config seed")
         if checkpoint:
             cmd.add_argument("--checkpoint", default=None,
                              required=(name == "train-memory"),
@@ -197,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="keep indexer tensors exactly as loaded")
         if threads:
             cmd.add_argument("--threads", type=int, default=1,
-                             help="worker threads across the sweep points "
-                                  "of each eval sequence")
+                             help="worker threads of the pool that runs the "
+                                  "sweep points of each eval sequence")
         cmd.set_defaults(func=func)
         return cmd
 

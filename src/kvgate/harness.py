@@ -116,6 +116,12 @@ def fit_indexer(cfg: ExperimentConfig, teacher: TeacherModel,
             for li, params in enumerate(params_by_layer)]
 
 
+def _loss_curve(losses_by_layer: list) -> list:
+    """One record per training step: the step's loss, averaged over layers."""
+    return [{"step": step, "loss": float(np.mean(losses))}
+            for step, losses in enumerate(zip(*losses_by_layer))]
+
+
 def train_indexer_run(cfg: ExperimentConfig) -> dict:
     """Stage one: distill the teacher's pooled importance into the indexer."""
     teacher = TeacherModel(cfg.teacher)
@@ -124,11 +130,7 @@ def train_indexer_run(cfg: ExperimentConfig) -> dict:
     traces = (teacher.forward(x0=x0)
               for x0, _ in training_sequences(cfg, teacher))
     losses_by_layer = fit_indexer(cfg, teacher, params, traces)
-    curve = [{"step": step,
-              "loss": float(np.mean([losses_by_layer[li][step]
-                                     for li in range(len(params))]))}
-             for step in range(cfg.indexer_steps)]
-    return {"params": params, "curve": curve}
+    return {"params": params, "curve": _loss_curve(losses_by_layer)}
 
 
 def _drain(items: list):
@@ -222,12 +224,8 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
                                     steps=cfg.mem_steps, lr=cfg.mem_lr,
                                     eta=cfg.eta)
                        for li in range(cfg.teacher.n_layers)]
-    curve = [{"step": step,
-              "loss": float(np.mean([losses_by_layer[li][step]
-                                     for li in range(len(memories))]))}
-             for step in range(cfg.mem_steps)]
-    return {"params": params, "memories": memories, "curve": curve,
-            "teacher": teacher}
+    return {"params": params, "memories": memories,
+            "curve": _loss_curve(losses_by_layer), "teacher": teacher}
 
 
 def memory_eval_losses(cfg: ExperimentConfig, teacher: TeacherModel,
@@ -298,9 +296,9 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
 
     A point keeps only its per-layer scalars, in (sequence, layer) order,
     so a sequence's run and episodes are freed once its points are done.
-    With ``threads > 1`` one pool, made once, spreads each sequence's
-    points; results are collected in submission order, so the records do
-    not depend on the thread count.
+    Every point runs on one pool of ``threads`` workers, made once;
+    results are collected in submission order, so the records do not
+    depend on the thread count.
     """
     _require_checkpoint(cfg, params_by_layer)
     teacher = TeacherModel(cfg.teacher)
@@ -346,35 +344,29 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
                              for imp, sc in zip(teacher_imp, scored[name]))
         live[s] = (full_run, planted, scored)
 
-    def collect(s, results) -> None:
-        for point, (attn, fused, recall, counts) in zip(points, results):
+    def collect(s, futures) -> None:
+        for point, future in zip(points, futures):
+            attn, fused, recall, counts = future.result()
             mse_attn[point].extend(attn)
             mse_fused[point].extend(fused)
             recalls[point].extend(recall)
             keep_counts[point] = counts
         del live[s]
 
-    sequences = enumerate(eval_sequences(cfg, teacher))
-    if threads == 1:
-        for s, (x0, planted) in sequences:
+    # Sequence s is prepared here while the pool runs the points of s - 1,
+    # and its points are submitted before those are collected, so the pool
+    # is not left idle at a sequence boundary. At most two sequences are
+    # live.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = None
+        for s, (x0, planted) in enumerate(eval_sequences(cfg, teacher)):
             prepare(s, x0, planted)
-            collect(s, [eval_point(point, s) for point in points])
-    else:
-        # Sequence s is prepared here while the pool runs the points of
-        # s - 1, and its points are queued before those are collected, so
-        # the pool is not left idle at a sequence boundary. At most two
-        # sequences are live.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            queued = []
-            for s, (x0, planted) in sequences:
-                prepare(s, x0, planted)
-                queued.append((s, [pool.submit(eval_point, point, s)
-                                   for point in points]))
-                if len(queued) == 2:
-                    done, futures = queued.pop(0)
-                    collect(done, (future.result() for future in futures))
-            for done, futures in queued:
-                collect(done, (future.result() for future in futures))
+            submitted = s, [pool.submit(eval_point, point, s)
+                            for point in points]
+            if pending is not None:
+                collect(*pending)
+            pending = submitted
+        collect(*pending)
 
     # The rule at ratio 1 keeps exactly the forced rows.
     forced = select(replace(cfg.plan, ratio=1.0), np.zeros(upto),

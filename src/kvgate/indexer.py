@@ -169,8 +169,6 @@ class IndexerKeyCache:
     def rows_for(self, positions) -> np.ndarray:
         """Gather cached feature rows by original position (a copy)."""
         want = np.asarray(positions, dtype=np.int64)
-        if want.size == 0:
-            return np.zeros((0, self.d_index))
         cached = self.positions
         idx = np.searchsorted(cached, want)
         missing = idx >= cached.size
@@ -227,10 +225,7 @@ def importance_from_features(q_feat: np.ndarray, gates: np.ndarray,
 
 def indexer_importance(params: IndexerParams, x: np.ndarray,
                        q_pre: np.ndarray) -> np.ndarray:
-    """Importance of every row of one sequence over all its query rows.
-
-    Kept for its traced name; ROADMAP item 8 folds it into its callers.
-    """
+    """Importance of every row of one sequence over all its query rows."""
     x = np.asarray(x, dtype=np.float64)
     ids = np.arange(x.shape[0])
     return importance_from_features(query_features(params, q_pre),
@@ -288,13 +283,9 @@ def pooled_vectors(params: IndexerParams, batch: DistillBatch):
     """(teacher_imp, student_imp) over all keys, both (L,).
 
     The teacher side is the batch's target; the student side is
-    :func:`importance_from_features` over every query row.
+    :func:`indexer_importance` over every query row.
     """
-    ids = np.arange(batch.length)
-    student_imp = importance_from_features(
-        query_features(params, batch.q_pre), head_gates(params, batch.x),
-        key_features(params, batch.x), ids, ids)
-    return batch.teacher_imp, student_imp
+    return batch.teacher_imp, indexer_importance(params, batch.x, batch.q_pre)
 
 
 def distill_loss(params: IndexerParams, batch: DistillBatch) -> float:

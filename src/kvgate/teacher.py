@@ -146,13 +146,13 @@ def attend_rows(q_rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
 
     Returns (nq, n_heads * d_head).
 
-    A single query row (``nq == 1``, a decode step) runs every head at once:
-    the queries are viewed as (n_kv_heads, group, 1, d_head) and meet
-    their kv head's keys and values through one 4-D stacked matmul each,
-    with one softmax over all heads. Every other input (prefill, episodes,
-    sweep) runs one head at a time through :func:`head_logits`. NumPy runs
-    the same BLAS call for each matrix of a stack, so the result is
-    bitwise that of a per-head loop.
+    A single unmasked query row (``nq == 1``, a decode step) runs every
+    head at once: the queries are viewed as (n_kv_heads, group, 1, d_head)
+    and meet their kv head's keys and values through one 4-D stacked
+    matmul each, with one softmax over all heads. Every other input
+    (prefill, episodes, sweep, any masked row) runs one head at a time
+    through :func:`head_logits`. NumPy runs the same BLAS call for each
+    matrix of a stack, so the result is bitwise that of a per-head loop.
     """
     return _attend(q_rows, keys, values, visible)
 
@@ -163,11 +163,9 @@ def _attend(q_rows, keys, values, visible):
     # apart.
     n_heads, nq, dh = q_rows.shape
     n_kv = keys.shape[0]
-    if nq == 1:
+    if nq == 1 and visible is None:
         q = q_rows.reshape(n_kv, n_heads // n_kv, 1, dh)
         logits = (q @ keys.transpose(0, 2, 1)[:, None]) * logit_scale(q_rows)
-        if visible is not None:
-            logits = np.where(visible, logits, -np.inf)
         o = masked_softmax_rows(logits) @ values[:, None]
         return o.reshape(1, n_heads * dh)
     out = np.empty((nq, n_heads, dh))

@@ -341,7 +341,7 @@ UNSET_BY_ANY_PROGRAM = {
     "train.d_mem": "ROADMAP item 5 tunes the memory width",
     "train.mem_lr": "ROADMAP item 5 tunes the memory step size",
     "train.indexer_peak": "ROADMAP item 3 tunes the indexer step size",
-    "reuse.group_size": "retired with crosslayer.py in ROADMAP items 8-9",
+    "reuse.group_size": "retired with crosslayer.py in ROADMAP items 10 and 12",
 }
 
 

@@ -240,6 +240,8 @@ class TestKeyCache:
         assert len(cache) == 5
         got = cache.rows_for([1, 4])
         assert np.array_equal(got, rows[[1, 4]])
+        empty = cache.rows_for([])
+        assert empty.shape == (0, 3) and empty.dtype == np.float64
 
     def test_missing_position_raises(self):
         cache = IndexerKeyCache(d_index=3)
