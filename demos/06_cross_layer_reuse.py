@@ -2,9 +2,9 @@
 
 Layers tend to agree on which tokens matter, so a group of layers can be
 scored once: the group's first layer computes its scores and the others
-reuse them (the config's ``reuse.group_size``). The demo shows the reuse
-plan, the computations it saves, and how many rows each layer would have
-kept on its own scores that it also keeps on its leader's.
+reuse them. The demo shows the reuse plan, the computations it saves,
+and how many rows each layer would have kept on its own scores that it
+also keeps on its leader's.
 """
 
 import numpy as np

@@ -97,8 +97,7 @@ def cmd_train_memory(args) -> int:
     stage_one, _ = _load_checkpoint(args.checkpoint, cfg.teacher)
     if stage_one is None:
         raise ConfigError("checkpoint carries no indexer tensors")
-    result = train_memory_run(cfg, stage_one,
-                              freeze_indexer=args.freeze_indexer)
+    result = train_memory_run(cfg, stage_one)
     tensors = {**indexer_tensors(result["params"]),
                **memory_tensors(result["memories"])}
     save_weights(out / "memory.kvgt", tensors)
@@ -178,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "latent compensation memory, at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, checkpoint=False, freeze=False,
-            threads=False):
+    def add(name, func, help_text, checkpoint=False, threads=False):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True,
                          help="experiment config JSON")
@@ -191,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--checkpoint", default=None,
                              required=(name == "train-memory"),
                              help="weights file from an earlier stage")
-        if freeze:
-            cmd.add_argument("--freeze-indexer", action="store_true",
-                             help="keep indexer tensors exactly as loaded")
         if threads:
             cmd.add_argument("--threads", type=int, default=1,
                              help="worker threads of the pool that runs the "
@@ -204,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("train-indexer", cmd_train_indexer,
         "distill teacher importance into the indexer (stage one)")
     add("train-memory", cmd_train_memory,
-        "fit the compensation memories (stage two)", checkpoint=True,
-        freeze=True)
+        "fit the compensation memories (stage two)", checkpoint=True)
     add("sweep", cmd_sweep, "evaluate policies over the eviction-ratio grid",
         checkpoint=True, threads=True)
     add("decode-sim", cmd_decode_sim,

@@ -28,6 +28,7 @@ DATA_KINDS = ("tokens", "planted")
 _RETIRED = {
     "plan": {"budget": None},
     "policy": {"head_pool": "mean", "window": 8, "seed": 0},
+    "reuse": {"group_size": 1},
     "agg": {"mode": "none", "gamma": 0.5, "prob": "softmax"},
     "train": {"head_sum": False, "stop_write_grad": False, "lam": 0.95,
               "param_seed": 42},
@@ -51,9 +52,6 @@ _SCHEMA = {
     },
     "policy": {
         "name": "indexer",
-    },
-    "reuse": {
-        "group_size": 1,
     },
     "data": {
         "kind": "tokens", "length": 128, "n_train": 64, "n_eval": 32,
@@ -130,7 +128,6 @@ class ExperimentConfig:
     teacher: TeacherConfig
     plan: CompressionPlan
     policy_name: str
-    reuse_group_size: int
     data_kind: str
     data_length: int
     n_train: int
@@ -221,7 +218,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         teacher=teacher,
         plan=plan,
         policy_name=tree["policy"]["name"],
-        reuse_group_size=_as_int(tree, "reuse", "group_size", 1),
         data_kind=tree["data"]["kind"],
         data_length=length,
         n_train=_as_int(tree, "data", "n_train", 1),

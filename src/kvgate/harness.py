@@ -15,7 +15,6 @@ import numpy as np
 
 from .cache import CompressionPlan, DecodeSchedule, KvCache, budget_compress
 from .config import ConfigError, ExperimentConfig
-from .crosslayer import scores_with_reuse
 from .episodes import (
     FullRun,
     episode_loss,
@@ -147,28 +146,23 @@ def _require_checkpoint(cfg: ExperimentConfig, params_by_layer) -> None:
         raise ConfigError("the indexer policy needs a trained checkpoint")
 
 
-def sequence_scores(cfg: ExperimentConfig, name: str, full_run: FullRun,
-                    s: int, params_by_layer=None) -> list:
+def sequence_scores(name: str, full_run: FullRun, s: int,
+                    params_by_layer=None) -> list:
     """Eval-prefix scores of sequence ``s`` under the policy ``name``, per
-    layer; a scorer that draws does so from the sequence's own stream.
-
-    Index reuse shares score computations across layer groups.
-    """
-    trace, upto = full_run.trace, full_run.eval_start
+    layer; a scorer that draws does so from the sequence's own stream."""
+    upto = full_run.eval_start
     positions = np.arange(upto)
     rng_parent = Rng(POLICY_SEED).split(POLICY_STREAM + s)
-
-    def compute(layer: int) -> np.ndarray:
-        lt = trace.layers[layer]
+    scores = []
+    for layer, lt in enumerate(full_run.trace.layers):
         x = lt.x_in[:upto]
         params = params_by_layer[layer] if name == "indexer" else None
-        return score_layer(
+        scores.append(score_layer(
             name, lt.k[:, :upto, :], positions,
             QueryRows(x, lt.q_pre[:, :upto, :], lt.q[:, :upto, :], positions),
             rng=rng_parent.split(50 + layer), params=params,
-            key_feats=None if params is None else key_features(params, x))
-
-    return scores_with_reuse(len(trace.layers), cfg.reuse_group_size, compute)
+            key_feats=None if params is None else key_features(params, x)))
+    return scores
 
 
 def sequence_episodes(full_run: FullRun, plan: CompressionPlan,
@@ -190,22 +184,20 @@ def build_episode_sets(cfg: ExperimentConfig, runs,
     """
     per_layer = [[] for _ in range(cfg.teacher.n_layers)]
     for s, full_run in enumerate(runs):
-        scores = sequence_scores(cfg, cfg.policy_name, full_run, s,
-                                 params_by_layer)
+        scores = sequence_scores(cfg.policy_name, full_run, s, params_by_layer)
         _, eps = sequence_episodes(full_run, cfg.plan, scores)
         for li in range(cfg.teacher.n_layers):
             per_layer[li].append(eps[li])
     return per_layer
 
 
-def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
-                     freeze_indexer: bool = False) -> dict:
+def train_memory_run(cfg: ExperimentConfig, indexer_params: list) -> dict:
     """Stage two: fit the per-layer compensation memories.
 
-    Unless frozen, the indexer keeps training on the same distillation
-    batches before the eviction episodes are built, so the memories learn
-    against the keep sets the final indexer actually produces. Both come
-    from one teacher forward per training sequence.
+    The indexer keeps training on the same distillation batches before the
+    eviction episodes are built, so the memories learn against the keep
+    sets the final indexer actually produces. Both come from one teacher
+    forward per training sequence.
     """
     _require_checkpoint(cfg, indexer_params)
     teacher = TeacherModel(cfg.teacher)
@@ -213,7 +205,7 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list,
               if indexer_params is not None else None)
     sequences = training_sequences(cfg, teacher)
     runs = [FullRun.of(teacher, x0, cfg.eval_start) for x0, _ in sequences]
-    if params is not None and not freeze_indexer and cfg.policy_name == "indexer":
+    if params is not None and cfg.policy_name == "indexer":
         fit_indexer(cfg, teacher, params, [run.trace for run in runs])
     # Each run is freed once its episodes are built, so all the runs and
     # all the episodes are never alive together.
@@ -240,8 +232,7 @@ def memory_eval_losses(cfg: ExperimentConfig, teacher: TeacherModel,
     losses = [[[] for _ in range(cfg.teacher.n_layers)] for _ in memory_sets]
     for s, (x0, _) in enumerate(eval_sequences(cfg, teacher)):
         full_run = FullRun.of(teacher, x0, cfg.eval_start)
-        scores = sequence_scores(cfg, cfg.policy_name, full_run, s,
-                                 params_by_layer)
+        scores = sequence_scores(cfg.policy_name, full_run, s, params_by_layer)
         _, eps = sequence_episodes(full_run, cfg.plan, scores)
         del full_run, scores
         for memories, per_layer in zip(memory_sets, losses):
@@ -338,8 +329,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
                        for lt in full_run.trace.layers]
         scored = {}
         for name in names:
-            scored[name] = sequence_scores(cfg, name, full_run, s,
-                                           params_by_layer)
+            scored[name] = sequence_scores(name, full_run, s, params_by_layer)
             kls[name].extend(kl_divergence(imp[support], sc[support])
                              for imp, sc in zip(teacher_imp, scored[name]))
         live[s] = (full_run, planted, scored)

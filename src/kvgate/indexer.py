@@ -90,8 +90,6 @@ class IndexerParams:
         """Random init scaled by 1/sqrt(fan_in), one fresh draw per matrix."""
         h_index = default_h_index(config.n_heads) if h_index is None else h_index
         d_index = default_d_index(config.d_head) if d_index is None else d_index
-        if h_index < 1 or d_index < 1:
-            raise ValueError("H_index and d_index must be at least 1")
         q_in = config.n_heads * config.d_head
         u_q = rng.split(0).normal((q_in, h_index * d_index)) / math.sqrt(q_in)
         u_k = rng.split(1).normal((config.d_model, d_index)) / math.sqrt(config.d_model)
@@ -171,10 +169,8 @@ class IndexerKeyCache:
         want = np.asarray(positions, dtype=np.int64)
         cached = self.positions
         idx = np.searchsorted(cached, want)
-        missing = idx >= cached.size
-        idx = np.where(missing, 0, idx)
-        missing |= cached[idx] != want
-        if missing.any():
+        # An index past the end is checked first: it cannot be gathered.
+        if np.any(idx >= cached.size) or np.any(cached[idx] != want):
             raise ValueError("missing cached keys")
         return self._rows[idx]
 

@@ -101,7 +101,7 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
 
     # Isotropic filler rows with unit RMS per entry.
     x0 = rng.normal((length, cfg.d_model))
-    if cfg.n_layers == 0 or needles.size == 0:
+    if needles.size == 0:
         return PlantedSequence(x0=x0, planted=needles, tail_start=tail_start)
 
     # Tail rows: per-layer directions that produce oversized queries. The top

@@ -34,8 +34,8 @@ class TeacherConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_layers < 0:
-            raise ValueError("n_layers must be nonnegative")
+        if self.n_layers < 1:
+            raise ValueError("n_layers must be at least 1")
         if self.n_heads < 1 or self.d_model < 1:
             raise ValueError("d_model and n_heads must be positive")
         if self.d_model % self.n_heads != 0:

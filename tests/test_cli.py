@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
+import argparse
+import ast
+import importlib.util
 import io
 import json
 import logging
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -23,7 +28,14 @@ from kvgate.checkpoint import (
     save_weights,
 )
 import kvgate.harness as harness
-from kvgate.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
+from kvgate.cli import (
+    EXIT_CONFIG,
+    EXIT_DIVERGENCE,
+    EXIT_IO,
+    EXIT_OK,
+    build_parser,
+    main,
+)
 from kvgate.config import parse_config
 from kvgate.harness import SWEEP_RATIOS, init_indexer
 from kvgate.metrics import read_records
@@ -179,16 +191,6 @@ class TestTrainMemory:
         moved = any(not np.array_equal(before[name], after[name])
                     for name in before)
         assert moved
-
-    def test_freeze_keeps_indexer_tensors(self, stage_one, tmp_path):
-        out = tmp_path / "frozen"
-        assert run("train-memory", "--config", stage_one["config"],
-                   "--checkpoint", stage_one["checkpoint"],
-                   "--freeze-indexer", "--out", out) == EXIT_OK
-        before = load_weights(stage_one["checkpoint"])
-        after = load_weights(out / "memory.kvgt")
-        for name in before:
-            assert np.array_equal(before[name], after[name])
 
     def test_missing_checkpoint_file(self, stage_one, tmp_path, capsys):
         code = run("train-memory", "--config", stage_one["config"],
@@ -495,6 +497,7 @@ class TestErrorPaths:
         ("policy", {"seed": 0}, "seed"),
         ("train", {"param_seed": 42}, "param_seed"),
         ("data", {"eval_start": 20}, "eval_start"),
+        ("reuse", {"group_size": 1}, "reuse"),
     ])
     def test_retired_config_key(self, tmp_path, capsys, section, value, key):
         # One JSON line on stderr, so no traceback either.
@@ -709,3 +712,66 @@ class TestSelftestAndLogging:
         for line in curve_path.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
             assert "time" not in record and "timestamp" not in record
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Flags no program passes, each as (command, flag) with the reason it stays.
+UNPASSED_BY_ANY_PROGRAM = {}
+
+
+def parser_flags():
+    """(command, flag) for every option of every subcommand, -h aside."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                yield command, action.option_strings[0]
+
+
+def passed_flags(argv):
+    """(command, flag) for the options one command line passes."""
+    return {(argv[0], token) for token in argv[1:]
+            if token.startswith("--")}
+
+
+def program_command_lines() -> dict:
+    """Every CLI command line a program runs, by program: the benchmark's
+    workloads at both sizes (``tools/same_bytes.py`` builds its argv the
+    same way), demo 07's ``cli(...)`` calls and the README's ``kvgate``
+    lines."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up by name while it is being built.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    bench = [work.argv(stage, "config.json", Path("out"), 0)
+             for size in workloads.SIZES for name in workloads.NAMES
+             for work in [workloads.workload(name, size)]
+             for stage in work.setup + work.stages]
+    # The demo runs its pipeline when imported, so its calls are read
+    # from the source instead.
+    demo = ast.parse((ROOT / "demos" / "07_cli_pipeline.py").read_text())
+    demo_lines = [[arg.value for arg in node.args
+                   if isinstance(arg, ast.Constant)]
+                  for node in ast.walk(demo)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "cli"]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme_lines = [shlex.split(line)[1:] for line in re.findall(
+        r"^kvgate .*$", readme.replace("\\\n", " "), re.M)]
+    return {"perfbench": bench, "demo 07": demo_lines,
+            "README": readme_lines}
+
+
+class TestEveryFlagHasAProgram:
+    def test_each_flag_is_passed_by_a_program_or_allowlisted(self):
+        by_program = program_command_lines()
+        assert all(by_program.values()), by_program
+        passed = {flag for lines in by_program.values() for argv in lines
+                  for flag in passed_flags(argv)}
+        unpassed = set(parser_flags()) - passed
+        assert unpassed == set(UNPASSED_BY_ANY_PROGRAM)

@@ -43,7 +43,6 @@ class TestParsing:
         assert cfg.teacher.n_layers == 4
         assert cfg.plan.ratio == 0.5
         assert cfg.policy_name == "indexer"
-        assert cfg.reuse_group_size == 1
         assert cfg.data_length == 128
         assert cfg.eval_start == (2 * 128) // 3
         assert cfg.decode_budgets == (48, 64, 96)
@@ -91,8 +90,8 @@ class TestParsing:
             parse_config({"version": 1, "plan": {"ration": 0.5}})
 
     def test_unknown_deep_key_names_section(self):
-        with pytest.raises(ConfigError, match="reuse"):
-            parse_config({"version": 1, "reuse": {"group_sise": 2}})
+        with pytest.raises(ConfigError, match="decode"):
+            parse_config({"version": 1, "decode": {"stepz": 2}})
 
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="object"):
@@ -117,7 +116,7 @@ class TestParsing:
         ({"agg": {"mode": "none"}}, "agg"),
         ({"agg": {}}, "agg"),
         ({"train": {"head_sum": False, "stop_write_grad": False}}, "head_sum"),
-        ({"reuse": {"group_size": 0}}, "group_size"),
+        ({"reuse": {"group_size": 0}}, "reuse"),
         ({"data": {"kind": "text"}}, "data.kind"),
         ({"data": {"length": 1}}, "length"),
         ({"decode": {"budgets": []}}, "budgets"),
@@ -154,6 +153,9 @@ class TestParsing:
         ({"train": {"param_seed": 42}}, "param_seed"),
         ({"data": {"eval_start": 85}}, "eval_start"),
         ({"data": {"eval_start": None}}, "eval_start"),
+        # Retired: layer-group score reuse, which every program ran at
+        # group size 1; unknown at any value, its old default included.
+        ({"reuse": {"group_size": 1}}, "reuse"),
     ])
     def test_bad_values_rejected(self, patch, needle):
         raw = {**minimal(), **patch}
@@ -296,7 +298,6 @@ class TestHash:
         b = parse_config({"version": 1, "seed": 0,
                           "plan": {"ratio": 0.5},
                           "policy": {"name": "indexer"},
-                          "reuse": {"group_size": 1},
                           "train": {"mem_lr": 0.05}})
         assert a.config_hash == b.config_hash
 
@@ -337,11 +338,10 @@ class TestHash:
 # Keys no program sets, each with the reason it stays settable.
 UNSET_BY_ANY_PROGRAM = {
     "out": "a deployment path; every program passes --out instead",
-    "teacher.seed": "a second teacher is ROADMAP item 11",
-    "train.d_mem": "ROADMAP item 5 tunes the memory width",
-    "train.mem_lr": "ROADMAP item 5 tunes the memory step size",
-    "train.indexer_peak": "ROADMAP item 3 tunes the indexer step size",
-    "reuse.group_size": "retired with crosslayer.py in ROADMAP items 10 and 12",
+    "teacher.seed": "a second teacher is ROADMAP items 1, 3 and 14",
+    "train.d_mem": "ROADMAP item 8 tunes the memory width",
+    "train.mem_lr": "ROADMAP item 8 tunes the memory step size",
+    "train.indexer_peak": "ROADMAP item 6 tunes the indexer step size",
 }
 
 

@@ -249,6 +249,10 @@ class TestKeyCache:
         with pytest.raises(ValueError, match="missing cached keys"):
             cache.rows_for([2, 7])
 
+    def test_missing_position_in_an_empty_cache_raises(self):
+        with pytest.raises(ValueError, match="missing cached keys"):
+            IndexerKeyCache(d_index=2).rows_for([3])
+
     def test_survives_sparse_positions(self):
         # rows stay addressable by original position after the kv cache has
         # dropped the in-between tokens

@@ -107,6 +107,11 @@ class TestConfig:
             # d_head = 1 is odd, rotary pairs impossible
             TeacherConfig(d_model=8, n_heads=8)
 
+    def test_zero_layers_rejected(self):
+        # Config parsing and KvCache refuse a layerless teacher too.
+        with pytest.raises(ValueError, match="n_layers"):
+            small_config(n_layers=0)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_64_bits_rejected(self, seed):
         # 2**64 + 5 would build seed 5's weights.
@@ -264,13 +269,6 @@ class TestForward:
         assert np.array_equal(a.embedding, b.embedding)
         c = TeacherModel(small_config(seed=6))
         assert not np.array_equal(a.layers[0].w_q, c.layers[0].w_q)
-
-    def test_zero_layers_is_identity(self):
-        model = TeacherModel(small_config(n_layers=0))
-        x0 = Rng(8).normal((5, 16))
-        trace = model.forward(x0=x0)
-        assert trace.layers == []
-        assert np.array_equal(trace.output, x0)
 
     @pytest.mark.parametrize("x0, message", [
         (np.zeros((2, 15)), "shape"),
