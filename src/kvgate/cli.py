@@ -222,8 +222,10 @@ def _error_record(command: str, err: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("KVGATE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # Only a level name gives an int: ``basic_format`` names logging's
+    # format string, which basicConfig would reject with a traceback.
+    level = getattr(logging, os.environ.get("KVGATE_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     # Warnings go to run.log (see _attach_sidecar), never to stderr.

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .numerics import Rng
+from .numerics import Rng, sigmoid
 from .teacher import flatten_heads
 
 MEM_EPS = 1e-6
@@ -136,7 +135,7 @@ def mem_write(slow: MemorySlowWeights, state: MemoryState,
 
 def gate(slow: MemorySlowWeights, q: np.ndarray) -> np.ndarray:
     """Read gate in (0, 1) of (..., n, d_model) query rows: (..., n)."""
-    return expit(np.asarray(q, dtype=np.float64) @ slow.w_gate + slow.gate_bias)
+    return sigmoid(np.asarray(q, dtype=np.float64) @ slow.w_gate + slow.gate_bias)
 
 
 def fuse(slow: MemorySlowWeights, state: MemoryState, o_attn: np.ndarray,

@@ -160,6 +160,26 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return s - np.log(np.exp(s).sum())
 
 
+def sigmoid(x) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)), elementwise, in float64.
+
+    The exponential runs in complex128 on purpose; do not "simplify" it to
+    float64. Float64 ``np.exp`` is numpy's own SIMD routine, which differs
+    from the C library's ``exp`` in the last bit for about 2% of values.
+    Complex128 ``np.exp`` calls the C library's ``cexp``, whose real part
+    at a zero imaginary part is the C library's ``exp``; so this returns
+    the bits of ``1 / (1 + math.exp(-v))`` for each value ``v``.
+    The one known exception is x in [-709.79, -709.0], where glibc's
+    ``cexp`` scales its argument and results (<= 1.22e-308) may be 1 ulp
+    off.
+
+    Below x = -709.78 ``exp(-x)`` overflows to inf and the result is
+    exactly 0; complex ``exp`` warns there, so the warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        return 1 / (1 + np.exp(-x + 0j).real)
+
+
 def rmsnorm(x, axis: int = -1) -> np.ndarray:
     """x / sqrt(mean(x^2) + 1e-6) along ``axis``; no learnable scale.
 

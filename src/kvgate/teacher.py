@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .numerics import Rng, check_seed, masked_softmax_rows, rmsnorm
+from .numerics import Rng, check_seed, masked_softmax_rows, rmsnorm, sigmoid
 
 # Rotary frequency base: pair i of a d-wide row turns at ROPE_BASE**(-2i/d).
 ROPE_BASE = 10000.0
@@ -260,7 +259,7 @@ class TeacherModel:
     def _finish_layer(self, layer: TeacherLayer, x: np.ndarray, o_concat: np.ndarray) -> np.ndarray:
         h = x + o_concat @ layer.w_o
         pre = rmsnorm(h) @ layer.w_in
-        return h + (pre * expit(pre)) @ layer.w_out
+        return h + (pre * sigmoid(pre)) @ layer.w_out
 
     def forward(self, x0) -> ForwardTrace:
         """Full-sequence forward pass with per-layer traces over the

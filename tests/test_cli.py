@@ -707,6 +707,19 @@ class TestSelftestAndLogging:
         finally:
             logger.setLevel(previous)
 
+    def test_non_level_log_name_falls_back_to_warning(self):
+        # basicConfig is a no-op under pytest, whose handlers are already
+        # installed, so the level is set in a plain interpreter.
+        # ``BASIC_FORMAT`` is a logging attribute, but a format string.
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "KVGATE_LOG": "basic_format"}
+        done = subprocess.run(
+            [sys.executable, "-m", "kvgate.cli", "selftest"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK
+        assert done.stderr == ""
+        assert done.stdout.strip().endswith("checks passed")
+
     def test_metrics_lines_carry_no_timestamps(self, stage_one):
         curve_path = stage_one["out"] / "train_indexer_loss.jsonl"
         for line in curve_path.read_text(encoding="utf-8").splitlines():
@@ -775,3 +788,20 @@ class TestEveryFlagHasAProgram:
                   for flag in passed_flags(argv)}
         unpassed = set(parser_flags()) - passed
         assert unpassed == set(UNPASSED_BY_ANY_PROGRAM)
+
+
+class TestDependencies:
+    def test_package_imports_numpy_and_the_standard_library_only(self):
+        allowed = set(sys.stdlib_module_names) | {"numpy"}
+        foreign = []
+        for path in sorted((ROOT / "src" / "kvgate").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    roots = [node.module.split(".")[0]]
+                else:
+                    continue
+                foreign += [f"{path.name}: {root}" for root in roots
+                            if root not in allowed]
+        assert foreign == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kvgate.numerics import (
     log_softmax,
     masked_softmax_rows,
     rmsnorm,
+    sigmoid,
     topk_indices,
 )
 
@@ -127,6 +129,22 @@ def max_softmax_rows(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def logistic(x):
+    """1 / (1 + exp(-v)) per value through the C library's ``math.exp``,
+    the bits ``numerics.sigmoid`` must give; an overflowing exp gives 0.
+
+    ``math.exp`` leaves the processor's overflow flag set when it raises,
+    which numpy would report as a warning after the loop.
+    """
+    def one(v):
+        try:
+            return 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            return 0.0
+    with np.errstate(over="ignore"):
+        return np.vectorize(one, otypes=[float])(x)
+
+
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=40)
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -160,6 +178,40 @@ class TestReductionsKeepTheirBytes:
     def test_softmax_rows_is_the_max_formula(self, logits):
         assert np.array_equal(masked_softmax_rows(logits),
                               max_softmax_rows(logits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(np.float64, SHAPES,
+                        elements=st.floats(-709, 709, allow_nan=False)))
+    def test_sigmoid_is_the_scalar_formula(self, x):
+        assert np.array_equal(sigmoid(x), logistic(x))
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("x, want", [(0.0, 0.5), (-0.0, 0.5),
+                                         (np.inf, 1.0), (-np.inf, 0.0),
+                                         (np.nan, np.nan)])
+    def test_fixed_values(self, x, want):
+        assert np.array_equal(sigmoid(np.float64(x)), want, equal_nan=True)
+
+    def test_overflow_is_exactly_zero_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([-800.0, -1e300]))
+        assert out.tolist() == [0.0, 0.0]
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3, 4)])
+    def test_keeps_shape_as_float64(self, shape):
+        out = sigmoid(np.linspace(-5.0, 5.0, int(np.prod(shape))).reshape(shape))
+        assert np.shape(out) == shape
+        assert out.dtype == np.float64
+
+    def test_within_one_ulp_where_cexp_scales(self):
+        # In (-709.79, -709] glibc's cexp scales its argument and rounds
+        # twice; the results are subnormal-range values, at most 1 ulp off.
+        x = np.linspace(-709.79, -709.0, 20001)[1:]
+        want = logistic(x)
+        assert np.all(np.abs(sigmoid(x) - want) <= np.spacing(want))
 
 
 class TestTopK:

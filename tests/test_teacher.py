@@ -4,7 +4,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from kvgate.cache import KvCache
 from kvgate.indexer import DistillBatch
@@ -22,6 +21,12 @@ from kvgate.teacher import (
     pooled_teacher_importance,
     rope_apply,
 )
+
+
+def logistic(x):
+    """1 / (1 + exp(-v)) per value through the C library's ``math.exp``:
+    a bitwise oracle for ``numerics.sigmoid``."""
+    return np.vectorize(lambda v: 1.0 / (1.0 + math.exp(-v)), otypes=[float])(x)
 
 
 def reference_attention(q, k, v, scale_dim):
@@ -85,7 +90,7 @@ def oracle_step(model, x_row, cache, position):
         fields["q"].append(q[:, 0, :])
         h = x + o @ layer.w_o
         pre = norm(h) @ layer.w_in
-        x = h + (pre * expit(pre)) @ layer.w_out
+        x = h + (pre * logistic(pre)) @ layer.w_out
     fields["output"] = x[0]
     return fields
 
