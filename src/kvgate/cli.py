@@ -1,9 +1,9 @@
 """Command-line entry point for training, sweeps, and reports.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical divergence,
-4 I/O error. Failures emit one machine-readable JSON record on stderr.
-All command outputs are deterministic in (config, seed); the only place a
-timestamp ever appears is the run.log sidecar.
+4 I/O error or out of memory. Failures emit one machine-readable JSON
+record on stderr. All command outputs are deterministic in (config, seed);
+the only place a timestamp ever appears is the run.log sidecar.
 """
 
 from __future__ import annotations
@@ -44,18 +44,13 @@ EXIT_IO = 4
 log = logging.getLogger("kvgate")
 
 
-def _load_config(args):
-    return load_config(args.config, seed=args.seed)
-
-
-def _out_dir(args, cfg) -> Path:
+def _stage(args):
+    """A stage command's prologue: ``(config, output directory)``, with the
+    directory made and log lines and warnings routed to its run.log, the
+    one timestamped file."""
+    cfg = load_config(args.config, seed=args.seed)
     out = Path(args.out) if args.out else Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _attach_sidecar(out: Path) -> None:
-    """Route log lines and warnings to out/run.log, the one timestamped file."""
     handler = logging.FileHandler(out / "run.log")
     handler.setFormatter(logging.Formatter(
         "%(asctime)s %(levelname)s %(name)s: %(message)s"))
@@ -65,6 +60,7 @@ def _attach_sidecar(out: Path) -> None:
             logger.removeHandler(old)
             old.close()
         logger.addHandler(handler)
+    return cfg, out
 
 
 def _load_checkpoint(path, teacher):
@@ -76,9 +72,7 @@ def _load_checkpoint(path, teacher):
 
 
 def cmd_train_indexer(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    _attach_sidecar(out)
+    cfg, out = _stage(args)
     log.info("training indexer for %d steps on %d sequences",
              cfg.indexer_steps, cfg.n_train)
     result = train_indexer_run(cfg)
@@ -91,9 +85,7 @@ def cmd_train_indexer(args) -> int:
 
 
 def cmd_train_memory(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    _attach_sidecar(out)
+    cfg, out = _stage(args)
     stage_one, _ = _load_checkpoint(args.checkpoint, cfg.teacher)
     if stage_one is None:
         raise ConfigError("checkpoint carries no indexer tensors")
@@ -123,9 +115,7 @@ def cmd_train_memory(args) -> int:
 def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise ConfigError("--threads must be at least 1")
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    _attach_sidecar(out)
+    cfg, out = _stage(args)
     params = memories = None
     if args.checkpoint:
         params, memories = _load_checkpoint(args.checkpoint, cfg.teacher)
@@ -137,9 +127,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_decode_sim(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    _attach_sidecar(out)
+    cfg, out = _stage(args)
     params = None
     if args.checkpoint:
         params, _ = _load_checkpoint(args.checkpoint, cfg.teacher)
@@ -228,7 +216,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    # Warnings go to run.log (see _attach_sidecar), never to stderr.
+    # Warnings go to run.log (see _stage), never to stderr.
     logging.getLogger("py.warnings").propagate = False
     logging.captureWarnings(True)
     try:
@@ -236,10 +224,10 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(_error_record(args.command, err), file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(_error_record(args.command, err), file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as err:
+    except (OSError, MemoryError) as err:
         print(_error_record(args.command, err), file=sys.stderr)
         return EXIT_IO
     finally:

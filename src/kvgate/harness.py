@@ -298,9 +298,8 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     names = sweep_policies(cfg)
     plans = {ratio: replace(cfg.plan, ratio=ratio) for ratio in SWEEP_RATIOS}
     points = [(name, ratio) for name in names for ratio in SWEEP_RATIOS]
-    mse_attn = {point: [] for point in points}
-    mse_fused = {point: [] for point in points}
-    recalls = {point: [] for point in points}
+    # Per point, record field -> its per-layer values over the sequences.
+    results = {point: {} for point in points}
     keep_counts = {}     # per point, the last sequence's
     kls = {name: [] for name in names}
     # Sequence index -> (full_run, planted, scores by policy) while its
@@ -312,12 +311,13 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
         full_run, planted, scored = live[s]
         keeps, eps = sequence_episodes(full_run, plans[point[1]],
                                        scored[point[0]])
-        fused = ([episode_loss(memories[li], ep, eta=cfg.eta)
-                  for li, ep in enumerate(eps)] if memories is not None
-                 else [])
-        return ([plain_mse(ep) for ep in eps], fused,
-                [retention_recall(keep, planted) for keep in keeps],
-                [keep.size for keep in keeps])
+        values = {"recon_attn": [plain_mse(ep) for ep in eps],
+                  "recall": [retention_recall(keep, planted) for keep in keeps]}
+        values["recon_fused"] = ([episode_loss(memories[li], ep, eta=cfg.eta)
+                                  for li, ep in enumerate(eps)]
+                                 if memories is not None
+                                 else values["recon_attn"])
+        return values, [keep.size for keep in keeps]
 
     def prepare(s, x0, planted) -> None:
         # Built here, not on the pool: when pool threads made arrays that
@@ -336,11 +336,9 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
 
     def collect(s, futures) -> None:
         for point, future in zip(points, futures):
-            attn, fused, recall, counts = future.result()
-            mse_attn[point].extend(attn)
-            mse_fused[point].extend(fused)
-            recalls[point].extend(recall)
-            keep_counts[point] = counts
+            values, keep_counts[point] = future.result()
+            for key, per_layer in values.items():
+                results[point].setdefault(key, []).extend(per_layer)
         del live[s]
 
     # Sequence s is prepared here while the pool runs the points of s - 1,
@@ -370,11 +368,8 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
         fields = {
             "policy": name,
             "ratio": ratio,
-            "recon_attn": float(np.mean(mse_attn[point])),
-            "recon_fused": float(np.mean(mse_fused[point]
-                                         if memories is not None
-                                         else mse_attn[point])),
-            "recall": float(np.mean(recalls[point])),
+            **{key: float(np.mean(values))
+               for key, values in results[point].items()},
             "kept_fraction": float(kept_fraction),
             "pooled_kl": float(np.mean(kls[name])),
             "n_sequences": cfg.n_eval,

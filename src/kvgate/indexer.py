@@ -33,7 +33,7 @@ from .numerics import (
     rmsnorm,
     with_capacity,
 )
-from .teacher import TeacherConfig, flatten_heads, kv_head_of, logit_scale
+from .teacher import TeacherConfig, flatten_heads, teacher_block
 
 
 def default_h_index(n_heads: int) -> int:
@@ -257,22 +257,6 @@ class DistillBatch:
     @property
     def length(self) -> int:
         return self.x.shape[0]
-
-
-def teacher_block(q_rot: np.ndarray, k_rot: np.ndarray) -> np.ndarray:
-    """(L, L) logits of rotated queries against rotated keys, max-pooled
-    over every query head, causally masked."""
-    n_heads = q_rot.shape[0]
-    n_kv = k_rot.shape[0]
-    scale = logit_scale(q_rot)
-    ids = np.arange(q_rot.shape[1])
-    out = np.full((ids.size, ids.size), -np.inf)
-    for h in range(n_heads):
-        g = kv_head_of(h, n_heads, n_kv)
-        logits = np.einsum("qd,kd->qk", q_rot[h], k_rot[g]) * scale
-        out = np.maximum(out, logits)
-    invalid = ids[None, :] > ids[:, None]
-    return np.where(invalid, -np.inf, out)
 
 
 def pooled_vectors(params: IndexerParams, batch: DistillBatch):

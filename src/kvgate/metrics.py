@@ -89,7 +89,7 @@ def _csv_cell(value) -> str:
 
 
 def _x_key(records: list) -> str:
-    for candidate in ("ratio", "step", "budget", "point"):
+    for candidate in ("ratio", "step", "budget"):
         if all(candidate in r for r in records):
             return candidate
     return "row"

@@ -317,12 +317,20 @@ def flatten_heads(per_head: np.ndarray) -> np.ndarray:
     return per_head.transpose(1, 0, 2).reshape(L, h * dh)
 
 
-def pooled_teacher_importance(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per-key importance: max over query heads and query positions of the
-    causal attention logits q_s . k_t * :func:`logit_scale`, for ``q`` and
-    ``k`` over the same L positions."""
+def teacher_block(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(L, L) causal attention logits of ``q`` against ``k`` over the same L
+    positions, max-pooled over every query head: one running maximum over
+    :func:`head_logits`, -inf above the diagonal."""
     L = q.shape[1]
-    imp = np.full(L, -np.inf)
+    out = np.full((L, L), -np.inf)
     for _, _, logits in head_logits(q, k, np.tri(L, dtype=bool)):
-        imp = np.maximum(imp, logits.max(axis=0))
-    return imp
+        np.maximum(out, logits, out=out)
+    return out
+
+
+def pooled_teacher_importance(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per-key importance: the column max of :func:`teacher_block`, i.e. the
+    max over query heads and query positions of the causal logits
+    q_s . k_t * :func:`logit_scale`. It is both the indexer's distillation
+    target and the sweep's ``pooled_kl`` reference, with the same bits."""
+    return teacher_block(q, k).max(axis=0)

@@ -485,6 +485,16 @@ class TestErrorPaths:
         assert code == EXIT_IO
         assert stderr_record(capsys)["error"] == "FileNotFoundError"
 
+    def test_out_of_memory_is_one_io_record(self, tmp_path, capsys):
+        # 10**15 tokens ask for 7.1 PiB, past any 64-bit user address
+        # space, so the allocation fails at once whatever the overcommit.
+        config = write_config(tmp_path, data={"length": 10**15},
+                              train={"indexer_steps": 1})
+        code = run("train-indexer", "--config", config,
+                   "--out", tmp_path / "out")
+        assert code == EXIT_IO
+        assert only_stderr_record(capsys)["error"] == "MemoryError"
+
     @pytest.mark.parametrize("section,value,key", [
         ("agg", {"mode": "none"}, "agg"),
         ("policy", {"head_pool": "mean"}, "head_pool"),

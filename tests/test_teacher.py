@@ -20,6 +20,7 @@ from kvgate.teacher import (
     kv_head_of,
     pooled_teacher_importance,
     rope_apply,
+    teacher_block,
 )
 
 
@@ -435,6 +436,21 @@ class TestPooledImportance:
                 for s in range(t, 10):
                     best = max(best, float(q[h, s] @ k[g, t]) / math.sqrt(16))
             assert imp[t] == pytest.approx(best, abs=1e-12)
+
+    def test_block_is_the_causal_head_max(self):
+        rng = Rng(17)
+        q = rng.normal((4, 9, 4))
+        k = rng.normal((2, 9, 4))
+        block = teacher_block(q, k)
+        for s, t in product(range(9), range(9)):
+            if t > s:
+                assert block[s, t] == -np.inf
+                continue
+            best = max(float(q[h, s] @ k[h * 2 // 4, t]) / math.sqrt(16)
+                       for h in range(4))
+            assert block[s, t] == pytest.approx(best, abs=1e-12)
+        assert (pooled_teacher_importance(q, k).tobytes()
+                == block.max(axis=0).tobytes())
 
 
 class TestLogitScale:
