@@ -18,6 +18,7 @@ from pathlib import Path
 from .cache import CompressionPlan
 from .numerics import SEED_LIMIT
 from .policies import POLICY_NAMES
+from .synth import TAIL_WIDTH
 from .teacher import TeacherConfig
 
 CONFIG_VERSION = 1
@@ -31,7 +32,7 @@ _RETIRED = {
     "reuse": {"group_size": 1},
     "agg": {"mode": "none", "gamma": 0.5, "prob": "softmax"},
     "train": {"head_sum": False, "stop_write_grad": False, "lam": 0.95,
-              "param_seed": 42},
+              "param_seed": 42, "eta": 1.0},
 }
 
 
@@ -59,7 +60,7 @@ _SCHEMA = {
     "train": {
         "h_index": None, "d_index": None, "d_mem": None,
         "indexer_steps": 600, "indexer_peak": 1e-3,
-        "mem_steps": 300, "mem_lr": 0.05, "eta": 1.0,
+        "mem_steps": 300, "mem_lr": 0.05,
     },
     "decode": {
         "steps": 256, "interval": 128, "budgets": (48, 64, 96),
@@ -140,7 +141,6 @@ class ExperimentConfig:
     indexer_peak: float
     mem_steps: int
     mem_lr: float
-    eta: float
     decode_steps: int
     decode_budgets: tuple
     canonical: dict
@@ -196,6 +196,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(eval_start > plan.sink_count,
              "data.eval_start, two thirds of data.length, must exceed "
              "plan.sink_count, so the prefix has a key that is not a sink")
+    if tree["data"]["kind"] == "planted":
+        # Needles are drawn from [sink_count, eval_start - local_window)
+        # and must precede the planted query tail.
+        slots_end = eval_start - plan.local_window
+        _require(plan.sink_count < slots_end <= length - TAIL_WIDTH,
+                 "planted data needs candidate slots between the sinks and "
+                 "the local window, all before the "
+                 f"{TAIL_WIDTH}-row query tail")
 
     budgets = tree["decode"]["budgets"]
     _require(isinstance(budgets, (list, tuple)) and len(budgets) > 0
@@ -203,10 +211,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "decode.budgets must be a non-empty list of positive integers")
 
     mem_lr = _as_number(tree, "train", "mem_lr")
-    eta = _as_number(tree, "train", "eta")
     peak = _as_number(tree, "train", "indexer_peak")
     _require(mem_lr > 0.0, "train.mem_lr must be positive")
-    _require(eta > 0.0, "train.eta must be positive")
     _require(peak > 0.0, "train.indexer_peak must be positive")
 
     # Written into the hashed form, as when it was a settable key.
@@ -230,7 +236,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         indexer_peak=peak,
         mem_steps=_as_int(tree, "train", "mem_steps", 0),
         mem_lr=mem_lr,
-        eta=eta,
         decode_steps=_as_int(tree, "decode", "steps", 1),
         decode_budgets=tuple(budgets),
         canonical=tree,

@@ -163,14 +163,13 @@ class EpisodeStack:
             write_values=np.stack([ep.write_values for ep in episodes]))
 
 
-def episode_loss(slow: MemorySlowWeights, episode: LayerEpisode,
-                 eta: float = 1.0) -> float:
+def episode_loss(slow: MemorySlowWeights, episode: LayerEpisode) -> float:
     """Mean squared residual after the gated readout is subtracted, by the
     memory's own forward: one :func:`mem_write` into an empty state, then
     :func:`mem_read` and :func:`gate` over every query row. Raises
     :class:`DivergenceError` when the loss is not finite."""
     state = mem_write(slow, MemoryState.zeros(slow.d_mem, slow.d_model),
-                      episode.write_keys, episode.write_values, eta=eta)
+                      episode.write_keys, episode.write_values)
     q = episode.queries
     resid = episode.targets - gate(slow, q)[:, None] * mem_read(slow, state, q)
     loss = float(np.sum(resid ** 2)) / episode.targets.size
@@ -179,8 +178,7 @@ def episode_loss(slow: MemorySlowWeights, episode: LayerEpisode,
     return loss
 
 
-def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
-                           eta: float = 1.0):
+def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack):
     """Per-episode losses plus analytic slow-weight gradients over a stack.
 
     Every array carries the stack's leading episode axis E: queries and
@@ -211,8 +209,8 @@ def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
     queries, targets = stack.queries, stack.targets
     n_ep = queries.shape[0]
     feat_k = phi(slow, stack.write_keys)
-    st_m = eta * (np.swapaxes(feat_k, 1, 2) @ stack.write_values)
-    st_b = eta * (feat_k ** 2).sum(axis=1)
+    st_m = np.swapaxes(feat_k, 1, 2) @ stack.write_values
+    st_b = (feat_k ** 2).sum(axis=1)
     feat_q = phi(slow, queries)
     q_t = np.swapaxes(queries, 1, 2)
     g = gate(slow, queries)
@@ -243,16 +241,15 @@ def episode_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
 
     ds = np.swapaxes(feat_q, 1, 2) @ d_num
     db = (np.swapaxes(feat_q ** 2, 1, 2) @ d_denom[:, :, None])[:, :, 0]
-    d_fk = (eta * (stack.write_values @ np.swapaxes(ds, 1, 2))
-            + 2.0 * eta * feat_k * db[:, None, :])
+    d_fk = (stack.write_values @ np.swapaxes(ds, 1, 2)
+            + 2.0 * feat_k * db[:, None, :])
     grad_phi += np.swapaxes(stack.write_keys, 1, 2) @ d_fk
 
     grads = {"w_phi": grad_phi, "w_gate": grad_gate, "gate_bias": grad_bias}
     return losses, grads
 
 
-def memory_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
-                          eta: float = 1.0):
+def memory_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack):
     """Mean episode loss and averaged gradients over a stack of episodes.
 
     One :func:`episode_loss_and_grads` call gives per-episode results,
@@ -261,7 +258,7 @@ def memory_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
     episodes one after another. Both match averaging the episodes one at a
     time, bit for bit.
     """
-    losses, gs = episode_loss_and_grads(slow, stack, eta)
+    losses, gs = episode_loss_and_grads(slow, stack)
     weight = 1.0 / len(losses)
     loss = 0.0
     for l in losses:
@@ -277,7 +274,7 @@ def memory_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack,
 
 
 def train_memory(slow: MemorySlowWeights, episodes, steps: int = 300,
-                 lr: float = 0.05, eta: float = 1.0) -> list:
+                 lr: float = 0.05) -> list:
     """Adagrad descent on the reconstruction loss; updates ``slow`` in place.
 
     Every step takes the full batch of episodes, which must share one shape
@@ -303,7 +300,7 @@ def train_memory(slow: MemorySlowWeights, episodes, steps: int = 300,
                 and np.all(np.isfinite(slow.w_gate))
                 and np.isfinite(slow.gate_bias)):
             raise DivergenceError(f"weights diverged at step {step}")
-        loss, grads = memory_loss_and_grads(slow, stack, eta)
+        loss, grads = memory_loss_and_grads(slow, stack)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss diverged at step {step}")
         acc_phi += grads["w_phi"] ** 2

@@ -8,6 +8,7 @@ submission order.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -54,12 +55,9 @@ def input_sequence(cfg: ExperimentConfig, teacher: TeacherModel, rng: Rng,
     if cfg.data_kind == "tokens":
         tokens = rng.integers(0, cfg.teacher.vocab_size, length)
         return teacher.embed(tokens), np.zeros(0, dtype=np.int64)
-    lo = cfg.plan.sink_count
-    hi = cfg.eval_start - cfg.plan.local_window
-    if hi <= lo:
-        raise ConfigError("planted data needs candidate slots between the "
-                          "sinks and the local window")
-    needles = rng.split(99).integers(lo, hi, n_needles)
+    # parse_config keeps these slots non-empty and before the query tail.
+    needles = rng.split(99).integers(
+        cfg.plan.sink_count, cfg.eval_start - cfg.plan.local_window, n_needles)
     planted = planted_sequence(teacher, length, needles, rng)
     return planted.x0, planted.planted
 
@@ -213,8 +211,7 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list) -> dict:
                                        params_by_layer=params)
     memories = init_memory(cfg)
     losses_by_layer = [train_memory(memories[li], per_layer_eps[li],
-                                    steps=cfg.mem_steps, lr=cfg.mem_lr,
-                                    eta=cfg.eta)
+                                    steps=cfg.mem_steps, lr=cfg.mem_lr)
                        for li in range(cfg.teacher.n_layers)]
     return {"params": params, "memories": memories,
             "curve": _loss_curve(losses_by_layer), "teacher": teacher}
@@ -237,8 +234,7 @@ def memory_eval_losses(cfg: ExperimentConfig, teacher: TeacherModel,
         del full_run, scores
         for memories, per_layer in zip(memory_sets, losses):
             for li, ep in enumerate(eps):
-                per_layer[li].append(episode_loss(memories[li], ep,
-                                                  eta=cfg.eta))
+                per_layer[li].append(episode_loss(memories[li], ep))
         del eps
     means = []
     for per_layer in losses:
@@ -247,15 +243,14 @@ def memory_eval_losses(cfg: ExperimentConfig, teacher: TeacherModel,
     return means
 
 
-def _accounting(cfg: ExperimentConfig, keep_counts, name: str,
+def _accounting(cfg: ExperimentConfig, kept: int, name: str,
                 params_by_layer, memories) -> dict:
-    d_head = cfg.teacher.d_head
-    kv = sum(int(c) * cfg.teacher.n_kv_heads * d_head * 2 * 8
-             for c in keep_counts)
+    """Bytes held after compaction, when every layer keeps ``kept`` rows."""
+    kv = (cfg.teacher.n_layers * kept
+          * cfg.teacher.n_kv_heads * cfg.teacher.d_head * 2 * 8)
     idx = 0
     if name == "indexer" and params_by_layer is not None:
-        idx = sum(int(c) * params_by_layer[li].d_index * 8
-                  for li, c in enumerate(keep_counts))
+        idx = sum(kept * p.d_index * 8 for p in params_by_layer)
     mem = sum(MemoryState.zeros(m.d_mem, m.d_model).nbytes()
               for m in memories or ())
     return {"kv_bytes": kv, "indexer_bytes": idx, "memory_bytes": mem,
@@ -300,7 +295,6 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     points = [(name, ratio) for name in names for ratio in SWEEP_RATIOS]
     # Per point, record field -> its per-layer values over the sequences.
     results = {point: {} for point in points}
-    keep_counts = {}     # per point, the last sequence's
     kls = {name: [] for name in names}
     # Sequence index -> (full_run, planted, scores by policy) while its
     # points run. Tasks look their sequence up here rather than holding it,
@@ -313,11 +307,11 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
                                        scored[point[0]])
         values = {"recon_attn": [plain_mse(ep) for ep in eps],
                   "recall": [retention_recall(keep, planted) for keep in keeps]}
-        values["recon_fused"] = ([episode_loss(memories[li], ep, eta=cfg.eta)
+        values["recon_fused"] = ([episode_loss(memories[li], ep)
                                   for li, ep in enumerate(eps)]
                                  if memories is not None
                                  else values["recon_attn"])
-        return values, [keep.size for keep in keeps]
+        return values
 
     def prepare(s, x0, planted) -> None:
         # Built here, not on the pool: when pool threads made arrays that
@@ -336,8 +330,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
 
     def collect(s, futures) -> None:
         for point, future in zip(points, futures):
-            values, keep_counts[point] = future.result()
-            for key, per_layer in values.items():
+            for key, per_layer in future.result().items():
                 results[point].setdefault(key, []).extend(per_layer)
         del live[s]
 
@@ -356,14 +349,17 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
             pending = submitted
         collect(*pending)
 
-    # The rule at ratio 1 keeps exactly the forced rows.
-    forced = select(replace(cfg.plan, ratio=1.0), np.zeros(upto),
-                    np.arange(upto)).size
+    # The keep rule's count depends only on the plan and the prefix length,
+    # and at ratio 1 it keeps exactly the forced rows.
+    kept = {ratio: select(replace(cfg.plan, ratio=ratio), np.zeros(upto),
+                          np.arange(upto)).size
+            for ratio in (*SWEEP_RATIOS, 1.0)}
+    forced = kept[1.0]
     candidates = upto - forced
     records = []
     for point in points:
         name, ratio = point
-        kept_fraction = ((keep_counts[point][0] - forced) / candidates
+        kept_fraction = ((kept[ratio] - forced) / candidates
                          if candidates else 1.0)
         fields = {
             "policy": name,
@@ -374,7 +370,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
             "pooled_kl": float(np.mean(kls[name])),
             "n_sequences": cfg.n_eval,
         }
-        fields.update(_accounting(cfg, keep_counts[point], name,
+        fields.update(_accounting(cfg, kept[ratio], name,
                                   params_by_layer, memories))
         records.append(make_record("sweep", cfg.config_hash, cfg.seed, fields))
     return records
@@ -500,11 +496,10 @@ def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
     length = x0.shape[0]
     # The prompt's trace is not read past the start-of-decode compactions.
     del trace, prompt_features
-    # The query rows since the last boundary. Every schedule compacts only
-    # after a whole interval of steps, so a full window holds exactly the
-    # rows its compactions score; no later compaction reads them, so they
-    # are dropped then rather than held through the next interval.
-    window = []
+    # The last interval's query rows: every schedule compacts only after a
+    # whole interval of steps, so at a boundary the window holds exactly the
+    # rows its compactions score.
+    window = deque(maxlen=cfg.plan.decode_interval)
     for t in range(cfg.decode_steps):
         pos = length + t
         step = teacher.forward_step(x_rows, caches, pos)
@@ -518,8 +513,6 @@ def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
         window.append((pos, step.x_in, step.q_pre, step.q))
         for s, sim in enumerate(sims):
             sim.advance(t, window, s)
-        if len(window) == cfg.plan.decode_interval:
-            window = []
         x_rows = rmsnorm(step.output)
     return sims
 
@@ -531,7 +524,7 @@ def decode_run(cfg: ExperimentConfig, params_by_layer=None) -> list:
         raise ConfigError("decode budget must cover the sinks plus the "
                           "local window")
     teacher = TeacherModel(cfg.teacher)
-    x0, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(EVAL_STREAM))
+    x0, _ = next(eval_sequences(cfg, teacher))
     reference, *sims = _run_lockstep(cfg, teacher, x0, params_by_layer)
     total = cfg.data_length + cfg.decode_steps
     records = []
@@ -604,7 +597,7 @@ def selftest() -> list:
     slow = MemorySlowWeights(w_phi=np.eye(4), w_gate=np.zeros(4),
                              gate_bias=0.0)
     state = mem_write(slow, MemoryState.zeros(4, 4), np.eye(4),
-                      np.arange(16.0).reshape(4, 4), lam=1.0, eta=1.0)
+                      np.arange(16.0).reshape(4, 4), lam=1.0)
     read = mem_read(slow, state, np.eye(4)[1:2])
     checks.append(("one-hot memory readout matches closed form",
                    float(np.max(np.abs(read * (1.0 + MEM_EPS)

@@ -115,22 +115,20 @@ def mem_read(slow: MemorySlowWeights, state: MemoryState,
 
 def mem_write(slow: MemorySlowWeights, state: MemoryState,
               keys: np.ndarray, values: np.ndarray,
-              lam: float = 0.95, eta: float = 1.0) -> MemoryState:
+              lam: float = 0.95) -> MemoryState:
     """Fold evicted token rows into a fresh state: decay then accumulate.
 
     ``keys`` and ``values`` are (n, d_model); n = 0 applies pure decay.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("decay must lie in (0, 1]")
-    if eta <= 0.0:
-        raise ValueError("write rate must be positive")
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if keys.shape != values.shape or keys.ndim != 2:
         raise ValueError("keys and values must be matching (n, d_model) rows")
     feat = phi(slow, keys)
-    return MemoryState(m=lam * state.m + eta * (feat.T @ values),
-                       b=lam * state.b + eta * (feat ** 2).sum(axis=0))
+    return MemoryState(m=lam * state.m + feat.T @ values,
+                       b=lam * state.b + (feat ** 2).sum(axis=0))
 
 
 def gate(slow: MemorySlowWeights, q: np.ndarray) -> np.ndarray:

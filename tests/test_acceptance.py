@@ -249,17 +249,17 @@ def test_memory_update_algebra_and_footprint():
                rng.split(3).normal((4, d_model)))
 
     zero = MemoryState.zeros(d_mem, d_model)
-    seq = mem_write(slow, mem_write(slow, zero, *batch_a, lam=1.0, eta=1.0),
-                    *batch_b, lam=1.0, eta=1.0)
-    only_a = mem_write(slow, zero, *batch_a, lam=1.0, eta=1.0)
-    only_b = mem_write(slow, zero, *batch_b, lam=1.0, eta=1.0)
+    seq = mem_write(slow, mem_write(slow, zero, *batch_a, lam=1.0),
+                    *batch_b, lam=1.0)
+    only_a = mem_write(slow, zero, *batch_a, lam=1.0)
+    only_b = mem_write(slow, zero, *batch_b, lam=1.0)
     assert np.allclose(seq.m, only_a.m + only_b.m, rtol=0.0, atol=1e-10)
     assert np.allclose(seq.b, only_a.b + only_b.b, rtol=0.0, atol=1e-10)
     joined = mem_write(slow, zero, np.vstack([batch_a[0], batch_b[0]]),
-                       np.vstack([batch_a[1], batch_b[1]]), lam=1.0, eta=1.0)
+                       np.vstack([batch_a[1], batch_b[1]]), lam=1.0)
     assert np.allclose(seq.m, joined.m, rtol=0.0, atol=1e-10)
 
-    lam, eta = 0.9, 0.7
+    lam = 0.9
     state = MemoryState(rng.split(4).normal((d_mem, d_model)),
                         np.abs(rng.split(5).normal((d_mem,))))
     expect_m = state.m.copy()
@@ -269,9 +269,9 @@ def test_memory_update_algebra_and_footprint():
         keys = rng.split(10 + t).normal((3, d_model))
         values = rng.split(20 + t).normal((3, d_model))
         feat = phi(slow, keys)
-        expect_m = lam * expect_m + eta * (feat.T @ values)
-        expect_b = lam * expect_b + eta * np.sum(feat ** 2, axis=0)
-        rolled = mem_write(slow, rolled, keys, values, lam=lam, eta=eta)
+        expect_m = lam * expect_m + feat.T @ values
+        expect_b = lam * expect_b + np.sum(feat ** 2, axis=0)
+        rolled = mem_write(slow, rolled, keys, values, lam=lam)
     assert np.max(np.abs(rolled.m - expect_m)) < 1e-10
     assert np.max(np.abs(rolled.b - expect_b)) < 1e-10
 
@@ -279,7 +279,7 @@ def test_memory_update_algebra_and_footprint():
                                gate_bias=0.0)
     values = np.arange(16.0).reshape(4, 4)
     state = mem_write(onehot, MemoryState.zeros(4, 4), np.eye(4), values,
-                      lam=1.0, eta=1.0)
+                      lam=1.0)
     read = mem_read(onehot, state, np.eye(4)[1:2])
     assert np.max(np.abs(read - values[1:2] / (1.0 + MEM_EPS))) <= 1e-9
 

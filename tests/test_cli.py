@@ -508,6 +508,7 @@ class TestErrorPaths:
         ("train", {"param_seed": 42}, "param_seed"),
         ("data", {"eval_start": 20}, "eval_start"),
         ("reuse", {"group_size": 1}, "reuse"),
+        ("train", {"eta": 1.0}, "eta"),
     ])
     def test_retired_config_key(self, tmp_path, capsys, section, value, key):
         # One JSON line on stderr, so no traceback either.

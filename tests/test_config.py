@@ -55,7 +55,7 @@ class TestParsing:
             "plan": {"ratio": 0.25, "sink_count": 2},
             "teacher": {"d_model": 32, "d_ffn": 64},
             "data": {"length": 60},
-            "train": {"eta": 0.9, "mem_lr": 0.1},
+            "train": {"mem_lr": 0.1},
         })
         assert cfg.seed == 7
         assert cfg.plan.ratio == 0.25
@@ -63,7 +63,6 @@ class TestParsing:
         assert cfg.plan.local_window == 8
         assert cfg.teacher.d_model == 32
         assert cfg.eval_start == 40
-        assert cfg.eta == 0.9
         assert cfg.mem_lr == 0.1
 
     def test_version_is_required(self):
@@ -126,20 +125,25 @@ class TestParsing:
         # Retired with the multi-write memory replay: unknown at any value.
         ({"train": {"lam": 0.95}}, "lam"),
         ({"train": {"lam": 1.2}}, "lam"),
+        # Retired: the memory write rate, which only rescaled MEM_EPS;
+        # unknown at any value, its old default included (below too).
         ({"train": {"eta": -1}}, "eta"),
         ({"train": {"indexer_peak": 0}}, "indexer_peak"),
         # A retired flag is refused whatever its value.
         *[({"train": {key: value}}, key)
           for key in ("head_sum", "stop_write_grad")
           for value in (False, True, "false", 0, None)],
-        *[({"train": {key: value}}, f"{key} must be finite")
-          for key in ("mem_lr", "eta", "indexer_peak")
+        *[({"train": {"mem_lr": value}}, "mem_lr must be finite")
+          for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
+        *[({"train": {"eta": value}}, "eta")
+          for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
+        *[({"train": {"indexer_peak": value}}, "indexer_peak must be finite")
           for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
         *[({"train": {"lam": value}}, "lam")
           for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
         ({"agg": {"gamma": 0.5}}, "agg"),
         ({"plan": {"ratio": math.inf}}, "ratio must be finite"),
-        ({"train": {"eta": 0}}, "eta must be positive"),
+        ({"train": {"eta": 1.0}}, "eta"),
         # Retired: gaussian inputs, which no workload used.
         ({"data": {"kind": "gauss"}}, "data.kind"),
         # Retired: a budget cap on the prefill keep rule, which no workload
@@ -194,6 +198,23 @@ class TestParsing:
         cfg = parse_config({"version": 1, "plan": {"sink_count": 3},
                             "data": {"length": 6}})
         assert cfg.eval_start == 4
+
+    def test_planted_slots_precede_the_query_tail(self):
+        # Length 36: needles are drawn below eval_start 24 minus the
+        # 2-row window, but the 16-row query tail starts at 20, so the
+        # config fails at parse time whatever the seed draws.
+        for seed in range(12):
+            with pytest.raises(ConfigError, match="query tail"):
+                parse_config({"version": 1, "seed": seed,
+                              "plan": {"sink_count": 2, "local_window": 2},
+                              "data": {"kind": "planted", "length": 36}})
+        # The last slot may sit right before the tail.
+        parse_config({"version": 1, "plan": {"local_window": 0},
+                      "data": {"kind": "planted", "length": 48}})
+        workloads = load_file_module("perfbench_workloads",
+                                     ROOT / "perfbench" / "workloads.py")
+        for size in workloads.SIZES:
+            parse_config(workloads.workload("sweep-planted", size).config)
 
     def test_teacher_head_mismatch_becomes_config_error(self):
         with pytest.raises(ConfigError):
@@ -270,7 +291,7 @@ def parsed_fields(cfg):
 class TestAnyJsonObject:
     @settings(max_examples=300, deadline=None)
     @example(raw={"version": 1, "decode": {"budgets": [True]}})
-    @example(raw={"version": 1, "train": {"mem_lr": math.inf, "eta": math.inf,
+    @example(raw={"version": 1, "train": {"mem_lr": math.inf,
                                           "indexer_peak": math.inf}})
     @example(raw={"version": True})
     @given(raw=schema_section(_SCHEMA).map(lambda raw: {"version": 1, **raw})

@@ -189,11 +189,11 @@ def copy_slow(slow):
                              slow.gate_bias)
 
 
-def oracle_episode_loss_and_grads(slow, episode, eta=1.0):
+def oracle_episode_loss_and_grads(slow, episode):
     """The single-episode kernel the stacked one replaced, kept as its oracle."""
     feat_k = episode.write_keys @ slow.w_phi
-    st = MemoryState(m=eta * (feat_k.T @ episode.write_values),
-                     b=eta * (feat_k ** 2).sum(axis=0))
+    st = MemoryState(m=feat_k.T @ episode.write_values,
+                     b=(feat_k ** 2).sum(axis=0))
     queries, targets = episode.queries, episode.targets
     fq = queries @ slow.w_phi
     g = logistic(queries @ slow.w_gate + slow.gate_bias)
@@ -216,7 +216,7 @@ def oracle_episode_loss_and_grads(slow, episode, eta=1.0):
     # the write rows' features.
     ds = fq.T @ d_num
     db = (fq ** 2).T @ d_denom
-    d_fk = eta * (episode.write_values @ ds.T) + 2.0 * eta * feat_k * db[None, :]
+    d_fk = episode.write_values @ ds.T + 2.0 * feat_k * db[None, :]
     grad_phi = queries.T @ d_fq
     grad_phi += episode.write_keys.T @ d_fk
     grads = {"w_phi": grad_phi, "w_gate": queries.T @ d_z,
@@ -224,13 +224,13 @@ def oracle_episode_loss_and_grads(slow, episode, eta=1.0):
     return loss, grads
 
 
-def oracle_memory_loss_and_grads(slow, episodes, eta=1.0):
+def oracle_memory_loss_and_grads(slow, episodes):
     """Batch mean over the oracle, one episode at a time."""
     weight = 1.0 / len(episodes)
     loss = 0.0
     grads = None
     for ep in episodes:
-        l, g = oracle_episode_loss_and_grads(slow, ep, eta)
+        l, g = oracle_episode_loss_and_grads(slow, ep)
         loss += weight * l
         if grads is None:
             grads = {k: weight * v for k, v in g.items()}
@@ -300,11 +300,11 @@ def assert_same_loss_and_grads(got, want):
 def check_against_finite_differences(eps):
     """Batch gradients against central differences of the mean episode loss."""
     slow = MemorySlowWeights.init(D, Rng(302), d_mem=3)
-    _, grads = memory_loss_and_grads(slow, EpisodeStack.of(eps), eta=0.8)
+    _, grads = memory_loss_and_grads(slow, EpisodeStack.of(eps))
     h = 1e-6
 
     def loss_now():
-        return np.mean([episode_loss(slow, ep, eta=0.8) for ep in eps])
+        return np.mean([episode_loss(slow, ep) for ep in eps])
 
     for name in ("w_phi", "w_gate"):
         flat = getattr(slow, name).reshape(-1)
@@ -335,7 +335,7 @@ class TestLossAndGrads:
         ep = one_write_episode()
         slow = MemorySlowWeights.init(D, Rng(300), d_mem=3)
         st = mem_write(slow, MemoryState.zeros(3, D), ep.write_keys,
-                       ep.write_values, eta=0.8)
+                       ep.write_values)
         total = 0.0
         for i in range(ep.n_eval):
             f = ep.queries[i] @ slow.w_phi
@@ -343,7 +343,7 @@ class TestLossAndGrads:
             g = logistic(ep.queries[i] @ slow.w_gate + slow.gate_bias)
             total += np.sum((ep.targets[i] - g * m) ** 2)
         want = total / ep.targets.size
-        got = episode_loss(slow, ep, eta=0.8)
+        got = episode_loss(slow, ep)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_grad_loss_equals_plain_loss(self):
@@ -354,9 +354,8 @@ class TestLossAndGrads:
                                     (no_rows, D, 3),
                                     (pipeline_episodes(), 64, 8)):
             slow = MemorySlowWeights.init(d_model, Rng(301), d_mem=d_mem)
-            losses, _ = episode_loss_and_grads(slow, EpisodeStack.of(eps),
-                                               eta=0.8)
-            assert losses == [episode_loss(slow, ep, eta=0.8) for ep in eps]
+            losses, _ = episode_loss_and_grads(slow, EpisodeStack.of(eps))
+            assert losses == [episode_loss(slow, ep) for ep in eps]
 
     def test_plain_loss_reads_and_writes_through_memory(self, monkeypatch):
         calls = {"mem_write": 0, "mem_read": 0}
@@ -423,10 +422,9 @@ class TestStackedKernel:
             if batch == "one":
                 eps = eps[3:4]
         slow = MemorySlowWeights.init(d_model, Rng(800), d_mem=d_mem)
-        for eta in (1.0, 0.8):
-            got = memory_loss_and_grads(slow, EpisodeStack.of(eps), eta)
-            want = oracle_memory_loss_and_grads(slow, eps, eta)
-            assert_same_loss_and_grads(got, want)
+        got = memory_loss_and_grads(slow, EpisodeStack.of(eps))
+        want = oracle_memory_loss_and_grads(slow, eps)
+        assert_same_loss_and_grads(got, want)
 
     def test_each_stacked_episode_matches_oracle(self):
         eps = mixed_episodes()

@@ -234,12 +234,11 @@ class TestData:
         assert planted.min() >= planted_cfg.plan.sink_count
         assert planted.max() < planted_cfg.eval_start - planted_cfg.plan.local_window
 
-    def test_planted_requires_candidate_room(self, teacher):
+    def test_planted_requires_candidate_room(self):
         # eval_start 6 leaves no slot between the 2 sinks and the
-        # 4-row local window.
-        tight = small_config(data={"kind": "planted", "length": 10})
+        # 4-row local window; parsing refuses it, before any draw.
         with pytest.raises(ConfigError, match="candidate"):
-            input_sequence(tight, teacher, Rng(3))
+            small_config(data={"kind": "planted", "length": 10})
 
     def test_sequence_counts(self, cfg, teacher):
         assert len(list(training_sequences(cfg, teacher))) == cfg.n_train
@@ -495,8 +494,7 @@ class TestSweepFromScratch:
                 eps = prefill_episodes(full_run, keeps)
                 for li, lt in enumerate(trace.layers):
                     attn.append(plain_mse(eps[li]))
-                    fused.append(episode_loss(memories[li], eps[li],
-                                              eta=cfg.eta))
+                    fused.append(episode_loss(memories[li], eps[li]))
                     recalls.append(retention_recall(keeps[li], planted))
                     imp = pooled_teacher_importance(lt.q[:, :upto, :],
                                                     lt.k[:, :upto, :])
@@ -577,7 +575,7 @@ class TestStreamedEval:
                     for x0, _ in eval_sequences(cfg, teacher))
 
         def mean_loss(memories, eval_eps):
-            per = [episode_loss(memories[li], ep, eta=cfg.eta)
+            per = [episode_loss(memories[li], ep)
                    for li, eps in enumerate(eval_eps) for ep in eps]
             return float(sum(per) / len(per))
 

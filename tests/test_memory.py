@@ -80,7 +80,7 @@ class TestRead:
         slow = MemorySlowWeights.init(16, Rng(7), d_mem=3)
         st = mem_write(slow, MemoryState.zeros(3, 16),
                        Rng(8).normal((6, 16)), Rng(9).normal((6, 16)),
-                       lam=0.9, eta=0.7)
+                       lam=0.9)
         q = Rng(10).normal((1, 16))
         f = q[0] @ slow.w_phi
         want = (f @ st.m) / (f ** 2 @ st.b + MEM_EPS)
@@ -91,7 +91,7 @@ class TestRead:
         slow = one_hot_slow(2)
         st = mem_write(slow, MemoryState.zeros(2, 2),
                        np.array([[1.0, 0.0]]), np.array([[3.0, 4.0]]),
-                       lam=1.0, eta=1.0)
+                       lam=1.0)
         got = mem_read(slow, st, np.array([[1.0, 0.0]]))[0]
         want = np.array([3.0, 4.0]) / (1.0 + MEM_EPS)
         assert np.max(np.abs(got - want)) < 1e-9
@@ -131,28 +131,27 @@ class TestWrite:
     def test_decay_sequence_matches_weighted_sum(self):
         # k writes with decay equal the closed-form sum of aged outer products
         slow = MemorySlowWeights.init(8, Rng(21), d_mem=2)
-        lam, eta = 0.9, 0.6
+        lam = 0.9
         st = MemoryState.zeros(2, 8)
         events = [(Rng(30 + i).normal((3, 8)), Rng(40 + i).normal((3, 8)))
                   for i in range(4)]
         for keys, vals in events:
-            st = mem_write(slow, st, keys, vals, lam=lam, eta=eta)
+            st = mem_write(slow, st, keys, vals, lam=lam)
         m_ref = np.zeros((2, 8))
         b_ref = np.zeros(2)
         for age, (keys, vals) in enumerate(reversed(events)):
             f = phi(slow, keys)
-            m_ref += lam ** age * eta * (f.T @ vals)
-            b_ref += lam ** age * eta * (f ** 2).sum(axis=0)
+            m_ref += lam ** age * (f.T @ vals)
+            b_ref += lam ** age * (f ** 2).sum(axis=0)
         assert np.max(np.abs(st.m - m_ref)) < 1e-10
         assert np.max(np.abs(st.b - b_ref)) < 1e-10
 
-    @pytest.mark.parametrize("lam,eta", [(0.0, 1.0), (1.5, 1.0), (0.5, 0.0),
-                                         (0.5, -1.0)])
-    def test_rejects_bad_rates(self, lam, eta):
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_rejects_bad_rates(self, lam):
         slow = MemorySlowWeights.init(4, Rng(22), d_mem=1)
         with pytest.raises(ValueError):
             mem_write(slow, MemoryState.zeros(1, 4), np.zeros((1, 4)),
-                      np.zeros((1, 4)), lam=lam, eta=eta)
+                      np.zeros((1, 4)), lam=lam)
 
     def test_rejects_mismatched_rows(self):
         slow = MemorySlowWeights.init(4, Rng(23), d_mem=1)

@@ -75,18 +75,6 @@ def test_cases_include_a_wide_indexer():
     assert wide.stages == pipeline.stages and wide.setup == pipeline.setup
 
 
-def test_cases_include_a_memory_write_rate():
-    # At eta 1.0 ``eta * x`` is exact, so only a case away from it shows
-    # where the memory kernel applies eta.
-    cases = load_tool().cases()
-    eta, pipeline = cases["pipeline-eta"], cases["pipeline"]
-    assert eta.config["train"]["eta"] == 0.7
-    assert "eta" not in pipeline.config["train"]
-    assert all(case.config["train"].get("eta", 1.0) == 1.0
-               for name, case in cases.items() if name != "pipeline-eta")
-    assert eta.stages == pipeline.stages and eta.setup == pipeline.setup
-
-
 def test_cases_include_a_late_decode_compaction():
     # The prompt fits one budget, so its first decode boundary compacts
     # nothing and a later one compacts: no other case reaches that path.

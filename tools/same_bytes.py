@@ -19,9 +19,6 @@ timestamps, excepted). The configs are:
 - ``pipeline-wide``: the ``pipeline`` config with a wider indexer
   (``train.h_index`` 4, ``train.d_index`` 8), so the distillation
   backward is also compared beyond the default widths (2 and 1).
-- ``pipeline-eta``: the ``pipeline`` config at ``train.eta`` 0.7. Every
-  other case writes to the memory at 1.0, where ``eta * x`` is exact, so
-  a moved ``eta`` in the memory kernel would write the same bytes there.
 - ``pipeline-late``: the ``pipeline`` config at ``decode.budgets``
   ``[48, 170]``. The 128-row prompt fits budget 170, the decode boundary
   at step 32 compacts nothing and the one at step 64 compacts, so a
@@ -92,10 +89,6 @@ def cases() -> dict:
     wide["train"].update(h_index=4, d_index=8)
     out["pipeline-wide"] = wl.Workload("pipeline-wide", wide, pipeline.setup,
                                        pipeline.stages)
-    eta = copy.deepcopy(pipeline.config)
-    eta["train"]["eta"] = 0.7
-    out["pipeline-eta"] = wl.Workload("pipeline-eta", eta, pipeline.setup,
-                                      pipeline.stages)
     late = copy.deepcopy(pipeline.config)
     late["decode"]["budgets"] = [48, 170]
     out["pipeline-late"] = wl.Workload("pipeline-late", late, pipeline.setup,
