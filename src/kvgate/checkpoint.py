@@ -61,8 +61,10 @@ def load_weights(path) -> dict:
         raise ValueError("weights manifest JSON is nested too deeply") from None
     if not isinstance(manifest, dict):
         raise ValueError("weights manifest must be a JSON object")
-    if manifest.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported weights format: {manifest.get('version')!r}")
+    version = manifest.get("version")
+    # ``True == 1.0 == 1``, so the type check keeps both out.
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported weights format: {version!r}")
     entries = manifest.get("tensors")
     if not isinstance(entries, dict):
         raise ValueError("weights manifest lacks a tensors table")

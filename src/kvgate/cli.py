@@ -45,11 +45,21 @@ log = logging.getLogger("kvgate")
 
 
 def _stage(args):
-    """A stage command's prologue: ``(config, output directory)``, with the
-    directory made and log lines and warnings routed to its run.log, the
-    one timestamped file."""
+    """A stage command's prologue: ``(config, output directory, indexer
+    params, memories)``. The weights come from ``--checkpoint`` when one is
+    given, each family ``None`` when the file lacks it; the directory is
+    made, and log lines and warnings go to its run.log, the one
+    timestamped file."""
     cfg = load_config(args.config, seed=args.seed)
-    out = Path(args.out) if args.out else Path(cfg.out)
+    params = memories = None
+    if getattr(args, "checkpoint", None):
+        tensors = load_weights(args.checkpoint)
+        families = {name.split(".")[0] for name in tensors}
+        if "idx" in families:
+            params = unpack_indexer(tensors, cfg.teacher)
+        if "mem" in families:
+            memories = unpack_memory(tensors, cfg.teacher)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     handler = logging.FileHandler(out / "run.log")
     handler.setFormatter(logging.Formatter(
@@ -60,19 +70,11 @@ def _stage(args):
             logger.removeHandler(old)
             old.close()
         logger.addHandler(handler)
-    return cfg, out
-
-
-def _load_checkpoint(path, teacher):
-    """(indexer params or None, memories or None) from a weights file."""
-    tensors = load_weights(path)
-    families = {name.split(".")[0] for name in tensors}
-    return (unpack_indexer(tensors, teacher) if "idx" in families else None,
-            unpack_memory(tensors, teacher) if "mem" in families else None)
+    return cfg, out, params, memories
 
 
 def cmd_train_indexer(args) -> int:
-    cfg, out = _stage(args)
+    cfg, out, _, _ = _stage(args)
     log.info("training indexer for %d steps on %d sequences",
              cfg.indexer_steps, cfg.n_train)
     result = train_indexer_run(cfg)
@@ -85,12 +87,9 @@ def cmd_train_indexer(args) -> int:
 
 
 def cmd_train_memory(args) -> int:
-    cfg, out = _stage(args)
-    stage_one, _ = _load_checkpoint(args.checkpoint, cfg.teacher)
-    if stage_one is None:
-        raise ConfigError("checkpoint carries no indexer tensors")
-    result = train_memory_run(cfg, stage_one)
-    tensors = {**indexer_tensors(result["params"]),
+    cfg, out, params, _ = _stage(args)
+    result = train_memory_run(cfg, params)
+    tensors = {**indexer_tensors(result["params"] or ()),
                **memory_tensors(result["memories"])}
     save_weights(out / "memory.kvgt", tensors)
     write_records(out / "train_memory_loss.jsonl",
@@ -115,10 +114,7 @@ def cmd_train_memory(args) -> int:
 def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise ConfigError("--threads must be at least 1")
-    cfg, out = _stage(args)
-    params = memories = None
-    if args.checkpoint:
-        params, memories = _load_checkpoint(args.checkpoint, cfg.teacher)
+    cfg, out, params, memories = _stage(args)
     records = sweep_run(cfg, params_by_layer=params, memories=memories,
                         threads=args.threads)
     write_records(out / "sweep.jsonl", records)
@@ -127,10 +123,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_decode_sim(args) -> int:
-    cfg, out = _stage(args)
-    params = None
-    if args.checkpoint:
-        params, _ = _load_checkpoint(args.checkpoint, cfg.teacher)
+    cfg, out, params, _ = _stage(args)
     records = decode_run(cfg, params_by_layer=params)
     write_records(out / "decode.jsonl", records)
     log.info("wrote %d decode records to %s", len(records), out / "decode.jsonl")
@@ -141,8 +134,7 @@ def cmd_report(args) -> int:
     records = []
     for path in args.metrics:
         records.extend(read_records(path))
-    out = Path(args.out) if args.out else Path("report")
-    written = write_report(out, records)
+    written = write_report(Path(args.out), records)
     for path in written:
         print(path)
     return EXIT_OK
@@ -169,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True,
                          help="experiment config JSON")
-        cmd.add_argument("--out", default=None,
-                         help="output directory (default: config out)")
+        cmd.add_argument("--out", default="runs",
+                         help="output directory (default: runs)")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
         if checkpoint:
             cmd.add_argument("--checkpoint", default=None,
-                             required=(name == "train-memory"),
-                             help="weights file from an earlier stage")
+                             help="weights file from an earlier stage; the "
+                                  "indexer policy needs one")
         if threads:
             cmd.add_argument("--threads", type=int, default=1,
                              help="worker threads of the pool that runs the "
@@ -195,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="turn metrics files into CSV curves")
     report.add_argument("metrics", nargs="+", help="metrics JSONL files")
-    report.add_argument("--out", default=None,
-                        help="report directory (default: ./report)")
+    report.add_argument("--out", default="report",
+                        help="report directory (default: report)")
     report.set_defaults(func=cmd_report)
 
     selftest_cmd = sub.add_parser("selftest", help="run the invariant suite")

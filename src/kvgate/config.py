@@ -27,6 +27,7 @@ DATA_KINDS = ("tokens", "planted")
 # them. The hash covers the canonical form with these merged in, so each
 # config keeps the hash its records carried before the knobs were retired.
 _RETIRED = {
+    "out": "runs",  # the output directory is --out alone
     "plan": {"budget": None},
     "policy": {"head_pool": "mean", "window": 8, "seed": 0},
     "reuse": {"group_size": 1},
@@ -43,7 +44,6 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "version": None,
     "seed": 0,
-    "out": "runs",
     "teacher": {
         "n_layers": 4, "d_model": 64, "n_heads": 8, "n_kv_heads": 2,
         "d_ffn": 128, "vocab_size": 64, "seed": 0,
@@ -125,7 +125,6 @@ class ExperimentConfig:
     """Validated experiment description plus its canonical form."""
 
     seed: int
-    out: str
     teacher: TeacherConfig
     plan: CompressionPlan
     policy_name: str
@@ -149,8 +148,9 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """Digest of the canonical form, computed once per config."""
         hashed = dict(self.canonical)
-        for section, values in _RETIRED.items():
-            hashed[section] = {**hashed.get(section, {}), **values}
+        for key, value in _RETIRED.items():
+            hashed[key] = ({**hashed.get(key, {}), **value}
+                           if isinstance(value, dict) else value)
         blob = json.dumps(hashed, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -166,8 +166,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(isinstance(tree["seed"], int) and not isinstance(tree["seed"], bool)
              and 0 <= tree["seed"] < SEED_LIMIT,
              "seed must be an integer in [0, 2**64)")
-    _require(isinstance(tree["out"], str) and tree["out"],
-             "out must be a non-empty string")
 
     try:
         teacher = TeacherConfig(
@@ -209,6 +207,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(isinstance(budgets, (list, tuple)) and len(budgets) > 0
              and all(type(b) is int and b >= 1 for b in budgets),
              "decode.budgets must be a non-empty list of positive integers")
+    # A compaction keeps the sinks and the local window whatever the budget.
+    _require(min(budgets) >= plan.sink_count + plan.local_window,
+             "decode.budgets must each cover plan.sink_count plus "
+             "plan.local_window")
 
     mem_lr = _as_number(tree, "train", "mem_lr")
     peak = _as_number(tree, "train", "indexer_peak")
@@ -220,7 +222,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     tree["decode"]["budgets"] = list(budgets)
     return ExperimentConfig(
         seed=tree["seed"],
-        out=tree["out"],
         teacher=teacher,
         plan=plan,
         policy_name=tree["policy"]["name"],

@@ -195,7 +195,8 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list) -> dict:
     The indexer keeps training on the same distillation batches before the
     eviction episodes are built, so the memories learn against the keep
     sets the final indexer actually produces. Both come from one teacher
-    forward per training sequence.
+    forward per training sequence. Only the indexer policy needs
+    ``indexer_params``; without them the result's ``params`` is ``None``.
     """
     _require_checkpoint(cfg, indexer_params)
     teacher = TeacherModel(cfg.teacher)
@@ -203,7 +204,7 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list) -> dict:
               if indexer_params is not None else None)
     sequences = training_sequences(cfg, teacher)
     runs = [FullRun.of(teacher, x0, cfg.eval_start) for x0, _ in sequences]
-    if params is not None and cfg.policy_name == "indexer":
+    if cfg.policy_name == "indexer":
         fit_indexer(cfg, teacher, params, [run.trace for run in runs])
     # Each run is freed once its episodes are built, so all the runs and
     # all the episodes are never alive together.
@@ -520,9 +521,6 @@ def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
 def decode_run(cfg: ExperimentConfig, params_by_layer=None) -> list:
     """Budget-sweep decode simulation records, reference included."""
     _require_checkpoint(cfg, params_by_layer)
-    if min(cfg.decode_budgets) < cfg.plan.sink_count + cfg.plan.local_window:
-        raise ConfigError("decode budget must cover the sinks plus the "
-                          "local window")
     teacher = TeacherModel(cfg.teacher)
     x0, _ = next(eval_sequences(cfg, teacher))
     reference, *sims = _run_lockstep(cfg, teacher, x0, params_by_layer)

@@ -92,6 +92,14 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="unsupported"):
             load_weights(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+    def test_version_must_be_the_integer_one(self, tmp_path, version):
+        # True == 1 and 1.0 == 1, but neither is the format's version.
+        path = tmp_path / "w.kvgt"
+        path.write_bytes(craft_blob({"version": version, "tensors": {}}, b""))
+        with pytest.raises(ValueError, match="unsupported"):
+            load_weights(path)
+
     def test_rejects_overlapping_tensors(self, tmp_path):
         path = tmp_path / "w.kvgt"
         entries = {

@@ -208,6 +208,32 @@ class TestTrainMemory:
         assert code == EXIT_CONFIG
         assert "indexer" in stderr_record(capsys)["message"]
 
+    def test_indexer_policy_without_checkpoint(self, stage_one, tmp_path,
+                                               capsys):
+        out = tmp_path / "out"
+        code = run("train-memory", "--config", stage_one["config"],
+                   "--out", out)
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert record["command"] == "train-memory"
+        assert "checkpoint" in record["message"]
+        assert not (out / "memory.kvgt").exists()
+
+    def test_other_policy_needs_no_checkpoint(self, tmp_path):
+        # With no indexer to carry, the file holds the memories alone, and
+        # sweep reads them.
+        config = write_config(tmp_path, policy={"name": "knorm"})
+        out = tmp_path / "out"
+        assert run("train-memory", "--config", config, "--out", out) == EXIT_OK
+        tensors = load_weights(out / "memory.kvgt")
+        assert tensors and all(name.startswith("mem.") for name in tensors)
+        swept = tmp_path / "swept"
+        assert run("sweep", "--config", config, "--checkpoint",
+                   out / "memory.kvgt", "--out", swept) == EXIT_OK
+        records = read_records(swept / "sweep.jsonl")
+        assert all(rec["memory_bytes"] > 0 for rec in records)
+
 
 @pytest.fixture(scope="module")
 def sweep_out(tmp_path_factory):
@@ -509,6 +535,7 @@ class TestErrorPaths:
         ("data", {"eval_start": 20}, "eval_start"),
         ("reuse", {"group_size": 1}, "reuse"),
         ("train", {"eta": 1.0}, "eta"),
+        ("out", "runs", "out"),
     ])
     def test_retired_config_key(self, tmp_path, capsys, section, value, key):
         # One JSON line on stderr, so no traceback either.
@@ -688,6 +715,23 @@ class TestErrorPaths:
         assert record["error"] == "ConfigError"
         assert "data.eval_start" in record["message"]
         assert "plan.sink_count" in record["message"]
+
+    def test_budget_below_sinks_and_window(self, tmp_path, capsys):
+        # Sinks 2 plus window 4 need a budget of at least 6; only
+        # decode-sim used to refuse 5, so the other stages ran.
+        config = write_config(tmp_path, decode={"budgets": [5]})
+        code = run("train-indexer", "--config", config,
+                   "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "decode.budgets" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_out_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["sweep", "--config", "c.json"]).out == "runs"
+        assert parser.parse_args(["report", "m.jsonl"]).out == "report"
 
     def test_no_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -36,6 +36,15 @@ def readme_config() -> dict:
     return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
 
 
+NON_FINITE = (math.inf, -math.inf, math.nan, 10 ** 400)
+
+
+def case(n, patch, needle):
+    """A bad-values case whose id is fixed by its number ``n``, so deleting
+    a case renames no other."""
+    return pytest.param(patch, needle, id=f"patch{n}-{needle}")
+
+
 class TestParsing:
     def test_minimal_gets_defaults(self):
         cfg = parse_config(minimal())
@@ -46,7 +55,6 @@ class TestParsing:
         assert cfg.data_length == 128
         assert cfg.eval_start == (2 * 128) // 3
         assert cfg.decode_budgets == (48, 64, 96)
-        assert cfg.out == "runs"
 
     def test_nested_overrides_apply(self):
         cfg = parse_config({
@@ -101,65 +109,66 @@ class TestParsing:
             parse_config([1, 2])
 
     @pytest.mark.parametrize("patch,needle", [
-        ({"seed": -1}, "seed"),
-        ({"seed": True}, "seed"),
-        ({"seed": "0"}, "seed"),
-        ({"out": ""}, "out"),
-        ({"teacher": {"n_layers": 0}}, "n_layers"),
-        ({"teacher": {"d_model": 1.5}}, "d_model"),
-        ({"plan": {"ratio": 1.5}}, "ratio"),
-        ({"plan": {"budget": 0}}, "budget"),
-        ({"policy": {"name": "oracle"}}, "policy.name"),
+        case(0, {"seed": -1}, "seed"),
+        case(1, {"seed": True}, "seed"),
+        case(2, {"seed": "0"}, "seed"),
+        case(4, {"teacher": {"n_layers": 0}}, "n_layers"),
+        case(5, {"teacher": {"d_model": 1.5}}, "d_model"),
+        case(6, {"plan": {"ratio": 1.5}}, "ratio"),
+        case(7, {"plan": {"budget": 0}}, "budget"),
+        case(8, {"policy": {"name": "oracle"}}, "policy.name"),
         # Retired knobs are unknown keys, even at their old defaults.
-        ({"policy": {"head_pool": "mean"}}, "head_pool"),
-        ({"agg": {"mode": "none"}}, "agg"),
-        ({"agg": {}}, "agg"),
-        ({"train": {"head_sum": False, "stop_write_grad": False}}, "head_sum"),
-        ({"reuse": {"group_size": 0}}, "reuse"),
-        ({"data": {"kind": "text"}}, "data.kind"),
-        ({"data": {"length": 1}}, "length"),
-        ({"decode": {"budgets": []}}, "budgets"),
-        ({"decode": {"budgets": [64, 0]}}, "budgets"),
-        ({"decode": {"budgets": 64}}, "budgets"),
-        ({"train": {"mem_lr": 0}}, "mem_lr"),
+        case(9, {"policy": {"head_pool": "mean"}}, "head_pool"),
+        case(10, {"agg": {"mode": "none"}}, "agg"),
+        case(11, {"agg": {}}, "agg"),
+        case(12, {"train": {"head_sum": False, "stop_write_grad": False}},
+             "head_sum"),
+        case(13, {"reuse": {"group_size": 0}}, "reuse"),
+        case(14, {"data": {"kind": "text"}}, "data.kind"),
+        case(15, {"data": {"length": 1}}, "length"),
+        case(16, {"decode": {"budgets": []}}, "budgets"),
+        case(17, {"decode": {"budgets": [64, 0]}}, "budgets"),
+        case(18, {"decode": {"budgets": 64}}, "budgets"),
+        case(19, {"train": {"mem_lr": 0}}, "mem_lr"),
         # Retired with the multi-write memory replay: unknown at any value.
-        ({"train": {"lam": 0.95}}, "lam"),
-        ({"train": {"lam": 1.2}}, "lam"),
+        case(20, {"train": {"lam": 0.95}}, "lam"),
+        case(21, {"train": {"lam": 1.2}}, "lam"),
         # Retired: the memory write rate, which only rescaled MEM_EPS;
         # unknown at any value, its old default included (below too).
-        ({"train": {"eta": -1}}, "eta"),
-        ({"train": {"indexer_peak": 0}}, "indexer_peak"),
+        case(22, {"train": {"eta": -1}}, "eta"),
+        case(23, {"train": {"indexer_peak": 0}}, "indexer_peak"),
         # A retired flag is refused whatever its value.
-        *[({"train": {key: value}}, key)
-          for key in ("head_sum", "stop_write_grad")
-          for value in (False, True, "false", 0, None)],
-        *[({"train": {"mem_lr": value}}, "mem_lr must be finite")
-          for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
-        *[({"train": {"eta": value}}, "eta")
-          for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
-        *[({"train": {"indexer_peak": value}}, "indexer_peak must be finite")
-          for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
-        *[({"train": {"lam": value}}, "lam")
-          for value in (math.inf, -math.inf, math.nan, 10 ** 400)],
-        ({"agg": {"gamma": 0.5}}, "agg"),
-        ({"plan": {"ratio": math.inf}}, "ratio must be finite"),
-        ({"train": {"eta": 1.0}}, "eta"),
+        *[case(24 + 5 * k + v, {"train": {key: value}}, key)
+          for k, key in enumerate(("head_sum", "stop_write_grad"))
+          for v, value in enumerate((False, True, "false", 0, None))],
+        *[case(34 + i, {"train": {"mem_lr": value}}, "mem_lr must be finite")
+          for i, value in enumerate(NON_FINITE)],
+        *[case(38 + i, {"train": {"eta": value}}, "eta")
+          for i, value in enumerate(NON_FINITE)],
+        *[case(42 + i, {"train": {"indexer_peak": value}},
+               "indexer_peak must be finite")
+          for i, value in enumerate(NON_FINITE)],
+        *[case(46 + i, {"train": {"lam": value}}, "lam")
+          for i, value in enumerate(NON_FINITE)],
+        case(50, {"agg": {"gamma": 0.5}}, "agg"),
+        case(51, {"plan": {"ratio": math.inf}}, "ratio must be finite"),
+        case(52, {"train": {"eta": 1.0}}, "eta"),
         # Retired: gaussian inputs, which no workload used.
-        ({"data": {"kind": "gauss"}}, "data.kind"),
+        case(53, {"data": {"kind": "gauss"}}, "data.kind"),
         # Retired: a budget cap on the prefill keep rule, which no workload
         # set; unknown at any value, its old default included.
-        ({"plan": {"budget": 48}}, "budget"),
-        ({"plan": {"budget": None}}, "budget"),
+        case(54, {"plan": {"budget": 48}}, "budget"),
+        case(55, {"plan": {"budget": None}}, "budget"),
         # Retired: constants every program used; unknown at any value,
         # their old defaults included.
-        ({"policy": {"window": 8}}, "window"),
-        ({"policy": {"seed": 0}}, "seed"),
-        ({"train": {"param_seed": 42}}, "param_seed"),
-        ({"data": {"eval_start": 85}}, "eval_start"),
-        ({"data": {"eval_start": None}}, "eval_start"),
+        case(56, {"policy": {"window": 8}}, "window"),
+        case(57, {"policy": {"seed": 0}}, "seed"),
+        case(58, {"train": {"param_seed": 42}}, "param_seed"),
+        case(59, {"data": {"eval_start": 85}}, "eval_start"),
+        case(60, {"data": {"eval_start": None}}, "eval_start"),
         # Retired: layer-group score reuse, which every program ran at
         # group size 1; unknown at any value, its old default included.
-        ({"reuse": {"group_size": 1}}, "reuse"),
+        case(61, {"reuse": {"group_size": 1}}, "reuse"),
     ])
     def test_bad_values_rejected(self, patch, needle):
         raw = {**minimal(), **patch}
@@ -174,6 +183,17 @@ class TestParsing:
     def test_decode_booleans_rejected(self, patch, needle):
         with pytest.raises(ConfigError, match=needle):
             parse_config({"version": 1, "decode": patch})
+
+    def test_budgets_cover_the_sinks_and_window(self):
+        # A compaction keeps the sinks and the window whatever the budget,
+        # so a smaller budget could never hold; only decode-sim refused it.
+        plan = {"sink_count": 2, "local_window": 4}
+        cfg = parse_config({"version": 1, "plan": plan,
+                            "decode": {"budgets": [6, 9]}})
+        assert cfg.decode_budgets == (6, 9)
+        with pytest.raises(ConfigError, match="sink_count plus plan.local"):
+            parse_config({"version": 1, "plan": plan,
+                          "decode": {"budgets": [9, 5]}})
 
     def test_plan_carries_decode_interval(self):
         assert parse_config(minimal()).plan.decode_interval == 128
@@ -358,7 +378,6 @@ class TestHash:
 
 # Keys no program sets, each with the reason it stays settable.
 UNSET_BY_ANY_PROGRAM = {
-    "out": "a deployment path; every program passes --out instead",
     "teacher.seed": "a second teacher is ROADMAP items 1, 3 and 14",
     "train.d_mem": "ROADMAP item 8 tunes the memory width",
     "train.mem_lr": "ROADMAP item 8 tunes the memory step size",

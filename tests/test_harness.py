@@ -622,9 +622,9 @@ class TestDecode:
             assert all(a <= b for a, b in zip(evicted, evicted[1:]))
 
     def test_small_budget_rejected(self):
-        bad = small_config(policy={"name": "knorm"}, decode={"budgets": [4]})
+        # Below sinks plus window, refused when the config is parsed.
         with pytest.raises(ConfigError, match="budget"):
-            decode_run(bad)
+            small_config(policy={"name": "knorm"}, decode={"budgets": [4]})
 
     def test_indexer_decode_needs_params(self, cfg):
         with pytest.raises(ConfigError, match="checkpoint"):
