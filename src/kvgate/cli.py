@@ -47,13 +47,19 @@ log = logging.getLogger("kvgate")
 def _stage(args):
     """A stage command's prologue: ``(config, output directory, indexer
     params, memories)``. The weights come from ``--checkpoint`` when one is
-    given, each family ``None`` when the file lacks it; the directory is
-    made, and log lines and warnings go to its run.log, the one
-    timestamped file."""
+    given, each family ``None`` when the file lacks it, and a tensor of
+    any other family is refused before the directory is made; log lines
+    and warnings go to the directory's run.log, the one timestamped
+    file."""
     cfg = load_config(args.config, seed=args.seed)
     params = memories = None
     if getattr(args, "checkpoint", None):
         tensors = load_weights(args.checkpoint)
+        foreign = sorted(name for name in tensors
+                         if not name.startswith(("idx.", "mem.")))
+        if foreign:
+            raise ValueError(f"checkpoint tensor {foreign[0]!r} is neither "
+                             "an idx.* nor a mem.* weight")
         families = {name.split(".")[0] for name in tensors}
         if "idx" in families:
             params = unpack_indexer(tensors, cfg.teacher)

@@ -25,8 +25,8 @@ from .memory import (
     phi,
     tokens_from_evicted,
 )
-from .numerics import DivergenceError
-from .teacher import ForwardTrace, TeacherModel, attend_rows, flatten_heads
+from .numerics import DivergenceError, row_exps
+from .teacher import ForwardTrace, TeacherModel, flatten_heads, head_logits
 
 
 @dataclass
@@ -61,16 +61,15 @@ def plain_mse(episode: LayerEpisode) -> float:
 class FullRun:
     """One sequence's uncompressed run: the part of an episode no keep set moves.
 
-    Holds the teacher trace, the causal mask of the rows from ``eval_start``
-    on over the full cache, and each layer's attention output for those rows
-    under that mask. Build it once per sequence with :meth:`of` and pass it
-    to every :func:`prefill_episodes` call on that sequence.
+    Holds the teacher trace and the causal mask of the rows from
+    ``eval_start`` on over the full cache. Build it once per sequence with
+    :meth:`of` and pass it to every :func:`layer_episodes` call on that
+    sequence.
     """
 
     trace: ForwardTrace
     eval_start: int
     visible: np.ndarray   # (n_eval, L) bool, row i sees positions <= eval_start + i
-    o_full: list          # per layer, (n_eval, n_heads * d_head)
 
     @classmethod
     def of(cls, teacher: TeacherModel, x0: np.ndarray, eval_start: int) -> FullRun:
@@ -80,53 +79,85 @@ class FullRun:
             raise ValueError("eval start must split the sequence")
         trace = teacher.forward(x0=x0)
         visible = np.tri(length - eval_start, length, eval_start, dtype=bool)
-        o_full = [attend_rows(lt.q[:, eval_start:, :], lt.k, lt.v,
-                              visible=visible)
-                  for lt in trace.layers]
-        return cls(trace, eval_start, visible, o_full)
+        return cls(trace, eval_start, visible)
+
+
+def layer_episodes(full_run: FullRun, layer: int, keeps):
+    """Yield one episode of ``layer`` per keep set in ``keeps``, in order,
+    for a compress-then-continue run.
+
+    The first ``full_run.eval_start`` tokens are compressed to the keep set
+    (row indices into that prefix, from :func:`kvgate.policies.select`);
+    every later token reads the surviving prefix plus the uncompressed tail
+    it arrived with. Targets compare against the same token's attention
+    over the full cache, so an all-keep set yields exactly zero targets.
+
+    Each head's full-cache softmax numerator ``exp(w - m)`` is computed
+    once and serves every keep set. A row whose full-cache argmax key is
+    kept has the same row max under the keep set, so its numerator is the
+    full one with the evicted columns set to 0; only the other rows are
+    recomputed over their kept keys (by :func:`kvgate.numerics.row_exps`,
+    as :func:`kvgate.teacher.attend_rows` would). Every row is then
+    normalised and multiplied by V as in ``attend_rows``, so each output
+    has the bits of ``attend_rows`` under the keep set's mask. A keep set
+    that evicts nothing reuses the full-cache output.
+    """
+    lt = full_run.trace.layers[layer]
+    eval_start = full_run.eval_start
+    length = lt.k.shape[1]
+    # Per keep set, the columns its rows may read, or None when it evicts
+    # nothing.
+    columns = []
+    for keep in keeps:
+        keep = np.asarray(keep, dtype=np.int64)
+        if keep.size and (keep.min() < 0 or keep.max() >= eval_start):
+            raise ValueError("keep sets must index the compressed prefix")
+        cols = np.zeros(length, dtype=bool)
+        cols[keep] = True
+        cols[eval_start:] = True
+        columns.append(None if cols.all() else cols)
+    q_rows = lt.q[:, eval_start:, :]
+    n_heads, n_eval, d_head = q_rows.shape
+    o_full = np.empty((n_eval, n_heads, d_head))
+    o_kept = [None if cols is None else np.empty_like(o_full)
+              for cols in columns]
+    for h, g, logits in head_logits(q_rows, lt.k, full_run.visible):
+        e_full = row_exps(logits)
+        o_full[:, h, :] = (e_full / e_full.sum(axis=-1, keepdims=True)) @ lt.v[g]
+        top = np.argmax(logits, axis=-1)
+        for cols, out in zip(columns, o_kept):
+            if cols is None:
+                continue
+            e = np.multiply(e_full, cols)
+            redo = ~cols[top]
+            if redo.any():
+                e[redo] = row_exps(np.where(cols, logits[redo], -np.inf))
+            np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+            out[:, h, :] = e @ lt.v[g]
+    o_full = o_full.reshape(n_eval, n_heads * d_head)
+    queries = flatten_heads(lt.q_pre)[eval_start:]
+    for j, cols in enumerate(columns):
+        if cols is None:
+            targets = np.zeros_like(o_full)
+            evicted = np.zeros(0, dtype=np.int64)
+        else:
+            targets = o_full - o_kept[j].reshape(o_full.shape)
+            evicted = np.flatnonzero(~cols)
+        # Dropped here, so a suspended generator holds no yielded output.
+        o_kept[j] = None
+        k_tok, v_tok = tokens_from_evicted(lt.k[:, evicted, :],
+                                           lt.v[:, evicted, :], n_heads)
+        yield LayerEpisode(queries=queries, targets=targets,
+                           write_keys=k_tok, write_values=v_tok)
 
 
 def prefill_episodes(full_run: FullRun, keeps_by_layer) -> list:
-    """One episode per layer for a compress-then-continue run.
-
-    The first ``full_run.eval_start`` tokens are compressed to each layer's
-    keep set (row indices into that prefix, from
-    :func:`kvgate.policies.select`); every later token reads the surviving
-    prefix plus the uncompressed tail it arrived with. Targets compare
-    against the same token's attention over the full cache, so an all-keep
-    set yields exactly zero targets.
-
-    A caller trying several keep sets on one sequence builds its
-    :class:`FullRun` once. Per call, only the keep-set attention is
-    computed, and not even that when nothing is evicted.
-    """
-    layers = full_run.trace.layers
-    if len(keeps_by_layer) != len(layers):
+    """One episode per layer, each from :func:`layer_episodes` on that
+    layer's one keep set."""
+    if len(keeps_by_layer) != len(full_run.trace.layers):
         raise ValueError("need one keep set per layer")
-    eval_start = full_run.eval_start
-    episodes = []
-    prefix = np.arange(eval_start)
-    for li, lt in enumerate(layers):
-        keep = np.asarray(keeps_by_layer[li], dtype=np.int64)
-        if keep.size and (keep.min() < 0 or keep.max() >= eval_start):
-            raise ValueError("keep sets must index the compressed prefix")
-        evicted = np.setdiff1d(prefix, keep)
-        o_full = full_run.o_full[li]
-        o_kept = o_full
-        if evicted.size:
-            kept = full_run.visible.copy()
-            kept[:, :eval_start] = False
-            kept[:, keep] = True
-            o_kept = attend_rows(lt.q[:, eval_start:, :], lt.k, lt.v,
-                                 visible=kept)
-        k_tok, v_tok = tokens_from_evicted(lt.k[:, evicted, :],
-                                           lt.v[:, evicted, :],
-                                           lt.q.shape[0])
-        episodes.append(LayerEpisode(
-            queries=flatten_heads(lt.q_pre)[eval_start:],
-            targets=o_full - o_kept,
-            write_keys=k_tok, write_values=v_tok))
-    return episodes
+    return [next(layer_episodes(full_run, li, [keep]))
+            for li, keep in enumerate(keeps_by_layer)]
 
 
 @dataclass(frozen=True)

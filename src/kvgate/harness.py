@@ -2,8 +2,8 @@
 
 Everything here is deterministic in (config, seed): data seeds are split
 from the config seed, sweep points own their Rng children, and thread
-pools only parallelize across points whose results are collected in
-submission order.
+pools only parallelize across (sequence, layer) tasks whose results are
+collected in submission order.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .config import ConfigError, ExperimentConfig
 from .episodes import (
     FullRun,
     episode_loss,
+    layer_episodes,
     plain_mse,
     prefill_episodes,
     train_memory,
@@ -273,23 +274,26 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     One pass over the eval sequences, one sequence at a time. Each piece of
     work runs once at the level it depends on:
 
-    - per eval sequence: the teacher trace, each layer's full-cache output
-      (a :class:`~kvgate.episodes.FullRun`) and the teacher's pooled
+    - per eval sequence: the teacher trace (a
+      :class:`~kvgate.episodes.FullRun`) and the teacher's pooled
       importance;
     - per (policy, sequence): the layer scores and their KL against the
       teacher's importance, so the random policy draws its stream once;
-    - per (policy, ratio) point and sequence: the keep sets, the episodes
-      and the metrics that read them.
+    - per (sequence, layer): the eval rows' full-cache softmax, which
+      :func:`~kvgate.episodes.layer_episodes` shares across every point;
+    - per (policy, ratio) point, sequence and layer: the keep set, the
+      episode and the metrics that read it.
 
     A point keeps only its per-layer scalars, in (sequence, layer) order,
-    so a sequence's run and episodes are freed once its points are done.
-    Every point runs on one pool of ``threads`` workers, made once;
-    results are collected in submission order, so the records do not
-    depend on the thread count.
+    so a sequence's run and episodes are freed once its layers are done.
+    Every (sequence, layer) task runs on one pool of ``threads`` workers,
+    made once; results are collected in submission order, so the records
+    do not depend on the thread count.
     """
     _require_checkpoint(cfg, params_by_layer)
     teacher = TeacherModel(cfg.teacher)
     upto = cfg.eval_start
+    prefix = np.arange(upto)
     support = np.arange(cfg.plan.sink_count, upto)
     names = sweep_policies(cfg)
     plans = {ratio: replace(cfg.plan, ratio=ratio) for ratio in SWEEP_RATIOS}
@@ -298,20 +302,24 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     results = {point: {} for point in points}
     kls = {name: [] for name in names}
     # Sequence index -> (full_run, planted, scores by policy) while its
-    # points run. Tasks look their sequence up here rather than holding it,
-    # so a sequence is freed as soon as its points are collected.
+    # layers run. Tasks look their sequence up here rather than holding it,
+    # so a sequence is freed as soon as its layers are collected.
     live = {}
 
-    def eval_point(point, s):
+    def eval_layer(s, layer) -> list:
+        # Every point's values at one layer of sequence s, in point order;
+        # one episode is alive at a time.
         full_run, planted, scored = live[s]
-        keeps, eps = sequence_episodes(full_run, plans[point[1]],
-                                       scored[point[0]])
-        values = {"recon_attn": [plain_mse(ep) for ep in eps],
-                  "recall": [retention_recall(keep, planted) for keep in keeps]}
-        values["recon_fused"] = ([episode_loss(memories[li], ep)
-                                  for li, ep in enumerate(eps)]
-                                 if memories is not None
-                                 else values["recon_attn"])
+        keeps = [select(plans[ratio], scored[name][layer], prefix)
+                 for name, ratio in points]
+        values = []
+        for keep, ep in zip(keeps, layer_episodes(full_run, layer, keeps)):
+            attn = plain_mse(ep)
+            values.append({
+                "recon_attn": attn,
+                "recall": retention_recall(keep, planted),
+                "recon_fused": (attn if memories is None
+                                else episode_loss(memories[layer], ep))})
         return values
 
     def prepare(s, x0, planted) -> None:
@@ -330,21 +338,22 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
         live[s] = (full_run, planted, scored)
 
     def collect(s, futures) -> None:
-        for point, future in zip(points, futures):
-            for key, per_layer in future.result().items():
-                results[point].setdefault(key, []).extend(per_layer)
+        for future in futures:
+            for point, values in zip(points, future.result()):
+                for key, value in values.items():
+                    results[point].setdefault(key, []).append(value)
         del live[s]
 
-    # Sequence s is prepared here while the pool runs the points of s - 1,
-    # and its points are submitted before those are collected, so the pool
+    # Sequence s is prepared here while the pool runs the layers of s - 1,
+    # and its layers are submitted before those are collected, so the pool
     # is not left idle at a sequence boundary. At most two sequences are
     # live.
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = None
         for s, (x0, planted) in enumerate(eval_sequences(cfg, teacher)):
             prepare(s, x0, planted)
-            submitted = s, [pool.submit(eval_point, point, s)
-                            for point in points]
+            submitted = s, [pool.submit(eval_layer, s, layer)
+                            for layer in range(cfg.teacher.n_layers)]
             if pending is not None:
                 collect(*pending)
             pending = submitted
@@ -353,7 +362,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     # The keep rule's count depends only on the plan and the prefix length,
     # and at ratio 1 it keeps exactly the forced rows.
     kept = {ratio: select(replace(cfg.plan, ratio=ratio), np.zeros(upto),
-                          np.arange(upto)).size
+                          prefix).size
             for ratio in (*SWEEP_RATIOS, 1.0)}
     forced = kept[1.0]
     candidates = upto - forced
@@ -561,7 +570,7 @@ def selftest() -> list:
     from .checkpoint import load_weights, save_weights
     from .indexer import distill_gradients, distill_loss
     from .memory import MEM_EPS, mem_read, mem_write
-    from .teacher import TeacherConfig, attend_rows
+    from .teacher import TeacherConfig, attend_rows, head_logits
 
     checks = []
     cfg = TeacherConfig(n_layers=2, d_model=16, n_heads=4, n_kv_heads=2,
@@ -584,6 +593,25 @@ def selftest() -> list:
     engine = attend_rows(lt.q, lt.k, lt.v, visible=visible)
     checks.append(("attention matches quadratic reference",
                    float(np.max(np.abs(engine - manual))) < 1e-10))
+
+    # Keep sets that evict every row's full-cache argmax key, every other
+    # key, and nothing: the shared softmax must give the bits of attention
+    # under each keep set's explicit mask.
+    full_run = FullRun.of(teacher, x0, 12)
+    q_rows = lt.q[:, 12:, :]
+    tops = np.unique([np.argmax(w, axis=-1) for _, _, w
+                      in head_logits(q_rows, lt.k, full_run.visible)])
+    keeps = [np.setdiff1d(np.arange(12), tops), np.arange(0, 12, 2),
+             np.arange(12)]
+    o_full = attend_rows(q_rows, lt.k, lt.v, visible=full_run.visible)
+    same = bool((tops < 12).any())
+    for keep, ep in zip(keeps, layer_episodes(full_run, 0, keeps)):
+        kept = full_run.visible.copy()
+        kept[:, :12] = False
+        kept[:, keep] = True
+        o_kept = attend_rows(q_rows, lt.k, lt.v, visible=kept)
+        same = same and np.array_equal(ep.targets, o_full - o_kept)
+    checks.append(("shared-softmax episodes equal masked attention", same))
 
     params = IndexerParams.init(cfg, Rng(2), h_index=2, d_index=3)
     batch = DistillBatch(x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q, k_rot=lt.k,

@@ -138,6 +138,17 @@ def masked_softmax_rows(logits: np.ndarray) -> np.ndarray:
     makes its row maximum NaN or +inf, which raises DivergenceError: the
     values feeding the softmax have stopped being finite.
 
+    It is :func:`row_exps` divided in place by each row's sum, so it
+    allocates one array of the logits' shape.
+    """
+    e = row_exps(logits)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+
+
+def row_exps(logits: np.ndarray) -> np.ndarray:
+    """``exp(logits - m)`` along the last axis, m each row's maximum: the
+    softmax's numerator, with :func:`masked_softmax_rows`' checks.
+
     The row maximum calls the ``np.maximum`` reduction directly: the
     arithmetic of ``np.max`` without its Python-level argument handling,
     which dominates a one-row call.
@@ -147,8 +158,8 @@ def masked_softmax_rows(logits: np.ndarray) -> np.ndarray:
         if (np.isnan(m) | np.isposinf(m)).any():
             raise DivergenceError("non-finite attention logits")
         raise ValueError("empty support")
-    e = np.exp(logits - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(logits, m)
+    return np.exp(e, out=e)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -175,9 +186,14 @@ def sigmoid(x) -> np.ndarray:
 
     Below x = -709.78 ``exp(-x)`` overflows to inf and the result is
     exactly 0; complex ``exp`` warns there, so the warning is silenced.
+    The exponential runs in place in one complex temporary, and the
+    result is divided in place in its real part's copy.
     """
     with np.errstate(over="ignore"):
-        return 1 / (1 + np.exp(-x + 0j).real)
+        z = np.negative(x, out=np.empty(np.shape(x), np.complex128))
+        np.exp(z, out=z)
+    d = z.real + 1
+    return np.divide(1, d, out=d) if d.ndim else 1 / d
 
 
 def rmsnorm(x, axis: int = -1) -> np.ndarray:

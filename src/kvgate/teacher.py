@@ -102,15 +102,18 @@ def head_logits(q: np.ndarray, keys: np.ndarray,
                 visible: np.ndarray | None = None):
     """Yield ``(h, g, logits)`` per query head h of ``q`` (n_heads, nq, d_head):
     g is its kv head in ``keys`` and ``logits`` the (nq, L) scaled
-    ``q[h] @ keys[g].T``, -inf where the optional ``visible`` mask is False."""
+    ``q[h] @ keys[g].T``, -inf where the optional ``visible`` mask is False.
+    Each ``logits`` is a fresh array, scaled and masked in place."""
     n_heads = q.shape[0]
     n_kv = keys.shape[0]
     scale = logit_scale(q)
+    hidden = None if visible is None else ~np.asarray(visible, dtype=bool)
     for h in range(n_heads):
         g = kv_head_of(h, n_heads, n_kv)
-        logits = (q[h] @ keys[g].T) * scale
-        if visible is not None:
-            logits = np.where(visible, logits, -np.inf)
+        logits = q[h] @ keys[g].T
+        logits *= scale
+        if hidden is not None:
+            np.copyto(logits, -np.inf, where=hidden)
         yield h, g, logits
 
 

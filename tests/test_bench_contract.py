@@ -46,8 +46,8 @@ def test_sweep_submits_its_points_through_the_harness_pool(monkeypatch,
                                                            threads):
     # The tracer swaps harness.ThreadPoolExecutor for a pool that times its
     # tasks; harness.sweep_run.thread_busy_ratio reads those times, so the
-    # sweep's point work must be submitted through that name, from one pool,
-    # at every thread count.
+    # sweep's work must be submitted through that name, from one pool, at
+    # every thread count: one task per (eval sequence, layer).
     harness = importlib.import_module("kvgate.harness")
     config = importlib.import_module("kvgate.config")
     counts = {"pools": 0, "submits": 0}
@@ -68,8 +68,9 @@ def test_sweep_submits_its_points_through_the_harness_pool(monkeypatch,
                     "n_kv_heads": 2, "d_ffn": 32, "vocab_size": 12},
         "plan": {"ratio": 0.5, "sink_count": 2, "local_window": 4},
         "data": {"kind": "tokens", "length": 30, "n_train": 1, "n_eval": 2}})
-    records = harness.sweep_run(cfg, threads=threads)
-    assert counts == {"pools": 1, "submits": len(records) * cfg.n_eval}
+    harness.sweep_run(cfg, threads=threads)
+    assert counts == {"pools": 1,
+                      "submits": cfg.teacher.n_layers * cfg.n_eval}
 
 
 def test_decode_step_attention_goes_through_traced_names(monkeypatch):

@@ -199,10 +199,12 @@ class TestTrainMemory:
         assert code == EXIT_IO
         assert stderr_record(capsys)["command"] == "train-memory"
 
-    def test_checkpoint_without_indexer_weights(self, stage_one, tmp_path,
-                                                capsys):
-        bogus = tmp_path / "other.kvgt"
-        save_weights(bogus, {"other.w": np.zeros(3)})
+    def test_checkpoint_without_indexer_weights(self, stage_one, stage_two,
+                                                tmp_path, capsys):
+        bogus = tmp_path / "memories.kvgt"
+        save_weights(bogus, {name: tensor for name, tensor
+                             in load_weights(stage_two / "memory.kvgt").items()
+                             if name.startswith("mem.")})
         code = run("train-memory", "--config", stage_one["config"],
                    "--checkpoint", bogus, "--out", tmp_path / "out")
         assert code == EXIT_CONFIG
@@ -612,6 +614,26 @@ class TestErrorPaths:
         record = only_stderr_record(capsys)
         assert record["error"] == "ValueError"
         assert "H_index and d_index must be at least 1" in record["message"]
+
+    @pytest.mark.parametrize("name", ["memory.0.w_phi", "other.w"])
+    def test_checkpoint_with_a_foreign_tensor(self, stage_two, tmp_path,
+                                              capsys, name):
+        # A tensor outside the idx.* and mem.* families used to be ignored,
+        # so this file loaded as no weights and the knorm sweep exited 0
+        # with memory_bytes 0.
+        w_phi = load_weights(stage_two / "memory.kvgt")["mem.0.w_phi"]
+        bogus = tmp_path / "foreign.kvgt"
+        save_weights(bogus, {name: w_phi})
+        out = tmp_path / "out"
+        code = run("sweep", "--config",
+                   write_config(tmp_path, policy={"name": "knorm"}),
+                   "--checkpoint", bogus, "--out", out)
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert record["command"] == "sweep"
+        assert repr(name) in record["message"]
+        assert not out.exists()
 
     def test_zero_width_memory_checkpoint(self, stage_two, tmp_path, capsys):
         tensors = load_weights(stage_two / "memory.kvgt")

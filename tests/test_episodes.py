@@ -20,7 +20,14 @@ from kvgate.indexer import DivergenceError
 from kvgate.memory import MEM_EPS, MemorySlowWeights, MemoryState, gate, mem_write
 from kvgate.numerics import Rng
 from kvgate.policies import aggregate_heads, score_knorm, select
-from kvgate.teacher import TeacherConfig, TeacherModel, attend_rows, flatten_heads
+from kvgate.teacher import (
+    ForwardTrace,
+    LayerTrace,
+    TeacherConfig,
+    TeacherModel,
+    attend_rows,
+    flatten_heads,
+)
 
 D = 16
 
@@ -141,27 +148,103 @@ class TestPrefillEpisodes:
                 q_rows = lt.q[:, 12:, :]
                 o_full = attend_rows(q_rows, lt.k, lt.v, visible=full)
                 o_kept = attend_rows(q_rows, lt.k, lt.v, visible=kept)
-                assert np.array_equal(full_run.o_full[li], o_full)
                 assert np.array_equal(eps[li].targets, o_full - o_kept)
 
     def test_full_keep_reuses_the_full_output(self, monkeypatch):
+        # One head_logits pass per layer serves every keep set: n_heads
+        # logit blocks per layer, however many keep sets there are, and a
+        # keep-all set adds no softmax work.
         teacher = toy_teacher()
+        n_heads = teacher.config.n_heads
         full_run = FullRun.of(teacher, Rng(208).normal((20, D)), 12)
-        calls = []
+        blocks, exps = [], []
+        logits_of = episodes_module.head_logits
+        exps_of = episodes_module.row_exps
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return attend_rows(*args, **kwargs)
+        def counting_logits(*args, **kwargs):
+            for item in logits_of(*args, **kwargs):
+                blocks.append(1)
+                yield item
 
-        monkeypatch.setattr(episodes_module, "attend_rows", counting)
+        def counting_exps(logits):
+            exps.append(logits.shape[0])
+            return exps_of(logits)
+
+        monkeypatch.setattr(episodes_module, "head_logits", counting_logits)
+        monkeypatch.setattr(episodes_module, "row_exps", counting_exps)
         keeps = [np.arange(12), np.arange(12)[::-1]]
         eps = prefill_episodes(full_run, keeps)
-        assert calls == []
+        assert len(blocks) == 2 * n_heads
+        assert exps == [8] * (2 * n_heads)
         for ep in eps:
             assert np.all(ep.targets == 0.0)
             assert ep.write_keys.shape == ep.write_values.shape == (0, D)
-        prefill_episodes(full_run, [np.arange(11), np.arange(12)])
-        assert len(calls) == 1
+        blocks.clear()
+        eps = list(episodes_module.layer_episodes(
+            full_run, 0, [np.arange(12), np.arange(11), np.arange(1, 12),
+                          np.arange(12)[::-1]]))
+        assert len(blocks) == n_heads
+        assert [np.all(ep.targets == 0.0) for ep in eps] == [
+            True, False, False, True]
+
+    def test_shared_softmax_equals_masked_attention_bitwise(self, monkeypatch):
+        # Random q/k/v with duplicated key rows, so logits tie, and keep sets
+        # drawn at random or built to evict row argmaxes: every episode's
+        # targets equal attend_rows under masks built row by row, and both
+        # the reuse branch (argmax kept) and the recompute branch ran.
+        recomputed = []
+        exps_of = episodes_module.row_exps
+
+        def counting_exps(logits):
+            recomputed.append(logits.shape[0])
+            return exps_of(logits)
+
+        monkeypatch.setattr(episodes_module, "row_exps", counting_exps)
+        n_heads, n_kv, dh, length, upto = 4, 2, 4, 20, 12
+        n_eval = length - upto
+        visible = np.tri(n_eval, length, upto, dtype=bool)
+        prefix = np.arange(upto)
+        cases = 0
+        for seed in range(40):
+            r = Rng(900 + seed)
+            k = r.split(1).normal((n_kv, length, dh))
+            dup = distinct_sorted(r.split(2), length, 6)
+            k[:, dup[1::2]] = k[:, dup[0::2]]
+            q = r.split(0).normal((n_heads, length, dh)) * 2.0
+            v = r.split(3).normal((n_kv, length, dh))
+            layer = LayerTrace(x_in=np.zeros((length, n_heads * dh)),
+                               q_pre=q, q=q, k=k, v=v)
+            full_run = FullRun(ForwardTrace([layer], np.zeros((length, 1))),
+                               upto, visible)
+            q_rows = q[:, upto:, :]
+            tops = set()
+            for h in range(n_heads):
+                w = q_rows[h] @ k[h * n_kv // n_heads].T
+                tops.update(np.argmax(np.where(visible, w, -np.inf), axis=-1))
+            tops = np.array(sorted(t for t in tops if t < upto))
+            assert tops.size
+            keeps = [distinct_sorted(r.split(10 + j), upto, size)
+                     for j, size in enumerate((0, 2, 4, 6, 8, 10, 11))]
+            keeps += [np.setdiff1d(prefix, tops),
+                      np.setdiff1d(prefix, tops[: len(tops) // 2]),
+                      np.setdiff1d(prefix, tops[:1]), tops, prefix]
+            recomputed.clear()
+            eps = list(episodes_module.layer_episodes(full_run, 0, keeps))
+            o_full = attend_rows(q_rows, k, v, visible=visible)
+            for keep, ep in zip(keeps, eps):
+                kept = np.zeros((n_eval, length), dtype=bool)
+                for i in range(n_eval):
+                    kept[i, keep] = True
+                    kept[i, upto:upto + i + 1] = True
+                o_kept = attend_rows(q_rows, k, v, visible=kept)
+                assert np.array_equal(ep.targets, o_full - o_kept)
+                cases += 1
+            # One full-cache call per head, then only recomputed rows.
+            assert recomputed[:1] == [n_eval]
+            extra = sum(recomputed) - n_heads * n_eval
+            evicting = sum(keep.size < upto for keep in keeps)
+            assert 0 < extra < n_heads * n_eval * evicting
+        assert cases == 40 * 12
 
     def test_rejects_bad_eval_start(self):
         teacher = toy_teacher()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import kvgate.config as config_module
+import kvgate.episodes as episodes_module
 import kvgate.harness as harness
 from kvgate.cache import DecodeSchedule, KvCache, budget_compress
 from kvgate.cli import EXIT_DIVERGENCE, main
@@ -516,10 +517,15 @@ class TestStreamedEval:
 
     @pytest.fixture
     def alive_at_build(self, monkeypatch):
-        """(runs, episodes) still alive at each ``FullRun.of`` call."""
+        """(runs, episodes) still alive at each ``FullRun.of`` call, and
+        weak references to every episode built.
+
+        Every episode comes from ``layer_episodes``: the sweep calls it
+        by its harness name, and ``prefill_episodes`` by its episodes one.
+        """
         runs, episodes, counts = [], [], []
         build = FullRun.of.__func__
-        prefill = harness.prefill_episodes
+        layer_episodes = episodes_module.layer_episodes
 
         def alive(refs):
             return sum(ref() is not None for ref in refs)
@@ -531,22 +537,25 @@ class TestStreamedEval:
             return run
 
         def tracked(*args, **kwargs):
-            eps = prefill(*args, **kwargs)
-            episodes.extend(weakref.ref(ep) for ep in eps)
-            return eps
+            for ep in layer_episodes(*args, **kwargs):
+                episodes.append(weakref.ref(ep))
+                yield ep
 
         monkeypatch.setattr(FullRun, "of", classmethod(of))
-        monkeypatch.setattr(harness, "prefill_episodes", tracked)
-        return counts
+        monkeypatch.setattr(harness, "layer_episodes", tracked)
+        monkeypatch.setattr(episodes_module, "layer_episodes", tracked)
+        return counts, episodes
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_frees_each_run_before_the_next(self, alive_at_build,
                                                   threads):
+        at_build, built = alive_at_build
         cfg = small_config(policy={"name": "knorm"}, data={"n_eval": 4})
         records = sweep_run(cfg, threads=threads)
-        assert len(alive_at_build) == cfg.n_eval
-        assert max(runs for runs, _ in alive_at_build) <= 1
-        assert max(eps for _, eps in alive_at_build) <= cfg.teacher.n_layers
+        assert len(built) == len(records) * cfg.n_eval * cfg.teacher.n_layers
+        assert len(at_build) == cfg.n_eval
+        assert max(runs for runs, _ in at_build) <= 1
+        assert max(eps for _, eps in at_build) <= cfg.teacher.n_layers
         assert all(r["n_sequences"] == cfg.n_eval for r in records)
 
     def test_train_memory_eval_frees_each_run_before_the_next(
@@ -562,9 +571,12 @@ class TestStreamedEval:
                      "--out", out]) == 0
         assert main(["train-memory", "--config", str(config), "--out", out,
                      "--checkpoint", str(tmp_path / "out" / "indexer.kvgt")]) == 0
-        assert len(alive_at_build) == 1 + 4
-        assert max(runs for runs, _ in alive_at_build) <= 1
-        assert max(eps for _, eps in alive_at_build) <= raw["teacher"]["n_layers"]
+        at_build, built = alive_at_build
+        n_layers = raw["teacher"]["n_layers"]
+        assert len(built) == (1 + 4) * n_layers
+        assert len(at_build) == 1 + 4
+        assert max(runs for runs, _ in at_build) <= 1
+        assert max(eps for _, eps in at_build) <= n_layers
 
     def test_eval_draws_each_sequence_own_policy_stream(self, teacher):
         cfg = small_config(policy={"name": "random"}, data={"n_eval": 3})
