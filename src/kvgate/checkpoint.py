@@ -153,3 +153,18 @@ def unpack_memory(tensors: dict, teacher: TeacherConfig) -> list:
     shapes = {"w_phi": (d, None), "w_g": (d,), "bias": ()}
     return [MemorySlowWeights(t["w_phi"], t["w_g"], float(t["bias"]))
             for t in _layers(tensors, "mem", shapes, teacher)]
+
+
+def load_checkpoint(path, teacher: TeacherConfig) -> tuple:
+    """``(indexer params, memories)`` of a stage's weights file, each
+    ``None`` when the file lacks that family's tensors. A tensor outside
+    the ``idx.*`` and ``mem.*`` families raises, naming it."""
+    tensors = load_weights(path)
+    foreign = sorted(name for name in tensors
+                     if not name.startswith(("idx.", "mem.")))
+    if foreign:
+        raise ValueError(f"checkpoint tensor {foreign[0]!r} is neither "
+                         "an idx.* nor a mem.* weight")
+    families = {name.split(".")[0] for name in tensors}
+    return (unpack_indexer(tensors, teacher) if "idx" in families else None,
+            unpack_memory(tensors, teacher) if "mem" in families else None)

@@ -17,11 +17,9 @@ from pathlib import Path
 
 from .checkpoint import (
     indexer_tensors,
-    load_weights,
+    load_checkpoint,
     memory_tensors,
     save_weights,
-    unpack_indexer,
-    unpack_memory,
 )
 from .config import ConfigError, load_config
 from .harness import (
@@ -46,25 +44,14 @@ log = logging.getLogger("kvgate")
 
 def _stage(args):
     """A stage command's prologue: ``(config, output directory, indexer
-    params, memories)``. The weights come from ``--checkpoint`` when one is
-    given, each family ``None`` when the file lacks it, and a tensor of
-    any other family is refused before the directory is made; log lines
-    and warnings go to the directory's run.log, the one timestamped
-    file."""
+    params, memories)``. The weights come from ``--checkpoint`` through
+    :func:`~kvgate.checkpoint.load_checkpoint` when one is given, each
+    ``None`` otherwise, and a bad file is refused before the directory is
+    made; log lines and warnings go to the directory's run.log, the one
+    timestamped file."""
     cfg = load_config(args.config, seed=args.seed)
-    params = memories = None
-    if getattr(args, "checkpoint", None):
-        tensors = load_weights(args.checkpoint)
-        foreign = sorted(name for name in tensors
-                         if not name.startswith(("idx.", "mem.")))
-        if foreign:
-            raise ValueError(f"checkpoint tensor {foreign[0]!r} is neither "
-                             "an idx.* nor a mem.* weight")
-        families = {name.split(".")[0] for name in tensors}
-        if "idx" in families:
-            params = unpack_indexer(tensors, cfg.teacher)
-        if "mem" in families:
-            memories = unpack_memory(tensors, cfg.teacher)
+    params, memories = (load_checkpoint(args.checkpoint, cfg.teacher)
+                        if getattr(args, "checkpoint", None) else (None, None))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     handler = logging.FileHandler(out / "run.log")

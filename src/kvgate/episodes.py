@@ -304,8 +304,12 @@ def memory_loss_and_grads(slow: MemorySlowWeights, stack: EpisodeStack):
     return loss, grads
 
 
+# The Adagrad step size every stage trains the memories at.
+MEM_LR = 0.05
+
+
 def train_memory(slow: MemorySlowWeights, episodes, steps: int = 300,
-                 lr: float = 0.05) -> list:
+                 lr: float = MEM_LR) -> list:
     """Adagrad descent on the reconstruction loss; updates ``slow`` in place.
 
     Every step takes the full batch of episodes, which must share one shape

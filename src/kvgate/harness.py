@@ -25,6 +25,7 @@ from .episodes import (
     train_memory,
 )
 from .indexer import (
+    WSD_PEAK,
     DistillBatch,
     IndexerKeyCache,
     IndexerParams,
@@ -50,7 +51,7 @@ PARAM_SEED = 42
 
 
 def input_sequence(cfg: ExperimentConfig, teacher: TeacherModel, rng: Rng,
-                   n_needles: int = 1):
+                   n_needles: int):
     """One synthetic input per the configured data kind: (x0, planted)."""
     length = cfg.data_length
     if cfg.data_kind == "tokens":
@@ -96,8 +97,7 @@ def init_indexer(cfg: ExperimentConfig) -> list:
 
 def init_memory(cfg: ExperimentConfig) -> list:
     return [MemorySlowWeights.init(cfg.teacher.d_model,
-                                   Rng(PARAM_SEED).split(100 + layer),
-                                   d_mem=cfg.d_mem)
+                                   Rng(PARAM_SEED).split(100 + layer))
             for layer in range(cfg.teacher.n_layers)]
 
 
@@ -110,7 +110,7 @@ def fit_indexer(cfg: ExperimentConfig, teacher: TeacherModel,
         return [[] for _ in params_by_layer]
     per_layer = batches_by_layer(teacher, traces, cfg.plan.sink_count)
     return [train_indexer(params, per_layer[li], cfg.indexer_steps,
-                          cfg.indexer_peak)
+                          WSD_PEAK)
             for li, params in enumerate(params_by_layer)]
 
 
@@ -165,12 +165,12 @@ def sequence_scores(name: str, full_run: FullRun, s: int,
 
 
 def sequence_episodes(full_run: FullRun, plan: CompressionPlan,
-                      scores: list) -> tuple:
-    """``(keeps, episodes)``, one per layer, of one sequence compressed by
-    ``plan`` under its :func:`sequence_scores`."""
+                      scores: list) -> list:
+    """One episode per layer of one sequence compressed by ``plan`` under
+    its :func:`sequence_scores`."""
     prefix = np.arange(full_run.eval_start)
-    keeps = [select(plan, sc, prefix) for sc in scores]
-    return keeps, prefill_episodes(full_run, keeps)
+    return prefill_episodes(full_run,
+                            [select(plan, sc, prefix) for sc in scores])
 
 
 def build_episode_sets(cfg: ExperimentConfig, runs,
@@ -184,7 +184,7 @@ def build_episode_sets(cfg: ExperimentConfig, runs,
     per_layer = [[] for _ in range(cfg.teacher.n_layers)]
     for s, full_run in enumerate(runs):
         scores = sequence_scores(cfg.policy_name, full_run, s, params_by_layer)
-        _, eps = sequence_episodes(full_run, cfg.plan, scores)
+        eps = sequence_episodes(full_run, cfg.plan, scores)
         for li in range(cfg.teacher.n_layers):
             per_layer[li].append(eps[li])
     return per_layer
@@ -213,7 +213,7 @@ def train_memory_run(cfg: ExperimentConfig, indexer_params: list) -> dict:
                                        params_by_layer=params)
     memories = init_memory(cfg)
     losses_by_layer = [train_memory(memories[li], per_layer_eps[li],
-                                    steps=cfg.mem_steps, lr=cfg.mem_lr)
+                                    steps=cfg.mem_steps)
                        for li in range(cfg.teacher.n_layers)]
     return {"params": params, "memories": memories,
             "curve": _loss_curve(losses_by_layer), "teacher": teacher}
@@ -232,7 +232,7 @@ def memory_eval_losses(cfg: ExperimentConfig, teacher: TeacherModel,
     for s, (x0, _) in enumerate(eval_sequences(cfg, teacher)):
         full_run = FullRun.of(teacher, x0, cfg.eval_start)
         scores = sequence_scores(cfg.policy_name, full_run, s, params_by_layer)
-        _, eps = sequence_episodes(full_run, cfg.plan, scores)
+        eps = sequence_episodes(full_run, cfg.plan, scores)
         del full_run, scores
         for memories, per_layer in zip(memory_sets, losses):
             for li, ep in enumerate(eps):

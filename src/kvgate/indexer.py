@@ -354,10 +354,12 @@ def distill_gradients(params: IndexerParams, batch: DistillBatch):
 
 # The warmup-stable-decay shape of a 4,100-step run (100 warmup, 2,000
 # stable, 2,000 decay steps), which :func:`wsd_lr` squeezes into a run's
-# own step count, and the learning rate its last step reaches.
+# own step count, the peak learning rate every stage trains at, and the
+# learning rate its last step reaches.
 WSD_WARMUP = 100
 WSD_STABLE = 2000
 WSD_DECAY = 2000
+WSD_PEAK = 1e-3
 WSD_FINAL_LR = 7.5e-6
 
 

@@ -78,15 +78,15 @@ class Rng:
             z = z ^ (z >> np.uint64(31))
         return z
 
-    def uniform(self, shape=None):
+    def uniform(self, shape):
         """Uniform float64 draws in [0, 1)."""
-        n = 1 if shape is None else int(np.prod(shape))
+        n = int(np.prod(shape))
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return float(u[0]) if shape is None else u.reshape(shape)
+        return u.reshape(shape)
 
-    def normal(self, shape=None):
+    def normal(self, shape):
         """Standard normal draws (Box-Muller over the uniform stream)."""
-        n = 1 if shape is None else int(np.prod(shape))
+        n = int(np.prod(shape))
         m = n + (n % 2)
         u = self.uniform((m,))
         r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
@@ -94,7 +94,7 @@ class Rng:
         z = np.empty(m)
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
-        return float(z[0]) if shape is None else z[:n].reshape(shape)
+        return z[:n].reshape(shape)
 
     def integers(self, low: int, high: int, n: int) -> np.ndarray:
         """n integers uniform over [low, high)."""
@@ -196,8 +196,8 @@ def sigmoid(x) -> np.ndarray:
     return np.divide(1, d, out=d) if d.ndim else 1 / d
 
 
-def rmsnorm(x, axis: int = -1) -> np.ndarray:
-    """x / sqrt(mean(x^2) + 1e-6) along ``axis``; no learnable scale.
+def rmsnorm(x) -> np.ndarray:
+    """x / sqrt(mean(x^2) + 1e-6) along the last axis; no learnable scale.
 
     The mean is the sum-then-divide that ``np.mean`` performs, written out
     so that a one-row call does not pay for ``np.mean``'s Python wrapper.
@@ -205,9 +205,9 @@ def rmsnorm(x, axis: int = -1) -> np.ndarray:
     above ~1e154) raises DivergenceError.
     """
     a = np.asarray(x, dtype=np.float64)
-    if a.shape[axis] == 0:
+    if a.shape[-1] == 0:
         raise ValueError("rmsnorm of an empty vector")
-    ms = np.add.reduce(a * a, axis=axis, keepdims=True) / a.shape[axis]
+    ms = np.add.reduce(a * a, axis=-1, keepdims=True) / a.shape[-1]
     if not np.isfinite(ms).all():
         raise DivergenceError("rmsnorm of non-finite or overflowing entries")
     return a / np.sqrt(ms + NORM_EPS)

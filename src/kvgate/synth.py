@@ -46,7 +46,6 @@ BEACON_WEIGHT = 0.8
 class PlantedSequence:
     x0: np.ndarray          # (L, d_model) input rows
     planted: np.ndarray     # needle positions, ascending (possibly empty)
-    tail_start: int         # first position of the trailing query block
 
 
 def retention_recall(kept_positions, planted) -> float:
@@ -102,7 +101,7 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
     # Isotropic filler rows with unit RMS per entry.
     x0 = rng.normal((length, cfg.d_model))
     if needles.size == 0:
-        return PlantedSequence(x0=x0, planted=needles, tail_start=tail_start)
+        return PlantedSequence(x0=x0, planted=needles)
 
     # Tail rows: per-layer directions that produce oversized queries. The top
     # left-singular vector of one head's query projection maximizes the query
@@ -161,4 +160,4 @@ def planted_sequence(teacher: TeacherModel, length: int, needle_positions,
         direction = NEEDLE_COS * aligned + w_b * b_perp + w_n * n_perp
         x0[t] = NEEDLE_SCALE * np.sqrt(cfg.d_model) * _unit(direction)
 
-    return PlantedSequence(x0=x0, planted=needles, tail_start=tail_start)
+    return PlantedSequence(x0=x0, planted=needles)

@@ -152,9 +152,11 @@ def attend_rows(q_rows: np.ndarray, keys: np.ndarray, values: np.ndarray,
     head at once: the queries are viewed as (n_kv_heads, group, 1, d_head)
     and meet their kv head's keys and values through one 4-D stacked
     matmul each, with one softmax over all heads. Every other input
-    (prefill, episodes, sweep, any masked row) runs one head at a time
-    through :func:`head_logits`. NumPy runs the same BLAS call for each
-    matrix of a stack, so the result is bitwise that of a per-head loop.
+    (prefill, any masked row) runs one head at a time through
+    :func:`head_logits`; episodes and the sweep rebuild its bits in
+    :func:`kvgate.episodes.layer_episodes` instead. NumPy runs the same
+    BLAS call for each matrix of a stack, so the result is bitwise that
+    of a per-head loop.
     """
     return _attend(q_rows, keys, values, visible)
 

@@ -150,7 +150,7 @@ class TestCapacityGrowth:
             layer = op % 2
             oracle = oracles[layer]
             n = cache.length(layer)
-            if n > sinks + window + 2 and rng.uniform() < 0.2:
+            if n > sinks + window + 2 and rng.uniform((1,))[0] < 0.2:
                 idx = distinct_sorted(
                     rng, n, n - int(rng.integers(1, n // 4 + 1, 1)[0]))
                 keep = np.union1d(idx, np.concatenate(
@@ -191,7 +191,7 @@ class TestCapacityGrowth:
         peak = 0
         for op in range(300):
             n = len(cache)
-            if n > 4 and rng.uniform() < 0.2:
+            if n > 4 and rng.uniform((1,))[0] < 0.2:
                 keep = distinct_sorted(
                     rng, n, n - int(rng.integers(1, n // 4 + 1, 1)[0]))
                 dropped = np.setdiff1d(oracle.positions, oracle.positions[keep])

@@ -51,6 +51,8 @@ BASE = {
               "mem_steps": 10},
     "decode": {"steps": 10, "interval": 4, "budgets": [10, 64]},
 }
+# Every command that reads a config.
+STAGE_COMMANDS = ("train-indexer", "train-memory", "sweep", "decode-sim")
 
 
 def write_config(directory, name="config.json", **overrides):
@@ -538,16 +540,23 @@ class TestErrorPaths:
         ("reuse", {"group_size": 1}, "reuse"),
         ("train", {"eta": 1.0}, "eta"),
         ("out", "runs", "out"),
+        ("teacher", {"seed": 0}, "seed"),
+        ("train", {"d_mem": None}, "d_mem"),
+        ("train", {"mem_lr": 0.05}, "mem_lr"),
+        ("train", {"indexer_peak": 1e-3}, "indexer_peak"),
     ])
     def test_retired_config_key(self, tmp_path, capsys, section, value, key):
-        # One JSON line on stderr, so no traceback either.
+        # One JSON line on stderr, so no traceback either, from every
+        # stage, before its output directory is made.
         config = write_config(tmp_path, **{section: value})
-        code = run("train-indexer", "--config", config,
-                   "--out", tmp_path / "out")
-        assert code == EXIT_CONFIG
-        record = only_stderr_record(capsys)
-        assert record["error"] == "ConfigError"
-        assert key in record["message"]
+        for command in STAGE_COMMANDS:
+            code = run(command, "--config", config, "--out", tmp_path / "out")
+            assert code == EXIT_CONFIG
+            record = only_stderr_record(capsys)
+            assert record["error"] == "ConfigError"
+            assert record["command"] == command
+            assert key in record["message"]
+            assert not (tmp_path / "out").exists()
 
     def test_boolean_version_in_config(self, tmp_path, capsys):
         config = write_config(tmp_path, version=True)
@@ -561,14 +570,14 @@ class TestErrorPaths:
     def test_infinite_number_in_config(self, tmp_path, capsys):
         # json.dumps writes float("inf") as JSON's Infinity, which
         # json.loads accepts.
-        config = write_config(tmp_path, train={"mem_lr": float("inf")})
+        config = write_config(tmp_path, plan={"ratio": float("inf")})
         assert "Infinity" in config.read_text(encoding="utf-8")
         code = run("train-indexer", "--config", config,
                    "--out", tmp_path / "out")
         assert code == EXIT_CONFIG
         record = only_stderr_record(capsys)
         assert record["error"] == "ConfigError"
-        assert "mem_lr must be finite" in record["message"]
+        assert "ratio must be finite" in record["message"]
 
     def test_checkpoint_manifest_without_tensors(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.kvgt"

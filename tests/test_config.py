@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import re
@@ -13,7 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kvgate.config import _SCHEMA, ConfigError, load_config, parse_config
+import kvgate.harness as harness
+from kvgate.config import (
+    _RETIRED,
+    _SCHEMA,
+    ConfigError,
+    load_config,
+    parse_config,
+)
+from kvgate.memory import default_d_mem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,7 +72,7 @@ class TestParsing:
             "plan": {"ratio": 0.25, "sink_count": 2},
             "teacher": {"d_model": 32, "d_ffn": 64},
             "data": {"length": 60},
-            "train": {"mem_lr": 0.1},
+            "train": {"mem_steps": 7},
         })
         assert cfg.seed == 7
         assert cfg.plan.ratio == 0.25
@@ -71,7 +80,7 @@ class TestParsing:
         assert cfg.plan.local_window == 8
         assert cfg.teacher.d_model == 32
         assert cfg.eval_start == 40
-        assert cfg.mem_lr == 0.1
+        assert cfg.mem_steps == 7
 
     def test_version_is_required(self):
         with pytest.raises(ConfigError, match="version"):
@@ -129,6 +138,9 @@ class TestParsing:
         case(16, {"decode": {"budgets": []}}, "budgets"),
         case(17, {"decode": {"budgets": [64, 0]}}, "budgets"),
         case(18, {"decode": {"budgets": 64}}, "budgets"),
+        # Retired: the memory and indexer step sizes, the memory width and
+        # the teacher seed, constants every program ran; unknown at any
+        # value, their old defaults included (23 and 65-70 too).
         case(19, {"train": {"mem_lr": 0}}, "mem_lr"),
         # Retired with the multi-write memory replay: unknown at any value.
         case(20, {"train": {"lam": 0.95}}, "lam"),
@@ -141,17 +153,13 @@ class TestParsing:
         *[case(24 + 5 * k + v, {"train": {key: value}}, key)
           for k, key in enumerate(("head_sum", "stop_write_grad"))
           for v, value in enumerate((False, True, "false", 0, None))],
-        *[case(34 + i, {"train": {"mem_lr": value}}, "mem_lr must be finite")
-          for i, value in enumerate(NON_FINITE)],
         *[case(38 + i, {"train": {"eta": value}}, "eta")
-          for i, value in enumerate(NON_FINITE)],
-        *[case(42 + i, {"train": {"indexer_peak": value}},
-               "indexer_peak must be finite")
           for i, value in enumerate(NON_FINITE)],
         *[case(46 + i, {"train": {"lam": value}}, "lam")
           for i, value in enumerate(NON_FINITE)],
         case(50, {"agg": {"gamma": 0.5}}, "agg"),
-        case(51, {"plan": {"ratio": math.inf}}, "ratio must be finite"),
+        *[case(n, {"plan": {"ratio": value}}, "ratio must be finite")
+          for n, value in zip((51, 62, 63, 64), NON_FINITE)],
         case(52, {"train": {"eta": 1.0}}, "eta"),
         # Retired: gaussian inputs, which no workload used.
         case(53, {"data": {"kind": "gauss"}}, "data.kind"),
@@ -169,6 +177,12 @@ class TestParsing:
         # Retired: layer-group score reuse, which every program ran at
         # group size 1; unknown at any value, its old default included.
         case(61, {"reuse": {"group_size": 1}}, "reuse"),
+        case(65, {"teacher": {"seed": 0}}, "seed"),
+        case(66, {"teacher": {"seed": 7}}, "seed"),
+        case(67, {"train": {"d_mem": None}}, "d_mem"),
+        case(68, {"train": {"d_mem": 8}}, "d_mem"),
+        case(69, {"train": {"mem_lr": 0.05}}, "mem_lr"),
+        case(70, {"train": {"indexer_peak": 1e-3}}, "indexer_peak"),
     ])
     def test_bad_values_rejected(self, patch, needle):
         raw = {**minimal(), **patch}
@@ -245,15 +259,8 @@ class TestParsing:
         assert issubclass(ConfigError, ValueError)
 
 
-def seed_at(place, value):
-    """A minimal config with one of its seeds set to ``value``."""
-    if place == "seed":
-        return {"version": 1, "seed": value}
-    section, key = place.split(".")
-    return {"version": 1, section: {key: value}}
-
-
-SEED_PLACES = ("seed", "teacher.seed")
+# The config's one seed; the teacher's is the constant TeacherConfig.seed.
+SEED_PLACES = ("seed",)
 
 
 class TestSeedRange:
@@ -261,13 +268,13 @@ class TestSeedRange:
 
     @pytest.mark.parametrize("place", SEED_PLACES)
     def test_largest_seed_accepted(self, place):
-        parse_config(seed_at(place, 2**64 - 1))
+        parse_config({"version": 1, place: 2**64 - 1})
 
     @pytest.mark.parametrize("place", SEED_PLACES)
     @pytest.mark.parametrize("value", [2**64, 2**64 + 5, 2**70])
     def test_seed_from_two_to_the_64_rejected(self, place, value):
         with pytest.raises(ConfigError, match="2\\*\\*64"):
-            parse_config(seed_at(place, value))
+            parse_config({"version": 1, place: value})
 
     def test_override_seed_checked(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -280,8 +287,8 @@ class TestSeedRange:
         top = 2**64 - 1
         assert parse_config(minimal()).config_hash == "53f848eecbe3e2eb"
         assert parse_config({
-            "version": 1, "seed": top, "teacher": {"seed": top},
-        }).config_hash == "cabe4685a3488132"
+            "version": 1, "seed": top,
+        }).config_hash == "ed2d1a5477b4a2f2"
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 300)
@@ -311,8 +318,7 @@ def parsed_fields(cfg):
 class TestAnyJsonObject:
     @settings(max_examples=300, deadline=None)
     @example(raw={"version": 1, "decode": {"budgets": [True]}})
-    @example(raw={"version": 1, "train": {"mem_lr": math.inf,
-                                          "indexer_peak": math.inf}})
+    @example(raw={"version": 1, "plan": {"ratio": math.inf}})
     @example(raw={"version": True})
     @given(raw=schema_section(_SCHEMA).map(lambda raw: {"version": 1, **raw})
            | st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4))
@@ -339,7 +345,7 @@ class TestHash:
         b = parse_config({"version": 1, "seed": 0,
                           "plan": {"ratio": 0.5},
                           "policy": {"name": "indexer"},
-                          "train": {"mem_lr": 0.05}})
+                          "train": {"mem_steps": 300}})
         assert a.config_hash == b.config_hash
 
     def test_value_change_changes_hash(self):
@@ -377,12 +383,7 @@ class TestHash:
 
 
 # Keys no program sets, each with the reason it stays settable.
-UNSET_BY_ANY_PROGRAM = {
-    "teacher.seed": "a second teacher is ROADMAP items 1, 3 and 14",
-    "train.d_mem": "ROADMAP item 8 tunes the memory width",
-    "train.mem_lr": "ROADMAP item 8 tunes the memory step size",
-    "train.indexer_peak": "ROADMAP item 6 tunes the indexer step size",
-}
+UNSET_BY_ANY_PROGRAM = {}
 
 
 def leaf_keys(tree: dict, prefix: str = ""):
@@ -413,6 +414,45 @@ def program_configs():
                  if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets] == ["CONFIG"]]
     yield ast.literal_eval(config)
+
+
+class TestRetiredValuesRun:
+    def test_each_retired_value_is_the_value_a_stage_runs(self, monkeypatch):
+        # The hash names the retired values from _RETIRED, so the stages
+        # must run those values: a literal edited on one side only fails.
+        seen = {"peak": set(), "lr": set(), "teacher_seed": set()}
+
+        def record(name, param):
+            real = getattr(harness, name)
+            signature = inspect.signature(real)
+
+            def wrapper(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                seen[param].add(bound.arguments[param])
+                return real(*args, **kwargs)
+            monkeypatch.setattr(harness, name, wrapper)
+
+        class Teacher(harness.TeacherModel):
+            def __init__(self, config):
+                seen["teacher_seed"].add(config.seed)
+                super().__init__(config)
+
+        record("train_indexer", "peak")
+        record("train_memory", "lr")
+        monkeypatch.setattr(harness, "TeacherModel", Teacher)
+        raw = readme_config()
+        raw["data"].update(n_train=2, n_eval=1)
+        raw["train"].update(indexer_steps=2, mem_steps=2)
+        cfg = parse_config(raw)
+        stage_one = harness.train_indexer_run(cfg)
+        stage_two = harness.train_memory_run(cfg, stage_one["params"])
+        retired = _RETIRED["train"]
+        assert seen == {"peak": {retired["indexer_peak"]},
+                        "lr": {retired["mem_lr"]},
+                        "teacher_seed": {_RETIRED["teacher"]["seed"]}}
+        width = retired["d_mem"] or default_d_mem(cfg.teacher.d_model)
+        assert {m.d_mem for m in stage_two["memories"]} == {width}
 
 
 class TestEveryKeyHasAProgram:

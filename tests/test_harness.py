@@ -174,7 +174,8 @@ def oracle_simulation(cfg, teacher, x0, budget, params_by_layer=None):
 def oracle_decode_records(cfg, params_by_layer=None):
     """decode_run's records from one sequential run per simulation."""
     teacher = TeacherModel(cfg.teacher)
-    x0, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(EVAL_STREAM))
+    x0, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(EVAL_STREAM),
+                           n_needles=1)
     reference = oracle_simulation(cfg, teacher, x0, None, params_by_layer)
     total = cfg.data_length + cfg.decode_steps
     records = []
@@ -220,8 +221,10 @@ def teacher(cfg):
 
 class TestData:
     def test_token_inputs_shape_and_determinism(self, cfg, teacher):
-        a, planted = input_sequence(cfg, teacher, Rng(cfg.seed).split(2000))
-        b, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(2000))
+        a, planted = input_sequence(cfg, teacher, Rng(cfg.seed).split(2000),
+                                    n_needles=1)
+        b, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(2000),
+                              n_needles=1)
         assert a.shape == (cfg.data_length, cfg.teacher.d_model)
         assert planted.size == 0
         assert np.array_equal(a, b)
@@ -256,7 +259,7 @@ class TestLayerScores:
 
     @pytest.fixture(scope="class")
     def full_run(self, cfg, teacher):
-        x0, _ = input_sequence(cfg, teacher, Rng(9))
+        x0, _ = input_sequence(cfg, teacher, Rng(9), n_needles=1)
         return FullRun.of(teacher, x0, cfg.eval_start)
 
     def test_knorm_matches_direct_computation(self, cfg, full_run):
@@ -775,7 +778,8 @@ class TestDecodeStartScoring:
         cfg = small_config(policy={"name": "snapkv"}, **overrides)
         kept = self.kept_at_start(cfg, monkeypatch)
         teacher = TeacherModel(cfg.teacher)
-        x0, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(EVAL_STREAM))
+        x0, _ = input_sequence(cfg, teacher, Rng(cfg.seed).split(EVAL_STREAM),
+                               n_needles=1)
         trace = teacher.forward(x0=x0)
         positions = np.arange(cfg.data_length)
         plan = replace(cfg.plan, ratio=0.0, budget=12)

@@ -46,7 +46,7 @@ class TestSoftmax:
         rng = Rng(101)
         for _ in range(200):
             x = rng.normal((16,)) * 10.0
-            c = rng.normal() * 100.0
+            c = rng.normal((1,))[0] * 100.0
             a = masked_softmax_rows(x)
             b = masked_softmax_rows(x + c)
             assert np.abs(a - b).max() < 1e-12
@@ -97,7 +97,7 @@ class TestRmsnorm:
         rng = Rng(104)
         for _ in range(100):
             # keep inputs well away from zero so the 1e-6 stabilizer is negligible
-            x = rng.normal((24,)) * (1.0 + rng.uniform() * 9.0)
+            x = rng.normal((24,)) * (1.0 + rng.uniform((1,))[0] * 9.0)
             y = rmsnorm(x)
             assert math.isclose(np.sqrt(np.mean(y * y)), 1.0, abs_tol=1e-6)
 
@@ -116,10 +116,10 @@ class TestRmsnorm:
             assert np.allclose(out[i], rmsnorm(mat[i]), atol=1e-15)
 
 
-def mean_rmsnorm(x, axis):
+def mean_rmsnorm(x):
     """rmsnorm through np.mean, the formula rmsnorm must match bit for bit."""
     a = np.asarray(x, dtype=np.float64)
-    return a / np.sqrt(np.mean(a * a, axis=axis, keepdims=True) + NORM_EPS)
+    return a / np.sqrt(np.mean(a * a, axis=-1, keepdims=True) + NORM_EPS)
 
 
 def max_softmax_rows(logits):
@@ -167,11 +167,9 @@ class TestReductionsKeepTheirBytes:
     np.max, so every output bit must match."""
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_rmsnorm_is_the_mean_formula(self, data):
-        x = data.draw(hnp.arrays(np.float64, SHAPES, elements=FINITE))
-        axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
-        assert np.array_equal(rmsnorm(x, axis=axis), mean_rmsnorm(x, axis))
+    @given(x=hnp.arrays(np.float64, SHAPES, elements=FINITE))
+    def test_rmsnorm_is_the_mean_formula(self, x):
+        assert np.array_equal(rmsnorm(x), mean_rmsnorm(x))
 
     @settings(max_examples=200, deadline=None)
     @given(logits=masked_logits())
@@ -233,8 +231,8 @@ class TestTopK:
     def test_matches_sort_reference(self):
         rng = Rng(106)
         for _ in range(200):
-            n = 1 + int(rng.uniform() * 40)
-            k = int(rng.uniform() * (n + 1))
+            n = 1 + int(rng.uniform((1,))[0] * 40)
+            k = int(rng.uniform((1,))[0] * (n + 1))
             s = np.round(rng.normal((n,)) * 3.0, 1)  # coarse values force ties
             got = topk_indices(s, k)
             # reference: sort by (-score, index) and take the first k
