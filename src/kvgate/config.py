@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -74,6 +74,14 @@ _SCHEMA = {
 
 
 def _merge(section: str, defaults: dict, given: dict) -> dict:
+    # JSON's Infinity and NaN parse as floats, and an integer past the float
+    # range reads as one. No key takes them, a retired one included, so they
+    # are refused by path before the keys are.
+    for key, value in given.items():
+        _require(not isinstance(value, (int, float))
+                 or abs(value) <= sys.float_info.max,
+                 f"{section}.{key} must be finite" if section
+                 else f"{key} must be finite")
     unknown = set(given) - set(defaults)
     if unknown:
         where = section or "top level"
@@ -110,13 +118,7 @@ def _as_number(tree: dict, section: str, key: str) -> float:
     value = tree[section][key]
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{section}.{key} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    # JSON's Infinity and NaN parse as floats; no knob accepts them.
-    _require(math.isfinite(number), f"{section}.{key} must be finite")
-    return number
+    return float(value)  # finite, as _merge checked
 
 
 @dataclass

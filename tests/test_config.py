@@ -153,7 +153,14 @@ class TestParsing:
         *[case(24 + 5 * k + v, {"train": {key: value}}, key)
           for k, key in enumerate(("head_sum", "stop_write_grad"))
           for v, value in enumerate((False, True, "false", 0, None))],
+        # A non-finite number is refused as one, by its path, before any
+        # key is read, so a retired key at one is refused as non-finite.
+        *[case(34 + i, {"train": {"mem_lr": value}}, "mem_lr must be finite")
+          for i, value in enumerate(NON_FINITE)],
         *[case(38 + i, {"train": {"eta": value}}, "eta")
+          for i, value in enumerate(NON_FINITE)],
+        *[case(42 + i, {"train": {"indexer_peak": value}},
+               "indexer_peak must be finite")
           for i, value in enumerate(NON_FINITE)],
         *[case(46 + i, {"train": {"lam": value}}, "lam")
           for i, value in enumerate(NON_FINITE)],
