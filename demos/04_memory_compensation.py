@@ -10,8 +10,8 @@ output gets closer to the uncompressed teacher than attention alone.
 import numpy as np
 
 from kvgate.cache import CompressionPlan
-from kvgate.episodes import FullRun, episode_loss, plain_mse, \
-    prefill_episodes, train_memory
+from kvgate.episodes import episode_loss, plain_mse, prefill_episodes, \
+    train_memory
 from kvgate.memory import MemorySlowWeights
 from kvgate.numerics import Rng
 from kvgate.policies import aggregate_heads, score_knorm, select
@@ -28,11 +28,11 @@ episodes = []
 for i in range(8):
     tokens = Rng(200).split(i).integers(0, cfg.vocab_size, length)
     x0 = teacher.embed(tokens)
-    full_run = FullRun.of(teacher, x0, eval_start)
+    trace = teacher.forward(x0=x0)
     keeps = [select(plan, aggregate_heads(score_knorm(lt.k[:, :eval_start, :])),
                     np.arange(eval_start))
-             for lt in full_run.trace.layers]
-    episodes.append(prefill_episodes(full_run, keeps)[layer])
+             for lt in trace.layers]
+    episodes.append(prefill_episodes(trace, eval_start, keeps)[layer])
 
 slow = MemorySlowWeights.init(cfg.d_model, Rng(7), d_mem=8)
 print(f"memory: d_mem={slow.d_mem}, footprint "

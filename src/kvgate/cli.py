@@ -24,8 +24,6 @@ from .checkpoint import (
 from .config import ConfigError, load_config
 from .harness import (
     decode_run,
-    init_memory,
-    memory_eval_losses,
     selftest,
     sweep_run,
     train_indexer_run,
@@ -88,10 +86,7 @@ def cmd_train_memory(args) -> int:
     write_records(out / "train_memory_loss.jsonl",
                   [make_record("memory_loss", cfg.config_hash, cfg.seed, row)
                    for row in result["curve"]])
-
-    loss_init, loss_trained = memory_eval_losses(
-        cfg, result["teacher"], result["params"],
-        (init_memory(cfg), result["memories"]))
+    loss_init, loss_trained = result["eval"]
     write_records(out / "train_memory_eval.jsonl", [
         make_record("memory_eval", cfg.config_hash, cfg.seed, {
             "split": "eval",

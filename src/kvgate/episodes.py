@@ -26,7 +26,7 @@ from .memory import (
     tokens_from_evicted,
 )
 from .numerics import DivergenceError, row_exps
-from .teacher import ForwardTrace, TeacherModel, flatten_heads, head_logits
+from .teacher import ForwardTrace, LayerTrace, flatten_heads, head_logits
 
 
 @dataclass
@@ -57,36 +57,11 @@ def plain_mse(episode: LayerEpisode) -> float:
     return float(np.mean(episode.targets ** 2))
 
 
-@dataclass(frozen=True)
-class FullRun:
-    """One sequence's uncompressed run: the part of an episode no keep set moves.
+def layer_episodes(lt: LayerTrace, eval_start: int, keeps):
+    """Yield one episode of the layer traced in ``lt`` per keep set in
+    ``keeps``, in order, for a compress-then-continue run.
 
-    Holds the teacher trace and the causal mask of the rows from
-    ``eval_start`` on over the full cache. Build it once per sequence with
-    :meth:`of` and pass it to every :func:`layer_episodes` call on that
-    sequence.
-    """
-
-    trace: ForwardTrace
-    eval_start: int
-    visible: np.ndarray   # (n_eval, L) bool, row i sees positions <= eval_start + i
-
-    @classmethod
-    def of(cls, teacher: TeacherModel, x0: np.ndarray, eval_start: int) -> FullRun:
-        x0 = np.asarray(x0, dtype=np.float64)
-        length = x0.shape[0]
-        if not 0 < eval_start < length:
-            raise ValueError("eval start must split the sequence")
-        trace = teacher.forward(x0=x0)
-        visible = np.tri(length - eval_start, length, eval_start, dtype=bool)
-        return cls(trace, eval_start, visible)
-
-
-def layer_episodes(full_run: FullRun, layer: int, keeps):
-    """Yield one episode of ``layer`` per keep set in ``keeps``, in order,
-    for a compress-then-continue run.
-
-    The first ``full_run.eval_start`` tokens are compressed to the keep set
+    The first ``eval_start`` tokens are compressed to the keep set
     (row indices into that prefix, from :func:`kvgate.policies.select`);
     every later token reads the surviving prefix plus the uncompressed tail
     it arrived with. Targets compare against the same token's attention
@@ -102,9 +77,11 @@ def layer_episodes(full_run: FullRun, layer: int, keeps):
     has the bits of ``attend_rows`` under the keep set's mask. A keep set
     that evicts nothing reuses the full-cache output.
     """
-    lt = full_run.trace.layers[layer]
-    eval_start = full_run.eval_start
     length = lt.k.shape[1]
+    if not 0 < eval_start < length:
+        raise ValueError("eval start must split the sequence")
+    # Row i of the eval rows sees the positions up to eval_start + i.
+    visible = np.tri(length - eval_start, length, eval_start, dtype=bool)
     # Per keep set, the columns its rows may read, or None when it evicts
     # nothing.
     columns = []
@@ -121,7 +98,7 @@ def layer_episodes(full_run: FullRun, layer: int, keeps):
     o_full = np.empty((n_eval, n_heads, d_head))
     o_kept = [None if cols is None else np.empty_like(o_full)
               for cols in columns]
-    for h, g, logits in head_logits(q_rows, lt.k, full_run.visible):
+    for h, g, logits in head_logits(q_rows, lt.k, visible):
         e_full = row_exps(logits)
         o_full[:, h, :] = (e_full / e_full.sum(axis=-1, keepdims=True)) @ lt.v[g]
         top = np.argmax(logits, axis=-1)
@@ -151,13 +128,14 @@ def layer_episodes(full_run: FullRun, layer: int, keeps):
                            write_keys=k_tok, write_values=v_tok)
 
 
-def prefill_episodes(full_run: FullRun, keeps_by_layer) -> list:
-    """One episode per layer, each from :func:`layer_episodes` on that
-    layer's one keep set."""
-    if len(keeps_by_layer) != len(full_run.trace.layers):
+def prefill_episodes(trace: ForwardTrace, eval_start: int,
+                     keeps_by_layer) -> list:
+    """One episode per layer of ``trace``, each from :func:`layer_episodes`
+    on that layer's one keep set."""
+    if len(keeps_by_layer) != len(trace.layers):
         raise ValueError("need one keep set per layer")
-    return [next(layer_episodes(full_run, li, [keep]))
-            for li, keep in enumerate(keeps_by_layer)]
+    return [next(layer_episodes(lt, eval_start, [keep]))
+            for lt, keep in zip(trace.layers, keeps_by_layer)]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import numpy as np
 from .cache import CompressionPlan, DecodeSchedule, KvCache, budget_compress
 from .config import ConfigError, ExperimentConfig
 from .episodes import (
-    FullRun,
     episode_loss,
     layer_episodes,
     plain_mse,
@@ -37,7 +36,7 @@ from .metrics import make_record
 from .numerics import DivergenceError, Rng, kl_divergence, rmsnorm
 from .policies import QueryRows, score_layer, select
 from .synth import planted_sequence, retention_recall
-from .teacher import TeacherModel, pooled_teacher_importance
+from .teacher import ForwardTrace, TeacherModel, pooled_teacher_importance
 
 SWEEP_RATIOS = (0.0, 0.10, 0.25, 0.50, 0.75, 0.90)
 
@@ -86,6 +85,8 @@ def batches_by_layer(teacher: TeacherModel, traces, sink_count: int) -> list:
             per_layer[li].append(DistillBatch(
                 x=lt.x_in, q_pre=lt.q_pre, q_rot=lt.q, k_rot=lt.k,
                 sink_count=sink_count))
+        # Dropped here, so a generator's next trace is made without it.
+        del trace, lt
     return per_layer
 
 
@@ -145,15 +146,15 @@ def _require_checkpoint(cfg: ExperimentConfig, params_by_layer) -> None:
         raise ConfigError("the indexer policy needs a trained checkpoint")
 
 
-def sequence_scores(name: str, full_run: FullRun, s: int,
+def sequence_scores(name: str, trace: ForwardTrace, upto: int, s: int,
                     params_by_layer=None) -> list:
-    """Eval-prefix scores of sequence ``s`` under the policy ``name``, per
-    layer; a scorer that draws does so from the sequence's own stream."""
-    upto = full_run.eval_start
+    """Scores of the first ``upto`` rows of sequence ``s``'s trace under the
+    policy ``name``, per layer; a scorer that draws does so from the
+    sequence's own stream."""
     positions = np.arange(upto)
     rng_parent = Rng(POLICY_SEED).split(POLICY_STREAM + s)
     scores = []
-    for layer, lt in enumerate(full_run.trace.layers):
+    for layer, lt in enumerate(trace.layers):
         x = lt.x_in[:upto]
         params = params_by_layer[layer] if name == "indexer" else None
         scores.append(score_layer(
@@ -164,79 +165,90 @@ def sequence_scores(name: str, full_run: FullRun, s: int,
     return scores
 
 
-def sequence_episodes(full_run: FullRun, plan: CompressionPlan,
-                      scores: list) -> list:
-    """One episode per layer of one sequence compressed by ``plan`` under
-    its :func:`sequence_scores`."""
-    prefix = np.arange(full_run.eval_start)
-    return prefill_episodes(full_run,
-                            [select(plan, sc, prefix) for sc in scores])
+def sequence_episodes(cfg: ExperimentConfig, traces, params_by_layer):
+    """Yield the per-layer episodes of each trace in ``traces``, in order,
+    under the configured policy and plan; the ``s``-th trace is scored as
+    sequence ``s``. Each trace and its episodes are dropped before the
+    next trace is drawn, so a generator of teacher forwards holds one at
+    a time."""
+    upto = cfg.eval_start
+    prefix = np.arange(upto)
+    s = 0   # by hand: enumerate's reused tuple would pin the last trace
+    for trace in traces:
+        scores = sequence_scores(cfg.policy_name, trace, upto, s,
+                                 params_by_layer)
+        eps = prefill_episodes(trace, upto,
+                               [select(cfg.plan, sc, prefix) for sc in scores])
+        del trace, scores
+        yield eps
+        del eps
+        s += 1
 
 
-def build_episode_sets(cfg: ExperimentConfig, runs,
+def build_episode_sets(cfg: ExperimentConfig, traces,
                        params_by_layer=None) -> list:
     """Per-layer episode lists for the configured policy at the plan ratio.
 
-    ``runs`` yields each sequence's :class:`~kvgate.episodes.FullRun` at
-    ``cfg.eval_start``, in order; a generator lets each run be freed once
-    its episodes are built.
+    ``traces`` yields each sequence's teacher trace, in order; a generator
+    lets each trace be freed once its episodes are built.
     """
     per_layer = [[] for _ in range(cfg.teacher.n_layers)]
-    for s, full_run in enumerate(runs):
-        scores = sequence_scores(cfg.policy_name, full_run, s, params_by_layer)
-        eps = sequence_episodes(full_run, cfg.plan, scores)
-        for li in range(cfg.teacher.n_layers):
-            per_layer[li].append(eps[li])
+    for eps in sequence_episodes(cfg, traces, params_by_layer):
+        for li, ep in enumerate(eps):
+            per_layer[li].append(ep)
     return per_layer
 
 
 def train_memory_run(cfg: ExperimentConfig, indexer_params: list) -> dict:
-    """Stage two: fit the per-layer compensation memories.
+    """Stage two: fit the per-layer compensation memories, then evaluate
+    them.
 
     The indexer keeps training on the same distillation batches before the
     eviction episodes are built, so the memories learn against the keep
     sets the final indexer actually produces. Both come from one teacher
-    forward per training sequence. Only the indexer policy needs
+    trace per training sequence. Only the indexer policy needs
     ``indexer_params``; without them the result's ``params`` is ``None``.
+    The result's ``eval`` is :func:`memory_eval_losses` of the initial and
+    the trained memories: ``[loss_init, loss_trained]``.
     """
     _require_checkpoint(cfg, indexer_params)
     teacher = TeacherModel(cfg.teacher)
     params = ([p.copy() for p in indexer_params]
               if indexer_params is not None else None)
-    sequences = training_sequences(cfg, teacher)
-    runs = [FullRun.of(teacher, x0, cfg.eval_start) for x0, _ in sequences]
+    traces = [teacher.forward(x0=x0)
+              for x0, _ in training_sequences(cfg, teacher)]
     if cfg.policy_name == "indexer":
-        fit_indexer(cfg, teacher, params, [run.trace for run in runs])
-    # Each run is freed once its episodes are built, so all the runs and
-    # all the episodes are never alive together.
-    per_layer_eps = build_episode_sets(cfg, _drain(runs),
+        fit_indexer(cfg, teacher, params, traces)
+    # Each trace is freed once its episodes are built, so all the traces
+    # and all the episodes are never alive together.
+    per_layer_eps = build_episode_sets(cfg, _drain(traces),
                                        params_by_layer=params)
     memories = init_memory(cfg)
     losses_by_layer = [train_memory(memories[li], per_layer_eps[li],
                                     steps=cfg.mem_steps)
                        for li in range(cfg.teacher.n_layers)]
+    del per_layer_eps
     return {"params": params, "memories": memories,
-            "curve": _loss_curve(losses_by_layer), "teacher": teacher}
+            "curve": _loss_curve(losses_by_layer),
+            "eval": memory_eval_losses(cfg, teacher, params,
+                                       (init_memory(cfg), memories))}
 
 
 def memory_eval_losses(cfg: ExperimentConfig, teacher: TeacherModel,
                        params_by_layer, memory_sets) -> list:
     """Mean eval-episode loss of each memory list in ``memory_sets``.
 
-    The eval sequences are episoded one at a time under the configured
-    policy and plan, and only their loss scalars are kept, so one
-    sequence's run and episodes are alive at a time. Each mean sums its
+    The eval sequences are episoded one at a time by
+    :func:`sequence_episodes`, and only their loss scalars are kept, so one
+    sequence's trace and episodes are alive at a time. Each mean sums its
     losses layer by layer, each layer's in sequence order.
     """
     losses = [[[] for _ in range(cfg.teacher.n_layers)] for _ in memory_sets]
-    for s, (x0, _) in enumerate(eval_sequences(cfg, teacher)):
-        full_run = FullRun.of(teacher, x0, cfg.eval_start)
-        scores = sequence_scores(cfg.policy_name, full_run, s, params_by_layer)
-        eps = sequence_episodes(full_run, cfg.plan, scores)
-        del full_run, scores
+    traces = (teacher.forward(x0=x0) for x0, _ in eval_sequences(cfg, teacher))
+    for eps in sequence_episodes(cfg, traces, params_by_layer):
         for memories, per_layer in zip(memory_sets, losses):
-            for li, ep in enumerate(eps):
-                per_layer[li].append(episode_loss(memories[li], ep))
+            for li, memory in enumerate(memories):
+                per_layer[li].append(episode_loss(memory, eps[li]))
         del eps
     means = []
     for per_layer in losses:
@@ -274,8 +286,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     One pass over the eval sequences, one sequence at a time. Each piece of
     work runs once at the level it depends on:
 
-    - per eval sequence: the teacher trace (a
-      :class:`~kvgate.episodes.FullRun`) and the teacher's pooled
+    - per eval sequence: the teacher trace and the teacher's pooled
       importance;
     - per (policy, sequence): the layer scores and their KL against the
       teacher's importance, so the random policy draws its stream once;
@@ -285,7 +296,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
       episode and the metrics that read it.
 
     A point keeps only its per-layer scalars, in (sequence, layer) order,
-    so a sequence's run and episodes are freed once its layers are done.
+    so a sequence's trace and episodes are freed once its layers are done.
     Every (sequence, layer) task runs on one pool of ``threads`` workers,
     made once; results are collected in submission order, so the records
     do not depend on the thread count.
@@ -301,7 +312,7 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     # Per point, record field -> its per-layer values over the sequences.
     results = {point: {} for point in points}
     kls = {name: [] for name in names}
-    # Sequence index -> (full_run, planted, scores by policy) while its
+    # Sequence index -> (trace, planted, scores by policy) while its
     # layers run. Tasks look their sequence up here rather than holding it,
     # so a sequence is freed as soon as its layers are collected.
     live = {}
@@ -309,11 +320,12 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
     def eval_layer(s, layer) -> list:
         # Every point's values at one layer of sequence s, in point order;
         # one episode is alive at a time.
-        full_run, planted, scored = live[s]
+        trace, planted, scored = live[s]
         keeps = [select(plans[ratio], scored[name][layer], prefix)
                  for name, ratio in points]
         values = []
-        for keep, ep in zip(keeps, layer_episodes(full_run, layer, keeps)):
+        for keep, ep in zip(keeps, layer_episodes(trace.layers[layer], upto,
+                                                  keeps)):
             attn = plain_mse(ep)
             values.append({
                 "recon_attn": attn,
@@ -326,16 +338,17 @@ def sweep_run(cfg: ExperimentConfig, params_by_layer=None, memories=None,
         # Built here, not on the pool: when pool threads made arrays that
         # outlive the threads, a process that swept repeatedly grew its
         # peak RSS with every call (85 -> 93 MB over 12 sweep-planted calls).
-        full_run = FullRun.of(teacher, x0, upto)
+        trace = teacher.forward(x0=x0)
         teacher_imp = [pooled_teacher_importance(lt.q[:, :upto, :],
                                                  lt.k[:, :upto, :])
-                       for lt in full_run.trace.layers]
+                       for lt in trace.layers]
         scored = {}
         for name in names:
-            scored[name] = sequence_scores(name, full_run, s, params_by_layer)
+            scored[name] = sequence_scores(name, trace, upto, s,
+                                           params_by_layer)
             kls[name].extend(kl_divergence(imp[support], sc[support])
                              for imp, sc in zip(teacher_imp, scored[name]))
-        live[s] = (full_run, planted, scored)
+        live[s] = (trace, planted, scored)
 
     def collect(s, futures) -> None:
         for future in futures:
@@ -597,16 +610,16 @@ def selftest() -> list:
     # Keep sets that evict every row's full-cache argmax key, every other
     # key, and nothing: the shared softmax must give the bits of attention
     # under each keep set's explicit mask.
-    full_run = FullRun.of(teacher, x0, 12)
+    visible = np.tri(12, 24, 12, dtype=bool)
     q_rows = lt.q[:, 12:, :]
     tops = np.unique([np.argmax(w, axis=-1) for _, _, w
-                      in head_logits(q_rows, lt.k, full_run.visible)])
+                      in head_logits(q_rows, lt.k, visible)])
     keeps = [np.setdiff1d(np.arange(12), tops), np.arange(0, 12, 2),
              np.arange(12)]
-    o_full = attend_rows(q_rows, lt.k, lt.v, visible=full_run.visible)
+    o_full = attend_rows(q_rows, lt.k, lt.v, visible=visible)
     same = bool((tops < 12).any())
-    for keep, ep in zip(keeps, layer_episodes(full_run, 0, keeps)):
-        kept = full_run.visible.copy()
+    for keep, ep in zip(keeps, layer_episodes(lt, 12, keeps)):
+        kept = visible.copy()
         kept[:, :12] = False
         kept[:, keep] = True
         o_kept = attend_rows(q_rows, lt.k, lt.v, visible=kept)

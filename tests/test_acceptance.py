@@ -17,7 +17,6 @@ from kvgate.harness import batches_by_layer
 from kvgate.crosslayer import scores_with_reuse
 from kvgate.episodes import (
     EpisodeStack,
-    FullRun,
     LayerEpisode,
     episode_loss,
     memory_loss_and_grads,
@@ -301,11 +300,11 @@ def test_trained_memory_beats_attention_only_reconstruction():
 
     def episodes_for(rng):
         x0 = teacher.embed(rng.integers(0, 12, length))
-        full_run = FullRun.of(teacher, x0, eval_start)
+        trace = teacher.forward(x0=x0)
         keeps = [select(plan, aggregate_heads(score_knorm(lt.k[:, :eval_start, :])),
                         np.arange(eval_start))
-                 for lt in full_run.trace.layers]
-        return prefill_episodes(full_run, keeps)
+                 for lt in trace.layers]
+        return prefill_episodes(trace, eval_start, keeps)
 
     by_layer = [[] for _ in range(cfg.n_layers)]
     for i in range(96):

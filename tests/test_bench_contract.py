@@ -2,16 +2,20 @@
 
 ``perfbench/tracer.py`` looks each traced callable up by name when a traced
 run starts; a rename or deletion here would otherwise surface only when the
-benchmark itself runs.
+benchmark itself runs. Its names are also the only excuse a kvgate
+function or class has for no other line of kvgate naming it.
 """
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "kvgate"
 
 
 def load_tracer():
@@ -102,3 +106,45 @@ def test_decode_step_attention_goes_through_traced_names(monkeypatch):
         model.forward_step(model.embed([position] * n_sim), caches, position)
     assert calls == {"attend_rows": 2 * n_sim * cfg.n_layers,
                      "append": 2 * n_sim * cfg.n_layers}
+
+
+def unnamed_elsewhere(src: Path) -> list:
+    """``module.name`` of every module-level function and class of the
+    package at ``src`` that no line outside its own definition names."""
+    files = {path.stem: path.read_text(encoding="utf-8").splitlines()
+             for path in sorted(src.glob("*.py"))}
+    unnamed = []
+    for mod, lines in files.items():
+        for node in ast.parse("\n".join(lines)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line)
+                       for other, text in files.items()
+                       for number, line in enumerate(text, 1)
+                       if other != mod or number not in own):
+                unnamed.append(f"{mod}.{node.name}")
+    return unnamed
+
+
+class TestEveryNameHasACaller:
+    """Every module-level function and class of kvgate is named by another
+    line of kvgate or pinned in ``TRACED``, so a retirement cannot leave a
+    helper that nothing calls."""
+
+    def test_each_name_is_named_elsewhere_or_traced(self):
+        traced = {f"{mod}.{attr.split('.')[0]}" for mod, attr in ENTRIES}
+        assert [name for name in unnamed_elsewhere(SRC)
+                if name not in traced] == []
+
+    def test_a_helper_nothing_names_is_found(self, tmp_path):
+        # Its own docstring and body do not count as a caller.
+        for path in SRC.glob("*.py"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        with open(tmp_path / "memory.py", "a", encoding="utf-8") as f:
+            f.write('\n\ndef orphan_helper():\n'
+                    '    """orphan_helper calls nothing."""\n'
+                    '    return orphan_helper\n')
+        assert "memory.orphan_helper" in unnamed_elsewhere(tmp_path)
+        assert "memory.orphan_helper" not in unnamed_elsewhere(SRC)

@@ -24,6 +24,7 @@ from kvgate.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
     indexer_tensors,
+    load_checkpoint,
     load_weights,
     save_weights,
 )
@@ -36,9 +37,16 @@ from kvgate.cli import (
     build_parser,
     main,
 )
-from kvgate.config import parse_config
-from kvgate.harness import SWEEP_RATIOS, init_indexer
+from kvgate.config import load_config, parse_config
+from kvgate.harness import (
+    SWEEP_RATIOS,
+    init_indexer,
+    init_memory,
+    memory_eval_losses,
+    train_memory_run,
+)
 from kvgate.metrics import read_records
+from kvgate.teacher import TeacherModel
 
 BASE = {
     "version": 1,
@@ -186,6 +194,21 @@ class TestTrainMemory:
         assert evaluated["improved"] == (
             evaluated["loss_trained"] < evaluated["loss_init"])
         assert np.isfinite(evaluated["loss_trained"])
+
+    def test_eval_record_is_the_stage_eval(self, stage_one, stage_two):
+        # The stage's own eval is the memory eval of the initial and the
+        # trained memories that the command used to run, and the record
+        # carries its two numbers.
+        cfg = load_config(stage_one["config"])
+        params, _ = load_checkpoint(stage_one["checkpoint"], cfg.teacher)
+        result = train_memory_run(cfg, params)
+        assert "teacher" not in result
+        assert result["eval"] == memory_eval_losses(
+            cfg, TeacherModel(cfg.teacher), result["params"],
+            (init_memory(cfg), result["memories"]))
+        (evaluated,) = read_records(stage_two / "train_memory_eval.jsonl")
+        assert [evaluated["loss_init"], evaluated["loss_trained"]] == \
+            result["eval"]
 
     def test_joint_training_moves_indexer_tensors(self, stage_one, stage_two):
         before = load_weights(stage_one["checkpoint"])

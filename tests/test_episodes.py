@@ -7,7 +7,6 @@ import kvgate.episodes as episodes_module
 from kvgate.cache import CompressionPlan
 from kvgate.episodes import (
     EpisodeStack,
-    FullRun,
     LayerEpisode,
     episode_loss,
     episode_loss_and_grads,
@@ -21,7 +20,6 @@ from kvgate.memory import MEM_EPS, MemorySlowWeights, MemoryState, gate, mem_wri
 from kvgate.numerics import Rng
 from kvgate.policies import aggregate_heads, score_knorm, select
 from kvgate.teacher import (
-    ForwardTrace,
     LayerTrace,
     TeacherConfig,
     TeacherModel,
@@ -88,9 +86,9 @@ class TestEpisodeTypes:
 class TestPrefillEpisodes:
     def test_no_eviction_means_zero_targets(self):
         teacher = toy_teacher()
-        run = FullRun.of(teacher, Rng(200).normal((24, D)), 16)
+        trace = teacher.forward(x0=Rng(200).normal((24, D)))
         plan = CompressionPlan(ratio=0.0, sink_count=2, local_window=2)
-        eps = prefill_episodes(run, knorm_keeps(run.trace, plan, 16))
+        eps = prefill_episodes(trace, 16, knorm_keeps(trace, plan, 16))
         assert len(eps) == teacher.config.n_layers
         for ep in eps:
             assert np.all(ep.targets == 0.0)
@@ -98,10 +96,9 @@ class TestPrefillEpisodes:
 
     def test_eviction_produces_targets_and_writes(self):
         teacher = toy_teacher()
-        run = FullRun.of(teacher, Rng(201).normal((24, D)), 16)
-        trace = run.trace
+        trace = teacher.forward(x0=Rng(201).normal((24, D)))
         plan = CompressionPlan(ratio=0.5, sink_count=2, local_window=2)
-        eps = prefill_episodes(run, knorm_keeps(trace, plan, 16))
+        eps = prefill_episodes(trace, 16, knorm_keeps(trace, plan, 16))
         for li, ep in enumerate(eps):
             assert ep.n_eval == 8
             assert np.any(ep.targets != 0.0)
@@ -109,13 +106,11 @@ class TestPrefillEpisodes:
             assert np.array_equal(ep.queries,
                                   flatten_heads(trace.layers[li].q_pre)[16:])
 
-    def test_targets_match_manual_attention_difference(self):
+    def test_targets_match_manual_attention_difference(self, monkeypatch):
         teacher = toy_teacher()
-        x0 = Rng(202).normal((20, D))
-        full_run = FullRun.of(teacher, x0, 12)
-        trace = full_run.trace
+        trace = teacher.forward(x0=Rng(202).normal((20, D)))
         plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
-        eps = prefill_episodes(full_run, knorm_keeps(trace, plan, 12))
+        eps = prefill_episodes(trace, 12, knorm_keeps(trace, plan, 12))
         lt = trace.layers[0]
         keep = select(plan, knorm_scores(trace, 12)[0], np.arange(12))
         t = 15   # third eval row
@@ -129,17 +124,28 @@ class TestPrefillEpisodes:
         o_kept = attend_rows(q_row, lt.k, lt.v, visible=kept)[0]
         assert np.allclose(eps[0].targets[3], o_full - o_kept, atol=1e-12)
 
-        # Every row at once, masks built row by row: bit-identical targets.
+        # Every row at once, masks built row by row: the full-cache mask
+        # layer_episodes builds, and bit-identical targets.
         n_eval = 8
         full = np.zeros((n_eval, 20), dtype=bool)
         for i in range(n_eval):
             full[i, :12 + i + 1] = True
-        assert np.array_equal(full_run.visible, full)
+        masks = []
+        logits_of = episodes_module.head_logits
+
+        def recording_logits(q, k, visible):
+            masks.append(visible)
+            return logits_of(q, k, visible)
+
+        monkeypatch.setattr(episodes_module, "head_logits", recording_logits)
         r = Rng(206)
         for trial in range(6):
             keeps = [distinct_sorted(r.split(10 * trial + li), 12, size)
                      for li, size in enumerate((trial, 12 - trial))]
-            eps = prefill_episodes(full_run, keeps)
+            masks.clear()
+            eps = prefill_episodes(trace, 12, keeps)
+            assert len(masks) == len(trace.layers)
+            assert all(np.array_equal(mask, full) for mask in masks)
             for li, lt in enumerate(trace.layers):
                 kept = np.zeros((n_eval, 20), dtype=bool)
                 kept[:, keeps[li]] = True
@@ -156,7 +162,7 @@ class TestPrefillEpisodes:
         # keep-all set adds no softmax work.
         teacher = toy_teacher()
         n_heads = teacher.config.n_heads
-        full_run = FullRun.of(teacher, Rng(208).normal((20, D)), 12)
+        trace = teacher.forward(x0=Rng(208).normal((20, D)))
         blocks, exps = [], []
         logits_of = episodes_module.head_logits
         exps_of = episodes_module.row_exps
@@ -173,7 +179,7 @@ class TestPrefillEpisodes:
         monkeypatch.setattr(episodes_module, "head_logits", counting_logits)
         monkeypatch.setattr(episodes_module, "row_exps", counting_exps)
         keeps = [np.arange(12), np.arange(12)[::-1]]
-        eps = prefill_episodes(full_run, keeps)
+        eps = prefill_episodes(trace, 12, keeps)
         assert len(blocks) == 2 * n_heads
         assert exps == [8] * (2 * n_heads)
         for ep in eps:
@@ -181,8 +187,8 @@ class TestPrefillEpisodes:
             assert ep.write_keys.shape == ep.write_values.shape == (0, D)
         blocks.clear()
         eps = list(episodes_module.layer_episodes(
-            full_run, 0, [np.arange(12), np.arange(11), np.arange(1, 12),
-                          np.arange(12)[::-1]]))
+            trace.layers[0], 12, [np.arange(12), np.arange(11),
+                                  np.arange(1, 12), np.arange(12)[::-1]]))
         assert len(blocks) == n_heads
         assert [np.all(ep.targets == 0.0) for ep in eps] == [
             True, False, False, True]
@@ -214,8 +220,6 @@ class TestPrefillEpisodes:
             v = r.split(3).normal((n_kv, length, dh))
             layer = LayerTrace(x_in=np.zeros((length, n_heads * dh)),
                                q_pre=q, q=q, k=k, v=v)
-            full_run = FullRun(ForwardTrace([layer], np.zeros((length, 1))),
-                               upto, visible)
             q_rows = q[:, upto:, :]
             tops = set()
             for h in range(n_heads):
@@ -229,7 +233,7 @@ class TestPrefillEpisodes:
                       np.setdiff1d(prefix, tops[: len(tops) // 2]),
                       np.setdiff1d(prefix, tops[:1]), tops, prefix]
             recomputed.clear()
-            eps = list(episodes_module.layer_episodes(full_run, 0, keeps))
+            eps = list(episodes_module.layer_episodes(layer, upto, keeps))
             o_full = attend_rows(q_rows, k, v, visible=visible)
             for keep, ep in zip(keeps, eps):
                 kept = np.zeros((n_eval, length), dtype=bool)
@@ -248,22 +252,23 @@ class TestPrefillEpisodes:
 
     def test_rejects_bad_eval_start(self):
         teacher = toy_teacher()
+        lt = teacher.forward(x0=Rng(203).normal((10, D))).layers[0]
         with pytest.raises(ValueError, match="split"):
-            FullRun.of(teacher, Rng(203).normal((10, D)), 10)
+            list(episodes_module.layer_episodes(lt, 10, [np.arange(10)]))
 
     def test_rejects_wrong_score_count(self):
         teacher = toy_teacher()
-        run = FullRun.of(teacher, Rng(204).normal((10, D)), 6)
+        trace = teacher.forward(x0=Rng(204).normal((10, D)))
         plan = CompressionPlan(ratio=0.5, sink_count=1, local_window=1)
         with pytest.raises(ValueError, match="per layer"):
-            prefill_episodes(run, knorm_keeps(run.trace, plan, 6)[:1])
+            prefill_episodes(trace, 6, knorm_keeps(trace, plan, 6)[:1])
 
     def test_rejects_keep_outside_prefix(self):
         teacher = toy_teacher()
-        run = FullRun.of(teacher, Rng(205).normal((10, D)), 6)
+        trace = teacher.forward(x0=Rng(205).normal((10, D)))
         keeps = [np.arange(6), np.array([0, 6])]
         with pytest.raises(ValueError, match="prefix"):
-            prefill_episodes(run, keeps)
+            prefill_episodes(trace, 6, keeps)
 
 
 def copy_slow(slow):
@@ -355,9 +360,8 @@ def pipeline_episodes():
     eps = []
     for s in range(8):
         x0 = teacher.embed(Rng(600).split(s).integers(0, 64, 128))
-        full_run = FullRun.of(teacher, x0, 85)
-        keeps = knorm_keeps(full_run.trace, plan, 85)
-        eps += prefill_episodes(full_run, keeps)
+        trace = teacher.forward(x0=x0)
+        eps += prefill_episodes(trace, 85, knorm_keeps(trace, plan, 85))
     return eps
 
 
@@ -627,9 +631,9 @@ class TestTrainMemory:
     def test_no_eviction_episodes_are_inert(self):
         # empty writes: the readout is zero, so nothing moves
         teacher = toy_teacher()
-        run = FullRun.of(teacher, Rng(309).normal((20, D)), 12)
+        trace = teacher.forward(x0=Rng(309).normal((20, D)))
         plan = CompressionPlan(ratio=0.0, sink_count=2, local_window=2)
-        eps = prefill_episodes(run, knorm_keeps(run.trace, plan, 12))
+        eps = prefill_episodes(trace, 12, knorm_keeps(trace, plan, 12))
         slow = MemorySlowWeights.init(D, Rng(310), d_mem=2)
         before = copy_slow(slow)
         losses = train_memory(slow, eps, steps=10)
@@ -686,8 +690,8 @@ class TestTrainMemory:
         plan = CompressionPlan(ratio=0.5, sink_count=2, local_window=2)
 
         def eps_for(rng):
-            run = FullRun.of(teacher, teacher.embed(rng.integers(0, 16, 24)), 16)
-            return prefill_episodes(run, knorm_keeps(run.trace, plan, 16))
+            trace = teacher.forward(x0=teacher.embed(rng.integers(0, 16, 24)))
+            return prefill_episodes(trace, 16, knorm_keeps(trace, plan, 16))
 
         train = [ep for i in range(12) for ep in eps_for(Rng(500).split(i))]
         slow = MemorySlowWeights.init(D, Rng(501), d_mem=2)

@@ -16,7 +16,7 @@ import kvgate.harness as harness
 from kvgate.cache import DecodeSchedule, KvCache, budget_compress
 from kvgate.cli import EXIT_DIVERGENCE, main
 from kvgate.config import ConfigError, parse_config
-from kvgate.episodes import FullRun, episode_loss, plain_mse, prefill_episodes
+from kvgate.episodes import episode_loss, plain_mse, prefill_episodes
 from kvgate.harness import (
     EVAL_STREAM,
     POLICY_SEED,
@@ -258,19 +258,19 @@ class TestLayerScores:
     """``sequence_scores``: one eval sequence's prefix scores, per layer."""
 
     @pytest.fixture(scope="class")
-    def full_run(self, cfg, teacher):
+    def trace(self, cfg, teacher):
         x0, _ = input_sequence(cfg, teacher, Rng(9), n_needles=1)
-        return FullRun.of(teacher, x0, cfg.eval_start)
+        return teacher.forward(x0=x0)
 
-    def test_knorm_matches_direct_computation(self, cfg, full_run):
+    def test_knorm_matches_direct_computation(self, cfg, trace):
         upto = cfg.eval_start
-        scores = sequence_scores("knorm", full_run, 0)
-        for li, lt in enumerate(full_run.trace.layers):
+        scores = sequence_scores("knorm", trace, upto, 0)
+        for li, lt in enumerate(trace.layers):
             expected = aggregate_heads(score_knorm(lt.k[:, :upto, :]))
             assert np.array_equal(scores[li], expected)
 
     @pytest.mark.parametrize("name", ["knorm", "random"])
-    def test_scores_each_layer_once(self, cfg, full_run, monkeypatch, name):
+    def test_scores_each_layer_once(self, cfg, trace, monkeypatch, name):
         # random draws from the sequence's stream, knorm draws nothing.
         keys = []
         score_layer = harness.score_layer
@@ -280,17 +280,17 @@ class TestLayerScores:
             return score_layer(policy, k, *args, **kwargs)
 
         monkeypatch.setattr(harness, "score_layer", counting)
-        scores = sequence_scores(name, full_run, 0)
-        layers = full_run.trace.layers
+        scores = sequence_scores(name, trace, cfg.eval_start, 0)
+        layers = trace.layers
         assert len(keys) == len(scores) == len(layers)
         for k, lt in zip(keys, layers):
             assert np.array_equal(k, lt.k[:, :cfg.eval_start, :])
 
-    def test_random_scores_are_seeded(self, cfg, full_run):
+    def test_random_scores_are_seeded(self, cfg, trace):
         # Each sequence index draws from its own stream.
-        a = sequence_scores("random", full_run, 4)
-        b = sequence_scores("random", full_run, 4)
-        c = sequence_scores("random", full_run, 5)
+        a = sequence_scores("random", trace, cfg.eval_start, 4)
+        b = sequence_scores("random", trace, cfg.eval_start, 4)
+        c = sequence_scores("random", trace, cfg.eval_start, 5)
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
 
@@ -372,7 +372,8 @@ class TestTrainMemoryRun:
 
     def test_one_teacher_forward_per_training_sequence(self, cfg, stage_one,
                                                        monkeypatch):
-        # the indexer re-fit and the episodes share each sequence's trace
+        # the indexer re-fit and the episodes share each training
+        # sequence's trace, and the eval traces each eval sequence once
         calls = []
         forward = TeacherModel.forward
 
@@ -382,12 +383,12 @@ class TestTrainMemoryRun:
 
         monkeypatch.setattr(TeacherModel, "forward", counting)
         train_memory_run(cfg, stage_one)
-        assert len(calls) == cfg.n_train
+        assert len(calls) == cfg.n_train + cfg.n_eval
 
     def test_episode_sets_shape(self, cfg, teacher, stage_one):
-        runs = (FullRun.of(teacher, x0, cfg.eval_start)
-                for x0, _ in training_sequences(cfg, teacher))
-        sets = build_episode_sets(cfg, runs, params_by_layer=stage_one)
+        traces = (teacher.forward(x0=x0)
+                  for x0, _ in training_sequences(cfg, teacher))
+        sets = build_episode_sets(cfg, traces, params_by_layer=stage_one)
         assert len(sets) == cfg.teacher.n_layers
         assert all(len(eps) == cfg.n_train for eps in sets)
 
@@ -452,18 +453,12 @@ class TestCheckpointCheck:
         ids=["sweep", "decode", "train-memory"])
     def test_fails_before_any_work(self, stage, monkeypatch):
         work = []
-        build = FullRun.of.__func__
         forward = TeacherModel.forward
-
-        def of(cls, *args, **kwargs):
-            work.append("FullRun.of")
-            return build(cls, *args, **kwargs)
 
         def counting(self, *args, **kwargs):
             work.append("forward")
             return forward(self, *args, **kwargs)
 
-        monkeypatch.setattr(FullRun, "of", classmethod(of))
         monkeypatch.setattr(TeacherModel, "forward", counting)
         with pytest.raises(ConfigError) as info:
             stage(small_config(policy={"name": "indexer"}))
@@ -491,11 +486,10 @@ class TestSweepFromScratch:
             plan = replace(cfg.plan, ratio=record["ratio"])
             attn, fused, recalls, kls = [], [], [], []
             for s, (x0, planted) in enumerate(sequences):
-                full_run = FullRun.of(teacher, x0, upto)
-                trace = full_run.trace
-                scores = sequence_scores(record["policy"], full_run, s)
+                trace = teacher.forward(x0=x0)
+                scores = sequence_scores(record["policy"], trace, upto, s)
                 keeps = [select(plan, sc, prefix) for sc in scores]
-                eps = prefill_episodes(full_run, keeps)
+                eps = prefill_episodes(trace, upto, keeps)
                 for li, lt in enumerate(trace.layers):
                     attn.append(plain_mse(eps[li]))
                     fused.append(episode_loss(memories[li], eps[li]))
@@ -516,35 +510,36 @@ class TestSweepFromScratch:
 
 
 class TestStreamedEval:
-    """The sweep and the memory eval hold one sequence's run at a time."""
+    """The sweep, the memory eval and the indexer's batches hold one
+    sequence's trace at a time, the sweep's overlap aside."""
 
     @pytest.fixture
     def alive_at_build(self, monkeypatch):
-        """(runs, episodes) still alive at each ``FullRun.of`` call, and
-        weak references to every episode built.
+        """(traces, episodes) still alive at each ``TeacherModel.forward``
+        call, and weak references to every episode built.
 
         Every episode comes from ``layer_episodes``: the sweep calls it
         by its harness name, and ``prefill_episodes`` by its episodes one.
         """
-        runs, episodes, counts = [], [], []
-        build = FullRun.of.__func__
+        traces, episodes, counts = [], [], []
+        forward = TeacherModel.forward
         layer_episodes = episodes_module.layer_episodes
 
         def alive(refs):
             return sum(ref() is not None for ref in refs)
 
-        def of(cls, *args, **kwargs):
-            counts.append((alive(runs), alive(episodes)))
-            run = build(cls, *args, **kwargs)
-            runs.append(weakref.ref(run))
-            return run
+        def tracked_forward(self, *args, **kwargs):
+            counts.append((alive(traces), alive(episodes)))
+            trace = forward(self, *args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return trace
 
         def tracked(*args, **kwargs):
             for ep in layer_episodes(*args, **kwargs):
                 episodes.append(weakref.ref(ep))
                 yield ep
 
-        monkeypatch.setattr(FullRun, "of", classmethod(of))
+        monkeypatch.setattr(TeacherModel, "forward", tracked_forward)
         monkeypatch.setattr(harness, "layer_episodes", tracked)
         monkeypatch.setattr(episodes_module, "layer_episodes", tracked)
         return counts, episodes
@@ -557,36 +552,48 @@ class TestStreamedEval:
         records = sweep_run(cfg, threads=threads)
         assert len(built) == len(records) * cfg.n_eval * cfg.teacher.n_layers
         assert len(at_build) == cfg.n_eval
-        assert max(runs for runs, _ in at_build) <= 1
+        assert max(traces for traces, _ in at_build) <= 1
         assert max(eps for _, eps in at_build) <= cfg.teacher.n_layers
         assert all(r["n_sequences"] == cfg.n_eval for r in records)
 
     def test_train_memory_eval_frees_each_run_before_the_next(
             self, alive_at_build, tmp_path):
-        # One training sequence, so the training runs, which the indexer
-        # re-fit holds together, are one run too.
+        # One training sequence, so the training traces, which the indexer
+        # re-fit holds together, are one trace too.
         raw = raw_config(data={"n_train": 1, "n_eval": 4},
                          train={"indexer_steps": 2, "mem_steps": 2})
         config = tmp_path / "config.json"
         config.write_text(json.dumps(raw))
         out = str(tmp_path / "out")
+        at_build, built = alive_at_build
         assert main(["train-indexer", "--config", str(config),
                      "--out", out]) == 0
+        # Only train-memory's forwards are counted.
+        at_build.clear()
         assert main(["train-memory", "--config", str(config), "--out", out,
                      "--checkpoint", str(tmp_path / "out" / "indexer.kvgt")]) == 0
-        at_build, built = alive_at_build
         n_layers = raw["teacher"]["n_layers"]
         assert len(built) == (1 + 4) * n_layers
         assert len(at_build) == 1 + 4
-        assert max(runs for runs, _ in at_build) <= 1
+        assert max(traces for traces, _ in at_build) <= 1
         assert max(eps for _, eps in at_build) <= n_layers
+        # The training trace and episodes are dropped before the eval, and
+        # each eval sequence's before the next one's forward.
+        assert at_build[1:] == [(0, 0)] * 4
+
+    def test_no_earlier_trace_at_a_train_indexer_forward(self,
+                                                         alive_at_build):
+        cfg = small_config(data={"n_train": 4}, train={"indexer_steps": 2})
+        at_build, _ = alive_at_build
+        train_indexer_run(cfg)
+        assert [traces for traces, _ in at_build] == [0] * cfg.n_train
 
     def test_eval_draws_each_sequence_own_policy_stream(self, teacher):
         cfg = small_config(policy={"name": "random"}, data={"n_eval": 3})
         memory_sets = (init_memory(cfg), train_memory_run(cfg, None)["memories"])
 
-        def runs():
-            return (FullRun.of(teacher, x0, cfg.eval_start)
+        def traces():
+            return (teacher.forward(x0=x0)
                     for x0, _ in eval_sequences(cfg, teacher))
 
         def mean_loss(memories, eval_eps):
@@ -594,14 +601,14 @@ class TestStreamedEval:
                    for li, eps in enumerate(eval_eps) for ep in eps]
             return float(sum(per) / len(per))
 
-        over_all = build_episode_sets(cfg, runs())
+        over_all = build_episode_sets(cfg, traces())
         expected = [mean_loss(m, over_all) for m in memory_sets]
         assert memory_eval_losses(cfg, teacher, None, memory_sets) == expected
         # Episoding each sequence on its own restarts the stream at 0,
         # which moves the losses.
         restarted = [[] for _ in range(cfg.teacher.n_layers)]
-        for run in runs():
-            for li, eps in enumerate(build_episode_sets(cfg, [run])):
+        for trace in traces():
+            for li, eps in enumerate(build_episode_sets(cfg, [trace])):
                 restarted[li].extend(eps)
         assert [mean_loss(m, restarted) for m in memory_sets] != expected
 
