@@ -178,6 +178,11 @@ class DecodeSchedule:
         self.plan = plan
         self.step_index = 0
 
+    @property
+    def due(self) -> bool:
+        """Whether the next :meth:`step` is a boundary."""
+        return (self.step_index + 1) % self.plan.decode_interval == 0
+
     def step(self, scorer, on_evict=None) -> bool:
         """Advance one decode step; returns True when compression ran.
 
@@ -185,8 +190,9 @@ class DecodeSchedule:
         layer. ``on_evict(layer, keys, values, positions)`` sees each
         layer's evicted rows, in original order.
         """
+        due = self.due
         self.step_index += 1
-        if self.step_index % self.plan.decode_interval != 0:
+        if not due:
             return False
         compressed = False
         for layer in range(self.cache.n_layers):

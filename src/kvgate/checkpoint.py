@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .indexer import IndexerParams
+from .config import ExperimentConfig
+from .indexer import IndexerParams, default_d_index, default_h_index
 from .memory import MemorySlowWeights
 from .teacher import TeacherConfig
 
@@ -155,10 +156,11 @@ def unpack_memory(tensors: dict, teacher: TeacherConfig) -> list:
             for t in _layers(tensors, "mem", shapes, teacher)]
 
 
-def load_checkpoint(path, teacher: TeacherConfig) -> tuple:
+def load_checkpoint(path, cfg: ExperimentConfig) -> tuple:
     """``(indexer params, memories)`` of a stage's weights file, each
     ``None`` when the file lacks that family's tensors. A tensor outside
-    the ``idx.*`` and ``mem.*`` families raises, naming it."""
+    the ``idx.*`` and ``mem.*`` families raises, naming it, and so does
+    an indexer whose widths are not the config's exact ones."""
     tensors = load_weights(path)
     foreign = sorted(name for name in tensors
                      if not name.startswith(("idx.", "mem.")))
@@ -166,5 +168,13 @@ def load_checkpoint(path, teacher: TeacherConfig) -> tuple:
         raise ValueError(f"checkpoint tensor {foreign[0]!r} is neither "
                          "an idx.* nor a mem.* weight")
     families = {name.split(".")[0] for name in tensors}
-    return (unpack_indexer(tensors, teacher) if "idx" in families else None,
-            unpack_memory(tensors, teacher) if "mem" in families else None)
+    t = cfg.teacher
+    params = unpack_indexer(tensors, t) if "idx" in families else None
+    widths = (cfg.h_index or default_h_index(t.n_heads),
+              cfg.d_index or default_d_index(t.d_head))
+    for p in params or ():
+        if (p.h_index, p.d_index) != widths:
+            raise ValueError(f"checkpoint indexer (h_index, d_index) "
+                             f"{(p.h_index, p.d_index)} is not the config's "
+                             f"{widths}")
+    return params, unpack_memory(tensors, t) if "mem" in families else None

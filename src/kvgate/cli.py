@@ -48,7 +48,7 @@ def _stage(args):
     made; log lines and warnings go to the directory's run.log, the one
     timestamped file."""
     cfg = load_config(args.config, seed=args.seed)
-    params, memories = (load_checkpoint(args.checkpoint, cfg.teacher)
+    params, memories = (load_checkpoint(args.checkpoint, cfg)
                         if getattr(args, "checkpoint", None) else (None, None))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -417,9 +417,9 @@ def _finite_row(row: np.ndarray, where: str) -> np.ndarray:
 
 class _Simulation:
     """One decode simulation's own state: the reference (no budget) or one
-    budget's run with its schedule, indexer feature caches and scorer
-    stream counter. The query rows its compactions score live in the
-    lockstep loop's one window, shared by every simulation.
+    budget's run with its schedule, scorer stream counter and indexer key
+    feature caches, which take the prompt's rows, then each interval's at
+    its schedule's boundaries. Its compactions score the lockstep's window.
 
     State lives in plain attributes, never in closures or stored bound
     methods, so nothing forms a reference cycle: a finished simulation's
@@ -428,7 +428,7 @@ class _Simulation:
     """
 
     def __init__(self, cfg: ExperimentConfig, budget: int | None, trace,
-                 params_by_layer, prompt_features):
+                 params_by_layer):
         cfg_t = cfg.teacher
         self.budget = budget
         self.name = "reference" if budget is None else f"budget {budget}"
@@ -448,11 +448,10 @@ class _Simulation:
         self.schedule = None
         if budget is None:
             return
-        if self.params is not None:
-            for li, feats in enumerate(prompt_features):
-                fc = IndexerKeyCache(self.params[li].d_index)
-                fc.append(feats, positions)
-                self.feature_caches.append(fc)
+        for params, lt in zip(self.params or (), trace.layers):
+            fc = IndexerKeyCache(params.d_index)
+            fc.append(key_features(params, lt.x_in), positions)
+            self.feature_caches.append(fc)
         plan = replace(cfg.plan, budget=budget)
         for li, lt in enumerate(trace.layers):
             # The first compaction is scored against the prompt: the indexer
@@ -480,12 +479,21 @@ class _Simulation:
             self.feature_caches[layer].retain(self.cache.positions(layer))
 
     def advance(self, t: int, window, s: int) -> None:
-        """Run the schedule, scoring row ``s`` of the window's queries, and
-        record step ``t``'s kept size and evictions."""
+        """Run the schedule, and record step ``t``'s kept size and evictions.
+        At a boundary, row ``s`` of the window's queries, stacked once per
+        layer, gives the interval's rows their key features (an (n, 1, d)
+        product keeps each row's single-row bits) and is scored."""
         if self.schedule is not None:
-            self.schedule.step(
-                lambda layer: self.score(layer, _window_queries(window, layer, s)),
-                on_evict=self.on_evict)
+            queries = []
+            if self.schedule.due:
+                queries = [_window_queries(window, li, s)
+                           for li in range(self.cache.n_layers)]
+                for params, fc, rows in zip(self.params or (),
+                                            self.feature_caches, queries):
+                    fc.append(key_features(params, rows.x[:, None, :])[:, 0],
+                              rows.positions)
+            self.schedule.step(lambda layer: self.score(layer, queries[layer]),
+                               on_evict=self.on_evict)
         self.kept[t] = max(self.cache.length(li)
                            for li in range(self.cache.n_layers))
         self.evictions[t] = self.evicted
@@ -503,36 +511,23 @@ def _run_lockstep(cfg: ExperimentConfig, teacher: TeacherModel,
     """
     trace = teacher.forward(x0=x0)
     _finite_row(trace.output[-1], "the prompt")
-    prompt_features = []
-    if cfg.policy_name == "indexer":
-        prompt_features = [key_features(params_by_layer[li], lt.x_in)
-                           for li, lt in enumerate(trace.layers)]
-    sims = [_Simulation(cfg, budget, trace, params_by_layer, prompt_features)
+    sims = [_Simulation(cfg, budget, trace, params_by_layer)
             for budget in (None, *cfg.decode_budgets)]
-    # Only budget runs score, so the indexer's feature caches belong to the
-    # trailing rows of each step.
-    scored = [sim for sim in sims if sim.feature_caches]
-    first = len(sims) - len(scored)
     caches = [sim.cache for sim in sims]
     x_rows = np.repeat(rmsnorm(trace.output[-1])[None, :],
                        len(sims), axis=0)
     length = x0.shape[0]
     # The prompt's trace is not read past the start-of-decode compactions.
-    del trace, prompt_features
+    del trace
     # The last interval's query rows: every schedule compacts only after a
     # whole interval of steps, so at a boundary the window holds exactly the
-    # rows its compactions score.
+    # rows cached since the last one.
     window = deque(maxlen=cfg.plan.decode_interval)
     for t in range(cfg.decode_steps):
         pos = length + t
         step = teacher.forward_step(x_rows, caches, pos)
         for sim, row in zip(sims, step.output):
             sim.outputs[t] = _finite_row(row, f"step {t + 1} ({sim.name})")
-        if scored:
-            for li, params in enumerate(params_by_layer):
-                feats = key_features(params, step.x_in[li][first:, None, :])
-                for sim, row in zip(scored, feats):
-                    sim.feature_caches[li].append(row, np.array([pos]))
         window.append((pos, step.x_in, step.q_pre, step.q))
         for s, sim in enumerate(sims):
             sim.advance(t, window, s)
@@ -554,7 +549,7 @@ def decode_run(cfg: ExperimentConfig, params_by_layer=None) -> list:
         recon = np.mean((sim.outputs - reference.outputs) ** 2, axis=1)
         for t in range(cfg.decode_steps):
             records.append(make_record("decode", cfg.config_hash, cfg.seed, {
-                "policy": cfg.policy_name,
+                "policy": sim.policy,
                 "budget": budget,
                 "step": t + 1,
                 "kept": int(sim.kept[t]),
@@ -564,7 +559,7 @@ def decode_run(cfg: ExperimentConfig, params_by_layer=None) -> list:
                 "recon": float(recon[t]),
             }))
         records.append(make_record("decode_summary", cfg.config_hash, cfg.seed, {
-            "policy": cfg.policy_name,
+            "policy": sim.policy,
             "budget": budget,
             "bound_ok": bool(np.all(sim.kept <= bound)),
             "matches_reference": bool(np.array_equal(sim.outputs,

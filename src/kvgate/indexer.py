@@ -31,7 +31,6 @@ from .numerics import (
     kl_divergence,
     masked_softmax_rows,
     rmsnorm,
-    with_capacity,
 )
 from .teacher import TeacherConfig, flatten_heads, teacher_block
 
@@ -122,47 +121,32 @@ def head_gates(params: IndexerParams, x: np.ndarray) -> np.ndarray:
 class IndexerKeyCache:
     """Store of normalized key features, one row per cached token.
 
-    Decode appends one row per step and :meth:`retain` drops the rows the
-    KV cache evicted, so features stay aligned with the cached positions.
-    The footprint is d_index floats per token. Rows live in the leading part
-    of capacity-doubling buffers, the growth rule of
-    :func:`kvgate.numerics.with_capacity`, like :class:`kvgate.cache.KvCache`.
+    A decode simulation appends the prompt's rows, then each interval's at
+    the interval's end, and :meth:`retain` drops the rows the KV cache
+    evicted, so every row a compaction scores has its features. The
+    footprint is d_index floats per token. Appends come once per interval,
+    not once per step, so each one rebuilds the arrays.
     """
 
     def __init__(self, d_index: int):
         self.d_index = d_index
         self._rows = np.empty((0, d_index))
-        self._positions = np.empty(0, dtype=np.int64)
-        self._length = 0
+        self.positions = np.empty(0, dtype=np.int64)   # ascending
 
     def __len__(self) -> int:
-        return self._length
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Cached positions, ascending: a view valid until the next
-        :meth:`append` or :meth:`retain`; copy it to keep it longer."""
-        return self._positions[:self._length]
+        return self.positions.size
 
     def append(self, rows: np.ndarray, positions) -> None:
         rows = np.asarray(rows, dtype=np.float64)
         pos = np.asarray(positions, dtype=np.int64)
         if rows.shape != (pos.size, self.d_index):
             raise ValueError(f"expected rows of width {self.d_index}")
-        if pos.size == 0:
-            return
-        # One position (a decode step) is trivially strictly increasing.
-        if pos.size > 1 and np.any(np.diff(pos) <= 0):
+        if np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
-        n = self._length
-        if n and pos[0] <= self._positions[n - 1]:
+        if pos.size and len(self) and pos[0] <= self.positions[-1]:
             raise ValueError("positions must extend past the cached range")
-        end = n + pos.size
-        self._rows = with_capacity(self._rows, n, end)
-        self._positions = with_capacity(self._positions, n, end)
-        self._rows[n:end] = rows
-        self._positions[n:end] = pos
-        self._length = end
+        self._rows = np.concatenate([self._rows, rows])
+        self.positions = np.concatenate([self.positions, pos])
 
     def rows_for(self, positions) -> np.ndarray:
         """Gather cached feature rows by original position (a copy)."""
@@ -175,18 +159,13 @@ class IndexerKeyCache:
         return self._rows[idx]
 
     def retain(self, positions) -> None:
-        """Keep only the rows at ``positions``, e.g. after a KV compaction.
-
-        ``positions`` must be strictly increasing; the kept rows are gathered
-        into the front of the buffers.
-        """
+        """Keep only the rows at ``positions``, e.g. after a KV compaction;
+        ``positions`` must be strictly increasing."""
         keep = np.array(positions, dtype=np.int64)
         if np.any(np.diff(keep) <= 0):
             raise ValueError("positions must be strictly increasing")
-        rows = self.rows_for(keep)
-        self._rows[:keep.size] = rows
-        self._positions[:keep.size] = keep
-        self._length = keep.size
+        self._rows = self.rows_for(keep)
+        self.positions = keep
 
 
 def index_scores(q_feat: np.ndarray, gates: np.ndarray, k_feat: np.ndarray,

@@ -116,8 +116,8 @@ class TestKvCache:
 
 
 class ConcatOracle:
-    """The storage rule the capacity buffers replace: rebuild every array
-    with np.concatenate on append, and gather into fresh arrays on drop."""
+    """The reference storage rule: rebuild every array with
+    np.concatenate on append, and gather into fresh arrays on drop."""
 
     def __init__(self, width_shape, axis):
         self.axis = axis
@@ -398,6 +398,19 @@ class TestDecodeSchedule:
             cache.append(0, np.zeros((2, 1, 4)), np.zeros((2, 1, 4)), [pos])
             sched.step(scorer)
         assert calls == [(3, 0), (6, 0), (9, 0)]
+
+    def test_due_names_the_compacting_steps(self):
+        cache = filled_cache(length=10, sink_count=1)
+        plan = CompressionPlan(budget=8, decode_interval=3, sink_count=1,
+                               local_window=1)
+        sched = DecodeSchedule(cache, plan)
+        due, compacted = [], []
+        for pos in range(10, 19):
+            cache.append(0, np.zeros((2, 1, 4)), np.zeros((2, 1, 4)), [pos])
+            due.append(sched.due)
+            compacted.append(sched.step(
+                lambda layer: Rng(30).uniform((cache.length(layer),))))
+        assert due == compacted == [False, False, True] * 3
 
     def test_requires_budget(self):
         cache = filled_cache(length=4)

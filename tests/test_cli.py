@@ -200,7 +200,7 @@ class TestTrainMemory:
         # trained memories that the command used to run, and the record
         # carries its two numbers.
         cfg = load_config(stage_one["config"])
-        params, _ = load_checkpoint(stage_one["checkpoint"], cfg.teacher)
+        params, _ = load_checkpoint(stage_one["checkpoint"], cfg)
         result = train_memory_run(cfg, params)
         assert "teacher" not in result
         assert result["eval"] == memory_eval_losses(
@@ -626,6 +626,32 @@ class TestErrorPaths:
         record = only_stderr_record(capsys)
         assert record["error"] == "ValueError"
         assert tensor in record["message"]
+
+    @pytest.mark.parametrize("command", ["train-memory", "sweep",
+                                         "decode-sim"])
+    def test_indexer_checkpoint_of_other_widths(self, tmp_path, capsys,
+                                                command):
+        # A checkpoint trained at h_index 4 / d_index 8 used to load under
+        # a config at the default widths: the records carried that config's
+        # hash and an indexer_bytes computed from width 8.
+        wide = tmp_path / "wide"
+        assert run("train-indexer", "--config",
+                   write_config(tmp_path, name="wide.json",
+                                train={"h_index": 4, "d_index": 8}),
+                   "--out", wide) == EXIT_OK
+        config = write_config(tmp_path, train={"h_index": None,
+                                               "d_index": None})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run(command, "--config", config, "--checkpoint",
+                   wide / "indexer.kvgt", "--out", out)
+        assert code == EXIT_CONFIG
+        record = only_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert record["command"] == command
+        assert "(4, 8)" in record["message"]
+        assert "(1, 1)" in record["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-memory", "sweep",
                                          "decode-sim"])

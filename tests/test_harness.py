@@ -761,6 +761,30 @@ class TestLockstepDecode:
         assert len(made) == 1 + len(cfg.decode_budgets)
         assert not any(alive)
 
+    def test_key_features_are_added_per_boundary(self, monkeypatch):
+        # Each budget simulation adds its prompt's features, then each
+        # interval's at its boundary, one stacked call per layer; the
+        # reference scores nothing.
+        cfg = small_config(policy={"name": "indexer"}, **self.OVERRIDES)
+        params = train_indexer_run(cfg)["params"]
+        calls = {"key_features": 0, "append": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "key_features",
+                            counting("key_features", key_features))
+        monkeypatch.setattr(IndexerKeyCache, "append",
+                            counting("append", IndexerKeyCache.append))
+        decode_run(cfg, params_by_layer=params)
+        boundaries = cfg.decode_steps // cfg.plan.decode_interval
+        want = (len(cfg.decode_budgets) * cfg.teacher.n_layers
+                * (1 + boundaries))
+        assert calls == {"key_features": want, "append": want}
+
 
 class TestDecodeStartScoring:
     """The compaction at decode start scores against the prompt."""

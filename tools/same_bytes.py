@@ -23,7 +23,9 @@ timestamps, excepted). The configs are:
   ``[48, 170]``. The 128-row prompt fits budget 170, the decode boundary
   at step 32 compacts nothing and the one at step 64 compacts, so a
   compaction is scored by one interval's queries after a boundary that
-  evicted nothing.
+  evicted nothing. It is also the case that checks the indexer key
+  features of rows cached across that boundary: they are added at the
+  boundary that compacts nothing, and the step-64 compaction reads them.
 
 Prints ``same`` or ``DIFFERS`` per file and exits 1 on any difference or
 failed stage. Run it from the root of a kvgate checkout.
